@@ -25,10 +25,12 @@ Workloads (their reasons are recorded in ``BENCHMARK.json``):
   at large M; the serving stack is bypassed.
 * ``serve_mix`` -- an open-loop Poisson stream (60 req/s, 1-4 samples) into
   a thread-backend ``InferenceServer`` hosting two tenants, with telemetry,
-  admission and SLO tags on a quarter of the requests, then saturated
-  drains.  Exercises :mod:`repro.serve`, :mod:`repro.telemetry`, the
-  planned fast path of :mod:`repro.runtime` at M <= 4 and the
-  :mod:`repro.nn` glue; ``setup_s`` is the median of three setups.
+  admission and SLO tags on a quarter of the requests, in ten segments each
+  followed by saturated drains.  Exercises :mod:`repro.serve`,
+  :mod:`repro.telemetry`, the planned fast path of :mod:`repro.runtime` at
+  M <= 4 and the :mod:`repro.nn` glue.  ``latency_p50_ms`` is the median of
+  the segments' p50s, ``saturated_rps`` the median drain rate and
+  ``setup_s`` the median of five setups.
 
 Which per-layer metric should move which end-to-end metric:
 

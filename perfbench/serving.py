@@ -10,8 +10,14 @@ One thread sends requests on a seeded Poisson schedule (arrival times are a
 sorted uniform sample, i.e. a Poisson process conditioned on its count), so
 a slow server still receives the full load; each request's latency runs from
 its *scheduled* send time to the moment its future resolves, which counts
-the wait a stall imposes on later requests.  Saturated drains then submit a
+the wait a stall imposes on later requests.  Saturated drains submit a
 backlog of the same mix before ``start()`` and time how fast it empties.
+
+The timed window is split into rounds, each an open-loop segment followed
+by drains, so both phases sample the host over the whole run: on a shared
+host the speed drifts by tens of percent within seconds, and drains packed
+into the last few seconds of a run measured mostly that drift.
+
 Every phase resends requests of one seeded pool, and every reply is compared
 byte for byte, after the run, with an in-process ``NetworkEngine.run`` of the
 same inputs.
@@ -58,12 +64,11 @@ LATENCY_LIMIT_S = 0.020
 #: 25 ms p99 lateness on a shared 2-core host), tight enough to order them.
 DEADLINE_S = 0.5
 #: Setups per run; setup_s is their median.
-SETUPS = 3
+SETUPS = 5
 #: Requests sent (all at once) to warm a freshly set-up server.
 WARMUP_REQUESTS = 16
-#: Drains per run; saturated_rps is the mean of their rates (single drains
-#: fall into two modes about 20% apart, so a median would jump between them).
-DRAIN_REPEATS = 7
+#: Share of the timed window spent in open-loop segments; drains get the rest.
+OPEN_LOOP_SHARE = 2 / 3
 #: Longest the benchmark waits for outstanding replies after a phase.
 DRAIN_TIMEOUT_S = 60.0
 
@@ -72,11 +77,12 @@ DRAIN_TIMEOUT_S = 60.0
 class Load:
     rate_rps: float
     pool_requests: int
-    drain_requests: int
+    #: Open-loop segment + drains, repeated this many times per run.
+    rounds: int
 
 
-FULL = Load(rate_rps=60.0, pool_requests=600, drain_requests=800)
-SMOKE = Load(rate_rps=20.0, pool_requests=20, drain_requests=20)
+FULL = Load(rate_rps=60.0, pool_requests=600, rounds=10)
+SMOKE = Load(rate_rps=20.0, pool_requests=20, rounds=2)
 
 
 @dataclass
@@ -299,6 +305,12 @@ def _draw(rng: np.random.Generator, pool: list[Request], n: int) -> list[Request
     return [pool[i] for i in _shuffled(rng, range(len(pool)), n)]
 
 
+def _backlog(rng: np.random.Generator, pool: list[Request]) -> list[Request]:
+    """The whole pool in seeded order: every drain does the same work, so
+    drains differ only in order and host noise."""
+    return _draw(rng, pool, len(pool))
+
+
 def _schedule(rng: np.random.Generator, pool, rate_rps: float, seconds: float):
     n = max(2, int(round(rate_rps * seconds)))
     return _draw(rng, pool, n), np.sort(rng.uniform(0.0, seconds, n))
@@ -317,38 +329,53 @@ def run(seed: int, seconds: float, trace: bool, smoke: bool) -> dict:
             hosted.close()
     pool = make_requests(rng, load.pool_requests)
     try:
-        window = seconds / 2 if trace else seconds
-        requests, offsets = _schedule(rng, pool, load.rate_rps, window)
-        outcome = open_loop(hosted.server, requests, offsets)
         if trace:
+            window = seconds / 2
+            requests, offsets = _schedule(rng, pool, load.rate_rps, window)
+            outcome = open_loop(hosted.server, requests, offsets)
             return _traced(hosted, rng, pool, load, window, outcome)
-        return _untraced(hosted, rng, pool, load, outcome, setup_times)
+        return _untraced(hosted, rng, pool, load, seconds, setup_times)
     finally:
         hosted.close()
 
 
-def _untraced(hosted, rng, pool, load, outcome, setup_times) -> dict:
+def _untraced(hosted, rng, pool, load, seconds, setup_times) -> dict:
     # One unmeasured drain first: larger coalesced batches than the open loop
-    # formed touch new array shapes.
-    outcomes = [outcome, drain(hosted, _draw(rng, pool, load.drain_requests))[0]]
-    rates = []
-    for _ in range(DRAIN_REPEATS):
-        drained, rate = drain(hosted, _draw(rng, pool, load.drain_requests))
-        outcomes.append(drained)
-        rates.append(rate)
+    # forms touch new array shapes.
+    outcomes = [drain(hosted, _backlog(rng, pool))[0]]
+    segments, rates = [], []
+    segment_s = seconds * OPEN_LOOP_SHARE / load.rounds
+    drain_s = seconds * (1 - OPEN_LOOP_SHARE) / load.rounds
+    for _ in range(load.rounds):
+        requests, offsets = _schedule(rng, pool, load.rate_rps, segment_s)
+        segments.append(open_loop(hosted.server, requests, offsets))
+        until = time.perf_counter() + drain_s
+        while True:  # at least one drain per round
+            drained, rate = drain(hosted, _backlog(rng, pool))
+            outcomes.append(drained)
+            rates.append(rate)
+            if time.perf_counter() >= until:
+                break
+    outcomes += segments
     mismatches, _engines = replay_check(hosted, pool, outcomes)
     attempted = sum(len(o.requests) for o in outcomes)
     failed = sum(o.shed + o.errors for o in outcomes) + mismatches
-    latencies = outcome.latencies()
+    latencies = np.concatenate([s.latencies() for s in segments])
+    open_requests = sum(len(s.requests) for s in segments)
     samples = sum(
         len(request.inputs)
-        for request, out in zip(outcome.requests, outcome.outputs)
+        for s in segments
+        for request, out in zip(s.requests, s.outputs)
         if out is not None
     )
+    busy_s = sum(np.nanmax(s.done) - s.due[0] for s in segments)
     met = int(np.sum(latencies <= LATENCY_LIMIT_S))
+    # Median of per-segment medians: a host stall that slows a few segments
+    # moves the tail (slo_met_fraction), not the typical latency.
+    segment_p50 = [percentile_ms(s.latencies(), 50) for s in segments]
     log(
-        f"serve_mix: {len(outcome.requests)} open-loop requests at {load.rate_rps} "
-        f"req/s, {DRAIN_REPEATS}x{load.drain_requests} drained; "
+        f"serve_mix: {open_requests} open-loop requests at {load.rate_rps} req/s "
+        f"in {load.rounds} segments, {len(rates)}x{len(pool)} drained; "
         f"{failed} failed of {attempted}"
     )
     return {
@@ -357,21 +384,26 @@ def _untraced(hosted, rng, pool, load, outcome, setup_times) -> dict:
         "failed": failed,
         "metrics": {
             "setup_s": float(np.median(setup_times)),
-            "samples_per_s": samples / (np.nanmax(outcome.done) - outcome.due[0]),
-            "latency_p50_ms": percentile_ms(latencies, 50),
-            "slo_met_fraction": met / len(outcome.requests),
-            "saturated_rps": float(np.mean(rates)),
+            "samples_per_s": samples / busy_s,
+            "latency_p50_ms": float(np.median(segment_p50)),
+            "slo_met_fraction": met / open_requests,
+            "saturated_rps": float(np.median(rates)),
             "peak_rss_mb": peak_rss_mb(),
         },
         "details": {
-            "open_loop_requests": len(outcome.requests),
+            "open_loop_requests": open_requests,
             "rate_rps": load.rate_rps,
             "latency_limit_s": LATENCY_LIMIT_S,
+            "latency_p50_ms_pooled": percentile_ms(latencies, 50),
+            "latency_p50_ms_segments": segment_p50,
             "latency_p90_ms": percentile_ms(latencies, 90),
             "latency_p99_ms": percentile_ms(latencies, 99),
-            "generator_late_ms_p99": percentile_ms(outcome.late, 99),
-            "drain_requests": load.drain_requests,
+            "generator_late_ms_p99": percentile_ms(
+                np.concatenate([s.late for s in segments]), 99
+            ),
+            "drain_requests": len(pool),
             "drain_rps_all": rates,
+            "drain_rps_mean": float(np.mean(rates)),
             "setup_s_all": setup_times,
             "mismatches": mismatches,
         },
