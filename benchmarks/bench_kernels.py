@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from repro.arithmetic.slicing import RAELLA_DEFAULT_WEIGHT_SLICING
-from repro.core.center_offset import CenterOffsetEncoder, optimal_centers
+from repro.core.center_offset import (
+    CENTER_CANDIDATES,
+    CenterOffsetEncoder,
+    _slice_column_cost,
+    optimal_centers,
+)
 from repro.core.dynamic_input import SpeculationMode
 from repro.core.executor import PimLayerConfig, PimLayerExecutor
 from repro.nn.layers import Linear
@@ -39,6 +44,39 @@ def test_kernel_center_optimisation(benchmark, medium_layer):
         optimal_centers, layer.weight_codes, RAELLA_DEFAULT_WEIGHT_SLICING
     )
     assert centers.shape == (64,)
+
+
+def test_center_search_speedup(medium_layer):
+    """The histogram-GEMM Eq. 2 search must beat the elementwise one >= 10x.
+
+    Both return bit-identical centers.  A 2-vCPU host measures ~175x
+    (250 ms vs 1.4 ms).  MIN_CENTER_SEARCH_SPEEDUP relaxes the threshold on
+    noisy shared runners without weakening the local bar.
+    """
+    minimum = float(os.environ.get("MIN_CENTER_SEARCH_SPEEDUP", "10.0"))
+    layer, _ = medium_layer
+    codes = layer.weight_codes
+    slicing = RAELLA_DEFAULT_WEIGHT_SLICING
+
+    def elementwise():
+        offsets = codes.T[np.newaxis] - CENTER_CANDIDATES[:, np.newaxis, np.newaxis]
+        costs = _slice_column_cost(offsets, slicing, 4.0)
+        return CENTER_CANDIDATES[np.argmin(costs, axis=0)]
+
+    def best_of(search, rounds):
+        search()  # warm-up
+        timings = []
+        for _ in range(rounds):
+            start = time.perf_counter()
+            result = search()
+            timings.append(time.perf_counter() - start)
+        return min(timings), result
+
+    reference_time, reference_centers = best_of(elementwise, 3)
+    gemm_time, centers = best_of(lambda: optimal_centers(codes, slicing), 15)
+    assert centers.tobytes() == reference_centers.tobytes()
+    speedup = reference_time / gemm_time
+    assert speedup >= minimum, f"center search speedup only {speedup:.1f}x"
 
 
 def test_kernel_weight_encoding(benchmark, medium_layer):

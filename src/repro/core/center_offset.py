@@ -27,6 +27,7 @@ zero point.  Three encodings are supported:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -87,7 +88,8 @@ def _slice_column_cost(
 
     ``offsets`` has shape ``(..., rows)``; the cost is summed over slices with
     the ``2**l_i`` bit-position weighting and the per-column sum raised to
-    ``power`` (4 in the paper).
+    ``power`` (4 in the paper).  This is the elementwise definition;
+    :func:`optimal_centers` computes the same column sums from histograms.
     """
     cost = np.zeros(offsets.shape[:-1], dtype=np.float64)
     for width, shift in zip(slicing.widths, slicing.shifts):
@@ -119,10 +121,8 @@ def optimal_center(
     filter_codes = np.asarray(filter_codes, dtype=np.int64).ravel()
     if filter_codes.size == 0:
         raise ValueError("filter must contain at least one weight")
-    cands = CENTER_CANDIDATES if candidates is None else np.asarray(candidates)
-    offsets = filter_codes[np.newaxis, :] - cands[:, np.newaxis]
-    costs = _slice_column_cost(offsets, slicing, power)
-    return int(cands[int(np.argmin(costs))])
+    column = filter_codes[:, np.newaxis]
+    return int(optimal_centers(column, slicing, power, candidates)[0])
 
 
 def optimal_centers(
@@ -130,27 +130,54 @@ def optimal_centers(
     slicing: Slicing,
     power: float = 4.0,
     candidates: np.ndarray | None = None,
-    max_chunk_elements: int = 8_000_000,
 ) -> np.ndarray:
     """Solve Eq. 2 independently for every filter (column) of a weight matrix.
 
-    ``weight_codes`` has shape ``(rows, filters)``.  The search is vectorised
-    over (candidate, row, filter) and chunked over filters to bound memory.
+    ``weight_codes`` has shape ``(rows, filters)`` and holds unsigned 8-bit
+    codes.  A filter's column sum ``sum_r D(h, l, w_r - c)`` depends only on
+    how many of its rows hold each code ``v``, so every (candidate, filter)
+    column sum of a slice is one GEMM of a ``(candidates, 256)`` table
+    ``D(h, l, v - c)`` with the ``(256, filters)`` code histogram.  All
+    products and sums are integers far below 2**53, so the float64 GEMM is
+    exact and the costs equal :func:`_slice_column_cost` bit for bit.
     """
     weight_codes = np.asarray(weight_codes, dtype=np.int64)
     if weight_codes.ndim != 2:
         raise ValueError("weight_codes must be 2-D (rows x filters)")
-    rows, n_filters = weight_codes.shape
+    if weight_codes.size and (weight_codes.min() < 0 or weight_codes.max() > 255):
+        raise ValueError("weight codes must be unsigned 8-bit values")
+    n_filters = weight_codes.shape[1]
     cands = CENTER_CANDIDATES if candidates is None else np.asarray(candidates)
-    chunk = max(int(max_chunk_elements // max(rows * cands.size, 1)), 1)
-    centers = np.empty(n_filters, dtype=np.int64)
-    for start in range(0, n_filters, chunk):
-        block = weight_codes[:, start : start + chunk]  # (rows, chunk)
-        # offsets: (candidates, chunk, rows)
-        offsets = block.T[np.newaxis, :, :] - cands[:, np.newaxis, np.newaxis]
-        costs = _slice_column_cost(offsets, slicing, power)  # (candidates, chunk)
-        centers[start : start + block.shape[1]] = cands[np.argmin(costs, axis=0)]
-    return centers
+    # hist[v, f] = number of rows of filter f holding code v.
+    flat_index = weight_codes * n_filters + np.arange(n_filters)
+    hist = np.bincount(flat_index.ravel(), minlength=256 * n_filters)
+    hist = hist.reshape(256, n_filters).astype(np.float64)
+    costs = np.zeros((cands.size, n_filters), dtype=np.float64)
+    for width, shift in zip(slicing.widths, slicing.shifts):
+        if candidates is None:
+            table = _default_crop_table(shift + width - 1, shift)
+        else:
+            table = _crop_table(cands, shift + width - 1, shift)
+        column_sum = table.astype(np.float64) @ hist  # (candidates, filters)
+        costs += (2.0**shift) * np.abs(column_sum) ** power
+    return cands[np.argmin(costs, axis=0)].astype(np.int64)
+
+
+def _crop_table(candidates: np.ndarray, high: int, low: int) -> np.ndarray:
+    """``T[c, v] = D(high, low, v - candidates[c])`` for every code ``v``."""
+    offsets = np.arange(256, dtype=np.int64) - candidates[:, np.newaxis]
+    return signed_crop(offsets, high, low)
+
+
+@functools.lru_cache(maxsize=None)
+def _default_crop_table(high: int, low: int) -> np.ndarray:
+    """:func:`_crop_table` over :data:`CENTER_CANDIDATES`, built once per slice.
+
+    Every offset is within +-255, so ``int16`` holds the table compactly.
+    """
+    table = _crop_table(CENTER_CANDIDATES, high, low).astype(np.int16)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass

@@ -79,13 +79,18 @@ class TestOptimalCenters:
         individual = [optimal_center(codes[:, i], slicing) for i in range(5)]
         assert np.array_equal(batched, individual)
 
-    def test_chunking_does_not_change_result(self, rng):
-        codes = rng.integers(0, 256, size=(32, 9))
-        slicing = Slicing((4, 4))
-        assert np.array_equal(
-            optimal_centers(codes, slicing),
-            optimal_centers(codes, slicing, max_chunk_elements=1000),
-        )
+    @pytest.mark.parametrize("bad_code", [-1, 256])
+    def test_rejects_codes_outside_unsigned_8_bit(self, bad_code):
+        codes = np.full((8, 3), 100)
+        codes[5, 1] = bad_code
+        with pytest.raises(ValueError, match="8-bit"):
+            optimal_centers(codes, Slicing((4, 4)))
+        with pytest.raises(ValueError, match="8-bit"):
+            optimal_center(codes[:, 1], Slicing((4, 4)))
+
+    def test_accepts_codes_on_both_rails(self):
+        codes = np.array([[0, 255], [0, 255], [0, 255]])
+        assert np.array_equal(optimal_centers(codes, Slicing((4, 4))), [1, 255])
 
     def test_different_filters_get_different_centers(self, rng):
         low = np.clip(np.round(rng.normal(60, 10, size=(256, 1))), 0, 255)

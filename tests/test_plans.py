@@ -48,6 +48,12 @@ def planned_and_unplanned(layer, config, noise=None, float32=False):
     return planned, unplanned, plan
 
 
+def assert_same_bytes(a: np.ndarray, b: np.ndarray) -> None:
+    """Bit-identity, including the sign of zero that ``array_equal`` ignores."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
 class TestCompiledLayerPlan:
     @pytest.mark.parametrize("name", sorted(PARITY_CONFIGS))
     def test_planned_outputs_and_stats_bit_identical(
@@ -55,10 +61,12 @@ class TestCompiledLayerPlan:
     ):
         config = PARITY_CONFIGS[name]
         planned, unplanned, _ = planned_and_unplanned(tiny_linear_layer, config)
-        assert np.array_equal(
-            planned.matmul(tiny_patches), unplanned.matmul(tiny_patches)
-        )
+        reference = PimLayerExecutor(tiny_linear_layer, config)
+        outputs = planned.matmul(tiny_patches)
+        assert_same_bytes(outputs, unplanned.matmul(tiny_patches))
+        assert_same_bytes(outputs, reference.matmul(tiny_patches))
         assert_stats_equal(planned.stats, unplanned.stats)
+        assert_stats_equal(planned.stats, reference.stats)
 
     def test_plan_survives_pickle(self, tiny_linear_layer, tiny_patches):
         config = PARITY_CONFIGS["raella"]
@@ -67,18 +75,50 @@ class TestCompiledLayerPlan:
         assert revived is not plan
         seeded = VectorizedLayerExecutor(tiny_linear_layer, config, plan=revived)
         assert seeded.layer_plan is revived
-        assert np.array_equal(
-            seeded.matmul(tiny_patches), unplanned.matmul(tiny_patches)
-        )
+        assert_same_bytes(seeded.matmul(tiny_patches), unplanned.matmul(tiny_patches))
         assert_stats_equal(seeded.stats, unplanned.stats)
 
     def test_float32_plan_bit_identical(self, tiny_linear_layer, tiny_patches):
         config = PARITY_CONFIGS["raella_multi_chunk"]
         planned, _, _ = planned_and_unplanned(tiny_linear_layer, config, float32=True)
         reference = PimLayerExecutor(tiny_linear_layer, config)
-        assert np.array_equal(
-            planned.matmul(tiny_patches), reference.matmul(tiny_patches)
+        assert_same_bytes(planned.matmul(tiny_patches), reference.matmul(tiny_patches))
+
+    @pytest.mark.parametrize(
+        "speculation", [SpeculationMode.SPECULATIVE, SpeculationMode.BIT_SERIAL]
+    )
+    def test_planned_chunk_peak_memory_is_bounded(self, speculation, rng):
+        """One planned chunk allocates at most 2.5x its float64 product block.
+
+        The ADC, masking and scale stages work in place on the GEMM result;
+        a stage that allocates a new float64 block would push the peak past
+        the bound.  The layer is wide (``S * F`` >> rows) so the block, not
+        the phase tensor, dominates the footprint.
+        """
+        import tracemalloc
+
+        from repro.nn.layers import Linear
+        from repro.nn.synthetic import synthetic_linear_weights
+
+        layer = Linear("wide_fc", synthetic_linear_weights(64, 16, rng, std=0.2))
+        inputs = np.abs(rng.normal(0, 1, size=(32, 16)))
+        layer.calibrate(inputs, layer.forward_float(inputs))
+        codes = layer.input_quant.quantize(inputs)
+        executor = VectorizedLayerExecutor(
+            layer, PimLayerConfig(speculation=speculation)
         )
+        plan = executor.compile_layer_plan()
+        assert plan.fast_path_eligible and len(executor._chunks) == 1
+        chunk = executor._chunks[0]
+        block_bytes = 8 * plan.n_phases * codes.shape[0] * plan.n_slices * 64
+        executor._planned_chunk_matmul(codes, chunk, 0)  # warm-up
+        tracemalloc.start()
+        try:
+            executor._planned_chunk_matmul(codes, chunk, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * block_bytes, f"peak {peak / block_bytes:.2f}x block"
 
     def test_noisy_plan_keeps_seeded_draw_order(self, tiny_linear_layer, tiny_patches):
         config = PimLayerConfig()

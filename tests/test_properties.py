@@ -9,6 +9,7 @@ from repro.core.center_offset import (
     CenterOffsetEncoder,
     WeightEncoding,
     optimal_center,
+    optimal_centers,
 )
 from repro.core.dynamic_input import (
     InputSlicePlan,
@@ -62,6 +63,50 @@ class TestEncodingProperties:
         assert _slice_column_cost(codes - center, slicing, 4.0) <= _slice_column_cost(
             codes - 128, slicing, 4.0
         )
+
+
+@st.composite
+def filter_code_matrices(draw):
+    """``(rows, filters)`` codes: uniform, narrow (ties likely) or constant."""
+    rows = draw(st.integers(min_value=1, max_value=600))
+    filters = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "narrow", "constant"]))
+    if kind == "uniform":
+        return rng.integers(0, 256, size=(rows, filters))
+    low = draw(st.integers(min_value=0, max_value=255))
+    if kind == "narrow":
+        high = min(low + draw(st.integers(min_value=1, max_value=3)), 256)
+        return rng.integers(low, high, size=(rows, filters))
+    return np.full((rows, filters), low)
+
+
+candidate_arrays = st.none() | st.lists(
+    st.integers(min_value=-16, max_value=271), min_size=1, max_size=12, unique=True
+).map(np.array)
+
+
+class TestCenterSearchProperties:
+    """The histogram-GEMM Eq. 2 search vs the elementwise definition."""
+
+    @given(
+        filter_code_matrices(),
+        st.sampled_from(enumerate_slicings(8, 4)),
+        candidate_arrays,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_histogram_search_matches_elementwise_argmin(
+        self, codes, slicing, candidates
+    ):
+        from repro.core.center_offset import CENTER_CANDIDATES, _slice_column_cost
+
+        cands = CENTER_CANDIDATES if candidates is None else candidates
+        offsets = codes.T[np.newaxis, :, :] - cands[:, np.newaxis, np.newaxis]
+        costs = _slice_column_cost(offsets, slicing, 4.0)  # (candidates, filters)
+        expected = cands[np.argmin(costs, axis=0)]
+        centers = optimal_centers(codes, slicing, candidates=candidates)
+        assert centers.dtype == np.int64
+        assert np.array_equal(centers, expected)
 
 
 class TestInputPlanProperties:
