@@ -1,4 +1,4 @@
-"""Compiled execution plans vs. the re-deriving engine, plus output pooling.
+"""Compiled execution plans vs. the per-phase reference, plus output pooling.
 
 Not a paper artifact: this tracks the ROADMAP "hot-path raw speed" follow-up
 that motivated :mod:`repro.runtime.plan`.  Two claims are enforced:
@@ -7,9 +7,18 @@ that motivated :mod:`repro.runtime.plan`.  Two claims are enforced:
   the serving layer's worst case: per-batch layout work is amortised over
   almost nothing) through a :class:`NetworkEngine` running a precompiled
   :class:`~repro.runtime.ModelPlan` must sustain at least
-  ``MIN_PLANNED_SPEEDUP``x the unplanned engine's throughput (1.3x by
-  default, typically ~2x locally) while staying bit-identical, and compiling
-  the plan must amortise within a single storm batch.
+  ``MIN_PLANNED_SPEEDUP``x the throughput of an engine on the per-phase
+  :class:`~repro.core.executor.PimLayerExecutor` oracle (3x by default,
+  typically ~5-8x locally) while staying bit-identical, and compiling the
+  plan must cost less than ``MAX_PLAN_COMPILE_BATCHES`` (0.43) of one
+  reference storm batch.
+
+  Every vectorized executor compiles its plan at construction, so the
+  oracle is the only unplanned engine left to compare against.  The bars
+  were carried over from the earlier comparison against an unplanned
+  vectorized engine, which ran the storm ~2.3x faster than the oracle:
+  1.3x that engine is ~3x the oracle, and one of its batches is ~0.43 of
+  an oracle batch.
 * **Output pooling.**  A process-backed engine hands results out as
   zero-copy views of pooled worker-owned shared-memory slots; the same
   round trip with ``copy_outputs`` (the old materialise-per-reply
@@ -29,6 +38,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.executor import PimLayerExecutor
 from repro.nn.layers import Linear
 from repro.nn.model import QuantizedModel
 from repro.nn.synthetic import synthetic_linear_weights
@@ -41,6 +51,7 @@ from repro.runtime import (
 
 N_REQUESTS = 100
 MAX_STORM_SAMPLES = 4  # the storm is all small batches: M in 1..4
+ROUND_TRIP_PAIRS = 16  # ABBA blocks of the pooling test: 32 round trips per mode
 
 
 def build_model(name: str, seed: int) -> QuantizedModel:
@@ -97,17 +108,19 @@ def best_of(func, rounds: int = 3):
 
 @pytest.fixture(scope="module")
 def plan_setup():
-    """One model hosted three ways: unplanned, planned, planned-in-process."""
+    """One model hosted three ways: per-phase reference, planned, in-process."""
     model = build_model("plan_mlp", seed=3)
     requests = make_storm()
-    unplanned = NetworkEngine.build(model, pool=ExecutorPool())
+    reference = NetworkEngine.build(
+        model, pool=ExecutorPool(executor_factory=PimLayerExecutor)
+    )
     planned_pool = ExecutorPool()
     plan = compile_model_plan(model, pool=planned_pool)
     planned = NetworkEngine.build(model, pool=planned_pool, plan=plan)
     process = ProcessEngine.launch(model, plan=plan)
-    for engine in (unplanned, planned, process):
+    for engine in (reference, planned, process):
         engine.run(requests[0])  # warm every path outside the timed regions
-    yield model, plan, unplanned, planned, process, requests
+    yield model, plan, reference, planned, process, requests
     process.close()
 
 
@@ -115,16 +128,16 @@ def run_storm(engine, requests: list[np.ndarray]) -> list[np.ndarray]:
     return [engine.run(batch) for batch in requests]
 
 
-def test_bench_unplanned_dispatch_storm(benchmark, plan_setup):
-    _model, _plan, unplanned, _planned, _process, requests = plan_setup
+def test_bench_reference_dispatch_storm(benchmark, plan_setup):
+    _model, _plan, reference, _planned, _process, requests = plan_setup
     outputs = benchmark.pedantic(
-        run_storm, args=(unplanned, requests), rounds=1, iterations=1
+        run_storm, args=(reference, requests), rounds=1, iterations=1
     )
     assert outputs[0].shape == (1, 10)
 
 
 def test_bench_planned_dispatch_storm(benchmark, plan_setup):
-    _model, _plan, _unplanned, planned, _process, requests = plan_setup
+    _model, _plan, _reference, planned, _process, requests = plan_setup
     outputs = benchmark.pedantic(
         run_storm, args=(planned, requests), rounds=1, iterations=1
     )
@@ -132,37 +145,38 @@ def test_bench_planned_dispatch_storm(benchmark, plan_setup):
 
 
 def test_planned_storm_speedup_and_bit_identity(benchmark, plan_setup):
-    """Planned dispatch >= MIN_PLANNED_SPEEDUP x unplanned, bit for bit."""
-    minimum = float(os.environ.get("MIN_PLANNED_SPEEDUP", "1.3"))
-    _model, _plan, unplanned, planned, _process, requests = plan_setup
+    """Planned dispatch >= MIN_PLANNED_SPEEDUP x the reference, bit for bit."""
+    minimum = float(os.environ.get("MIN_PLANNED_SPEEDUP", "3.0"))
+    _model, _plan, reference, planned, _process, requests = plan_setup
 
-    unplanned_time, unplanned_outputs = best_of(lambda: run_storm(unplanned, requests))
+    reference_time, reference_outputs = best_of(lambda: run_storm(reference, requests))
     planned_time, planned_outputs = best_of(lambda: run_storm(planned, requests))
-    for expected, actual in zip(unplanned_outputs, planned_outputs):
+    for expected, actual in zip(reference_outputs, planned_outputs):
         assert np.array_equal(expected, actual)
 
-    speedup = unplanned_time / planned_time
+    speedup = reference_time / planned_time
     benchmark.extra_info["planned_speedup"] = round(speedup, 2)
     benchmark.extra_info["requests_per_s_planned"] = round(len(requests) / planned_time)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert speedup >= minimum, (
-        f"planned engine only {speedup:.2f}x unplanned dispatch "
+        f"planned engine only {speedup:.2f}x reference dispatch "
         f"({len(requests) / planned_time:.0f} vs "
-        f"{len(requests) / unplanned_time:.0f} req/s)"
+        f"{len(requests) / reference_time:.0f} req/s)"
     )
 
 
 def test_plan_compile_amortises_within_one_batch(plan_setup):
-    """Compiling the plan costs less than a single storm batch.
+    """Compiling the plan costs a fraction of one reference storm batch.
 
     The compile runs against a *fresh* pool, so the measured time includes
-    weight encoding -- the worst case a cold registry pays.  Even so it must
-    pay for itself within one batch of the storm it accelerates.
+    building every executor (weight encoding comes from the process-wide
+    cache).  It must cost less than ``MAX_PLAN_COMPILE_BATCHES`` of one
+    per-phase reference batch of the storm it accelerates.
     """
-    budget = float(os.environ.get("MAX_PLAN_COMPILE_BATCHES", "1.0"))
-    model, _plan, unplanned, _planned, _process, requests = plan_setup
+    budget = float(os.environ.get("MAX_PLAN_COMPILE_BATCHES", "0.43"))
+    model, _plan, reference, _planned, _process, requests = plan_setup
 
-    batch_time, _ = best_of(lambda: run_storm(unplanned, requests))
+    batch_time, _ = best_of(lambda: run_storm(reference, requests))
     per_batch = batch_time / len(requests)
     start = time.perf_counter()
     compile_model_plan(model, pool=ExecutorPool())
@@ -174,10 +188,10 @@ def test_plan_compile_amortises_within_one_batch(plan_setup):
 
 
 def test_planned_outputs_bit_identical_across_backends(plan_setup):
-    """Thread engine, planned engine and plan-shipped worker all agree."""
-    _model, _plan, unplanned, planned, process, requests = plan_setup
+    """Reference engine, planned engine and plan-shipped worker all agree."""
+    _model, _plan, reference, planned, process, requests = plan_setup
     stacked = np.concatenate(requests[:8], axis=0)
-    expected = unplanned.run(stacked)
+    expected = reference.run(stacked)
     assert np.array_equal(planned.run(stacked), expected)
     assert np.array_equal(process.run(stacked), expected)
 
@@ -187,10 +201,13 @@ def test_output_pooling_roundtrip_delta(benchmark):
 
     ``EngineWorker.copy_outputs`` restores the old copy-per-reply behaviour,
     so the same worker measures both modes on identical requests; the delta
-    is the reply memcpy the output pool deletes.  The bound is directional
-    (``MAX_POOLED_RTT_RATIO``, default 1.05 to absorb timer noise) because
-    the simulated compute
-    dominates the round trip; the absolute delta lands in the timing JSON.
+    is the reply memcpy the output pool deletes.  Single round trips of
+    the two modes are interleaved (ABBA order) so host drift hits both
+    alike, and each mode is summarised by its lower-quartile round trip,
+    which ignores the scheduler stalls of a shared host.  The bound is
+    directional (``MAX_POOLED_RTT_RATIO``, default 1.05 to absorb timer
+    noise) because the simulated compute dominates the round trip; the
+    absolute delta lands in the timing JSON.
     """
     ratio_bar = float(os.environ.get("MAX_POOLED_RTT_RATIO", "1.05"))
     model = build_wide_model()
@@ -200,16 +217,14 @@ def test_output_pooling_roundtrip_delta(benchmark):
     try:
         engine.run(inputs)  # warm the worker and both transport directions
 
-        def round_trips(n: int = 6) -> float:
-            start = time.perf_counter()
-            for _ in range(n):
+        timings = {False: [], True: []}  # copy_outputs -> round-trip times
+        for order in [(False, True), (True, False)] * ROUND_TRIP_PAIRS:
+            for copy_outputs in order:
+                engine.worker.copy_outputs = copy_outputs
+                start = time.perf_counter()
                 engine.run(inputs)
-            return (time.perf_counter() - start) / n
-
-        engine.worker.copy_outputs = False
-        pooled, _ = best_of(round_trips)
-        engine.worker.copy_outputs = True
-        copied, _ = best_of(round_trips)
+                timings[copy_outputs].append(time.perf_counter() - start)
+        pooled, copied = (np.percentile(timings[mode], 25) for mode in (False, True))
         engine.worker.copy_outputs = False
         pooled_view = engine.run(inputs)
         assert not pooled_view.flags.writeable  # zero-copy pool view

@@ -16,7 +16,7 @@ The package is organised as:
   Adaptive Weight Slicing, Dynamic Input Slicing, the layer executor,
   the DNN compiler and the accelerator model.
 * :mod:`repro.runtime`    -- vectorized batched execution engine: fused
-  phase GEMMs (with an opt-in float32 fast path), encoded-weight caching,
+  phase GEMMs (float32 wherever provably exact), encoded-weight caching,
   executor pooling and the :class:`~repro.runtime.NetworkEngine`
   batched-inference front end.
 * :mod:`repro.serve`      -- multi-tenant serving: model registry, dynamic

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,6 +91,7 @@ class InputSlicePlan:
     phases: tuple[InputPhase, ...]
 
     @classmethod
+    @lru_cache(maxsize=None)
     def build(
         cls,
         mode: SpeculationMode = SpeculationMode.SPECULATIVE,
@@ -97,7 +99,10 @@ class InputSlicePlan:
         input_bits: int = 8,
         serial_slicing: Slicing | None = None,
     ) -> "InputSlicePlan":
-        """Build the phase schedule for the given mode."""
+        """Build the phase schedule for the given mode.
+
+        Plans are immutable, so equal arguments share one cached plan.
+        """
         if mode is SpeculationMode.BIT_SERIAL:
             slicing = serial_slicing or Slicing((1,) * input_bits)
             if slicing.total_bits != input_bits:

@@ -6,26 +6,26 @@ extraction and one matmul per phase.  This package rebuilds that hot path as a
 batched engine while staying bit-identical to the per-phase reference:
 
 * :mod:`repro.runtime.phases` precomputes every input bit-plane slice of a
-  batch in one shot -- a single ``(n_phases, M, rows)`` tensor per crossbar
-  chunk instead of ``n_phases`` sequential ``extract_input_slice`` calls.
+  batch in one shot -- a single narrow-dtype (``uint8``) ``(n_phases, M,
+  rows)`` tensor per crossbar chunk instead of ``n_phases`` sequential
+  ``extract_input_slice`` calls.
 * :mod:`repro.runtime.vectorized` fuses the per-phase matmuls of a chunk into
   one BLAS GEMM (:class:`VectorizedLayerExecutor`).  Slice and weight values
-  are small integers, so the float64 GEMM is exact and the results are
-  bit-identical to the integer per-phase path.  An opt-in float32 fast path
-  (used by :mod:`repro.serve`) applies wherever
+  are small integers, so the GEMM is exact and the results are bit-identical
+  to the integer per-phase path.  It runs in float32 by default wherever
   :func:`float32_gemm_is_exact` proves the accumulation fits float32's
-  24-bit mantissa.
+  24-bit mantissa (``float32=False`` forces float64).
 * :mod:`repro.runtime.plan` compiles the whole derivation -- slicing extents,
-  phase-extraction index tables, GEMM operand views with proven dtypes,
-  speculation gather tables, noise-draw layout, micro-batch split points --
-  into a pickle-able :class:`ModelPlan` built once per ``(model, config,
-  noise, float32)`` and then *executed*: noiseless planned executors collapse
-  the per-phase ADC/speculation loop into whole-tensor operations, and
-  replica workers boot from the shipped plan without re-encoding weights.
+  phase-extraction tables, the per-code pulse table, GEMM operand views with
+  proven dtypes, speculation gather tables, noise-draw layout, micro-batch
+  split points -- into per-layer plans, compiled when each executor is
+  built, and a pickle-able :class:`ModelPlan` per ``(model, config, noise,
+  float32)``: noiseless executors collapse the per-phase ADC/speculation
+  loop into whole-tensor operations, and replica workers boot from the
+  shipped plan without re-encoding weights.
 * :mod:`repro.runtime.cache` shares encoded weights across executor instances
   and pools executors per layer so repeated experiments do not re-program
-  crossbars.  Model compilation time is now mostly the adaptive-slicing
-  trial runs (~70% of a ``resnet18_like`` compile), not weight encoding.
+  crossbars.
 * :mod:`repro.runtime.engine` runs a calibrated
   :class:`~repro.nn.model.QuantizedModel` end-to-end with configurable
   micro-batching (:class:`NetworkEngine`).

@@ -7,7 +7,9 @@ what repeated experiments (encoding ablations, noise sweeps, accuracy
 evaluations) do.  :class:`EncodedWeightCache` keys the encoded crossbar chunks
 by the layer's weight fingerprint and the encoding-relevant configuration
 fields so executor instances share one encoding.  :class:`ExecutorPool` goes
-one step further and reuses whole executors per ``(layer, config, noise)``.
+one step further and reuses whole executors per ``(layer, config, noise,
+float32)``; each pooled vectorized executor carries the execution plan it
+compiled at construction.
 
 Both caches are safe to share across threads: the multi-tenant serving layer
 (:mod:`repro.serve`) builds engines for several hosted models concurrently
@@ -125,16 +127,17 @@ class ExecutorPool:
     weight_cache:
         Encoded-weight cache handed to vectorized executors.
     float32:
-        Default for ``get``'s ``float32`` flag: request the opt-in float32
-        GEMM fast path (applied per chunk only where provably exact; see
-        :class:`~repro.runtime.vectorized.VectorizedLayerExecutor`).
+        Default for ``get``'s ``float32`` flag: float32 GEMMs wherever
+        provably exact (the default; see
+        :class:`~repro.runtime.vectorized.VectorizedLayerExecutor`), or
+        ``False`` to force float64.
     """
 
     def __init__(
         self,
         executor_factory: type[PimLayerExecutor] | None = None,
         weight_cache: EncodedWeightCache | None = GLOBAL_WEIGHT_CACHE,
-        float32: bool = False,
+        float32: bool = True,
     ):
         if executor_factory is None:
             from repro.runtime.vectorized import VectorizedLayerExecutor
@@ -167,9 +170,7 @@ class ExecutorPool:
         operand tables -- skipping weight encoding entirely, which is what
         lets replica workers boot from a pickled
         :class:`~repro.runtime.plan.ModelPlan`.  An already-pooled executor
-        *adopts* the plan instead (activating the planned fast path); plan
-        adoption is bit-identical either way, so planned and unplanned
-        callers may share one pooled executor.
+        keeps the plan it compiled itself, which executes bit-identically.
         """
         from repro.runtime.vectorized import VectorizedLayerExecutor
 
@@ -194,11 +195,8 @@ class ExecutorPool:
                     kwargs["plan"] = plan
                 executor = self.executor_factory(layer, config, noise=noise, **kwargs)
                 self._executors[key] = executor
-            else:
-                if plan is not None and executor.layer_plan is None:
-                    executor.adopt_plan(plan)
-                if reset_stats:
-                    executor.reset_stats()
+            elif reset_stats:
+                executor.reset_stats()
             return executor
 
     def clear(self) -> None:

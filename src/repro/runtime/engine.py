@@ -72,7 +72,7 @@ class NetworkEngine:
         self.executors = dict(executors)
         self.micro_batch = micro_batch
         #: The compiled :class:`~repro.runtime.plan.ModelPlan` this engine was
-        #: built against (``None`` for unplanned construction paths).
+        #: built against (``None`` when built without one).
         self.model_plan = None
         # Telemetry hooks: (n_samples, elapsed_s) callbacks fired after every
         # run().  The list is empty by default and run() does not even start a
@@ -114,18 +114,18 @@ class NetworkEngine:
     ) -> "NetworkEngine":
         """Build with one uniform config per layer, executors from a pool.
 
-        ``float32`` requests the vectorized executors' opt-in float32 GEMM
-        fast path (bit-identical; applied per chunk only where provably
-        exact); ``None`` defers to the pool's default.
+        ``float32`` selects the vectorized executors' float32 GEMMs
+        (bit-identical; applied per chunk only where provably exact;
+        ``False`` forces float64); ``None`` defers to the pool's default,
+        which is on.
 
         ``plan`` (a compiled :class:`~repro.runtime.plan.ModelPlan`) seeds
-        each pooled executor with its layer's
-        :class:`~repro.runtime.plan.CompiledLayerPlan`: newly built executors
-        boot from the plan's pre-encoded chunks (no weight encoding at all --
-        this is how replica workers start from a pickled spec), already-pooled
-        ones adopt it, switching onto the planned fast path.  When the plan
-        carries a micro-batch policy and no explicit ``micro_batch`` is
-        given, the plan's applies.
+        each newly pooled executor with its layer's
+        :class:`~repro.runtime.plan.CompiledLayerPlan`: it boots from the
+        plan's pre-encoded chunks (no weight encoding at all -- this is how
+        replica workers start from a pickled spec).  When the plan carries a
+        micro-batch policy and no explicit ``micro_batch`` is given, the
+        plan's applies.
         """
         # Not ``pool or ExecutorPool()``: an empty pool is falsy (__len__) and
         # a shared pool passed in before first use must still be used.

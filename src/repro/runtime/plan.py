@@ -12,25 +12,27 @@ This module hoists that work into two pickle-able artifacts:
 
 * :class:`CompiledLayerPlan` -- one layer's frozen execution recipe: the
   encoded weight chunks, positional GEMM operand views with their *proven*
-  dtypes (:func:`float32_gemm_is_exact`), the phase-extraction shift/mask
-  index tables, the pre-broadcast ``(P, 1, S, 1)`` phase x weight-slice scale
-  tensor, the speculation-group gather tables, and the noise-draw layout
-  contract.
+  dtypes (:func:`float32_gemm_is_exact`), the narrow-dtype phase-extraction
+  shift/mask tables with the per-code pulse table derived from them, the
+  pre-broadcast ``(P, 1, S, 1)`` phase x weight-slice scale tensor, the
+  speculation-group gather tables, and the noise-draw layout contract.
+  Every :class:`~repro.runtime.vectorized.VectorizedLayerExecutor` compiles
+  its plan at construction (or boots from a shipped one).
 * :class:`ModelPlan` -- the per-layer plans of a whole model plus the
   micro-batch split policy, compiled once by
   :func:`compile_model_plan` (the registry does this at ``register`` time and
   caches it next to the encoded-weight cache) and then *executed* by
-  :class:`~repro.runtime.vectorized.VectorizedLayerExecutor` /
   :class:`~repro.runtime.engine.NetworkEngine`, shipped by value inside
   :class:`~repro.runtime.procpool.EngineSpec` so replica workers and rolling
   ``replace()`` never re-encode weights or re-derive schedules.
 
 Bit-identity of the planned fast path is an arithmetic argument, not a hope:
 in the noiseless pipeline every column sum, ADC-converted value, scale factor
-(a power of two) and digital-centers term is an exact integer represented in
-float64 far below ``2**53``, so *any* regrouping of the additions -- batching
-the ADC conversion over all phases at once, folding the masked scale-sum into
-one tensor contraction -- produces bit-identical outputs and (integer)
+(a power of two) and digital-centers term is an exact integer in the GEMM's
+dtype, and the final sums accumulate in float64 far below ``2**53``, so *any*
+regrouping of the additions -- batching the ADC conversion over all phases,
+folding the masked scale-sum into one contraction, counting pulses per input
+code rather than per phase -- produces bit-identical outputs and (integer)
 statistics counters.  Seeded noise draws are order-sensitive, so noisy
 executors keep the reference per-phase loop (the plan still supplies the
 extraction tables and operands); :attr:`CompiledLayerPlan.noise_draw_layout`
@@ -40,6 +42,7 @@ records the draw-order contract the executor preserves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -47,6 +50,7 @@ import numpy as np
 from repro.analog.noise import NoiseModel, NoiselessModel
 from repro.core.dynamic_input import InputSlicePlan, SpeculationMode
 from repro.core.executor import PimLayerConfig, _EncodedChunk
+from repro.runtime.phases import plan_shift_masks, slice_phases
 
 __all__ = [
     "CompiledLayerPlan",
@@ -71,8 +75,8 @@ def float32_gemm_is_exact(max_slice_value: int, weights: np.ndarray) -> bool:
     """
     if weights.size == 0:
         return True
-    column_abs_sum = np.abs(weights).astype(np.float64).sum(axis=0).max()
-    return max_slice_value * column_abs_sum < _FLOAT32_EXACT_LIMIT
+    column_abs_sum = np.abs(weights).sum(axis=0).max()
+    return max_slice_value * float(column_abs_sum) < _FLOAT32_EXACT_LIMIT
 
 
 class _ChunkOperands:
@@ -94,13 +98,48 @@ class _ChunkOperands:
             # operands so one GEMM produces both column-sum families.
             weights = np.hstack([chunk.diff_flat, chunk.sum_flat])
             self.sum_flat_rowsum = None
+        # Weight slices are below 2**bits, so no operand entry exceeds
+        # 2 * (2**bits - 1) in magnitude; when a full column of those is
+        # float32-exact, the scan of the actual weights can be skipped.
+        bits = chunk.encoded.slicing.max_slice_bits
+        column_bound = max_slice_value * chunk.rows * 2 * ((1 << bits) - 1)
         self.dtype = (
             np.float32
-            if float32 and float32_gemm_is_exact(max_slice_value, weights)
+            if float32
+            and (
+                column_bound < _FLOAT32_EXACT_LIMIT
+                or float32_gemm_is_exact(max_slice_value, weights)
+            )
             else np.float64
         )
         self.weights = weights.astype(self.dtype)
         self.n_columns = chunk.diff_flat.shape[1]
+
+
+@lru_cache(maxsize=None)
+def _phase_tables(input_plan: InputSlicePlan) -> dict[str, np.ndarray]:
+    """The read-only tables a plan derives from its input schedule alone."""
+    phase_shifts, phase_masks = plan_shift_masks(input_plan)
+    every_code = np.arange(np.iinfo(phase_shifts.dtype).max + 1)
+    pulse_table = slice_phases(
+        every_code[np.newaxis, :], phase_shifts, phase_masks
+    ).sum(axis=(0, 1), dtype=np.int64)
+    phases = input_plan.phases
+    is_spec = np.array([phase.kind == "speculative" for phase in phases])
+    group_of = np.maximum(np.cumsum(is_spec) - 1, 0)
+    kinds = np.array([phase.kind for phase in phases])
+    tables = dict(
+        phase_shifts=phase_shifts,
+        phase_masks=phase_masks,
+        pulse_table=pulse_table,
+        is_spec=is_spec,
+        group_of=group_of,
+        spec_indices=np.flatnonzero(kinds == "speculative"),
+        rec_indices=np.flatnonzero(kinds == "recovery"),
+    )
+    for array in tables.values():
+        array.setflags(write=False)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -110,8 +149,10 @@ class CompiledLayerPlan:
     Instances are immutable, shareable across executors/threads, and
     pickle-able (the positional ``chunks``/``operands`` tuples replaced the
     old ``id()``-keyed operand dict precisely so plans survive the trip into
-    worker processes).  ``phase_shifts``/``phase_masks`` are the explicit
-    index tables behind :meth:`extract_phases`; ``scales`` is the
+    worker processes).  ``phase_shifts``/``phase_masks`` are the narrow-dtype
+    extraction tables (:func:`~repro.runtime.phases.slice_phases`);
+    ``pulse_table[v]`` is the DAC pulse count of input code ``v`` summed over
+    every phase, ``sum_p (v >> shift_p) & mask_p``; ``scales`` is the
     pre-broadcast ``(n_phases, 1, n_slices, 1)`` tensor of
     ``2**(phase_shift + weight_shift)`` factors; the ``spec_*``/``rec_*``
     arrays are the speculation-group gather tables that let the planned fast
@@ -128,6 +169,7 @@ class CompiledLayerPlan:
     n_filters: int
     phase_shifts: np.ndarray
     phase_masks: np.ndarray
+    pulse_table: np.ndarray
     scales: np.ndarray
     is_spec: np.ndarray
     group_of: np.ndarray
@@ -176,74 +218,40 @@ class CompiledLayerPlan:
             for phase_index in range(self.n_phases)
         )
 
-    def extract_phases(self, codes: np.ndarray) -> np.ndarray:
-        """All input slices of a batch via the precomputed index tables.
-
-        Element-for-element identical to
-        :func:`repro.runtime.phases.extract_phase_tensor` (property-tested),
-        shaped ``(n_phases, M, rows)``.
-        """
-        codes = np.asarray(codes, dtype=np.int64)
-        if np.any(codes < 0):
-            raise ValueError(
-                "input codes must be non-negative; signed inputs are split "
-                "into positive/negative magnitudes before slicing"
-            )
-        shifts = self.phase_shifts[:, np.newaxis, np.newaxis]
-        return (codes[np.newaxis, :, :] >> shifts) & (
-            self.phase_masks[:, np.newaxis, np.newaxis]
-        )
-
     @classmethod
     def from_executor(cls, executor) -> "CompiledLayerPlan":
-        """Harvest a plan from a live vectorized executor's derived state."""
+        """Compile the plan of a vectorized executor's encoded chunks."""
         input_plan: InputSlicePlan = executor.plan
-        phases = input_plan.phases
+        noiseless = isinstance(executor.noise, NoiselessModel)
+        float32 = bool(executor.float32)
+        tables = _phase_tables(input_plan)
+        max_slice = int(tables["phase_masks"].max())
         chunks = tuple(executor._chunks)
-        operands = tuple(executor._operands)
+        operands = tuple(
+            _ChunkOperands(chunk, noiseless, float32, max_slice) for chunk in chunks
+        )
         slicing = (
             chunks[0].encoded.slicing if chunks else executor.config.weight_slicing
         )
         weight_shifts = np.array(slicing.shifts, dtype=np.int64)
-        phase_shifts = np.array([phase.shift for phase in phases], dtype=np.int64)
-        phase_masks = np.array(
-            [(1 << phase.width) - 1 for phase in phases], dtype=np.int64
-        )
         scales = 2.0 ** (
-            phase_shifts[:, np.newaxis, np.newaxis, np.newaxis]
+            tables["phase_shifts"][:, np.newaxis, np.newaxis, np.newaxis]
             + weight_shifts[np.newaxis, np.newaxis, :, np.newaxis]
         )
-        is_spec = np.array([phase.kind == "speculative" for phase in phases])
-        group_of = np.zeros(len(phases), dtype=np.int64)
-        spec_indices, rec_indices = [], []
-        group = -1
-        for index, phase in enumerate(phases):
-            if phase.kind == "speculative":
-                group += 1
-                spec_indices.append(index)
-            elif phase.kind == "recovery":
-                rec_indices.append(index)
-            group_of[index] = max(group, 0)
-        for array in (phase_shifts, phase_masks, scales, is_spec, group_of):
-            array.setflags(write=False)
+        scales.setflags(write=False)
         return cls(
             layer_name=executor.layer.name,
             weight_fingerprint=executor.layer.weight_fingerprint,
             config=executor.config,
             input_plan=input_plan,
-            noiseless=isinstance(executor.noise, NoiselessModel),
-            float32=bool(executor.float32),
+            noiseless=noiseless,
+            float32=float32,
             n_slices=slicing.n_slices,
             n_filters=executor.layer.out_features,
-            phase_shifts=phase_shifts,
-            phase_masks=phase_masks,
             scales=scales,
-            is_spec=is_spec,
-            group_of=group_of,
-            spec_indices=np.array(spec_indices, dtype=np.int64),
-            rec_indices=np.array(rec_indices, dtype=np.int64),
             chunks=chunks,
             operands=operands,
+            **tables,
         )
 
     def matches(self, layer, config: PimLayerConfig) -> bool:
@@ -330,10 +338,10 @@ def compile_model_plan(
 
     Builds (or reuses) one vectorized executor per matmul layer through
     ``pool`` -- sharing the pool's encoded-weight cache, so compilation costs
-    one weight encoding at most -- and harvests each executor's
-    :class:`CompiledLayerPlan`.  The executors themselves adopt the plans
-    they produced, so a registry compiling through its own pool leaves the
-    serving executors already on the planned fast path.
+    one weight encoding at most -- and collects the
+    :class:`CompiledLayerPlan` each executor compiled at construction.
+    ``float32`` defaults to the pool's setting (float32 GEMMs wherever
+    provably exact, unless the pool opted out).
     """
     from repro.runtime.cache import ExecutorPool
 
@@ -342,11 +350,11 @@ def compile_model_plan(
     layers = {}
     for layer in model.matmul_layers():
         executor = pool.get(layer, config, noise=noise, float32=float32)
-        layers[layer.name] = executor.compile_layer_plan()
+        layers[layer.name] = executor.layer_plan
     noiseless = noise is None or isinstance(noise, NoiselessModel)
-    # The pool normalises the float32 request (``None`` -> pool default,
-    # forced off for non-vectorized factories); read the resolved value back
-    # from the harvested plans so the ModelPlan records what actually runs.
+    # The pool normalises the float32 request (``None`` -> pool default);
+    # read the resolved value back from the layer plans so the ModelPlan
+    # records what actually runs.
     resolved_float32 = any(plan.float32 for plan in layers.values())
     return ModelPlan(
         model_name=model.name,

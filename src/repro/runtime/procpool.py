@@ -335,7 +335,7 @@ class EngineSpec:
     config: PimLayerConfig | None = None
     noise: NoiseModel | None = None
     micro_batch: int | None = None
-    float32: bool = False
+    float32: bool = True
     sys_path: tuple[str, ...] = field(default_factory=tuple)
     blas_threads: int | None = 1
     plan: object | None = None
@@ -908,7 +908,7 @@ class ProcessEngine:
         config: PimLayerConfig | None = None,
         noise: NoiseModel | None = None,
         micro_batch: int | None = None,
-        float32: bool = False,
+        float32: bool = True,
         start_method: str | None = None,
         blas_threads: int | None = 1,
         start_timeout_s: float = _BOOT_TIMEOUT_S,
@@ -1249,7 +1249,7 @@ class ReplicaPool:
         config: PimLayerConfig | None = None,
         noise: NoiseModel | None = None,
         micro_batch: int | None = None,
-        float32: bool = False,
+        float32: bool = True,
         replicas: int = 2,
         start_method: str | None = None,
         blas_threads: int | None = 1,
@@ -1718,7 +1718,7 @@ class ReplicaPool:
         config: PimLayerConfig | None = None,
         noise: NoiseModel | None = None,
         micro_batch: int | None = None,
-        float32: bool = False,
+        float32: bool = True,
         blas_threads: int | None = 1,
         replicas: int | None = None,
         plan=None,

@@ -4,53 +4,35 @@
 :class:`~repro.core.executor.PimLayerExecutor` that replaces the per-phase
 Python loop of the hot path with batched tensor operations:
 
-* every input bit-plane slice of a chunk is extracted in one shot
-  (:func:`repro.runtime.phases.extract_phase_tensor`), and
-* the ``n_phases`` per-phase matmuls are fused into a single float64 BLAS
-  GEMM over a ``(n_phases * M, rows)`` operand.
+* every input bit-plane slice of a chunk is extracted in one shot, in a
+  narrow ``uint8`` code dtype (:func:`repro.runtime.phases.slice_phases`),
+  and
+* the ``n_phases`` per-phase matmuls are fused into a single BLAS GEMM over
+  a ``(n_phases * M, rows)`` operand.
 
 Bit-identity with the per-phase reference is by construction, not by luck:
+slice values (< 2**4) and weight-slice values (< 2**device_bits) are tiny
+integers, so every product and partial sum in the GEMM is an exact integer.
+The GEMM runs in **float32** wherever every partial sum of a chunk provably
+stays below float32's 24-bit integer-exact range
+(:func:`float32_gemm_is_exact`), roughly twice the BLAS throughput at half
+the memory traffic; other chunks stay float64, and ``float32=False`` forces
+float64 everywhere.
 
-* slice values (< 2**4) and weight-slice values (< 2**device_bits) are tiny
-  integers, so every product and partial sum in the GEMM is an integer far
-  below 2**53 -- float64 arithmetic is exact and matches the reference's
-  int64 matmuls digit for digit;
-* the ADC conversion, speculation/recovery masking, statistics accumulation
-  and noise application still run through the *same* inherited per-phase code
-  path (via the ``_phase_sums`` provider hook), in the same order and on
-  arrays of the same shape, so seeded noise draws and all
-  :class:`~repro.core.executor.LayerStatistics` counters are identical too.
-
-The same argument admits an opt-in **float32 fast path** (``float32=True``):
-when every partial sum of a chunk's GEMM is provably below float32's 24-bit
-integer-exact range (:func:`float32_gemm_is_exact`), the GEMM runs in float32
-(roughly twice the BLAS throughput, half the operand memory traffic) and the
-products -- still exact integers -- are widened back to float64 before the
-ADC/noise stages, keeping outputs and statistics bit-identical to the float64
-path.  Chunks that cannot be proven safe silently stay on float64, so the
-flag is always safe to set.  The multi-tenant serving layer
-(:mod:`repro.serve`) enables it by default.
-
-A :class:`~repro.runtime.plan.CompiledLayerPlan` takes the argument one step
-further.  In the noiseless case every post-GEMM stage -- ADC round/clip,
-saturation masking, speculation recovery, the phase x weight-slice scale-sum
--- is also exact integer arithmetic, so the eleven per-phase Python
-iterations can be collapsed into a handful of whole-tensor operations over
-the ``(n_phases, M, n_slices, n_filters)`` block without moving a single
-bit of the result (:meth:`_planned_chunk_matmul`).  Seeded noise draws *are*
-order-sensitive, so noisy executors keep the per-phase loop; the plan still
-supplies their extraction tables and GEMM operands.  Plans are compiled once
-(:meth:`compile_layer_plan`), adopted by pooled executors
-(:meth:`adopt_plan`), and pickled to worker processes so replicas never
-re-encode weights.
+Every executor compiles a :class:`~repro.runtime.plan.CompiledLayerPlan`
+at construction (or boots from a shipped one, ``plan=...``).  In the
+noiseless case every post-GEMM stage -- ADC clip, saturation masking,
+speculation recovery, the phase x weight-slice scale-sum -- is also exact
+integer arithmetic, so the eleven per-phase Python iterations collapse into
+a handful of whole-tensor operations over the ``(n_phases, M, n_slices,
+n_filters)`` block without moving a single bit of the result
+(:meth:`_planned_chunk_matmul`).  Seeded noise draws and column-sum
+sampling *are* order-sensitive, so noisy executors and column-sum
+collection keep the inherited per-phase loop on float64 column sums, fed by
+one batched GEMM through the ``_phase_sums`` hook.
 
 Weight encoding is shared across executor instances through
-:mod:`repro.runtime.cache`.  It no longer dominates construction: the Eq. 2
-center search is a histogram GEMM
-(:func:`repro.core.center_offset.optimal_centers`).  Compiling
-``resnet18_like`` (256 test patches, single-threaded BLAS on a 2-vCPU host)
-takes ~2.3 s; ~70% of it is the adaptive-slicing trial runs (79 trial
-executors' matmuls), ~15% weight encoding and ~8% the center search itself.
+:mod:`repro.runtime.cache`.
 """
 
 from __future__ import annotations
@@ -62,12 +44,8 @@ from repro.core.dynamic_input import InputPhase
 from repro.core.executor import PimLayerConfig, PimLayerExecutor, _EncodedChunk
 from repro.nn.layers import MatmulLayer
 from repro.runtime.cache import GLOBAL_WEIGHT_CACHE, EncodedWeightCache
-from repro.runtime.phases import extract_phase_tensor
-from repro.runtime.plan import (
-    CompiledLayerPlan,
-    _ChunkOperands,
-    float32_gemm_is_exact,
-)
+from repro.runtime.phases import narrow_codes, slice_phases
+from repro.runtime.plan import CompiledLayerPlan, float32_gemm_is_exact
 
 __all__ = ["VectorizedLayerExecutor", "float32_gemm_is_exact"]
 
@@ -83,16 +61,16 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         Encoded-weight cache shared across executor instances; pass ``None``
         to encode privately.  Defaults to the process-wide cache.
     float32:
-        Opt into the float32 GEMM fast path.  Applied per chunk only where
-        :func:`float32_gemm_is_exact` proves the accumulation fits float32's
-        24-bit mantissa; other chunks keep float64.  Results are bit-identical
-        either way.
+        Run each chunk's GEMM in float32 where :func:`float32_gemm_is_exact`
+        proves the accumulation fits float32's 24-bit mantissa (the
+        default); other chunks keep float64.  ``False`` forces float64.
+        Results are bit-identical either way.
     plan:
         A :class:`~repro.runtime.plan.CompiledLayerPlan` compiled for exactly
         this (layer, config, noise-lessness, float32) combination.  When
         given, the executor boots from the plan's pre-encoded chunks and
-        operand tables -- no weight encoding at all -- and (noiseless
-        configurations only) runs batches through the planned fast path.
+        operand tables -- no weight encoding at all; otherwise it compiles
+        its own.
 
     Memory note: each chunk's batched phase tensor holds
     ``n_phases * M * rows`` values; for very large batches run through
@@ -105,7 +83,7 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         config: PimLayerConfig | None = None,
         noise: NoiseModel | None = None,
         weight_cache: EncodedWeightCache | None = GLOBAL_WEIGHT_CACHE,
-        float32: bool = False,
+        float32: bool = True,
         plan: CompiledLayerPlan | None = None,
     ):
         self._weight_cache = weight_cache
@@ -114,33 +92,29 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         # and serves the plan's chunks when present.
         self._plan_chunks = None if plan is None else plan.chunks
         super().__init__(layer, config, noise=noise)
+        if plan is None:
+            plan = CompiledLayerPlan.from_executor(self)
+        elif not plan.matches(self.layer, self.config):
+            raise ValueError(
+                f"plan compiled for layer {plan.layer_name!r} "
+                f"(fingerprint {plan.weight_fingerprint[:12]}...) does not "
+                f"match executor for {self.layer.name!r}"
+            )
         noiseless = isinstance(self.noise, NoiselessModel)
-        if plan is not None:
-            # Positional operand views travel with the plan; reusing them
-            # shares the (possibly float32) GEMM operands across every
-            # executor running the same plan.
-            self._operands: list[_ChunkOperands] = list(plan.operands)
-        else:
-            max_slice = max((1 << phase.width) - 1 for phase in self.plan.phases)
-            self._operands = [
-                _ChunkOperands(chunk, noiseless, float32, max_slice)
-                for chunk in self._chunks
-            ]
+        if plan.noiseless != noiseless or plan.float32 != bool(float32):
+            raise ValueError(
+                "plan noiseless/float32 flags "
+                f"({plan.noiseless}/{plan.float32}) do not match executor "
+                f"({noiseless}/{bool(float32)})"
+            )
+        #: The compiled plan this executor runs.
+        self.layer_plan = plan
         self._phase_sums_cache: list[np.ndarray] | None = None
-        self._layer_plan: CompiledLayerPlan | None = None
-        self._fast_plan: CompiledLayerPlan | None = None
-        if plan is not None:
-            self.adopt_plan(plan)
 
     @property
     def gemm_dtypes(self) -> list[type]:
         """The GEMM dtype chosen for each row chunk, in chunk order."""
-        return [operands.dtype for operands in self._operands]
-
-    @property
-    def layer_plan(self) -> CompiledLayerPlan | None:
-        """The adopted compiled plan (``None`` until compiled or adopted)."""
-        return self._layer_plan
+        return [operands.dtype for operands in self.layer_plan.operands]
 
     def _build_encoded_chunks(self) -> list[_EncodedChunk]:
         if self._plan_chunks is not None:
@@ -151,51 +125,12 @@ class VectorizedLayerExecutor(PimLayerExecutor):
             self.layer, self.config, super()._build_encoded_chunks
         )
 
-    # -- compiled plans ----------------------------------------------------------
-
-    def compile_layer_plan(self) -> CompiledLayerPlan:
-        """Compile (once) and adopt this executor's execution plan.
-
-        Harvests the executor's already-derived state -- encoded chunks,
-        operand views with proven dtypes, phase tables -- into an immutable
-        :class:`~repro.runtime.plan.CompiledLayerPlan`; subsequent calls
-        return the same object.  Compiling also *adopts* the plan, switching
-        noiseless executors onto the planned fast path.
-        """
-        if self._layer_plan is None:
-            self.adopt_plan(CompiledLayerPlan.from_executor(self))
-        return self._layer_plan
-
-    def adopt_plan(self, plan: CompiledLayerPlan) -> None:
-        """Execute future batches against ``plan`` (validated, bit-identical).
-
-        Adoption is safe mid-stream: the planned fast path only re-groups
-        exact integer arithmetic, so outputs and statistics are bit-identical
-        whether a batch (or even an individual chunk of one) runs before or
-        after adoption.
-        """
-        if not plan.matches(self.layer, self.config):
-            raise ValueError(
-                f"plan compiled for layer {plan.layer_name!r} "
-                f"(fingerprint {plan.weight_fingerprint[:12]}...) does not "
-                f"match executor for {self.layer.name!r}"
-            )
-        noiseless = isinstance(self.noise, NoiselessModel)
-        if plan.noiseless != noiseless or plan.float32 != bool(self.float32):
-            raise ValueError(
-                "plan noiseless/float32 flags "
-                f"({plan.noiseless}/{plan.float32}) do not match executor "
-                f"({noiseless}/{bool(self.float32)})"
-            )
-        self._layer_plan = plan
-        self._fast_plan = plan if plan.fast_path_eligible else None
-
     # -- batched hot path -------------------------------------------------------
 
     def _chunk_matmul(
         self, codes: np.ndarray, chunk: _EncodedChunk, chunk_index: int = 0
     ) -> np.ndarray:
-        if self._fast_plan is not None:
+        if self.layer_plan.fast_path_eligible:
             return self._planned_chunk_matmul(codes, chunk, chunk_index)
         self._phase_sums_cache = self._batched_phase_sums(codes, chunk_index)
         try:
@@ -208,6 +143,24 @@ class VectorizedLayerExecutor(PimLayerExecutor):
     ) -> np.ndarray:
         return self._phase_sums_cache[index]
 
+    def _phase_products(
+        self, codes: np.ndarray, chunk_index: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The fused GEMM of every phase of one chunk.
+
+        Returns the codes in the plan's narrow dtype, the ``(n_phases, M,
+        rows)`` phase tensor and the ``(n_phases, M, columns)`` products of
+        every phase slice with the chunk's weight operand, in the operand's
+        dtype.
+        """
+        plan = self.layer_plan
+        operands = plan.operands[chunk_index]
+        narrow = narrow_codes(codes, plan.phase_shifts.dtype)
+        phase_tensor = slice_phases(narrow, plan.phase_shifts, plan.phase_masks)
+        flat = phase_tensor.reshape(-1, narrow.shape[1]).astype(operands.dtype)
+        products = flat @ operands.weights
+        return narrow, phase_tensor, products.reshape(phase_tensor.shape[:2] + (-1,))
+
     def _planned_chunk_matmul(
         self, codes: np.ndarray, chunk: _EncodedChunk, chunk_index: int
     ) -> np.ndarray:
@@ -215,34 +168,36 @@ class VectorizedLayerExecutor(PimLayerExecutor):
 
         Replaces the inherited per-phase ADC/speculation loop with
         whole-tensor operations over the ``(P, M, S, F)`` product block:
-        one round/clip/saturate pass, two fancy-index gathers to build every
+        one clip/saturate pass, two fancy-index gathers to build every
         phase's conversion mask from the speculation-group tables, and one
-        masked scale-sum.  Every intermediate is an exact integer in float64
-        (scales are powers of two), so regrouping the additions is
-        bit-identical to the reference loop -- including every statistics
-        counter, which are integer totals and order-free.  The GEMM result
-        is a fresh block owned by this call, so every stage after it works
-        in place: besides the block, only boolean masks are allocated.
+        masked scale-sum.  Every intermediate is an exact integer in the
+        GEMM's dtype: noiseless column sums are integers (so the ADC's
+        rounding is the identity), ADC codes and power-of-two scales stay
+        within float32's exact range, and the final sum accumulates in
+        float64.  Regrouping the additions is therefore bit-identical to
+        the reference loop -- including every statistics counter, which are
+        integer totals and order-free.  The pulse counters come from the
+        plan's per-code pulse table, one gather over the ``(M, rows)`` codes
+        instead of a pass over the phase tensor.  The GEMM result is a fresh
+        block owned by this call, so every stage after it works in place:
+        besides the block, only boolean masks are allocated.
         """
-        plan = self._fast_plan
-        operands = self._operands[chunk_index]
+        plan = self.layer_plan
+        operands = plan.operands[chunk_index]
         stats = self.stats
         config = self.config
         m = codes.shape[0]
 
-        phase_tensor = extract_phase_tensor(codes, self.plan)  # (P, M, rows)
-        flat = phase_tensor.reshape(plan.n_phases * m, -1).astype(operands.dtype)
-        products = np.asarray(flat @ operands.weights, dtype=np.float64).reshape(
-            plan.n_phases, m, plan.n_slices, plan.n_filters
-        )
-        stats.input_pulses += int(phase_tensor.sum())
-        stats.crossbar_activity += float(
-            (phase_tensor.sum(axis=1) @ operands.sum_flat_rowsum).sum()
-        )
+        narrow, phase_tensor, products = self._phase_products(codes, chunk_index)
+        del phase_tensor  # pulses are counted from the codes instead
+        products = products.reshape(plan.n_phases, m, plan.n_slices, plan.n_filters)
+        # Each row's pulses over every input and phase: exact integers.
+        row_pulses = plan.pulse_table[narrow].sum(axis=0)
+        stats.input_pulses += int(row_pulses.sum())
+        stats.crossbar_activity += float(row_pulses @ operands.sum_flat_rowsum)
 
         # One ADC pass over every phase at once (the reference does this
         # per phase; identical values, identical saturation decisions).
-        np.round(products, out=products)
         saturated = products < config.adc_min
         saturated |= products > config.adc_max
         np.clip(products, config.adc_min, config.adc_max, out=products)
@@ -262,15 +217,18 @@ class VectorizedLayerExecutor(PimLayerExecutor):
             stats.fidelity_loss_opportunities += total_needed
             needed &= saturated[plan.rec_indices]
             stats.fidelity_loss_events += int(needed.sum())
-            # Columns a phase does not convert: gathered XOR not-speculative.
-            gathered ^= ~plan.is_spec[:, np.newaxis, np.newaxis, np.newaxis]
-            np.putmask(products, gathered, 0.0)
+            # Columns a phase converts: gathered XOR speculative.  Dropped
+            # columns become zeros, possibly -0.0; the zero-initialised
+            # accumulator in ``_matmul_unsigned`` turns a zero result into
+            # +0.0, exactly as in the reference.
+            gathered ^= plan.is_spec[:, np.newaxis, np.newaxis, np.newaxis]
+            products *= gathered
         else:  # bit-serial: every column converts in every phase
             stats.adc_converts_serial += products.size
             stats.fidelity_loss_events += int(saturated.sum())
             stats.fidelity_loss_opportunities += products.size
-        products *= plan.scales
-        analog = products.sum(axis=(0, 2))
+        products *= plan.scales.astype(products.dtype, copy=False)
+        analog = products.sum(axis=(0, 2), dtype=np.float64)
 
         encoded = chunk.encoded
         if encoded.encoding.uses_centers:
@@ -288,42 +246,34 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         the per-phase statistics / noise bookkeeping in plan order, exactly
         as the per-phase reference does.
         """
-        chunk = self._chunks[chunk_index]
-        operands = self._operands[chunk_index]
-        n_phases = self.plan.n_cycles
+        plan = self.layer_plan
+        operands = plan.operands[chunk_index]
         m = codes.shape[0]
-        n_slices = chunk.encoded.slicing.n_slices
-        n_filters = chunk.encoded.n_filters
-        n_cols = operands.n_columns
-
-        phase_tensor = extract_phase_tensor(codes, self.plan)  # (P, M, rows)
-        flat = phase_tensor.reshape(n_phases * m, -1).astype(operands.dtype)
-        products = (flat @ operands.weights).reshape(n_phases, m, -1)
-        if operands.dtype is not np.float64:
-            # Fast-path products are exact integers within float32's mantissa;
-            # widening is lossless and keeps all downstream stages (ADC,
-            # noise, statistics) on the reference float64 arrays.
-            products = products.astype(np.float64)
-
-        # Per-phase input pulses: integer counters, batched then accumulated.
-        pulses = phase_tensor.sum(axis=(1, 2))
+        _, phase_tensor, products = self._phase_products(codes, chunk_index)
+        # Float32 products are exact integers within float32's mantissa;
+        # widening is lossless and keeps the ADC/noise stages on float64.
+        products = np.asarray(products, dtype=np.float64)
+        # Per-phase input pulses and the rows' pulse totals per phase.
+        phase_row_pulses = phase_tensor.sum(axis=1, dtype=np.int64)
+        pulses = phase_row_pulses.sum(axis=1)
         sums: list[np.ndarray] = []
         if operands.sum_flat_rowsum is not None:
             # Noiseless path: the products *are* the column sums; analog
             # activity has the reference's closed form per phase.
-            activities = phase_tensor.sum(axis=1) @ operands.sum_flat_rowsum
-            for index in range(n_phases):
+            activities = phase_row_pulses @ operands.sum_flat_rowsum
+            for index in range(plan.n_phases):
                 self.stats.crossbar_activity += float(activities[index])
                 self.stats.input_pulses += int(pulses[index])
-                sums.append(products[index].reshape(m, n_slices, n_filters))
+                sums.append(products[index].reshape(m, plan.n_slices, plan.n_filters))
         else:
+            n_cols = operands.n_columns
             diff = products[:, :, :n_cols]
             total = products[:, :, n_cols:]
-            for index in range(n_phases):
+            for index in range(plan.n_phases):
                 positive = 0.5 * (total[index] + diff[index])
                 negative = 0.5 * (total[index] - diff[index])
                 self.stats.crossbar_activity += float(total[index].sum())
                 self.stats.input_pulses += int(pulses[index])
                 noisy = self.noise.apply(positive, negative)
-                sums.append(noisy.reshape(m, n_slices, n_filters))
+                sums.append(noisy.reshape(m, plan.n_slices, plan.n_filters))
         return sums

@@ -9,9 +9,9 @@ weights (fine-tuned model families, A/B variants) therefore share encoded
 crossbars automatically, and re-registering a model after eviction re-uses its
 pooled executors outright.
 
-The registry enables the runtime's float32 GEMM fast path by default: serving
-is the hot path the ROADMAP targets, and the fast path silently degrades to
-float64 per chunk wherever exactness cannot be proven, so it is always safe.
+The registry keeps the runtime's default of float32 GEMMs: they silently
+degrade to float64 per chunk wherever exactness cannot be proven, so they are
+always safe.
 
 Registration also compiles (and owns) each model's
 :class:`~repro.runtime.plan.ModelPlan`: the per-layer execution recipes --

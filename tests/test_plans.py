@@ -3,9 +3,10 @@
 Three layers of guarantees:
 
 * **artifact** -- a :class:`CompiledLayerPlan` is a faithful, pickle-able
-  freeze of one executor's derivation: adopting it (fresh, or after a
-  pickle round trip, or with float32 operands) changes no output bit and
-  no statistics counter relative to the unplanned vectorized path;
+  freeze of one executor's derivation: running it (as compiled at
+  construction, after a pickle round trip, or with float32 operands) changes
+  no output bit and no statistics counter relative to a float64 executor
+  and the per-phase reference;
 * **cache** -- the registry's fingerprint-keyed :class:`ModelPlanCache`
   reuses the *same* plan object across re-registrations that change only
   the hosting (thread<->process backend swap, rolling ``replace``) and
@@ -39,13 +40,13 @@ from repro.serve import ModelRegistry
 from tests.test_runtime_engine import PARITY_CONFIGS, assert_stats_equal
 
 
-def planned_and_unplanned(layer, config, noise=None, float32=False):
-    """A (planned, unplanned) executor pair for the same layer/config."""
-    unplanned = VectorizedLayerExecutor(layer, config, noise=noise, float32=float32)
-    planned = VectorizedLayerExecutor(layer, config, noise=noise, float32=float32)
-    plan = planned.compile_layer_plan()
-    assert planned.layer_plan is plan
-    return planned, unplanned, plan
+def planned_pair(layer, config, noise=None):
+    """A default-built executor, its float64 twin, and the first's plan."""
+    planned = VectorizedLayerExecutor(layer, config, noise=noise)
+    float64 = VectorizedLayerExecutor(layer, config, noise=noise, float32=False)
+    plan = planned.layer_plan
+    assert plan.float32 and not float64.layer_plan.float32
+    return planned, float64, plan
 
 
 def assert_same_bytes(a: np.ndarray, b: np.ndarray) -> None:
@@ -60,27 +61,28 @@ class TestCompiledLayerPlan:
         self, name, tiny_linear_layer, tiny_patches
     ):
         config = PARITY_CONFIGS[name]
-        planned, unplanned, _ = planned_and_unplanned(tiny_linear_layer, config)
+        planned, float64, _ = planned_pair(tiny_linear_layer, config)
         reference = PimLayerExecutor(tiny_linear_layer, config)
         outputs = planned.matmul(tiny_patches)
-        assert_same_bytes(outputs, unplanned.matmul(tiny_patches))
+        assert_same_bytes(outputs, float64.matmul(tiny_patches))
         assert_same_bytes(outputs, reference.matmul(tiny_patches))
-        assert_stats_equal(planned.stats, unplanned.stats)
+        assert_stats_equal(planned.stats, float64.stats)
         assert_stats_equal(planned.stats, reference.stats)
 
     def test_plan_survives_pickle(self, tiny_linear_layer, tiny_patches):
         config = PARITY_CONFIGS["raella"]
-        planned, unplanned, plan = planned_and_unplanned(tiny_linear_layer, config)
+        planned, float64, plan = planned_pair(tiny_linear_layer, config)
         revived = pickle.loads(pickle.dumps(plan))
         assert revived is not plan
         seeded = VectorizedLayerExecutor(tiny_linear_layer, config, plan=revived)
         assert seeded.layer_plan is revived
-        assert_same_bytes(seeded.matmul(tiny_patches), unplanned.matmul(tiny_patches))
-        assert_stats_equal(seeded.stats, unplanned.stats)
+        assert_same_bytes(seeded.matmul(tiny_patches), float64.matmul(tiny_patches))
+        assert_stats_equal(seeded.stats, float64.stats)
 
     def test_float32_plan_bit_identical(self, tiny_linear_layer, tiny_patches):
         config = PARITY_CONFIGS["raella_multi_chunk"]
-        planned, _, _ = planned_and_unplanned(tiny_linear_layer, config, float32=True)
+        planned, _, _ = planned_pair(tiny_linear_layer, config)
+        assert np.float32 in planned.gemm_dtypes
         reference = PimLayerExecutor(tiny_linear_layer, config)
         assert_same_bytes(planned.matmul(tiny_patches), reference.matmul(tiny_patches))
 
@@ -88,41 +90,58 @@ class TestCompiledLayerPlan:
         "speculation", [SpeculationMode.SPECULATIVE, SpeculationMode.BIT_SERIAL]
     )
     def test_planned_chunk_peak_memory_is_bounded(self, speculation, rng):
-        """One planned chunk allocates at most 2.5x its float64 product block.
+        """One planned chunk's peak allocation is bounded on two layer shapes.
 
-        The ADC, masking and scale stages work in place on the GEMM result;
-        a stage that allocates a new float64 block would push the peak past
-        the bound.  The layer is wide (``S * F`` >> rows) so the block, not
-        the phase tensor, dominates the footprint.
+        * Wide (``S * F`` >> rows): the product block dominates.  The ADC,
+          masking and scale stages work in place on the GEMM result, so the
+          peak stays within 2.5x the block's float64 size; a stage that
+          allocates a new block would push it past the bound.
+        * Tall-narrow (rows >> ``S * F``): the phase tensor dominates.
+          Extraction runs in ``uint8`` and pulses are counted from the codes,
+          so the peak stays within 1.5x the ``uint8`` phase tensor plus the
+          float32 GEMM operand (an int64 phase tensor alone is 1.6x that).
         """
         import tracemalloc
 
         from repro.nn.layers import Linear
         from repro.nn.synthetic import synthetic_linear_weights
 
-        layer = Linear("wide_fc", synthetic_linear_weights(64, 16, rng, std=0.2))
-        inputs = np.abs(rng.normal(0, 1, size=(32, 16)))
-        layer.calibrate(inputs, layer.forward_float(inputs))
-        codes = layer.input_quant.quantize(inputs)
-        executor = VectorizedLayerExecutor(
-            layer, PimLayerConfig(speculation=speculation)
-        )
-        plan = executor.compile_layer_plan()
-        assert plan.fast_path_eligible and len(executor._chunks) == 1
-        chunk = executor._chunks[0]
-        block_bytes = 8 * plan.n_phases * codes.shape[0] * plan.n_slices * 64
-        executor._planned_chunk_matmul(codes, chunk, 0)  # warm-up
-        tracemalloc.start()
-        try:
-            executor._planned_chunk_matmul(codes, chunk, 0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        def planned_peak(n_out: int, n_in: int):
+            weights = synthetic_linear_weights(n_out, n_in, rng, std=0.2)
+            layer = Linear("mem_fc", weights)
+            inputs = np.abs(rng.normal(0, 1, size=(32, n_in)))
+            layer.calibrate(inputs, layer.forward_float(inputs))
+            codes = layer.input_quant.quantize(inputs)
+            executor = VectorizedLayerExecutor(
+                layer, PimLayerConfig(speculation=speculation)
+            )
+            plan = executor.layer_plan
+            assert plan.fast_path_eligible and len(executor._chunks) == 1
+            assert executor.gemm_dtypes == [np.float32]
+            chunk = executor._chunks[0]
+            executor._planned_chunk_matmul(codes, chunk, 0)  # warm-up
+            tracemalloc.start()
+            try:
+                executor._planned_chunk_matmul(codes, chunk, 0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak, plan, codes.shape[0]
+
+        peak, plan, m = planned_peak(64, 16)
+        block_bytes = 8 * plan.n_phases * m * plan.n_slices * 64
         assert peak <= 2.5 * block_bytes, f"peak {peak / block_bytes:.2f}x block"
+
+        rows = 512
+        peak, plan, m = planned_peak(2, rows)
+        extraction_bytes = (1 + 4) * plan.n_phases * m * rows
+        assert peak <= 1.5 * extraction_bytes, (
+            f"peak {peak / extraction_bytes:.2f}x phase tensor + GEMM operand"
+        )
 
     def test_noisy_plan_keeps_seeded_draw_order(self, tiny_linear_layer, tiny_patches):
         config = PimLayerConfig()
-        planned, _, plan = planned_and_unplanned(
+        planned, _, plan = planned_pair(
             tiny_linear_layer, config, noise=GaussianColumnNoise(level=0.05, seed=11)
         )
         assert not plan.fast_path_eligible  # noisy layers keep the phase loop
@@ -140,9 +159,7 @@ class TestCompiledLayerPlan:
         other_layer = Linear("other_fc", synthetic_linear_weights(5, 16, rng))
         inputs = np.abs(rng.normal(0, 1, size=(32, 16)))
         other_layer.calibrate(inputs, other_layer.forward_float(inputs))
-        plan = VectorizedLayerExecutor(
-            tiny_linear_layer, PimLayerConfig()
-        ).compile_layer_plan()
+        plan = VectorizedLayerExecutor(tiny_linear_layer, PimLayerConfig()).layer_plan
         with pytest.raises(ValueError, match="plan"):
             VectorizedLayerExecutor(other_layer, PimLayerConfig(), plan=plan)
         changed = PimLayerConfig(adc_bits=9)
@@ -154,11 +171,11 @@ class TestCompiledLayerPlan:
     def test_fast_path_gating(self, tiny_linear_layer):
         eligible = VectorizedLayerExecutor(
             tiny_linear_layer, PimLayerConfig()
-        ).compile_layer_plan()
+        ).layer_plan
         assert eligible.fast_path_eligible
         column_sums = VectorizedLayerExecutor(
             tiny_linear_layer, PimLayerConfig(collect_column_sums=True)
-        ).compile_layer_plan()
+        ).layer_plan
         assert not column_sums.fast_path_eligible
 
     def test_phase_table_shapes(self, tiny_linear_layer):
@@ -166,7 +183,7 @@ class TestCompiledLayerPlan:
             speculation=SpeculationMode.BIT_SERIAL,
             serial_input_slicing=Slicing((2, 2, 2, 2)),
         )
-        plan = VectorizedLayerExecutor(tiny_linear_layer, serial).compile_layer_plan()
+        plan = VectorizedLayerExecutor(tiny_linear_layer, serial).layer_plan
         assert plan.n_phases == 4
         assert plan.spec_indices.size == 0
         assert plan.mode is SpeculationMode.BIT_SERIAL

@@ -188,11 +188,12 @@ class TestCompiledPlanPhaseProperties:
     """The compiled plan's index tables vs the reference slice extraction.
 
     :class:`~repro.runtime.plan.CompiledLayerPlan` freezes phase extraction
-    into explicit shift/mask tables; these must reproduce
-    :func:`~repro.runtime.phases.extract_phase_tensor` -- itself pinned to
-    stacking :func:`extract_input_slice` -- element for element, for every
-    slicing and speculation mode, or the planned fast path silently feeds
-    wrong DAC values.
+    into narrow-dtype shift/mask tables; extraction driven by them must
+    reproduce :func:`~repro.runtime.phases.extract_phase_tensor` and the
+    stacked int64 :func:`extract_input_slice` element for element, for every
+    slicing and speculation mode and for codes wider than ``input_bits`` (the
+    narrow cast drops only bits no phase reads), or the planned fast path
+    silently feeds wrong DAC values.
     """
 
     phase_slicing_strategy = st.sampled_from(
@@ -215,7 +216,7 @@ class TestCompiledPlanPhaseProperties:
     )
     @settings(max_examples=20, deadline=None)
     def test_compiled_tables_match_extract_phase_tensor(self, seed, slicing, mode):
-        from repro.runtime.phases import extract_phase_tensor
+        from repro.runtime.phases import extract_phase_tensor, slice_phases
         from repro.runtime.plan import CompiledLayerPlan
         from repro.runtime.vectorized import VectorizedLayerExecutor
 
@@ -231,9 +232,15 @@ class TestCompiledPlanPhaseProperties:
         compiled = CompiledLayerPlan.from_executor(
             VectorizedLayerExecutor(layer, config)
         )
-        codes = rng.integers(0, 256, size=(6, 12))
-        expected = extract_phase_tensor(codes, compiled.input_plan)
-        assert np.array_equal(compiled.extract_phases(codes), expected)
+        codes = rng.integers(0, 1 << 12, size=(6, 12))
+        expected = np.stack(
+            [extract_input_slice(codes, phase) for phase in compiled.input_plan.phases]
+        )
+        tabled = slice_phases(codes, compiled.phase_shifts, compiled.phase_masks)
+        assert tabled.dtype == np.uint8
+        assert np.array_equal(tabled, expected)
+        extracted = extract_phase_tensor(codes, compiled.input_plan)
+        assert np.array_equal(extracted, expected)
 
     @given(
         st.integers(min_value=0, max_value=10_000),
@@ -259,3 +266,94 @@ class TestCompiledPlanPhaseProperties:
         if mode is SpeculationMode.BIT_SERIAL:
             reassembled = (tabled << shifts[:, None, None]).sum(axis=0)
             assert np.array_equal(reassembled, codes)
+
+
+class TestPlannedExecutorProperties:
+    """Default-built vectorized executors vs the per-phase oracle.
+
+    A default :class:`~repro.runtime.VectorizedLayerExecutor` compiles its
+    plan at construction and, for noiseless layers, runs the planned
+    whole-tensor kernel with float32 GEMMs wherever they are provably
+    exact, narrow ``uint8`` phase extraction and per-code pulse counting.
+    None of that may move a bit of the output or of any statistics counter,
+    for any configuration -- including codes wider than ``input_bits``,
+    whose extra high bits no phase reads.
+    """
+
+    @staticmethod
+    def _config(mode, input_slicing, rows, adc_bits, encoding, weight_slicing):
+        kwargs = dict(
+            crossbar_rows=rows,
+            adc_bits=adc_bits,
+            adc_signed=encoding.uses_centers,
+            weight_encoding=encoding,
+            weight_slicing=weight_slicing,
+            speculation=mode,
+        )
+        if mode is SpeculationMode.BIT_SERIAL:
+            return PimLayerConfig(serial_input_slicing=input_slicing, **kwargs)
+        return PimLayerConfig(speculative_input_slicing=input_slicing, **kwargs)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        mode=st.sampled_from(list(SpeculationMode)),
+        input_slicing=st.sampled_from(
+            [
+                Slicing((4, 2, 2)),
+                Slicing((4, 4)),
+                Slicing((2, 2, 2, 2)),
+                Slicing((1,) * 8),
+            ]
+        ),
+        rows=st.sampled_from([3, 7, 16, 512]),
+        adc_bits=st.integers(min_value=3, max_value=9),
+        encoding=st.sampled_from(list(WeightEncoding)),
+        weight_slicing=st.sampled_from(
+            [Slicing((4, 2, 2)), Slicing((4, 4)), Slicing((2, 2, 2, 2))]
+        ),
+        code_bits=st.sampled_from([8, 12]),
+        signed=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_default_executor_matches_oracle_bit_for_bit(
+        self,
+        seed,
+        mode,
+        input_slicing,
+        rows,
+        adc_bits,
+        encoding,
+        weight_slicing,
+        code_bits,
+        signed,
+    ):
+        from repro.runtime import VectorizedLayerExecutor, extract_phase_tensor
+        from tests.test_runtime_engine import assert_stats_equal
+
+        rng = np.random.default_rng(seed)
+        n_in, n_out, m = rng.integers(1, 40), rng.integers(1, 12), rng.integers(1, 9)
+        layer = Linear("prop_exec_fc", rng.normal(0, 0.15, size=(n_out, n_in)))
+        inputs = np.abs(rng.normal(0, 1, size=(8, n_in)))
+        layer.calibrate(inputs, layer.forward_float(inputs))
+        config = self._config(
+            mode, input_slicing, rows, adc_bits, encoding, weight_slicing
+        )
+        codes = rng.integers(0, 1 << code_bits, size=(m, n_in))
+        if signed:
+            codes = codes * rng.choice([-1, 1], size=codes.shape)
+
+        executor = VectorizedLayerExecutor(layer, config, weight_cache=None)
+        reference = PimLayerExecutor(layer, config)
+        plan = executor.layer_plan
+        assert plan.float32 and plan.fast_path_eligible
+        outputs = executor.matmul(codes)
+        assert outputs.tobytes() == reference.matmul(codes).tobytes()
+        assert_stats_equal(executor.stats, reference.stats)
+
+        # The per-code pulse table is the phase tensor's sum for every code.
+        magnitudes = np.abs(codes)
+        per_row = extract_phase_tensor(magnitudes, plan.input_plan).sum(
+            axis=(0, 1), dtype=np.int64
+        )
+        tabled = plan.pulse_table[magnitudes.astype(np.uint8)].sum(axis=0)
+        assert np.array_equal(tabled, per_row)

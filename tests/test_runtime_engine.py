@@ -111,6 +111,17 @@ class TestPhaseTensor:
         with pytest.raises(ValueError):
             extract_phase_tensor(np.array([[-1, 2]]), plan)
 
+    def test_narrow_dtype_covers_up_to_16_input_bits(self, rng):
+        wide = InputSlicePlan.build(mode=SpeculationMode.BIT_SERIAL, input_bits=12)
+        codes = rng.integers(0, 1 << 12, size=(3, 5))
+        tensor = extract_phase_tensor(codes, wide)
+        assert tensor.dtype == np.uint16
+        for index, phase in enumerate(wide.phases):
+            assert np.array_equal(tensor[index], extract_input_slice(codes, phase))
+        too_wide = InputSlicePlan.build(mode=SpeculationMode.BIT_SERIAL, input_bits=17)
+        with pytest.raises(ValueError, match="16-bit"):
+            extract_phase_tensor(codes, too_wide)
+
 
 class TestExecutorParity:
     """Vectorized executor vs per-phase reference: exact equality."""

@@ -48,7 +48,7 @@ class TestFloat32FastPath:
 
     def test_opt_out_stays_float64(self, tiny_linear_layer):
         executor = VectorizedLayerExecutor(
-            tiny_linear_layer, PimLayerConfig(), weight_cache=None
+            tiny_linear_layer, PimLayerConfig(), weight_cache=None, float32=False
         )
         assert executor.gemm_dtypes == [np.float64]
 
@@ -72,6 +72,7 @@ class TestFloat32FastPath:
             config,
             noise=GaussianColumnNoise(level=0.08, seed=3),
             weight_cache=None,
+            float32=False,
         )
         fast = VectorizedLayerExecutor(
             tiny_linear_layer,
@@ -85,14 +86,16 @@ class TestFloat32FastPath:
 
     def test_engine_level_parity(self, tiny_mlp_model, rng):
         inputs = np.abs(rng.normal(0, 1, size=(6, 16)))
-        reference = NetworkEngine.build(tiny_mlp_model, pool=private_pool())
+        reference = NetworkEngine.build(
+            tiny_mlp_model, pool=private_pool(), float32=False
+        )
         fast = NetworkEngine.build(tiny_mlp_model, pool=private_pool(), float32=True)
         assert np.array_equal(reference.run(inputs), fast.run(inputs))
         assert_stats_equal(reference.network_statistics(), fast.network_statistics())
 
     def test_pool_keys_float32_separately(self, tiny_linear_layer):
         pool = private_pool()
-        plain = pool.get(tiny_linear_layer, PimLayerConfig())
+        plain = pool.get(tiny_linear_layer, PimLayerConfig(), float32=False)
         fast = pool.get(tiny_linear_layer, PimLayerConfig(), float32=True)
         assert plain is not fast and len(pool) == 2
         assert pool.get(tiny_linear_layer, PimLayerConfig(), float32=True) is fast
