@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
 from repro.analog.noise import NoiseModel
@@ -48,37 +47,23 @@ def _encoding_key(layer: MatmulLayer, config: PimLayerConfig) -> Hashable:
     )
 
 
-@dataclass
-class EncodedWeightCache:
-    """LRU cache of encoded crossbar chunks, shared across executors.
+class _BuildOnceLru:
+    """LRU map whose missing entries are built once, under a re-entrant lock.
 
-    Parameters
-    ----------
-    max_entries:
-        Number of distinct (layer, encoding-config) entries kept; one entry
-        holds all row chunks of one layer.
+    The builder runs with the lock held, so concurrent lookups of one key
+    build it once and share the result.  ``hits``/``misses`` count lookups.
     """
 
-    max_entries: int = 128
-    hits: int = 0
-    misses: int = 0
-    _entries: OrderedDict = field(default_factory=OrderedDict, repr=False)
-    _lock: threading.RLock = field(
-        default_factory=threading.RLock, repr=False, compare=False
-    )
+    def __init__(self, max_entries: int):
+        if max_entries < 1:
+            raise ValueError("max_entries must be positive")
+        self.max_entries = max_entries
+        self.hits = 0
+        self.misses = 0
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.RLock()
 
-    def encoded_chunks(
-        self,
-        layer: MatmulLayer,
-        config: PimLayerConfig,
-        builder: Callable[[], list],
-    ) -> list:
-        """Return the layer's encoded chunks, building them on first use.
-
-        Thread-safe: the builder runs under the cache lock, so concurrent
-        lookups of the same key encode once and share the result.
-        """
-        key = _encoding_key(layer, config)
+    def _get_or_build(self, key: Hashable, builder: Callable[[], object]):
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
@@ -86,20 +71,40 @@ class EncodedWeightCache:
                 self._entries.move_to_end(key)
                 return cached
             self.misses += 1
-            chunks = builder()
-            self._entries[key] = chunks
+            value = builder()
+            self._entries[key] = value
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-            return chunks
+            return value
 
     def clear(self) -> None:
-        """Drop all cached encodings (counters are kept)."""
+        """Drop all cached entries (counters are kept)."""
         with self._lock:
             self._entries.clear()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+
+class EncodedWeightCache(_BuildOnceLru):
+    """LRU cache of encoded crossbar chunks, shared across executors.
+
+    ``max_entries`` is the number of distinct (layer, encoding-config)
+    entries kept; one entry holds all row chunks of one layer.
+    """
+
+    def __init__(self, max_entries: int = 128):
+        super().__init__(max_entries)
+
+    def encoded_chunks(
+        self,
+        layer: MatmulLayer,
+        config: PimLayerConfig,
+        builder: Callable[[], list],
+    ) -> list:
+        """Return the layer's encoded chunks, building them on first use."""
+        return self._get_or_build(_encoding_key(layer, config), builder)
 
 
 #: Process-wide encoding cache used by the vectorized executor by default.
@@ -209,7 +214,7 @@ class ExecutorPool:
             return len(self._executors)
 
 
-class ModelPlanCache:
+class ModelPlanCache(_BuildOnceLru):
     """LRU cache of compiled :class:`~repro.runtime.plan.ModelPlan` artifacts.
 
     Keyed by :meth:`ModelPlan.cache_key
@@ -218,39 +223,12 @@ class ModelPlanCache:
     :class:`EncodedWeightCache`, so re-registering a model with unchanged
     weights and configuration reuses the exact plan object (tests assert
     identity) while any config or weight change compiles a fresh one.
-    Thread-safe; the builder runs under the lock so concurrent registrations
-    of the same key compile once.
+    Concurrent registrations of the same key compile once.
     """
 
     def __init__(self, max_entries: int = 64):
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.RLock()
+        super().__init__(max_entries)
 
     def get_or_compile(self, key: Hashable, builder: Callable[[], object]):
         """Return the cached plan for ``key``, compiling it on first use."""
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                return cached
-            self.misses += 1
-            plan = builder()
-            self._entries[key] = plan
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-            return plan
-
-    def clear(self) -> None:
-        """Drop all cached plans (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return self._get_or_build(key, builder)

@@ -47,7 +47,11 @@ from repro.runtime.cache import GLOBAL_WEIGHT_CACHE, EncodedWeightCache
 from repro.runtime.phases import narrow_codes, slice_phases
 from repro.runtime.plan import CompiledLayerPlan, float32_gemm_is_exact
 
-__all__ = ["VectorizedLayerExecutor", "float32_gemm_is_exact"]
+__all__ = ["TILE_ELEMENTS", "VectorizedLayerExecutor", "float32_gemm_is_exact"]
+
+#: Row-tile budget of the planned fast path, in phase-tensor plus product
+#: values: a float32 tile's GEMM operand and products fit in 2 MB of L2.
+TILE_ELEMENTS = 1 << 19
 
 
 class VectorizedLayerExecutor(PimLayerExecutor):
@@ -72,9 +76,10 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         operand tables -- no weight encoding at all; otherwise it compiles
         its own.
 
-    Memory note: each chunk's batched phase tensor holds
-    ``n_phases * M * rows`` values; for very large batches run through
-    :class:`~repro.runtime.engine.NetworkEngine` micro-batching.
+    Memory note: outside the row-tiled noiseless fast path, each chunk's
+    phase tensor holds ``n_phases * M * rows`` values; for very large
+    batches run through :class:`~repro.runtime.engine.NetworkEngine`
+    micro-batching.
     """
 
     def __init__(
@@ -176,11 +181,35 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         within float32's exact range, and the final sum accumulates in
         float64.  Regrouping the additions is therefore bit-identical to
         the reference loop -- including every statistics counter, which are
-        integer totals and order-free.  The pulse counters come from the
-        plan's per-code pulse table, one gather over the ``(M, rows)`` codes
-        instead of a pass over the phase tensor.  The GEMM result is a fresh
-        block owned by this call, so every stage after it works in place:
-        besides the block, only boolean masks are allocated.
+        integer totals and order-free.  Input rows are independent, so the
+        block runs in row tiles of at most :data:`TILE_ELEMENTS` phase-tensor
+        plus product values: the working set stays cache-sized for any
+        ``M``, and a large batch does not stream every stage through main
+        memory (whose speed swings with other processes' traffic).
+        """
+        plan = self.layer_plan
+        m, rows = codes.shape
+        per_row = plan.n_phases * (rows + plan.operands[chunk_index].n_columns)
+        tile = max(1, TILE_ELEMENTS // per_row)
+        analog = np.empty((m, plan.n_filters))
+        for start in range(0, m, tile):
+            tile_codes = codes[start : start + tile]
+            analog[start : start + tile] = self._planned_tile(tile_codes, chunk_index)
+        encoded = chunk.encoded
+        if encoded.encoding.uses_centers:
+            analog = analog + encoded.centers[np.newaxis, :].astype(
+                np.float64
+            ) * codes.sum(axis=1, keepdims=True)
+        return analog
+
+    def _planned_tile(self, codes: np.ndarray, chunk_index: int) -> np.ndarray:
+        """The fast path's analog sums of one row tile: ``(m, n_filters)``.
+
+        The pulse counters come from the plan's per-code pulse table, one
+        gather over the ``(m, rows)`` codes instead of a pass over the phase
+        tensor.  The GEMM result is a fresh block owned by this call, so
+        every stage after it works in place: besides the block, only
+        boolean masks are allocated.
         """
         plan = self.layer_plan
         operands = plan.operands[chunk_index]
@@ -228,14 +257,7 @@ class VectorizedLayerExecutor(PimLayerExecutor):
             stats.fidelity_loss_events += int(saturated.sum())
             stats.fidelity_loss_opportunities += products.size
         products *= plan.scales.astype(products.dtype, copy=False)
-        analog = products.sum(axis=(0, 2), dtype=np.float64)
-
-        encoded = chunk.encoded
-        if encoded.encoding.uses_centers:
-            analog = analog + encoded.centers[np.newaxis, :].astype(
-                np.float64
-            ) * codes.sum(axis=1, keepdims=True)
-        return analog
+        return products.sum(axis=(0, 2), dtype=np.float64)
 
     def _batched_phase_sums(
         self, codes: np.ndarray, chunk_index: int

@@ -79,6 +79,26 @@ class TestCompiledLayerPlan:
         assert_same_bytes(seeded.matmul(tiny_patches), float64.matmul(tiny_patches))
         assert_stats_equal(seeded.stats, float64.stats)
 
+    @pytest.mark.parametrize("name", sorted(PARITY_CONFIGS))
+    def test_row_tiles_bit_identical(
+        self, name, tiny_linear_layer, tiny_patches, monkeypatch
+    ):
+        """A tile budget of a few rows splits the 48-row batch into uneven
+        tiles; outputs and every counter still match the reference."""
+        from repro.runtime import vectorized
+
+        config = PARITY_CONFIGS[name].with_changes(collect_column_sums=False)
+        planned = VectorizedLayerExecutor(tiny_linear_layer, config)
+        plan = planned.layer_plan
+        assert plan.fast_path_eligible
+        chunk = planned._chunks[0]
+        per_row = plan.n_phases * (chunk.rows + plan.operands[0].n_columns)
+        monkeypatch.setattr(vectorized, "TILE_ELEMENTS", 5 * per_row)
+        assert tiny_patches.shape[0] % 5
+        reference = PimLayerExecutor(tiny_linear_layer, config)
+        assert_same_bytes(planned.matmul(tiny_patches), reference.matmul(tiny_patches))
+        assert_stats_equal(planned.stats, reference.stats)
+
     def test_float32_plan_bit_identical(self, tiny_linear_layer, tiny_patches):
         config = PARITY_CONFIGS["raella_multi_chunk"]
         planned, _, _ = planned_pair(tiny_linear_layer, config)
