@@ -145,3 +145,49 @@ def test_vectorized_speculative_speedup(medium_layer):
     assert np.array_equal(reference_result, vectorized_result)
     speedup = reference_time / vectorized_time
     assert speedup >= minimum, f"vectorized speedup only {speedup:.2f}x"
+
+
+@pytest.fixture(scope="module")
+def conv1_shaped_layer():
+    """A conv1-shaped matmul: 2048 patches of a 3x3x32 window, 32 filters."""
+    rng = np.random.default_rng(1)
+    layer = Linear(
+        "bench_conv1", synthetic_linear_weights(32, 288, rng, std=0.1), fuse_relu=True
+    )
+    inputs = np.abs(rng.normal(0, 1, size=(2048, 288)))
+    layer.calibrate(inputs[:256], layer.forward_float(inputs[:256]))
+    patches = layer.input_quant.quantize(inputs)
+    return layer, patches
+
+
+def test_vectorized_large_batch_speedup(conv1_shaped_layer):
+    """The planned kernel must beat the per-phase reference at large M too.
+
+    The M=64 gate above misses the regime of an offline forward pass, where
+    the bit-plane GEMM and the exact-product reassembly carry the work.  A
+    2-vCPU host measures 43-60x here (best of 3 vs best of 7; the local bar
+    of 25x sits near half the lowest).  MIN_LARGE_BATCH_SPEEDUP relaxes the
+    threshold on noisy shared runners (CI sets 10).
+    """
+    minimum = float(os.environ.get("MIN_LARGE_BATCH_SPEEDUP", "25.0"))
+    layer, patches = conv1_shaped_layer
+    config = PimLayerConfig()
+    reference = PimLayerExecutor(layer, config)
+    vectorized = VectorizedLayerExecutor(layer, config)
+
+    def best_of(executor, rounds):
+        executor.matmul(patches)  # warm-up
+        timings = []
+        for _ in range(rounds):
+            executor.reset_stats()
+            start = time.perf_counter()
+            result = executor.matmul(patches)
+            timings.append(time.perf_counter() - start)
+        return min(timings), result
+
+    reference_time, reference_result = best_of(reference, 3)
+    vectorized_time, vectorized_result = best_of(vectorized, 7)
+    assert reference_result.tobytes() == vectorized_result.tobytes()
+    assert vectorized.stats.fidelity_loss_events == reference.stats.fidelity_loss_events
+    speedup = reference_time / vectorized_time
+    assert speedup >= minimum, f"large-batch speedup only {speedup:.2f}x"

@@ -13,13 +13,13 @@ This module hoists that work into two pickle-able artifacts:
 * :class:`CompiledLayerPlan` -- one layer's frozen execution recipe: the
   encoded weight chunks, positional GEMM operand views with their *proven*
   dtypes (:func:`float32_gemm_is_exact`), the narrow-dtype phase-extraction
-  shift/mask tables with the per-code pulse table derived from them, the
-  pre-broadcast ``(P, 1, S, 1)`` phase x weight-slice scale tensor, the
-  speculation-group gather tables, and the noise-draw layout contract.
+  shift/mask tables with the per-code pulse table derived from them, and
+  the bit-plane tables of the noiseless fast path (which planes to GEMM,
+  how speculative sums combine them, the power-of-two loss scales).
   Every :class:`~repro.runtime.vectorized.VectorizedLayerExecutor` compiles
   its plan at construction (or boots from a shipped one).
 * :class:`ModelPlan` -- the per-layer plans of a whole model plus the
-  micro-batch split policy, compiled once by
+  micro-batch size, compiled once by
   :func:`compile_model_plan` (the registry does this at ``register`` time and
   caches it next to the encoded-weight cache) and then *executed* by
   :class:`~repro.runtime.engine.NetworkEngine`, shipped by value inside
@@ -30,13 +30,13 @@ Bit-identity of the planned fast path is an arithmetic argument, not a hope:
 in the noiseless pipeline every column sum, ADC-converted value, scale factor
 (a power of two) and digital-centers term is an exact integer in the GEMM's
 dtype, and the final sums accumulate in float64 far below ``2**53``, so *any*
-regrouping of the additions -- batching the ADC conversion over all phases,
-folding the masked scale-sum into one contraction, counting pulses per input
-code rather than per phase -- produces bit-identical outputs and (integer)
-statistics counters.  Seeded noise draws are order-sensitive, so noisy
-executors keep the reference per-phase loop (the plan still supplies the
-extraction tables and operands); :attr:`CompiledLayerPlan.noise_draw_layout`
-records the draw-order contract the executor preserves.
+regrouping of the additions -- deriving speculative sums from bit-plane
+sums, replacing the masked scale-sum by one exact product minus the clipped
+excess, counting pulses per input code rather than per phase -- produces
+bit-identical outputs and (integer) statistics counters.  Seeded noise draws
+are order-sensitive, so noisy executors keep the reference per-phase loop
+(the plan still supplies the extraction tables and operands) and draw once
+per (chunk, phase) in plan order.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.analog.noise import NoiseModel, NoiselessModel
-from repro.core.dynamic_input import InputSlicePlan, SpeculationMode
+from repro.core.dynamic_input import InputSlicePlan
 from repro.core.executor import PimLayerConfig, _EncodedChunk
 from repro.runtime.phases import plan_shift_masks, slice_phases
 
@@ -88,11 +88,21 @@ class _ChunkOperands:
         noiseless: bool,
         float32: bool,
         max_slice_value: int,
+        code_mask: int,
     ):
+        self.combined = None
         if noiseless:
             # Noiseless sums only need W+ - W-; activity has a closed form.
             weights = chunk.diff_flat
             self.sum_flat_rowsum = chunk.sum_flat.sum(axis=1)
+            # The exact product's operand: every weight slice's W+ - W-
+            # shifted into place, sum_s 2**shift_s * diff[:, s, :].
+            slicing = chunk.encoded.slicing
+            shifts = np.array(slicing.shifts, dtype=np.int64)
+            diff = chunk.diff_flat.reshape(chunk.rows, slicing.n_slices, -1)
+            combined = (diff.astype(np.int64) << shifts[:, np.newaxis]).sum(axis=1)
+            exact32 = float32 and float32_gemm_is_exact(code_mask, combined)
+            self.combined = combined.astype(np.float32 if exact32 else np.float64)
         else:
             # Noise models need both N+ - N- and N+ + N-: stack the weight
             # operands so one GEMM produces both column-sum families.
@@ -121,21 +131,32 @@ def _phase_tables(input_plan: InputSlicePlan) -> dict[str, np.ndarray]:
     """The read-only tables a plan derives from its input schedule alone."""
     phase_shifts, phase_masks = plan_shift_masks(input_plan)
     every_code = np.arange(np.iinfo(phase_shifts.dtype).max + 1)
-    pulse_table = slice_phases(
-        every_code[np.newaxis, :], phase_shifts, phase_masks
-    ).sum(axis=(0, 1), dtype=np.int64)
+    pulses = slice_phases(every_code[np.newaxis, :], phase_shifts, phase_masks).sum(
+        axis=(0, 1), dtype=np.int64
+    )
+    # The GEMMed planes: a speculative plan's 1-bit recovery planes (its
+    # speculative sums are derived from them), a bit-serial plan's phases.
     phases = input_plan.phases
-    is_spec = np.array([phase.kind == "speculative" for phase in phases])
-    group_of = np.maximum(np.cumsum(is_spec) - 1, 0)
-    kinds = np.array([phase.kind for phase in phases])
+    speculative = [phase for phase in phases if phase.kind == "speculative"]
+    planes = [i for i, phase in enumerate(phases) if phase.kind != "speculative"]
+    group_weights = np.zeros((len(speculative), len(planes)), dtype=np.float32)
+    for column, index in enumerate(planes):
+        phase = phases[index]
+        if phase.kind == "recovery":
+            shift = phase.shift - speculative[phase.parent].shift
+            group_weights[phase.parent, column] = 2.0**shift
     tables = dict(
         phase_shifts=phase_shifts,
         phase_masks=phase_masks,
-        pulse_table=pulse_table,
-        is_spec=is_spec,
-        group_of=group_of,
-        spec_indices=np.flatnonzero(kinds == "speculative"),
-        rec_indices=np.flatnonzero(kinds == "recovery"),
+        pulse_table=pulses.astype(np.min_scalar_type(pulses.max())),
+        plane_shifts=phase_shifts[planes],
+        plane_masks=phase_masks[planes],
+        plane_group=np.array(
+            [phases[i].parent for i in planes if phases[i].kind == "recovery"],
+            dtype=np.intp,
+        ),
+        group_weights=group_weights,
+        group_widths=np.array([phase.width for phase in speculative], dtype=np.int64),
     )
     for array in tables.values():
         array.setflags(write=False)
@@ -150,13 +171,21 @@ class CompiledLayerPlan:
     pickle-able (the positional ``chunks``/``operands`` tuples replaced the
     old ``id()``-keyed operand dict precisely so plans survive the trip into
     worker processes).  ``phase_shifts``/``phase_masks`` are the narrow-dtype
-    extraction tables (:func:`~repro.runtime.phases.slice_phases`);
+    extraction tables of every phase (:func:`~repro.runtime.phases.slice_phases`);
     ``pulse_table[v]`` is the DAC pulse count of input code ``v`` summed over
-    every phase, ``sum_p (v >> shift_p) & mask_p``; ``scales`` is the
-    pre-broadcast ``(n_phases, 1, n_slices, 1)`` tensor of
-    ``2**(phase_shift + weight_shift)`` factors; the ``spec_*``/``rec_*``
-    arrays are the speculation-group gather tables that let the planned fast
-    path build every phase's conversion mask with two fancy-index reads.
+    every phase, ``sum_p (v >> shift_p) & mask_p``, in the narrowest
+    unsigned dtype holding it.
+
+    The noiseless fast path GEMMs only the ``plane_*`` phases: the 1-bit
+    recovery planes of a speculative plan, or the phases of a bit-serial
+    one.  Row ``g`` of ``group_weights`` rebuilds speculative group ``g``'s
+    column sums from the planes' (``2**(shift_b - shift_g)`` for each plane
+    ``b`` of the group); ``plane_group`` maps each recovery plane to its
+    group and ``group_widths`` counts each group's planes -- all three are
+    empty for bit-serial plans.  ``loss_scales[b, s]`` is
+    ``2**(shift_b + weight_shift_s)``, the weight of plane ``b``'s clipped
+    excess on weight slice ``s``, and ``code_mask`` keeps the
+    ``input_bits`` low bits that the phases read.
     """
 
     layer_name: str
@@ -167,14 +196,16 @@ class CompiledLayerPlan:
     float32: bool
     n_slices: int
     n_filters: int
+    code_mask: int
     phase_shifts: np.ndarray
     phase_masks: np.ndarray
     pulse_table: np.ndarray
-    scales: np.ndarray
-    is_spec: np.ndarray
-    group_of: np.ndarray
-    spec_indices: np.ndarray
-    rec_indices: np.ndarray
+    plane_shifts: np.ndarray
+    plane_masks: np.ndarray
+    plane_group: np.ndarray
+    group_weights: np.ndarray
+    group_widths: np.ndarray
+    loss_scales: np.ndarray
     chunks: tuple[_EncodedChunk, ...] = field(repr=False)
     operands: tuple[_ChunkOperands, ...] = field(repr=False)
 
@@ -184,9 +215,9 @@ class CompiledLayerPlan:
         return len(self.input_plan.phases)
 
     @property
-    def mode(self) -> SpeculationMode:
-        """The input slicing mode the plan was compiled for."""
-        return self.input_plan.mode
+    def n_planes(self) -> int:
+        """Input planes the noiseless fast path GEMMs (8 with speculation)."""
+        return len(self.plane_shifts)
 
     @property
     def fast_path_eligible(self) -> bool:
@@ -199,25 +230,6 @@ class CompiledLayerPlan:
         """
         return self.noiseless and not self.config.collect_column_sums
 
-    @property
-    def noise_draw_layout(self) -> tuple[tuple[int, int, int], ...]:
-        """The seeded noise-draw contract: ``(chunk, phase, draw_size)`` order.
-
-        A noisy executor draws once per (chunk, phase) pair in exactly this
-        order, each draw covering ``M * n_slices * n_filters`` values -- the
-        layout is part of the bit-identity contract, which is why the planned
-        fast path never runs for noisy configurations.  Empty for noiseless
-        plans (no draws at all).
-        """
-        if self.noiseless:
-            return ()
-        per_phase = self.n_slices * self.n_filters
-        return tuple(
-            (chunk_index, phase_index, per_phase)
-            for chunk_index in range(len(self.chunks))
-            for phase_index in range(self.n_phases)
-        )
-
     @classmethod
     def from_executor(cls, executor) -> "CompiledLayerPlan":
         """Compile the plan of a vectorized executor's encoded chunks."""
@@ -226,19 +238,20 @@ class CompiledLayerPlan:
         float32 = bool(executor.float32)
         tables = _phase_tables(input_plan)
         max_slice = int(tables["phase_masks"].max())
+        code_mask = (1 << input_plan.speculative_slicing.total_bits) - 1
         chunks = tuple(executor._chunks)
         operands = tuple(
-            _ChunkOperands(chunk, noiseless, float32, max_slice) for chunk in chunks
+            _ChunkOperands(chunk, noiseless, float32, max_slice, code_mask)
+            for chunk in chunks
         )
         slicing = (
             chunks[0].encoded.slicing if chunks else executor.config.weight_slicing
         )
-        weight_shifts = np.array(slicing.shifts, dtype=np.int64)
-        scales = 2.0 ** (
-            tables["phase_shifts"][:, np.newaxis, np.newaxis, np.newaxis]
-            + weight_shifts[np.newaxis, np.newaxis, :, np.newaxis]
+        loss_scales = 2.0 ** (
+            tables["plane_shifts"][:, np.newaxis]
+            + np.array(slicing.shifts)[np.newaxis, :]
         )
-        scales.setflags(write=False)
+        loss_scales.setflags(write=False)
         return cls(
             layer_name=executor.layer.name,
             weight_fingerprint=executor.layer.weight_fingerprint,
@@ -248,7 +261,8 @@ class CompiledLayerPlan:
             float32=float32,
             n_slices=slicing.n_slices,
             n_filters=executor.layer.out_features,
-            scales=scales,
+            code_mask=code_mask,
+            loss_scales=loss_scales,
             chunks=chunks,
             operands=operands,
             **tables,
@@ -285,16 +299,6 @@ class ModelPlan:
     def layer_plan(self, layer_name: str) -> CompiledLayerPlan | None:
         """The compiled plan of one layer (``None`` for unknown names)."""
         return self.layers.get(layer_name)
-
-    def split_points(self, n_samples: int) -> tuple[int, ...]:
-        """Micro-batch split boundaries for an ``n_samples`` batch.
-
-        Empty when the plan carries no micro-batch limit or the batch fits
-        in one slice; otherwise the cut offsets ``np.split`` would use.
-        """
-        if not self.micro_batch or n_samples <= self.micro_batch:
-            return ()
-        return tuple(range(self.micro_batch, n_samples, self.micro_batch))
 
     @staticmethod
     def cache_key(

@@ -2,13 +2,10 @@
 
 :class:`VectorizedLayerExecutor` is a drop-in replacement for
 :class:`~repro.core.executor.PimLayerExecutor` that replaces the per-phase
-Python loop of the hot path with batched tensor operations:
-
-* every input bit-plane slice of a chunk is extracted in one shot, in a
-  narrow ``uint8`` code dtype (:func:`repro.runtime.phases.slice_phases`),
-  and
-* the ``n_phases`` per-phase matmuls are fused into a single BLAS GEMM over
-  a ``(n_phases * M, rows)`` operand.
+Python loop of the hot path with batched tensor operations: input slices
+are extracted in one shot in a narrow ``uint8`` code dtype
+(:func:`repro.runtime.phases.slice_phases`) and their matmuls are fused
+into a single BLAS GEMM per chunk.
 
 Bit-identity with the per-phase reference is by construction, not by luck:
 slice values (< 2**4) and weight-slice values (< 2**device_bits) are tiny
@@ -20,16 +17,16 @@ the memory traffic; other chunks stay float64, and ``float32=False`` forces
 float64 everywhere.
 
 Every executor compiles a :class:`~repro.runtime.plan.CompiledLayerPlan`
-at construction (or boots from a shipped one, ``plan=...``).  In the
-noiseless case every post-GEMM stage -- ADC clip, saturation masking,
-speculation recovery, the phase x weight-slice scale-sum -- is also exact
-integer arithmetic, so the eleven per-phase Python iterations collapse into
-a handful of whole-tensor operations over the ``(n_phases, M, n_slices,
-n_filters)`` block without moving a single bit of the result
-(:meth:`_planned_chunk_matmul`).  Seeded noise draws and column-sum
-sampling *are* order-sensitive, so noisy executors and column-sum
-collection keep the inherited per-phase loop on float64 column sums, fed by
-one batched GEMM through the ``_phase_sums`` hook.
+at construction (or boots from a shipped one, ``plan=...``).  Noiseless
+layers run :meth:`_planned_chunk_matmul`: one exact product of the codes
+with the shifted-together weight slices, a GEMM of only the input *bit
+planes* (8 with speculation, not 11 phases) whose sums also give every
+speculative sum, and a correction at the rare positions where the ADC
+clipped a conversion the reference keeps.  Seeded noise draws and
+column-sum sampling *are* order-sensitive, so noisy executors and
+column-sum collection keep the inherited per-phase loop on float64 column
+sums, fed by one batched GEMM over every phase through the ``_phase_sums``
+hook.
 
 Weight encoding is shared across executor instances through
 :mod:`repro.runtime.cache`.
@@ -49,7 +46,7 @@ from repro.runtime.plan import CompiledLayerPlan, float32_gemm_is_exact
 
 __all__ = ["TILE_ELEMENTS", "VectorizedLayerExecutor", "float32_gemm_is_exact"]
 
-#: Row-tile budget of the planned fast path, in phase-tensor plus product
+#: Row-tile budget of the planned fast path, in plane-tensor plus product
 #: values: a float32 tile's GEMM operand and products fit in 2 MB of L2.
 TILE_ELEMENTS = 1 << 19
 
@@ -148,116 +145,101 @@ class VectorizedLayerExecutor(PimLayerExecutor):
     ) -> np.ndarray:
         return self._phase_sums_cache[index]
 
-    def _phase_products(
-        self, codes: np.ndarray, chunk_index: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The fused GEMM of every phase of one chunk.
-
-        Returns the codes in the plan's narrow dtype, the ``(n_phases, M,
-        rows)`` phase tensor and the ``(n_phases, M, columns)`` products of
-        every phase slice with the chunk's weight operand, in the operand's
-        dtype.
-        """
-        plan = self.layer_plan
-        operands = plan.operands[chunk_index]
-        narrow = narrow_codes(codes, plan.phase_shifts.dtype)
-        phase_tensor = slice_phases(narrow, plan.phase_shifts, plan.phase_masks)
-        flat = phase_tensor.reshape(-1, narrow.shape[1]).astype(operands.dtype)
-        products = flat @ operands.weights
-        return narrow, phase_tensor, products.reshape(phase_tensor.shape[:2] + (-1,))
-
     def _planned_chunk_matmul(
         self, codes: np.ndarray, chunk: _EncodedChunk, chunk_index: int
     ) -> np.ndarray:
         """One chunk through the compiled noiseless fast path.
 
-        Replaces the inherited per-phase ADC/speculation loop with
-        whole-tensor operations over the ``(P, M, S, F)`` product block:
-        one clip/saturate pass, two fancy-index gathers to build every
-        phase's conversion mask from the speculation-group tables, and one
-        masked scale-sum.  Every intermediate is an exact integer in the
-        GEMM's dtype: noiseless column sums are integers (so the ADC's
-        rounding is the identity), ADC codes and power-of-two scales stay
-        within float32's exact range, and the final sum accumulates in
-        float64.  Regrouping the additions is therefore bit-identical to
-        the reference loop -- including every statistics counter, which are
-        integer totals and order-free.  Input rows are independent, so the
-        block runs in row tiles of at most :data:`TILE_ELEMENTS` phase-tensor
-        plus product values: the working set stays cache-sized for any
-        ``M``, and a large batch does not stream every stage through main
-        memory (whose speed swings with other processes' traffic).
-        """
-        plan = self.layer_plan
-        m, rows = codes.shape
-        per_row = plan.n_phases * (rows + plan.operands[chunk_index].n_columns)
-        tile = max(1, TILE_ELEMENTS // per_row)
-        analog = np.empty((m, plan.n_filters))
-        for start in range(0, m, tile):
-            tile_codes = codes[start : start + tile]
-            analog[start : start + tile] = self._planned_tile(tile_codes, chunk_index)
-        encoded = chunk.encoded
-        if encoded.encoding.uses_centers:
-            analog = analog + encoded.centers[np.newaxis, :].astype(
-                np.float64
-            ) * codes.sum(axis=1, keepdims=True)
-        return analog
-
-    def _planned_tile(self, codes: np.ndarray, chunk_index: int) -> np.ndarray:
-        """The fast path's analog sums of one row tile: ``(m, n_filters)``.
-
-        The pulse counters come from the plan's per-code pulse table, one
-        gather over the ``(m, rows)`` codes instead of a pass over the phase
-        tensor.  The GEMM result is a fresh block owned by this call, so
-        every stage after it works in place: besides the block, only
-        boolean masks are allocated.
+        Without noise, a speculative group's column sums are the
+        power-of-two combination of its recovery planes' sums, and a
+        conversion that does not saturate returns its sum unchanged.  So
+        the reference's whole speculation/recovery schedule equals the
+        exact product ``(codes & code_mask) @ combined`` minus, at each
+        *lossy* position -- a recovery plane out of ADC range whose group's
+        speculative conversion saturated -- the clipped-off excess
+        ``(V_b - clip(V_b)) * 2**(shift_b + shift_s)``.  The same holds for
+        bit-serial plans with every saturated phase lossy.  Every term is an
+        exact integer (noiseless sums are integers, so the ADC's rounding
+        is the identity; the GEMMs are proven exact in their dtype; the
+        correction runs in float64), so the regrouping is bit-identical to
+        the reference loop, and so is every statistics counter, each an
+        integer total.  (A zero may come out as -0.0; the zero-initialised
+        accumulator in ``_matmul_unsigned`` turns it into +0.0, exactly as
+        in the reference.)  Pulses come from the plan's per-code pulse table,
+        one gather over the codes.  Input rows are independent, so the plane
+        GEMM and the speculation masks run in row tiles of at most
+        :data:`TILE_ELEMENTS` plane-tensor plus product values: the working
+        set stays cache-sized for any ``M``.
         """
         plan = self.layer_plan
         operands = plan.operands[chunk_index]
         stats = self.stats
-        config = self.config
-        m = codes.shape[0]
-
-        narrow, phase_tensor, products = self._phase_products(codes, chunk_index)
-        del phase_tensor  # pulses are counted from the codes instead
-        products = products.reshape(plan.n_phases, m, plan.n_slices, plan.n_filters)
-        # Each row's pulses over every input and phase: exact integers.
-        row_pulses = plan.pulse_table[narrow].sum(axis=0)
+        # Phases read only the low ``input_bits`` bits of a code.
+        narrow = narrow_codes(codes, plan.phase_shifts.dtype) & plan.code_mask
+        row_pulses = np.take(plan.pulse_table, narrow).sum(axis=0, dtype=np.int64)
         stats.input_pulses += int(row_pulses.sum())
         stats.crossbar_activity += float(row_pulses @ operands.sum_flat_rowsum)
+        combined = operands.combined
+        analog = np.asarray(narrow.astype(combined.dtype) @ combined, dtype=np.float64)
+        m, rows = narrow.shape
+        tile = max(1, TILE_ELEMENTS // (plan.n_planes * (rows + operands.n_columns)))
+        for start in range(0, m, tile):
+            stop = start + tile
+            self._planned_tile(narrow[start:stop], operands, analog[start:stop])
+        encoded = chunk.encoded
+        if encoded.encoding.uses_centers:
+            analog += encoded.centers[np.newaxis, :].astype(np.float64) * codes.sum(
+                axis=1, keepdims=True
+            )
+        return analog
 
-        # One ADC pass over every phase at once (the reference does this
-        # per phase; identical values, identical saturation decisions).
-        saturated = products < config.adc_min
-        saturated |= products > config.adc_max
-        np.clip(products, config.adc_min, config.adc_max, out=products)
+    def _planned_tile(self, codes: np.ndarray, operands, analog: np.ndarray) -> None:
+        """Subtract one row tile's fidelity losses from its exact ``analog``.
 
-        if plan.spec_indices.size:
-            spec_saturated = saturated[plan.spec_indices]  # (G, M, S, F)
-            stats.adc_converts_speculative += spec_saturated.size
-            stats.speculation_slots += spec_saturated.size
-            stats.speculation_failures += int(spec_saturated.sum())
-            # gathered[p] = the saturation mask of phase p's speculation
-            # group; a speculative phase keeps its non-saturated columns,
-            # its recovery phases replay exactly the saturated ones.
-            gathered = spec_saturated[plan.group_of]  # (P, M, S, F)
-            needed = gathered[plan.rec_indices]
-            total_needed = int(needed.sum())
-            stats.adc_converts_recovery += total_needed
-            stats.fidelity_loss_opportunities += total_needed
-            needed &= saturated[plan.rec_indices]
-            stats.fidelity_loss_events += int(needed.sum())
-            # Columns a phase converts: gathered XOR speculative.  Dropped
-            # columns become zeros, possibly -0.0; the zero-initialised
-            # accumulator in ``_matmul_unsigned`` turns a zero result into
-            # +0.0, exactly as in the reference.
-            gathered ^= plan.is_spec[:, np.newaxis, np.newaxis, np.newaxis]
-            products *= gathered
+        GEMMs the tile's input planes, derives every speculative group's
+        column sums from them with one small product, counts the ADC events
+        and, only where some conversion saturated, gathers the planes' sums
+        to subtract what the ADC clipped off.
+        """
+        plan = self.layer_plan
+        stats = self.stats
+        low, high = self.config.adc_min, self.config.adc_max
+        planes = slice_phases(codes, plan.plane_shifts, plan.plane_masks)
+        flat = planes.reshape(-1, codes.shape[1]).astype(operands.dtype)
+        sums = (flat @ operands.weights).reshape(plan.n_planes, -1)  # (B, m*S*F)
+        # Planes out of ADC range: the only places a conversion can lose
+        # anything (rare; a handful per thousand plane sums).
+        clipped = sums < low
+        clipped |= sums > high
+        speculative = plan.group_weights.size > 0
+        if speculative:
+            group_sums = plan.group_weights @ sums  # (G, m*S*F)
+            saturated = group_sums < low
+            saturated |= group_sums > high
+            failures = [np.count_nonzero(group) for group in saturated]
+            stats.adc_converts_speculative += saturated.size
+            stats.speculation_slots += saturated.size
+            stats.speculation_failures += int(sum(failures))
+            recoveries = int(np.dot(failures, plan.group_widths))
+            stats.adc_converts_recovery += recoveries
+            stats.fidelity_loss_opportunities += recoveries
         else:  # bit-serial: every column converts in every phase
-            stats.adc_converts_serial += products.size
-            stats.fidelity_loss_events += int(saturated.sum())
-            stats.fidelity_loss_opportunities += products.size
-        products *= plan.scales.astype(products.dtype, copy=False)
-        return products.sum(axis=(0, 2), dtype=np.float64)
+            stats.adc_converts_serial += sums.size
+            stats.fidelity_loss_opportunities += sums.size
+        if not np.count_nonzero(clipped):
+            return
+        clipped_planes, positions = np.divmod(np.flatnonzero(clipped), sums.shape[1])
+        values = sums[clipped_planes, positions].astype(np.float64)
+        loss = values - np.clip(values, low, high)
+        if speculative:  # a recovery plane converts only if its group failed
+            loss *= saturated[plan.plane_group[clipped_planes], positions]
+        stats.fidelity_loss_events += int(np.count_nonzero(loss))
+        shape = (codes.shape[0], plan.n_slices, plan.n_filters)
+        rows, slices, filters = np.unravel_index(positions, shape)
+        loss *= plan.loss_scales[clipped_planes, slices]
+        analog -= np.bincount(
+            rows * plan.n_filters + filters, loss, minlength=analog.size
+        ).reshape(analog.shape)
 
     def _batched_phase_sums(
         self, codes: np.ndarray, chunk_index: int
@@ -271,10 +253,12 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         plan = self.layer_plan
         operands = plan.operands[chunk_index]
         m = codes.shape[0]
-        _, phase_tensor, products = self._phase_products(codes, chunk_index)
+        phase_tensor = slice_phases(codes, plan.phase_shifts, plan.phase_masks)
+        flat = phase_tensor.reshape(-1, codes.shape[1]).astype(operands.dtype)
         # Float32 products are exact integers within float32's mantissa;
         # widening is lossless and keeps the ADC/noise stages on float64.
-        products = np.asarray(products, dtype=np.float64)
+        products = np.asarray(flat @ operands.weights, dtype=np.float64)
+        products = products.reshape(plan.n_phases, m, -1)
         # Per-phase input pulses and the rows' pulse totals per phase.
         phase_row_pulses = phase_tensor.sum(axis=1, dtype=np.int64)
         pulses = phase_row_pulses.sum(axis=1)

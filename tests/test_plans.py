@@ -205,19 +205,109 @@ class TestCompiledLayerPlan:
         )
         plan = VectorizedLayerExecutor(tiny_linear_layer, serial).layer_plan
         assert plan.n_phases == 4
-        assert plan.spec_indices.size == 0
-        assert plan.mode is SpeculationMode.BIT_SERIAL
+        assert plan.input_plan.mode is SpeculationMode.BIT_SERIAL
+        # A bit-serial plan GEMMs its own phases and has no speculative groups.
+        assert plan.n_planes == 4
+        assert np.array_equal(plan.plane_shifts, plan.phase_shifts)
+        assert np.array_equal(plan.plane_masks, plan.phase_masks)
+        assert plan.group_weights.shape == (0, 4)
+        assert plan.plane_group.size == plan.group_widths.size == 0
+
+
+def calibrated_linear(rng, n_out: int, n_in: int, batch: int = 24):
+    """A calibrated linear layer and a batch of its input codes."""
+    from repro.nn.layers import Linear
+    from repro.nn.synthetic import synthetic_linear_weights
+
+    layer = Linear("plane_fc", synthetic_linear_weights(n_out, n_in, rng, std=0.2))
+    inputs = np.abs(rng.normal(0, 1, size=(32, n_in)))
+    layer.calibrate(inputs, layer.forward_float(inputs))
+    return layer, layer.input_quant.quantize(np.abs(rng.normal(0, 1, (batch, n_in))))
+
+
+class TestBitPlaneKernel:
+    """The planned kernel: bit-plane GEMM plus exact-product reassembly."""
+
+    def test_speculative_plan_gemms_eight_bit_planes(
+        self, tiny_linear_layer, tiny_patches, monkeypatch
+    ):
+        from repro.runtime import vectorized
+
+        planned = VectorizedLayerExecutor(tiny_linear_layer, PimLayerConfig())
+        plan = planned.layer_plan
+        assert plan.n_phases == 11 and plan.n_planes == 8
+        assert list(plan.plane_shifts) == [7, 6, 5, 4, 3, 2, 1, 0]
+        assert set(plan.plane_masks) == {1}
+        assert plan.group_weights.shape == (3, 8)
+        extracted = []
+        slice_phases = vectorized.slice_phases
+
+        def spy(codes, shifts, masks):
+            tensor = slice_phases(codes, shifts, masks)
+            extracted.append(tensor.shape)
+            return tensor
+
+        monkeypatch.setattr(vectorized, "slice_phases", spy)
+        planned.matmul(tiny_patches)
+        assert extracted == [(8, tiny_patches.shape[0], tiny_patches.shape[1])]
+
+    def test_many_corrections_inside_one_tile(self, rng):
+        """A 512-row layer on a 3-bit ADC clips planes all over one tile."""
+        from repro.runtime.vectorized import TILE_ELEMENTS
+
+        layer, codes = calibrated_linear(rng, 8, 512)
+        config = PimLayerConfig(adc_bits=3)
+        planned = VectorizedLayerExecutor(layer, config, weight_cache=None)
+        plan = planned.layer_plan
+        per_row = plan.n_planes * (512 + plan.operands[0].n_columns)
+        assert TILE_ELEMENTS // per_row >= codes.shape[0]  # a single tile
+        reference = PimLayerExecutor(layer, config)
+        assert_same_bytes(planned.matmul(codes), reference.matmul(codes))
+        assert_stats_equal(planned.stats, reference.stats)
+        assert planned.stats.fidelity_loss_events > codes.shape[0]
+
+    def test_failed_speculation_without_lossy_positions(self, rng):
+        """Speculation fails, yet no recovery plane leaves the ADC range:
+        the exact product alone is the output."""
+        layer, codes = calibrated_linear(rng, 8, 16)
+        config = PimLayerConfig(adc_bits=6)
+        planned = VectorizedLayerExecutor(layer, config, weight_cache=None)
+        reference = PimLayerExecutor(layer, config)
+        assert_same_bytes(planned.matmul(codes), reference.matmul(codes))
+        assert_stats_equal(planned.stats, reference.stats)
+        assert planned.stats.speculation_failures > 0
+        assert planned.stats.fidelity_loss_events == 0
+
+    def test_float64_exact_product(self, rng):
+        """Unsigned 512-row weights overflow float32's exact range in the
+        shifted-together operand, which then stays float64."""
+        from repro.core.center_offset import WeightEncoding
+
+        layer, codes = calibrated_linear(rng, 8, 600)
+        config = PimLayerConfig(
+            weight_encoding=WeightEncoding.UNSIGNED, adc_signed=False
+        )
+        planned = VectorizedLayerExecutor(layer, config, weight_cache=None)
+        operands = planned.layer_plan.operands
+        assert [o.combined.dtype for o in operands] == [np.float64, np.float32]
+        reference = PimLayerExecutor(layer, config)
+        assert_same_bytes(planned.matmul(codes), reference.matmul(codes))
+        assert_stats_equal(planned.stats, reference.stats)
+
+    def test_uneven_plane_tiles(self, tiny_linear_layer, tiny_patches, monkeypatch):
+        from repro.runtime import vectorized
+
+        planned = VectorizedLayerExecutor(tiny_linear_layer, PimLayerConfig())
+        plan = planned.layer_plan
+        per_row = plan.n_planes * (24 + plan.operands[0].n_columns)
+        monkeypatch.setattr(vectorized, "TILE_ELEMENTS", 5 * per_row)
+        assert tiny_patches.shape[0] % 5
+        reference = PimLayerExecutor(tiny_linear_layer, PimLayerConfig())
+        assert_same_bytes(planned.matmul(tiny_patches), reference.matmul(tiny_patches))
+        assert_stats_equal(planned.stats, reference.stats)
 
 
 class TestModelPlan:
-    def test_split_points(self, tiny_mlp_model):
-        plan = compile_model_plan(tiny_mlp_model, micro_batch=4)
-        assert plan.split_points(3) == ()
-        assert plan.split_points(4) == ()
-        assert plan.split_points(10) == (4, 8)
-        unbounded = compile_model_plan(tiny_mlp_model)
-        assert unbounded.split_points(100) == ()
-
     def test_layer_plans_cover_matmul_layers(self, tiny_mlp_model):
         plan = compile_model_plan(tiny_mlp_model)
         for layer in tiny_mlp_model.matmul_layers():

@@ -277,7 +277,9 @@ class TestPlannedExecutorProperties:
     exact, narrow ``uint8`` phase extraction and per-code pulse counting.
     None of that may move a bit of the output or of any statistics counter,
     for any configuration -- including codes wider than ``input_bits``,
-    whose extra high bits no phase reads.
+    whose extra high bits no phase reads (a 6-bit schedule with 12-bit codes
+    pins the input-bit mask of the exact product), and wide layers whose
+    several row chunks may mix float32 and float64 exact products.
     """
 
     @staticmethod
@@ -289,6 +291,7 @@ class TestPlannedExecutorProperties:
             weight_encoding=encoding,
             weight_slicing=weight_slicing,
             speculation=mode,
+            input_bits=input_slicing.total_bits,
         )
         if mode is SpeculationMode.BIT_SERIAL:
             return PimLayerConfig(serial_input_slicing=input_slicing, **kwargs)
@@ -303,6 +306,7 @@ class TestPlannedExecutorProperties:
                 Slicing((4, 4)),
                 Slicing((2, 2, 2, 2)),
                 Slicing((1,) * 8),
+                Slicing((4, 2)),
             ]
         ),
         rows=st.sampled_from([3, 7, 16, 512]),
@@ -313,6 +317,7 @@ class TestPlannedExecutorProperties:
         ),
         code_bits=st.sampled_from([8, 12]),
         signed=st.booleans(),
+        wide=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_default_executor_matches_oracle_bit_for_bit(
@@ -326,12 +331,14 @@ class TestPlannedExecutorProperties:
         weight_slicing,
         code_bits,
         signed,
+        wide,
     ):
         from repro.runtime import VectorizedLayerExecutor, extract_phase_tensor
         from tests.test_runtime_engine import assert_stats_equal
 
         rng = np.random.default_rng(seed)
-        n_in, n_out, m = rng.integers(1, 40), rng.integers(1, 12), rng.integers(1, 9)
+        n_in = rng.integers(513, 1100) if wide else rng.integers(1, 40)
+        n_out, m = rng.integers(1, 12), rng.integers(1, 9)
         layer = Linear("prop_exec_fc", rng.normal(0, 0.15, size=(n_out, n_in)))
         inputs = np.abs(rng.normal(0, 1, size=(8, n_in)))
         layer.calibrate(inputs, layer.forward_float(inputs))

@@ -440,8 +440,11 @@ class TestCrashedReplicaTraces:
         self, tiny_mlp_model, rng
     ):
         tracer = Tracer(sample_rate=1.0)
-        inputs = np.abs(rng.normal(0, 1, size=(4096, 16)))
-        policy = BatchingPolicy(max_batch_size=4096, max_delay_s=0.001)
+        # Large enough that the batch is still running when the 20 ms poll
+        # below sees it in flight (the planned kernel runs this MLP at a few
+        # microseconds per sample).
+        inputs = np.abs(rng.normal(0, 1, size=(32768, 16)))
+        policy = BatchingPolicy(max_batch_size=32768, max_delay_s=0.001)
         with ModelRegistry() as registry:
             pool = registry.register(
                 "mlp", tiny_mlp_model, backend="process", replicas=2
@@ -469,7 +472,7 @@ class TestCrashedReplicaTraces:
                 os.kill(busy, signal.SIGKILL)
                 runner.join(timeout=60)
                 assert not runner.is_alive()
-                assert results["outputs"].shape == (4096, 4)
+                assert results["outputs"].shape == (32768, 4)
         events = tracer.recorder.trace_events(decision.trace_id)
         engines = [e for e in events if e["name"] == "engine"]
         statuses = {e["args"]["status"] for e in engines}
