@@ -19,11 +19,12 @@ that motivated :mod:`repro.runtime.plan`.  Two claims are enforced:
   vectorized engine, which ran the storm ~2.3x faster than the oracle:
   1.3x that engine is ~3x the oracle, and one of its batches is ~0.43 of
   an oracle batch.
-* **Output pooling.**  A process-backed engine hands results out as
+* **Output pooling.**  An engine worker process hands results out as
   zero-copy views of pooled worker-owned shared-memory slots; the same
   round trip with ``copy_outputs`` (the old materialise-per-reply
   behaviour) must not be faster -- the measured per-round-trip delta is the
-  memcpy the pool deletes.
+  memcpy the pool deletes.  This runs on a bare :class:`EngineWorker`, so it
+  times the transport alone.
 
 Plans change scheduling and layout only, never arithmetic, so every
 comparison here doubles as a bit-identity regression test across the
@@ -33,6 +34,7 @@ thread and process backends.
 from __future__ import annotations
 
 import os
+import sys
 import time
 
 import numpy as np
@@ -43,9 +45,11 @@ from repro.nn.layers import Linear
 from repro.nn.model import QuantizedModel
 from repro.nn.synthetic import synthetic_linear_weights
 from repro.runtime import (
+    EngineSpec,
+    EngineWorker,
     ExecutorPool,
     NetworkEngine,
-    ProcessEngine,
+    ReplicaPool,
     compile_model_plan,
 )
 
@@ -117,7 +121,7 @@ def plan_setup():
     planned_pool = ExecutorPool()
     plan = compile_model_plan(model, pool=planned_pool)
     planned = NetworkEngine.build(model, pool=planned_pool, plan=plan)
-    process = ProcessEngine.launch(model, plan=plan)
+    process = ReplicaPool.launch(model, replicas=1, plan=plan)
     for engine in (reference, planned, process):
         engine.run(requests[0])  # warm every path outside the timed regions
     yield model, plan, reference, planned, process, requests
@@ -212,21 +216,30 @@ def test_output_pooling_roundtrip_delta(benchmark):
     ratio_bar = float(os.environ.get("MAX_POOLED_RTT_RATIO", "1.05"))
     model = build_wide_model()
     plan = compile_model_plan(model)
-    engine = ProcessEngine.launch(model, plan=plan)
+    worker = EngineWorker(EngineSpec(model, plan=plan, sys_path=tuple(sys.path)))
     inputs = np.abs(np.random.default_rng(1).normal(0, 1, size=(256, 32)))
+
+    def run() -> np.ndarray:
+        # A plain run request: no return_codes, no micro_batch override,
+        # no trace context.
+        outputs, _meta = worker.request(
+            "run", array=inputs, extra=(False, False, None, None)
+        )
+        return outputs
+
     try:
-        engine.run(inputs)  # warm the worker and both transport directions
+        run()  # warm the worker and both transport directions
 
         timings = {False: [], True: []}  # copy_outputs -> round-trip times
         for order in [(False, True), (True, False)] * ROUND_TRIP_PAIRS:
             for copy_outputs in order:
-                engine.worker.copy_outputs = copy_outputs
+                worker.copy_outputs = copy_outputs
                 start = time.perf_counter()
-                engine.run(inputs)
+                run()
                 timings[copy_outputs].append(time.perf_counter() - start)
         pooled, copied = (np.percentile(timings[mode], 25) for mode in (False, True))
-        engine.worker.copy_outputs = False
-        pooled_view = engine.run(inputs)
+        worker.copy_outputs = False
+        pooled_view = run()
         assert not pooled_view.flags.writeable  # zero-copy pool view
         benchmark.extra_info["pooled_rtt_ms"] = round(pooled * 1e3, 3)
         benchmark.extra_info["copy_rtt_ms"] = round(copied * 1e3, 3)
@@ -237,4 +250,4 @@ def test_output_pooling_roundtrip_delta(benchmark):
             f"copying replies ({copied * 1e3:.3f} ms)"
         )
     finally:
-        engine.close()
+        worker.close()

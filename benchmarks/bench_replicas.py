@@ -1,7 +1,7 @@
 """Throughput benchmark of N-way replica pools vs. a single process worker.
 
-Not a paper artifact: this tracks the ROADMAP follow-up that turned
-:class:`~repro.runtime.procpool.ProcessEngine` into
+Not a paper artifact: this tracks the ROADMAP follow-up that grew the
+single-worker process backend into an N-way
 :class:`~repro.runtime.ReplicaPool`.  A single worker process serialises one
 model's batches end to end; hosting the same model on two replicas
 (``ModelRegistry.register(..., backend="process", replicas=2)``) lets the

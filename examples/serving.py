@@ -10,20 +10,19 @@ back per request.  This example shows:
 1. hosting two tenants side by side (twin tenants share encoded crossbars),
 2. concurrent clients hammering the server while the scheduler coalesces,
 3. the throughput win over naive one-request-at-a-time serving,
-4. pipelined layer-sharded execution (:class:`~repro.serve.ShardedEngine`),
-5. hardware-grounded telemetry (:mod:`repro.telemetry`): per-request
+4. hardware-grounded telemetry (:mod:`repro.telemetry`): per-request
    energy/latency accounting from the paper's cost models, SLO-tagged
    requests, and the per-tenant aggregate / Prometheus exports,
-6. process-based engine workers (``backend="process"``): each model in its
+5. process-based engine workers (``backend="process"``): each model in its
    own process behind a zero-copy shared-memory request path, sidestepping
    the GIL so CPU-bound tenants execute truly in parallel,
-7. replicated self-healing pools (``replicas=2``): one hot model on two
+6. replicated self-healing pools (``replicas=2``): one hot model on two
    worker processes with least-loaded dispatch, surviving a SIGKILL of a
    replica without losing a single request,
-8. end-to-end request tracing (:mod:`repro.telemetry.tracing`): per-request
+7. end-to-end request tracing (:mod:`repro.telemetry.tracing`): per-request
    span trees in a flight recorder (dump in Perfetto), plus the collector's
    latency histograms answering p50/p99 queries,
-9. energy-aware heterogeneous fleets (:mod:`repro.serve.fleet`): one logical
+8. energy-aware heterogeneous fleets (:mod:`repro.serve.fleet`): one logical
    model hosted as a fast (ISAAC) and a low-power (RAELLA) variant, with the
    router placing slack-rich batches on the cheap variant -- per-request
    modeled energy drops ~55% whenever the deadline allows,
@@ -44,7 +43,7 @@ from repro.hw import RAELLA_ARCH
 from repro.nn.layers import Linear
 from repro.nn.model import QuantizedModel
 from repro.nn.synthetic import synthetic_linear_weights
-from repro.serve import BatchingPolicy, InferenceServer, ModelRegistry, ShardedEngine
+from repro.serve import BatchingPolicy, InferenceServer, ModelRegistry
 from repro.telemetry import TelemetryCollector, Tracer
 
 
@@ -63,7 +62,7 @@ def main() -> None:
     print("== 1. Host two tenants in one registry ==")
     registry = ModelRegistry()  # shared pool + weight cache, float32 fast path
     # arch= builds each tenant's CostModel (per-layer energy/latency tables
-    # on the paper's RAELLA architecture) for the telemetry in section 5.
+    # on the paper's RAELLA architecture) for the telemetry in section 4.
     registry.register("tenant_a", make_model("model_a", seed=1), arch=RAELLA_ARCH)
     registry.register("tenant_b", make_model("model_b", seed=2), arch=RAELLA_ARCH)
     print(f"  models: {registry.names()}, pooled executors: {len(registry.pool)}")
@@ -110,20 +109,7 @@ def main() -> None:
             raise SystemExit("served result diverged from direct engine call")
     print(f"  all {total} results bit-identical to NetworkEngine.run")
 
-    print("\n== 4. Layer-pipeline sharding (bit-identical) ==")
-    model = registry.model("tenant_a")
-    sharded = ShardedEngine.build(
-        model, micro_batch=8, pool=registry.pool, float32=True
-    )
-    inputs = np.abs(rng.normal(0, 1, size=(64, 96)))
-    sequential = registry.engine("tenant_a").run(inputs)
-    pipelined = sharded.run(inputs)
-    print(f"  {len(sharded.stage_groups())} pipeline stages, outputs identical: "
-          f"{np.array_equal(sequential, pipelined)}")
-    if not np.array_equal(sequential, pipelined):
-        raise SystemExit("sharded engine diverged from the sequential engine")
-
-    print("\n== 5. Hardware-grounded telemetry and SLO-tagged requests ==")
+    print("\n== 4. Hardware-grounded telemetry and SLO-tagged requests ==")
     cost = registry.cost_model("tenant_a")
     print(f"  tenant_a cost tables: {cost.energy_per_sample_uj:.4f} uJ/sample, "
           f"{cost.single_sample_latency_us:.2f} us/sample modeled")
@@ -167,7 +153,7 @@ def main() -> None:
     for line in prometheus[:6]:
         print(f"    {line}")
 
-    print("\n== 6. Process-based engine workers (zero-copy transport) ==")
+    print("\n== 5. Process-based engine workers (zero-copy transport) ==")
     # backend="process" hosts each tenant in its own worker process: the
     # worker rebuilds the engine from a pickled spec and serves run() calls
     # over shared-memory blocks, so two CPU-bound tenants no longer share
@@ -189,7 +175,7 @@ def main() -> None:
               f"bit-identical={np.array_equal(served, direct)}")
     proc_registry.close()  # clean worker shutdown (also wired to unregister)
 
-    print("\n== 7. Replicated self-healing worker pools ==")
+    print("\n== 6. Replicated self-healing worker pools ==")
     # replicas=2 hosts one model on two worker processes behind a single
     # engine facade: concurrent batches dispatch to the least-loaded healthy
     # replica, and a crashed replica's in-flight batch requeues onto its
@@ -220,7 +206,7 @@ def main() -> None:
         raise SystemExit("replicated pool outputs diverged after the kill")
     pool_registry.close()  # drains and shuts down every replica
 
-    print("\n== 8. Request tracing, latency quantiles, flight recorder ==")
+    print("\n== 7. Request tracing, latency quantiles, flight recorder ==")
     # A Tracer hands every sampled request a span tree -- admission, queue
     # wait, dispatch, engine execution, completion -- and finished traces
     # land in a bounded flight recorder ring dumpable as Chrome trace JSON.
@@ -248,7 +234,7 @@ def main() -> None:
     print(f"  flight recorder: {len(tracer.recorder)} events, "
           f"{len(dump)} bytes of Chrome trace JSON (load in Perfetto)")
 
-    print("\n== 9. Energy-aware heterogeneous fleet routing ==")
+    print("\n== 8. Energy-aware heterogeneous fleet routing ==")
     # One logical model, two architecture variants: ISAAC is ~1.4x faster
     # per sample (modeled), RAELLA ~55% cheaper.  register_fleet groups
     # them under one servable name and the router places each batch on the

@@ -19,9 +19,10 @@ The package is organised as:
   phase GEMMs (float32 wherever provably exact), encoded-weight caching,
   executor pooling and the :class:`~repro.runtime.NetworkEngine`
   batched-inference front end.
-* :mod:`repro.serve`      -- multi-tenant serving: model registry, dynamic
-  micro-batching inference server with SLO-aware (priority/deadline)
-  scheduling, layer-pipeline sharded engine.
+* :mod:`repro.serve`      -- multi-tenant serving: model registry with
+  thread or replicated process backends, dynamic micro-batching inference
+  server with SLO-aware (priority/deadline) scheduling, admission control,
+  fleet routing and the asyncio/HTTP front doors.
 * :mod:`repro.telemetry`  -- hardware-grounded serving telemetry: per-layer
   energy/latency cost tables bridged from :mod:`repro.hw`, per-request
   traces and per-tenant aggregates with JSON/Prometheus export.

@@ -16,13 +16,12 @@ batched engine while staying bit-identical to the per-phase reference:
   :func:`float32_gemm_is_exact` proves the accumulation fits float32's
   24-bit mantissa (``float32=False`` forces float64).
 * :mod:`repro.runtime.plan` compiles the whole derivation -- slicing extents,
-  phase-extraction tables, the per-code pulse table, GEMM operand views with
-  proven dtypes, speculation gather tables, noise-draw layout, micro-batch
-  split points -- into per-layer plans, compiled when each executor is
-  built, and a pickle-able :class:`ModelPlan` per ``(model, config, noise,
-  float32)``: noiseless executors collapse the per-phase ADC/speculation
-  loop into whole-tensor operations, and replica workers boot from the
-  shipped plan without re-encoding weights.
+  bit-plane and phase-extraction tables, the per-code pulse table, GEMM
+  operand views with proven dtypes -- into per-layer plans, compiled when
+  each executor is built, and a pickle-able :class:`ModelPlan` per
+  ``(model, config, noise, float32)``: noiseless executors collapse the
+  per-phase ADC/speculation loop into whole-tensor operations, and replica
+  workers boot from the shipped plan without re-encoding weights.
 * :mod:`repro.runtime.cache` shares encoded weights across executor instances
   and pools executors per layer so repeated experiments do not re-program
   crossbars.
@@ -33,10 +32,10 @@ batched engine while staying bit-identical to the per-phase reference:
   sidestepping the GIL for the digital stages; request/response arrays
   travel through shared-memory blocks with a framed header instead of the
   pickler, and results stay bit-identical to the in-process engine.
-  :class:`ProcessEngine` fronts a single :class:`EngineWorker`;
-  :class:`ReplicaPool` fronts N of them behind one engine interface, with
-  least-loaded dispatch, liveness probes and automatic restart of crashed
-  replicas (:class:`WorkerHandle` per slot).
+  :class:`EngineWorker` is one worker process; :class:`ReplicaPool` fronts
+  N >= 1 of them behind one engine interface, with least-loaded dispatch,
+  liveness probes and automatic restart of crashed replicas
+  (:class:`WorkerHandle` per slot).
 
 Quickstart::
 
@@ -65,7 +64,6 @@ from repro.runtime.plan import (
 from repro.runtime.procpool import (
     EngineSpec,
     EngineWorker,
-    ProcessEngine,
     RemoteEngineError,
     ReplicaPool,
     WorkerClosedError,
@@ -85,7 +83,6 @@ __all__ = [
     "ModelPlan",
     "ModelPlanCache",
     "NetworkEngine",
-    "ProcessEngine",
     "RemoteEngineError",
     "ReplicaPool",
     "VectorizedLayerExecutor",

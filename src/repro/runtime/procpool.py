@@ -30,13 +30,12 @@ module moves each engine into its own *process*:
   with least-loaded dispatch, periodic liveness probes, automatic restart
   of crashed replicas (their in-flight batch is requeued onto a sibling),
   and rolling replace so a model stays serveable while it is re-registered.
-  :class:`ProcessEngine` remains as the single-worker facade for direct
-  use and benchmarking.
+  One replica (``replicas=1``) is the single-worker process backend.
 
 Outputs are bit-identical to the in-process engine (same pickled weights,
 same seeded noise state, same micro-batching).  Pools hosting a *stateful*
 noise model pin all dispatch to one replica so the seeded RNG draw order
-matches the single-worker backend exactly.
+matches the in-process engine exactly.
 
 Each worker pins its BLAS/OpenMP thread pools (``OMP_NUM_THREADS`` /
 ``OPENBLAS_NUM_THREADS`` / ``MKL_NUM_THREADS``, via
@@ -69,7 +68,6 @@ from repro.nn.model import QuantizedModel
 __all__ = [
     "EngineSpec",
     "EngineWorker",
-    "ProcessEngine",
     "RemoteEngineError",
     "ReplicaPool",
     "WorkerCrashError",
@@ -867,9 +865,9 @@ def _notify_completion(callbacks: list[Callable[[dict], None]], event: dict) -> 
 
     The event dict carries ``model`` (name), ``n_samples`` (batch size),
     ``engine_time_s`` (worker-measured engine seconds), ``replica`` (the
-    slot index that executed the batch, or ``None`` for a single worker)
-    and ``requeues`` (crash-retries before the batch succeeded).  Callback
-    exceptions are logged and swallowed, same contract as
+    slot index, as a string, that executed the batch) and ``requeues``
+    (crash-retries before the batch succeeded).  Callback exceptions are
+    logged and swallowed, same contract as
     :meth:`InferenceFuture.add_done_callback
     <repro.serve.scheduler.InferenceFuture.add_done_callback>`.
     """
@@ -880,230 +878,13 @@ def _notify_completion(callbacks: list[Callable[[dict], None]], event: dict) -> 
             logging.getLogger(__name__).exception("engine completion callback raised")
 
 
-class ProcessEngine:
-    """A :class:`NetworkEngine`-shaped facade over one :class:`EngineWorker`.
-
-    Built via :meth:`launch`; bit-identical to the in-process engine the
-    worker hosts (same pickled weights and calibration, same seeded noise
-    state, same micro-batching).  ``worker_owns_state`` tells the serving
-    layer that all mutable engine state lives worker-side, so no executor
-    locks are needed -- per-model request serialisation happens on the
-    worker's pipe instead.
-    """
-
-    #: Serving-layer contract: every executor/noise object lives in the
-    #: worker process, so dispatch must not (and cannot) take executor locks.
-    worker_owns_state = True
-
-    def __init__(self, model: QuantizedModel, worker: EngineWorker):
-        self.model = model
-        self.worker = worker
-        self._run_probes: list[Callable[[int, float], None]] = []
-        self._completion_callbacks: list[Callable[[dict], None]] = []
-
-    @classmethod
-    def launch(
-        cls,
-        model: QuantizedModel,
-        config: PimLayerConfig | None = None,
-        noise: NoiseModel | None = None,
-        micro_batch: int | None = None,
-        float32: bool = True,
-        start_method: str | None = None,
-        blas_threads: int | None = 1,
-        start_timeout_s: float = _BOOT_TIMEOUT_S,
-        shutdown_timeout_s: float = _SHUTDOWN_TIMEOUT_S,
-        plan=None,
-    ) -> "ProcessEngine":
-        """Start a worker process hosting this model and wait until ready.
-
-        ``plan`` ships a compiled :class:`~repro.runtime.plan.ModelPlan` to
-        the worker, which then boots its executors from the plan's
-        pre-encoded chunks instead of re-encoding weights.
-
-        Raises :class:`ValueError` when the spec does not pickle, and
-        re-raises worker-side build failures (e.g. an uncalibrated model)
-        in the caller.
-        """
-        if not model.is_calibrated:
-            raise ValueError(f"model {model.name!r} must be calibrated first")
-        spec = EngineSpec(
-            model=model,
-            config=config,
-            noise=noise,
-            micro_batch=micro_batch,
-            float32=float32,
-            sys_path=tuple(sys.path),
-            blas_threads=blas_threads,
-            plan=plan,
-        )
-        worker = EngineWorker(
-            spec,
-            start_method=start_method,
-            start_timeout_s=start_timeout_s,
-            shutdown_timeout_s=shutdown_timeout_s,
-        )
-        return cls(model, worker)
-
-    @property
-    def closed(self) -> bool:
-        """Whether the worker has been shut down."""
-        return self.worker.closed
-
-    # -- execution ------------------------------------------------------------
-
-    def run_timed(
-        self,
-        inputs: np.ndarray,
-        return_codes: bool = False,
-        micro_batch: int | None = _USE_DEFAULT,
-        *,
-        trace_ctx: tuple | None = None,
-        span_sink: list | None = None,
-    ) -> tuple[np.ndarray, float, list[tuple[int, float]]]:
-        """Run remotely -> ``(outputs, worker engine seconds, run records)``.
-
-        The timing and the ``(n_samples, elapsed_s)`` records are measured
-        *inside* the worker around the engine call, so telemetry calibration
-        sees pure engine time, never pipe/shared-memory overhead.
-
-        ``trace_ctx`` (a tuple of trace ids) propagates distributed-trace
-        context into the worker; with it set, ``span_sink`` (a plain list)
-        receives span dicts for this call: a parent-side ``worker_ipc`` span
-        wrapping the round trip and the worker-side ``engine`` span shipped
-        back in the reply meta.  Both default to off and cost nothing.
-        """
-        batch = np.asarray(inputs, dtype=np.float64)
-        has_override = micro_batch is not _USE_DEFAULT
-        ipc_start = time.monotonic()
-        outputs, meta = self.worker.request(
-            "run",
-            array=batch,
-            extra=(
-                return_codes,
-                has_override,
-                micro_batch if has_override else None,
-                trace_ctx,
-            ),
-        )
-        if span_sink is not None:
-            span_sink.append(
-                {
-                    "name": "worker_ipc",
-                    "start_s": ipc_start,
-                    "end_s": time.monotonic(),
-                    "replica": None,
-                    "status": "ok",
-                }
-            )
-            span_sink.extend(
-                {**span, "replica": None, "status": "ok"}
-                for span in meta.get("spans", ())
-            )
-        for n_samples, elapsed_s in meta["records"]:
-            for probe in list(self._run_probes):
-                probe(n_samples, elapsed_s)
-        _notify_completion(
-            self._completion_callbacks,
-            {
-                "model": self.model.name,
-                "n_samples": int(batch.shape[0]),
-                "engine_time_s": float(meta["engine_time_s"]),
-                "replica": None,
-                "requeues": 0,
-            },
-        )
-        return outputs, meta["engine_time_s"], list(meta["records"])
-
-    def run(
-        self,
-        inputs: np.ndarray,
-        return_codes: bool = False,
-        micro_batch: int | None = _USE_DEFAULT,
-    ) -> np.ndarray:
-        """Run the integer path end-to-end in the worker process."""
-        outputs, _elapsed, _records = self.run_timed(
-            inputs, return_codes=return_codes, micro_batch=micro_batch
-        )
-        return outputs
-
-    def predict(
-        self, inputs: np.ndarray, micro_batch: int | None = _USE_DEFAULT
-    ) -> np.ndarray:
-        """Class predictions from the worker-hosted integer path."""
-        return np.argmax(self.run(inputs, micro_batch=micro_batch), axis=-1)
-
-    # -- probes / statistics ---------------------------------------------------
-
-    def add_run_probe(
-        self, probe: Callable[[int, float], None]
-    ) -> Callable[[int, float], None]:
-        """Attach a ``probe(n_samples, worker_elapsed_s)`` run callback."""
-        self._run_probes.append(probe)
-        return probe
-
-    def remove_run_probe(self, probe: Callable[[int, float], None]) -> None:
-        """Detach a probe previously added with :meth:`add_run_probe`."""
-        self._run_probes.remove(probe)
-
-    def add_completion_callback(
-        self, callback: Callable[[dict], None]
-    ) -> Callable[[dict], None]:
-        """Attach a batch-completion callback (see :func:`_notify_completion`).
-
-        Fired once per successful ``run``/``run_timed`` on the calling
-        thread, with a dict carrying ``model``, ``n_samples``,
-        ``engine_time_s``, ``replica`` (always ``None`` for a single
-        worker) and ``requeues`` (always ``0``).  This is the hook the
-        asyncio front door's observers and the fault-injection tests use to
-        watch batch completions without wrapping the engine.
-        """
-        self._completion_callbacks.append(callback)
-        return callback
-
-    def remove_completion_callback(self, callback: Callable[[dict], None]) -> None:
-        """Detach a callback added with :meth:`add_completion_callback`."""
-        self._completion_callbacks.remove(callback)
-
-    def layer_statistics(self) -> dict[str, LayerStatistics]:
-        """Per-layer statistics accumulated by the worker-side executors."""
-        _none, meta = self.worker.request("layer_stats")
-        return meta["stats"]
-
-    def network_statistics(self) -> LayerStatistics:
-        """Network-wide totals (crossbar/column counts sum across layers)."""
-        total = LayerStatistics(layer_name=self.model.name)
-        for stats in self.layer_statistics().values():
-            total.merge_layers(stats)
-        return total
-
-    def reset_statistics(self) -> None:
-        """Clear accumulated statistics on every worker-side executor."""
-        self.worker.request("reset_stats")
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut the worker process down (idempotent)."""
-        self.worker.close()
-
-    def __enter__(self) -> "ProcessEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ProcessEngine(model={self.model.name!r}, worker={self.worker!r})"
-
-
 def _needs_pinning(noise: NoiseModel | None) -> bool:
     """Whether pool dispatch must stay on one replica for bit-identity.
 
     A stateful noise model draws from its own RNG stream, so the order of
     draws across batches is part of the bit-identity contract; fanning
     batches out over replicas (each holding its own unpickled copy of the
-    stream) would diverge from the single-worker backend.
+    stream) would diverge from the in-process engine's single stream.
     """
     return noise is not None and not isinstance(noise, NoiselessModel)
 
@@ -1179,13 +960,14 @@ class ReplicaPool:
     (:meth:`replace`), so the model never becomes unserveable.
 
     Bit-identity: every replica hosts the same pickled spec, so outputs
-    match the single-worker backend exactly.  Pools hosting a *stateful*
+    match the in-process engine exactly.  Pools hosting a *stateful*
     noise model pin all dispatch to one replica (``dispatch_width == 1``)
     so the seeded RNG draw order is preserved too.
     """
 
-    #: Serving-layer contract, same as :class:`ProcessEngine`: all mutable
-    #: engine state lives worker-side; dispatch takes no executor locks.
+    #: Serving-layer contract: every executor/noise object lives in a worker
+    #: process, so dispatch must not (and cannot) take executor locks --
+    #: per-replica request serialisation happens on each worker's pipe.
     worker_owns_state = True
 
     def __init__(
@@ -1405,19 +1187,27 @@ class ReplicaPool:
         """Run on a healthy replica -> ``(outputs, engine seconds, records)``.
 
         A replica that dies mid-batch surfaces here as a requeue: the batch
-        is retried on a sibling (the dead slot restarts in the background)
-        and only fails once every slot has rejected it.  Records are
+        is retried on a sibling -- or, in a one-replica pool, on the slot's
+        restarted worker -- while the dead slot restarts in the background,
+        and only fails once every attempt has been rejected.  Records are
         ``(n_samples, elapsed_s, replica)`` so telemetry can attribute
         engine time per replica.
 
-        With ``trace_ctx``/``span_sink`` set (see
-        :meth:`ProcessEngine.run_timed`), every *attempt* leaves a span in
-        the sink: a crashed attempt contributes an ``engine`` span with
-        ``status="crashed"`` attributed to the dead replica (timed
-        parent-side -- the worker never replied), and the successful attempt
-        contributes its ``worker_ipc`` span plus the worker-side ``engine``
-        span attributed to the sibling that actually served it.  That is how
-        a SIGKILL mid-batch stays visible in the request's trace.
+        The timing and records are measured *inside* the worker around the
+        engine call, so telemetry calibration sees pure engine time, never
+        pipe/shared-memory overhead.
+
+        ``trace_ctx`` (a tuple of trace ids) propagates distributed-trace
+        context into the worker; with it set, ``span_sink`` (a plain list)
+        receives span dicts for this call.  Both default to off and cost
+        nothing.  Every *attempt* leaves a span in the sink: a crashed
+        attempt contributes an ``engine`` span with ``status="crashed"``
+        attributed to the dead replica (timed parent-side -- the worker
+        never replied), and the successful attempt contributes its
+        ``worker_ipc`` span wrapping the round trip plus the worker-side
+        ``engine`` span, both attributed to the replica that actually served
+        it.  That is how a SIGKILL mid-batch stays visible in the request's
+        trace.
         """
         batch = np.asarray(inputs, dtype=np.float64)
         has_override = micro_batch is not _USE_DEFAULT

@@ -40,9 +40,6 @@ layer:
   :class:`RoutingObjective`: :class:`MinimizeEnergy`,
   :class:`MinimizeLatency`, :class:`PinVariant`), with per-variant backlog
   feedback so a saturated fast variant spills work to the low-power one.
-* :mod:`repro.serve.sharded` -- :class:`ShardedEngine` pipelines micro-batches
-  across layer stages in worker threads, bit-identical to the sequential
-  engine.
 * :mod:`repro.serve.aio` -- :class:`AsyncInferenceServer`, the asyncio front
   door: ``await submit(...)`` yields an awaitable admission decision, so
   tens of thousands of in-flight requests cost coroutines instead of
@@ -97,7 +94,6 @@ from repro.serve.server import (
     ServerStatistics,
     ServerStoppedError,
 )
-from repro.serve.sharded import ShardedEngine
 
 __all__ = [
     "AdmissionController",
@@ -123,5 +119,4 @@ __all__ = [
     "RoutingObjective",
     "ServerStatistics",
     "ServerStoppedError",
-    "ShardedEngine",
 ]

@@ -1,9 +1,10 @@
 """Multi-tenant model hosting behind one shared executor pool.
 
 :class:`ModelRegistry` holds several calibrated models side by side, each
-compiled into its own :class:`~repro.runtime.NetworkEngine` (or pipelined
-:class:`~repro.serve.sharded.ShardedEngine`), while every engine draws its
-executors from one shared :class:`~repro.runtime.ExecutorPool` and one shared
+compiled into its own :class:`~repro.runtime.NetworkEngine` (or, with
+``backend="process"``, a :class:`~repro.runtime.ReplicaPool` of worker
+processes), while every in-process engine draws its executors from one
+shared :class:`~repro.runtime.ExecutorPool` and one shared
 :class:`~repro.runtime.EncodedWeightCache`.  Tenants with identical layer
 weights (fine-tuned model families, A/B variants) therefore share encoded
 crossbars automatically, and re-registering a model after eviction re-uses its
@@ -15,13 +16,13 @@ always safe.
 
 Registration also compiles (and owns) each model's
 :class:`~repro.runtime.plan.ModelPlan`: the per-layer execution recipes --
-encoded chunks, phase index tables, GEMM operand views, speculation gather
-tables, micro-batch splits -- derived once and then *executed* by every
-engine kind.  Plans live in a :class:`~repro.runtime.ModelPlanCache` keyed by
-weight fingerprints plus the frozen config (the same discipline as the
-encoded-weight cache), so re-registering an unchanged model -- a
-thread<->process backend swap, a rolling ``replace`` -- reuses the exact plan
-object, while any weight or config change compiles a fresh one.
+encoded chunks, bit-plane and phase tables, GEMM operand views with proven
+dtypes -- derived once and then *executed* by both backends.  Plans live in
+a :class:`~repro.runtime.ModelPlanCache` keyed by weight fingerprints plus
+the frozen config (the same discipline as the encoded-weight cache), so
+re-registering an unchanged model -- a thread<->process backend swap, a
+rolling ``replace`` -- reuses the exact plan object, while any weight or
+config change compiles a fresh one.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from repro.runtime.engine import NetworkEngine
 from repro.runtime.plan import ModelPlan, compile_model_plan
 from repro.runtime.procpool import ReplicaPool
 from repro.runtime.vectorized import VectorizedLayerExecutor
-from repro.serve.sharded import ShardedEngine
 from repro.telemetry.cost import CostModel
 
 __all__ = ["ModelRegistry"]
@@ -90,8 +90,6 @@ class ModelRegistry:
         config: PimLayerConfig | None = None,
         noise: NoiseModel | None = None,
         micro_batch: int | None = None,
-        n_stages: int | None = None,
-        sharded: bool = False,
         float32: bool | None = None,
         arch: ArchitectureSpec | None = None,
         tenant: str | None = None,
@@ -101,10 +99,6 @@ class ModelRegistry:
         blas_threads: int | None = 1,
     ) -> NetworkEngine:
         """Host a calibrated model under ``name`` and return its engine.
-
-        ``sharded=True`` (or any explicit ``n_stages``) builds a pipelined
-        :class:`ShardedEngine`; both engine kinds are bit-identical, sharding
-        only changes how micro-batches overlap in time.
 
         ``backend="process"`` hosts the model in a self-healing
         :class:`~repro.runtime.ReplicaPool` of ``replicas`` worker processes
@@ -120,9 +114,7 @@ class ModelRegistry:
         the machine instead of oversubscribing it.  The workers are shut
         down cleanly by :meth:`unregister` (or :meth:`close`).  Process
         backends build their pool and weight cache worker-side, so they do
-        not share encodings with this registry's pool, and they do not
-        combine with ``sharded``/``n_stages`` (process parallelism replaces
-        thread pipelining).
+        not share encodings with this registry's pool.
 
         ``replace=True`` re-registers an existing name in place.  When the
         old and new backend are both ``"process"``, the new spec is *rolled*
@@ -150,8 +142,6 @@ class ModelRegistry:
             raise ValueError(f"model {model.name!r} must be calibrated first")
         if backend not in ("thread", "process"):
             raise ValueError(f"unknown backend {backend!r} (thread or process)")
-        if backend == "process" and (sharded or n_stages is not None):
-            raise ValueError("backend='process' does not combine with sharding")
         if replicas is not None and replicas < 1:
             raise ValueError("replicas must be >= 1")
         if replicas is not None and replicas > 1 and backend != "process":
@@ -174,9 +164,7 @@ class ModelRegistry:
                 self._reserved.add(name)
         try:
             cost_model = None if arch is None else CostModel.from_model(model, arch)
-            plan = self._compile_plan(
-                model, config, noise, use_float32, micro_batch, sharded or n_stages
-            )
+            plan = self._compile_plan(model, config, noise, use_float32, micro_batch)
             if rolling is not None:
                 rolling.replace(
                     model,
@@ -199,16 +187,6 @@ class ModelRegistry:
                     replicas=1 if replicas is None else replicas,
                     blas_threads=blas_threads,
                     plan=plan,
-                )
-            elif sharded or n_stages is not None:
-                engine: NetworkEngine = ShardedEngine.build(
-                    model,
-                    config,
-                    noise=noise,
-                    micro_batch=micro_batch,
-                    pool=self.pool,
-                    float32=use_float32,
-                    n_stages=n_stages,
                 )
             else:
                 engine = NetworkEngine.build(
@@ -255,22 +233,17 @@ class ModelRegistry:
         noise: NoiseModel | None,
         float32: bool,
         micro_batch: int | None,
-        sharded: object,
     ) -> ModelPlan | None:
         """Compile (or fetch from cache) the model's execution plan.
 
-        Returns ``None`` where plans do not apply: sharded engines slice the
-        model across stages (their executors still share the pool's weight
-        cache), and pools built around a non-vectorized executor factory
-        have nothing to plan.  The cache key is weight fingerprints + frozen
+        Returns ``None`` for pools built around a non-vectorized executor
+        factory: they have nothing to plan.  The cache key is weight fingerprints + frozen
         config, so a re-registration with unchanged weights and config --
         backend swap, rolling replace -- returns the *same* plan object,
         while a changed :class:`PimLayerConfig` or re-quantized weights
         compile a fresh one; an evicted/changed entry simply falls out of
         the LRU, no generation-wide invalidation is needed.
         """
-        if sharded:
-            return None
         if not issubclass(self.pool.executor_factory, VectorizedLayerExecutor):
             return None
         resolved_config = config if config is not None else PimLayerConfig()
@@ -288,7 +261,7 @@ class ModelRegistry:
         )
 
     def plan(self, name: str) -> ModelPlan | None:
-        """The compiled plan the named engine runs (``None`` for sharded)."""
+        """The compiled plan the named engine runs (``None`` on a non-vectorized pool)."""
         with self._lock:
             if name not in self._engines:
                 raise KeyError(f"no model registered under {name!r}")

@@ -19,7 +19,8 @@ whose slack has run out dispatches immediately, even with a partial batch.
 An aging rule bounds starvation: heads older than
 :attr:`BatchingPolicy.starvation_limit_s` are promoted into the top pending
 priority class, so best-effort work survives a saturated high-priority
-stream.  With no
+stream.  :func:`most_urgent` is that order, written once; the server's
+dispatch stage ranks formed batches with it too.  With no
 priorities, no deadlines, or SLO mode off, the scheduling decisions are
 exactly the FIFO ones.
 
@@ -40,7 +41,13 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["BatchingPolicy", "InferenceFuture", "InferenceRequest", "RequestQueue"]
+__all__ = [
+    "BatchingPolicy",
+    "InferenceFuture",
+    "InferenceRequest",
+    "RequestQueue",
+    "most_urgent",
+]
 
 #: Estimator signature: (model_name, queued_samples) -> predicted batch
 #: latency in seconds, or None when the model has no prediction.
@@ -102,6 +109,37 @@ class BatchingPolicy:
             return self.max_delay_s
         headroom = 1.0 - min(queued_samples / self.max_batch_size, 1.0)
         return self.max_delay_s * headroom
+
+
+def most_urgent(candidates: list[tuple], now: float, starvation_limit_s: float) -> str:
+    """The name of the most urgent candidate under the one urgency order.
+
+    ``candidates`` is a non-empty list of ``(name, priority, enqueued_at,
+    secondary, tiebreak)`` tuples, one per model competing for a dispatch.
+    The order is:
+
+    1. the highest priority class -- where a candidate whose head has waited
+       longer than ``starvation_limit_s`` (``now - enqueued_at``) is promoted
+       into the top pending class, the aging rule that keeps a saturated
+       high-priority stream from starving best-effort work forever;
+    2. then the smallest ``secondary`` key;
+    3. then the smallest ``tiebreak``.
+
+    Exact ties keep the earliest candidate.  Both schedulers rank with this
+    one function and differ only in the keys they pass:
+    :class:`RequestQueue` uses the batch's slack and the head's enqueue time,
+    the server's dispatch stage the absolute deadline (``inf`` when none) and
+    the batch's formation sequence number.
+    """
+    top_priority = max(candidate[1] for candidate in candidates)
+    best_key, best_name = None, None
+    for name, priority, enqueued_at, secondary, tiebreak in candidates:
+        if now - enqueued_at > starvation_limit_s:
+            priority = top_priority
+        key = (-priority, secondary, tiebreak)
+        if best_key is None or key < best_key:
+            best_key, best_name = key, name
+    return best_name
 
 
 class InferenceFuture:
@@ -344,8 +382,9 @@ class RequestQueue:
         closed.  While nothing is ready the second element tells the caller
         how long it may sleep before the earliest model comes due.  Once
         *any* model is ready, a dispatch is going to happen -- so the
-        globally most urgent model wins (highest priority class first, then
-        least slack, then oldest head request), even with a partial batch:
+        globally most urgent model wins under :func:`most_urgent` (highest
+        priority class first, then least slack, then oldest head request),
+        even with a partial batch:
         delaying an urgent request behind a less urgent full batch would
         invert the SLO ordering, and the engine has work either way.
 
@@ -361,7 +400,7 @@ class RequestQueue:
         it eventually undercuts any stream of fresh arrivals.
         """
         entries = []
-        min_due, any_ready, top_priority = None, False, 0
+        min_due, any_ready = None, False
         for name, requests in self._pending.items():
             if not requests:
                 continue
@@ -387,18 +426,10 @@ class RequestQueue:
             due_in = min(budget_left, slack)
             min_due = due_in if min_due is None else min(min_due, due_in)
             any_ready = any_ready or full or due_in <= 0 or self._closed
-            top_priority = max(top_priority, priority)
-            starved = now - head.enqueued_at > policy.starvation_limit_s
-            entries.append((name, priority, starved, slack, head.enqueued_at))
+            entries.append((name, priority, head.enqueued_at, slack, head.enqueued_at))
         if not any_ready:
             return None, min_due
-        best_key, best_name = None, None
-        for name, priority, starved, slack, enqueued_at in entries:
-            effective = max(priority, top_priority) if starved else priority
-            key = (-effective, slack, enqueued_at)
-            if best_key is None or key < best_key:
-                best_key, best_name = key, name
-        return best_name, min_due
+        return most_urgent(entries, now, policy.starvation_limit_s), min_due
 
     def _pop_batch(self, name: str, policy: BatchingPolicy) -> list[InferenceRequest]:
         requests = self._pending[name]

@@ -57,6 +57,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -74,6 +75,7 @@ from repro.serve.scheduler import (
     InferenceFuture,
     InferenceRequest,
     RequestQueue,
+    most_urgent,
 )
 from repro.telemetry import RequestTrace, TelemetryCollector, Tracer
 
@@ -936,11 +938,11 @@ class InferenceServer:
     def _select_model_locked(self, now: float) -> str | None:
         """The most urgent head batch across models not already draining.
 
-        Urgency order: highest priority class first -- where a batch older
+        Urgency order: :func:`~repro.serve.scheduler.most_urgent`, the
+        queue's order -- highest priority class first, where a batch older
         than :attr:`BatchingPolicy.starvation_limit_s` is promoted into the
-        top pending class (the aging rule; best-effort batches cannot starve
-        behind a saturated high-priority stream) -- then earliest deadline
-        (EDF; deadline-free batches rank last), then formation order.  Only
+        top pending class -- keyed here on the earliest deadline (EDF;
+        deadline-free batches rank last), then formation order.  Only
         head batches compete, and a model already running as many batches as
         its engine's dispatch width (1 unless a replica pool advertises
         more) is skipped -- same-model batches still *dispatch* in formation
@@ -948,26 +950,22 @@ class InferenceServer:
         ``slo_scheduling=False`` (the benchmarks' FIFO baseline) dispatch is
         strictly formation-ordered, mirroring the queue's FIFO mode.
         """
-        heads = [
-            (name, pending[0])
-            for name, pending in self._dispatch.items()
-            if pending
-            and self._active_batches.get(name, 0) < self._dispatch_capacity(name)
-        ]
-        if not heads:
+        candidates = []
+        for name, pending in self._dispatch.items():
+            if not pending:
+                continue
+            if self._active_batches.get(name, 0) >= self._dispatch_capacity(name):
+                continue
+            head = pending[0]
+            deadline = math.inf if head.deadline_s is None else head.deadline_s
+            candidates.append(
+                (name, head.priority, head.enqueued_at, deadline, head.seq)
+            )
+        if not candidates:
             return None
         if not self.slo_scheduling:
-            return min(heads, key=lambda item: item[1].seq)[0]
-        top_priority = max(head.priority for _, head in heads)
-        best_name, best_key = None, None
-        for name, head in heads:
-            starved = now - head.enqueued_at > self.policy.starvation_limit_s
-            priority = top_priority if starved else head.priority
-            deadline = math.inf if head.deadline_s is None else head.deadline_s
-            key = (-priority, deadline, head.seq)
-            if best_key is None or key < best_key:
-                best_key, best_name = key, name
-        return best_name
+            return min(candidates, key=itemgetter(4))[0]
+        return most_urgent(candidates, now, self.policy.starvation_limit_s)
 
     def _dispatch_capacity(self, name: str) -> int:
         """How many batches of one model may execute concurrently (>= 1)."""

@@ -31,7 +31,7 @@ from repro.runtime import (
     ExecutorPool,
     ModelPlan,
     NetworkEngine,
-    ProcessEngine,
+    ReplicaPool,
     VectorizedLayerExecutor,
     compile_model_plan,
 )
@@ -416,10 +416,16 @@ class TestRegistryPlanCache:
         finally:
             registry.close()
 
-    def test_sharded_engines_have_no_plan(self, tiny_mlp_model):
-        registry = ModelRegistry()
-        registry.register("mlp", tiny_mlp_model, sharded=True)
+    def test_non_vectorized_pools_have_no_plan(self, tiny_mlp_model, rng):
+        inputs = np.abs(rng.normal(0, 1, size=(4, 16)))
+        registry = ModelRegistry(
+            pool=ExecutorPool(weight_cache=None, executor_factory=PimLayerExecutor)
+        )
+        engine = registry.register("mlp", tiny_mlp_model)
         assert registry.plan("mlp") is None
+        assert np.array_equal(
+            engine.run(inputs), NetworkEngine.build(tiny_mlp_model).run(inputs)
+        )
         registry.close()
 
     def test_unregister_keeps_cache_warm(self, tiny_mlp_model):
@@ -437,7 +443,7 @@ class TestPlanTransport:
         inputs = np.abs(rng.normal(0, 1, size=(5, 16)))
         plan = compile_model_plan(tiny_mlp_model)
         baseline = NetworkEngine.build(tiny_mlp_model).run(inputs)
-        engine = ProcessEngine.launch(tiny_mlp_model, plan=plan)
+        engine = ReplicaPool.launch(tiny_mlp_model, replicas=1, plan=plan)
         try:
             outputs = engine.run(inputs)
             assert np.array_equal(outputs, baseline)

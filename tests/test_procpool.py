@@ -3,19 +3,26 @@
 The contract mirrors every other fast path in this repo: hosting an engine in
 its own worker process is a pure scheduling/parallelism change, so outputs,
 statistics and seeded noise draws stay *bit-identical* to the in-process
-:class:`~repro.runtime.NetworkEngine` built from the same spec.
+:class:`~repro.runtime.NetworkEngine` built from the same spec.  The
+single-worker process backend is a one-replica
+:class:`~repro.runtime.ReplicaPool`; the transport's own failure contract is
+checked on a bare :class:`~repro.runtime.EngineWorker`.
 """
 
 import multiprocessing
+import os
+import signal
+import sys
 
 import numpy as np
 import pytest
 
 from repro.analog.noise import GaussianColumnNoise
 from repro.runtime import (
+    EngineSpec,
+    EngineWorker,
     ExecutorPool,
     NetworkEngine,
-    ProcessEngine,
     RemoteEngineError,
     ReplicaPool,
 )
@@ -35,15 +42,22 @@ def reference_engine(model, **kwargs) -> NetworkEngine:
     return NetworkEngine.build(model, pool=ExecutorPool(weight_cache=None), **kwargs)
 
 
+def launch_one(model, **kwargs) -> ReplicaPool:
+    """The single-worker process backend: a one-replica pool."""
+    return ReplicaPool.launch(model, replicas=1, **kwargs)
+
+
 @pytest.fixture
 def process_engine(tiny_mlp_model):
     """A worker-hosted engine for the tiny MLP, closed after the test."""
-    engine = ProcessEngine.launch(tiny_mlp_model)
+    engine = launch_one(tiny_mlp_model)
     yield engine
     engine.close()
 
 
 class TestProcessEngineParity:
+    """The single-worker process backend against the in-process engine."""
+
     def test_bit_identical_to_in_process(self, tiny_mlp_model, process_engine, rng):
         inputs = np.abs(rng.normal(0, 1, size=(10, 16)))
         assert np.array_equal(
@@ -53,7 +67,7 @@ class TestProcessEngineParity:
     def test_micro_batching_matches(self, tiny_mlp_model, rng):
         inputs = np.abs(rng.normal(0, 1, size=(10, 16)))
         reference = reference_engine(tiny_mlp_model, micro_batch=3)
-        with ProcessEngine.launch(tiny_mlp_model, micro_batch=3) as engine:
+        with launch_one(tiny_mlp_model, micro_batch=3) as engine:
             assert np.array_equal(reference.run(inputs), engine.run(inputs))
             # Per-call override crosses the pipe too.
             assert np.array_equal(
@@ -75,7 +89,7 @@ class TestProcessEngineParity:
         reference = reference_engine(
             tiny_mlp_model, noise=GaussianColumnNoise(level=0.08, seed=5)
         )
-        with ProcessEngine.launch(
+        with launch_one(
             tiny_mlp_model, noise=GaussianColumnNoise(level=0.08, seed=5)
         ) as engine:
             for _ in range(2):
@@ -84,20 +98,20 @@ class TestProcessEngineParity:
     def test_conv_model_and_predict(self, tiny_conv_model, rng):
         inputs = np.abs(rng.normal(0, 1, size=(5, 3, 8, 8)))
         reference = reference_engine(tiny_conv_model)
-        with ProcessEngine.launch(tiny_conv_model) as engine:
+        with launch_one(tiny_conv_model) as engine:
             assert np.array_equal(reference.run(inputs), engine.run(inputs))
             assert np.array_equal(reference.predict(inputs), engine.predict(inputs))
 
     def test_spawn_start_method(self, tiny_mlp_model, rng):
         inputs = np.abs(rng.normal(0, 1, size=(4, 16)))
-        with ProcessEngine.launch(tiny_mlp_model, start_method="spawn") as engine:
+        with launch_one(tiny_mlp_model, start_method="spawn") as engine:
             assert np.array_equal(
                 reference_engine(tiny_mlp_model).run(inputs), engine.run(inputs)
             )
 
     def test_float32_fast_path_parity(self, tiny_mlp_model, rng):
         inputs = np.abs(rng.normal(0, 1, size=(6, 16)))
-        with ProcessEngine.launch(tiny_mlp_model, float32=True) as engine:
+        with launch_one(tiny_mlp_model, float32=True) as engine:
             assert np.array_equal(
                 reference_engine(tiny_mlp_model).run(inputs), engine.run(inputs)
             )
@@ -130,7 +144,7 @@ class TestSharedMemoryTransport:
         outputs, elapsed, records = process_engine.run_timed(inputs)
         assert outputs.shape[0] == 5
         assert elapsed > 0
-        assert records == [(5, elapsed)]
+        assert records == [(5, elapsed, "0")]
         probed: list[tuple[int, float]] = []
         probe = process_engine.add_run_probe(lambda n, s: probed.append((n, s)))
         process_engine.run(inputs)
@@ -160,7 +174,7 @@ class TestWorkerLifecycle:
                 raise TypeError("deliberately unpicklable")
 
         with pytest.raises(ValueError, match="not picklable"):
-            ProcessEngine.launch(tiny_mlp_model, noise=LambdaNoise())
+            launch_one(tiny_mlp_model, noise=LambdaNoise())
 
     def test_uncalibrated_model_rejected(self, rng):
         from repro.nn.layers import Linear
@@ -173,28 +187,45 @@ class TestWorkerLifecycle:
             input_shape=(8,),
         )
         with pytest.raises(ValueError, match="calibrated"):
-            ProcessEngine.launch(model)
+            launch_one(model)
 
     def test_close_is_idempotent_and_terminal(self, tiny_mlp_model):
-        engine = ProcessEngine.launch(tiny_mlp_model)
-        pid = engine.worker.pid
+        engine = launch_one(tiny_mlp_model)
+        (pid,) = engine.replica_pids()
         assert pid is not None and not engine.closed
         engine.close()
         engine.close()
-        assert engine.closed and engine.worker.pid is None
+        assert engine.closed and engine.replica_pids() == [None]
         assert not multiprocessing.active_children()
         with pytest.raises(RuntimeError, match="closed"):
             engine.run(np.zeros((1, 16)))
 
     def test_dead_worker_raises_instead_of_hanging(self, tiny_mlp_model):
-        engine = ProcessEngine.launch(tiny_mlp_model)
+        # The transport's contract, below any pool: a request to a worker
+        # that died raises a typed error instead of blocking on the pipe.
+        worker = EngineWorker(EngineSpec(tiny_mlp_model, sys_path=tuple(sys.path)))
         try:
-            engine.worker._process.terminate()
-            engine.worker._process.join(timeout=10)
+            worker._process.terminate()
+            worker._process.join(timeout=10)
             with pytest.raises(RemoteEngineError, match="died"):
-                engine.run(np.zeros((1, 16)))
+                worker.request(
+                    "run", array=np.zeros((1, 16)), extra=(False, False, None, None)
+                )
         finally:
-            engine.close()
+            worker.close()
+
+    def test_sigkill_of_the_only_worker_restarts_it(self, tiny_mlp_model, rng):
+        # A one-replica pool has no sibling to requeue onto: the next run
+        # must wait out the restart and finish on the fresh worker.
+        inputs = np.abs(rng.normal(0, 1, size=(6, 16)))
+        expected = reference_engine(tiny_mlp_model).run(inputs)
+        with launch_one(tiny_mlp_model) as engine:
+            (victim,) = engine.replica_pids()
+            os.kill(victim, signal.SIGKILL)
+            assert np.array_equal(engine.run(inputs), expected)
+            assert engine.restart_count == 1
+            assert engine.replica_pids() != [victim]
+            assert engine.healthy_replicas == 1
 
     def test_statistics_roundtrip(self, tiny_mlp_model, process_engine, rng):
         inputs = np.abs(rng.normal(0, 1, size=(7, 16)))
@@ -236,10 +267,6 @@ class TestRegistryAndServerIntegration:
         registry = ModelRegistry()
         with pytest.raises(ValueError, match="backend"):
             registry.register("a", tiny_mlp_model, backend="rocket")
-        with pytest.raises(ValueError, match="shard"):
-            registry.register("b", tiny_mlp_model, backend="process", sharded=True)
-        with pytest.raises(ValueError, match="shard"):
-            registry.register("c", tiny_mlp_model, backend="process", n_stages=2)
         assert len(registry) == 0
 
     def test_server_over_process_backend_bit_identical(self, tiny_mlp_model, rng):

@@ -5,22 +5,29 @@ oversized single requests, a zero latency budget (immediate dispatch),
 interleaved multi-model fairness, and the opt-in batch-size-aware adaptive
 delay budget -- plus property-based randomized streams (hypothesis) pinning
 the dispatch invariants: nothing lost or duplicated, per-model FIFO
-preserved, priority-then-EDF ordering, and the starvation aging bound.
+preserved, priority-then-EDF ordering, and the starvation aging bound.  The
+ordering properties are stated once on :func:`most_urgent`, the urgency
+order both the queue and the server's dispatch stage rank with.
 """
 
+import math
 import time
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serve import InferenceServer, ModelRegistry
 from repro.serve.scheduler import (
     BatchingPolicy,
     InferenceFuture,
     InferenceRequest,
     RequestQueue,
+    most_urgent,
 )
+from repro.serve.server import _DispatchedBatch
 
 
 def make_request(
@@ -363,3 +370,103 @@ class TestAdaptiveDelay:
         queue.next_batch(policy)
         elapsed = time.monotonic() - start
         assert elapsed >= 0.3  # the full (non-adaptive) budget was honoured
+
+
+#: One random urgency candidate: (priority, head age in s, secondary key).
+candidate_specs = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.floats(min_value=0.0, max_value=2.0),
+        st.one_of(st.just(math.inf), st.floats(min_value=-5.0, max_value=5.0)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def as_candidates(specs, now):
+    """``(name, priority, enqueued_at, secondary, tiebreak)`` per spec."""
+    return [
+        (f"m{i}", priority, now - age, secondary, i)
+        for i, (priority, age, secondary) in enumerate(specs)
+    ]
+
+
+class TestUrgencyOrder:
+    """Properties of :func:`most_urgent`, the one urgency order."""
+
+    NOW = 0.0  # ages subtract exactly: now - (now - age) == age
+
+    @given(specs=candidate_specs)
+    @settings(max_examples=60, deadline=None)
+    def test_priority_class_then_secondary_then_tiebreak(self, specs):
+        """Without aging the winner is in the highest class, holds that
+        class's least secondary key, and the least tiebreak among those."""
+        name = most_urgent(as_candidates(specs, self.NOW), self.NOW, 1e9)
+        winner = int(name[1:])
+        top = max(priority for priority, _age, _secondary in specs)
+        assert specs[winner][0] == top
+        in_class = [i for i, spec in enumerate(specs) if spec[0] == top]
+        least = min(specs[i][2] for i in in_class)
+        assert specs[winner][2] == least
+        assert winner == min(i for i in in_class if specs[i][2] == least)
+
+    @given(specs=candidate_specs, limit=st.floats(min_value=0.01, max_value=1.5))
+    @settings(max_examples=60, deadline=None)
+    def test_starved_heads_compete_in_the_top_class(self, specs, limit):
+        """Aging promotes exactly the heads older than the limit: the winner
+        is the best (secondary, tiebreak) among the top class plus every
+        starved head, whatever the starved heads' own priorities."""
+        name = most_urgent(as_candidates(specs, self.NOW), self.NOW, limit)
+        top = max(priority for priority, _age, _secondary in specs)
+        contenders = [
+            i
+            for i, (priority, age, _secondary) in enumerate(specs)
+            if priority == top or age > limit
+        ]
+        assert name == f"m{min(contenders, key=lambda i: (specs[i][2], i))}"
+
+    @given(
+        heads=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),
+                st.floats(min_value=0.0, max_value=2.0),
+                st.one_of(st.none(), st.floats(min_value=0.0, max_value=5.0)),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_server_dispatch_is_the_shared_argmin(self, heads):
+        """The server's dispatch stage picks :func:`most_urgent`'s argmin
+        over the idle models' head batches, keyed on the absolute deadline
+        (``inf`` when none) and then the formation sequence."""
+        now, limit = self.NOW, 0.5
+        server = InferenceServer(
+            ModelRegistry(), BatchingPolicy(starvation_limit_s=limit)
+        )
+        server._dispatch = {}
+        server._active_batches = {}
+        candidates = []
+        for seq, (priority, age, deadline, active) in enumerate(heads):
+            name = f"m{seq}"
+            request = InferenceRequest(
+                model_name=name,
+                inputs=np.zeros((1, 2)),
+                future=InferenceFuture(),
+                enqueued_at=now - age,
+                priority=priority,
+                deadline_s=None if deadline is None else now + deadline,
+            )
+            server._dispatch[name] = deque(
+                [_DispatchedBatch.from_requests(seq, [request])]
+            )
+            if active:  # one batch already running: at its dispatch width
+                server._active_batches[name] = 1
+                continue
+            secondary = math.inf if deadline is None else now + deadline
+            candidates.append((name, priority, now - age, secondary, seq))
+        expected = most_urgent(candidates, now, limit) if candidates else None
+        assert server._select_model_locked(now) == expected

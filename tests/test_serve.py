@@ -1,9 +1,9 @@
-"""Tests for the serving layer: sharding, float32 fast path, registry, server.
+"""Tests for the serving layer: float32 fast path, registry, server.
 
 The serving contract mirrors the runtime's: everything stays *bit-identical*
 to the sequential float64 :class:`~repro.runtime.NetworkEngine` path --
-coalescing requests, pipelining micro-batches across layer stages, and the
-float32 GEMM fast path are pure scheduling/throughput changes.
+coalescing requests and the float32 GEMM fast path are pure
+scheduling/throughput changes.
 """
 
 import threading
@@ -20,7 +20,6 @@ from repro.serve import (
     InferenceServer,
     ModelRegistry,
     ServerStoppedError,
-    ShardedEngine,
 )
 from tests.test_runtime_engine import assert_stats_equal
 
@@ -108,131 +107,6 @@ class TestFloat32FastPath:
         assert pool.get(tiny_linear_layer, PimLayerConfig(), float32=True) is executor
 
 
-class TestShardedEngine:
-    def test_mlp_parity_with_sequential(self, tiny_mlp_model, rng):
-        inputs = np.abs(rng.normal(0, 1, size=(10, 16)))
-        sequential = NetworkEngine.build(
-            tiny_mlp_model, pool=private_pool(), micro_batch=3
-        )
-        sharded = ShardedEngine.build(
-            tiny_mlp_model, pool=private_pool(), micro_batch=3
-        )
-        assert np.array_equal(sequential.run(inputs), sharded.run(inputs))
-        assert_stats_equal(
-            sequential.network_statistics(), sharded.network_statistics()
-        )
-
-    def test_conv_model_parity(self, tiny_conv_model, rng):
-        inputs = np.abs(rng.normal(0, 1, size=(7, 3, 8, 8)))
-        sequential = NetworkEngine.build(tiny_conv_model, pool=private_pool())
-        sharded = ShardedEngine.build(
-            tiny_conv_model, pool=private_pool(), micro_batch=2
-        )
-        assert np.array_equal(sequential.run(inputs), sharded.run(inputs))
-
-    def test_shared_noise_rng_falls_back_sequentially(self, tiny_mlp_model, rng):
-        # NetworkEngine.build hands every layer the same noise object; its
-        # RNG draws in layer-interleaved order, which a pipeline cannot
-        # reproduce -- ShardedEngine must detect this and stay sequential.
-        inputs = np.abs(rng.normal(0, 1, size=(9, 16)))
-        sequential = NetworkEngine.build(
-            tiny_mlp_model,
-            pool=private_pool(),
-            micro_batch=4,
-            noise=GaussianColumnNoise(level=0.08, seed=5),
-        )
-        sharded = ShardedEngine.build(
-            tiny_mlp_model,
-            pool=private_pool(),
-            micro_batch=4,
-            noise=GaussianColumnNoise(level=0.08, seed=5),
-        )
-        assert sharded._shares_stateful_noise()
-        assert np.array_equal(sequential.run(inputs), sharded.run(inputs))
-        assert_stats_equal(
-            sequential.network_statistics(), sharded.network_statistics()
-        )
-
-    def test_per_layer_noise_pipelines_bit_identically(self, tiny_mlp_model, rng):
-        # With one seeded noise model per layer the pipeline really runs,
-        # and FIFO single-thread stages draw identical values per executor.
-        inputs = np.abs(rng.normal(0, 1, size=(9, 16)))
-
-        def engine(cls, **kwargs):
-            executors = {
-                layer.name: VectorizedLayerExecutor(
-                    layer,
-                    PimLayerConfig(),
-                    noise=GaussianColumnNoise(level=0.08, seed=40 + i),
-                    weight_cache=None,
-                )
-                for i, layer in enumerate(tiny_mlp_model.matmul_layers())
-            }
-            return cls(tiny_mlp_model, executors, **kwargs)
-
-        sequential = engine(NetworkEngine, micro_batch=4)
-        sharded = engine(ShardedEngine, micro_batch=4)
-        assert not sharded._shares_stateful_noise()
-        assert np.array_equal(sequential.run(inputs), sharded.run(inputs))
-        assert_stats_equal(
-            sequential.network_statistics(), sharded.network_statistics()
-        )
-
-    def test_float32_sharded_parity(self, tiny_mlp_model, rng):
-        inputs = np.abs(rng.normal(0, 1, size=(10, 16)))
-        sequential = NetworkEngine.build(tiny_mlp_model, pool=private_pool())
-        sharded = ShardedEngine.build(
-            tiny_mlp_model, pool=private_pool(), micro_batch=2, float32=True
-        )
-        assert np.array_equal(sequential.run(inputs), sharded.run(inputs))
-
-    def test_return_codes_parity(self, tiny_mlp_model, rng):
-        inputs = np.abs(rng.normal(0, 1, size=(6, 16)))
-        sequential = NetworkEngine.build(tiny_mlp_model, pool=private_pool())
-        sharded = ShardedEngine.build(
-            tiny_mlp_model, pool=private_pool(), micro_batch=2
-        )
-        assert np.array_equal(
-            sequential.run(inputs, return_codes=True),
-            sharded.run(inputs, return_codes=True),
-        )
-
-    def test_stage_groups_one_per_matmul_layer(self, tiny_conv_model):
-        engine = ShardedEngine.build(tiny_conv_model, pool=private_pool())
-        groups = engine.stage_groups()
-        assert len(groups) == len(tiny_conv_model.matmul_layers())
-        assert [layer.name for group in groups for layer in group] == [
-            layer.name for layer in tiny_conv_model.layers
-        ]
-
-    def test_n_stages_merges_groups(self, tiny_conv_model):
-        engine = ShardedEngine.build(tiny_conv_model, pool=private_pool(), n_stages=2)
-        assert len(engine.stage_groups()) == 2
-        oversubscribed = ShardedEngine.build(
-            tiny_conv_model, pool=private_pool(), n_stages=99
-        )
-        assert len(oversubscribed.stage_groups()) == 3
-
-    def test_invalid_n_stages_rejected(self, tiny_mlp_model):
-        with pytest.raises(ValueError):
-            ShardedEngine.build(tiny_mlp_model, pool=private_pool(), n_stages=0)
-
-    def test_stage_errors_propagate(self, tiny_mlp_model, rng):
-        engine = ShardedEngine.build(tiny_mlp_model, pool=private_pool(), micro_batch=2)
-
-        def explode(codes):
-            raise RuntimeError("crossbar fault")
-
-        engine.executors["fc2"].matmul = explode
-        with pytest.raises(RuntimeError, match="crossbar fault"):
-            engine.run(np.abs(rng.normal(0, 1, size=(6, 16))))
-
-    def test_invalid_micro_batch_rejected(self, tiny_mlp_model, rng):
-        engine = ShardedEngine.build(tiny_mlp_model, pool=private_pool())
-        with pytest.raises(ValueError):
-            engine.run(np.abs(rng.normal(0, 1, size=(4, 16))), micro_batch=0)
-
-
 class TestModelRegistry:
     def test_register_and_lookup(self, tiny_mlp_model):
         registry = ModelRegistry()
@@ -292,15 +166,6 @@ class TestModelRegistry:
             registry.register(name, model)
         assert registry.weight_cache.misses == before + 1
         assert registry.weight_cache.hits >= 1
-
-    def test_sharded_registration(self, tiny_mlp_model):
-        registry = ModelRegistry()
-        engine = registry.register("mlp", tiny_mlp_model, sharded=True, micro_batch=2)
-        assert isinstance(engine, ShardedEngine)
-        # n_stages alone also implies a sharded engine.
-        assert isinstance(
-            registry.register("mlp2", tiny_mlp_model, n_stages=2), ShardedEngine
-        )
 
 
 class TestInferenceServer:
