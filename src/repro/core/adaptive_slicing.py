@@ -120,7 +120,8 @@ def quantized_layer_outputs(
 
     Runs the layer's digital pipeline (zero-point correction, bias, fused ReLU
     and requantization) on top of either the exact integer mat-mul
-    (``pim_matmul=None``) or a PIM simulation.
+    (``pim_matmul=None``) or a PIM simulation.  The codes are in the output
+    quantization's narrow :attr:`~repro.nn.layers.TensorQuant.code_dtype`.
     """
     real = layer.matmul_quantized(patch_codes, pim_matmul=pim_matmul)
     if layer.fuse_relu:
@@ -149,6 +150,10 @@ def layer_output_error(
     factory = executor_factory or PimLayerExecutor
     executor = factory(layer, pim_config, noise=noise)
     actual = quantized_layer_outputs(layer, patch_codes, pim_matmul=executor)
+    # Output codes come in the narrow code dtype, where a difference would
+    # wrap around: widen before subtracting.
+    expected = np.asarray(expected, dtype=np.int64)
+    actual = actual.astype(np.int64)
     nonzero = expected != 0
     if not np.any(nonzero):
         return float(np.mean(np.abs(expected - actual)))

@@ -231,6 +231,11 @@ class _EncodedChunk:
     sum_flat: np.ndarray  # (rows, n_slices * filters): W+ + W-
 
 
+def _unsigned_codes(codes: np.ndarray) -> np.ndarray:
+    """Non-negative integer codes in the narrowest unsigned dtype holding them."""
+    return codes.astype(np.min_scalar_type(codes.max(initial=0)), copy=False)
+
+
 class PimLayerExecutor:
     """Simulate one quantized mat-mul layer on PIM crossbars.
 
@@ -375,19 +380,31 @@ class PimLayerExecutor:
         ``input_codes`` has shape ``(M, reduction_dim)``; the result has shape
         ``(M, n_filters)`` and approximates the exact integer product up to
         ADC fidelity loss and analog noise.
+
+        This is the one place input codes are validated: ``uint8`` codes
+        pass straight through; any other dtype is checked and cast once per
+        call to the narrowest unsigned dtype holding it, and signed inputs
+        with a negative code are split into positive and negative
+        magnitudes, so every row chunk below sees unsigned codes.
         """
-        codes = np.asarray(input_codes, dtype=np.int64)
+        codes = np.asarray(input_codes)
         if codes.ndim != 2 or codes.shape[1] != self.layer.reduction_dim:
             raise ValueError(
                 f"expected inputs of shape (M, {self.layer.reduction_dim})"
             )
-        signed_inputs = bool(np.any(codes < 0))
-        if signed_inputs:
-            positive = np.maximum(codes, 0)
-            negative = np.maximum(-codes, 0)
-            raw = self._matmul_unsigned(positive) - self._matmul_unsigned(negative)
-        else:
+        if codes.dtype == np.uint8:
             raw = self._matmul_unsigned(codes)
+        else:
+            if not np.issubdtype(codes.dtype, np.integer):
+                codes = codes.astype(np.int64)
+            if np.issubdtype(codes.dtype, np.signedinteger) and np.any(codes < 0):
+                # Widen first: the magnitude of int8's -128 needs 8 value bits.
+                wide = codes.astype(np.promote_types(codes.dtype, np.int16))
+                positive = _unsigned_codes(np.maximum(wide, 0))
+                negative = _unsigned_codes(np.maximum(-wide, 0))
+                raw = self._matmul_unsigned(positive) - self._matmul_unsigned(negative)
+            else:
+                raw = self._matmul_unsigned(_unsigned_codes(codes))
         self.stats.n_inputs += codes.shape[0]
         self.stats.macs += codes.shape[0] * codes.shape[1] * self.layer.out_features
         self.stats.psums_produced += codes.shape[0] * self.layer.out_features
@@ -461,7 +478,7 @@ class PimLayerExecutor:
         analog = np.zeros((m, n_filters), dtype=np.float64)
         if encoded.encoding.uses_centers:
             digital = encoded.centers[np.newaxis, :].astype(np.float64) * codes.sum(
-                axis=1, keepdims=True
+                axis=1, keepdims=True, dtype=np.int64
             )
         else:
             digital = np.zeros((m, n_filters), dtype=np.float64)

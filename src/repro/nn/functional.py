@@ -36,14 +36,22 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 
 def im2col(
-    x: np.ndarray, kernel: int, stride: int = 1, padding: int = 0
+    x: np.ndarray,
+    kernel: int,
+    stride: int = 1,
+    padding: int = 0,
+    pad_value: int | float = 0,
 ) -> tuple[np.ndarray, tuple[int, int]]:
     """Unfold an NCHW tensor into convolution patches.
 
     Returns ``(patches, (out_h, out_w))`` where ``patches`` has shape
     ``(N * out_h * out_w, C * kernel * kernel)``.  Each row is one input patch
     in channel-major order, which is the reduction ("row") dimension a
-    crossbar column sums over.
+    crossbar column sums over.  Padded positions hold ``pad_value`` (a
+    quantized tensor pads with its zero point, the code of real zero).
+
+    The patches keep ``x``'s dtype, widened only if ``pad_value`` does not
+    fit it, so ``uint8`` activation codes unfold at one byte per entry.
     """
     x = np.asarray(x)
     if x.ndim != 4:
@@ -51,30 +59,27 @@ def im2col(
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel, stride, padding)
     out_w = conv_output_size(w, kernel, stride, padding)
+    # Channels-last, so every kernel offset below copies whole channel
+    # vectors; activations between layers are already laid out this way.
+    x = x.transpose(0, 2, 3, 1)
     if padding > 0:
+        if np.issubdtype(x.dtype, np.integer):
+            info = np.iinfo(x.dtype)
+            if not info.min <= pad_value <= info.max:
+                x = x.astype(np.promote_types(x.dtype, np.min_scalar_type(pad_value)))
         x = np.pad(
             x,
-            ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+            ((0, 0), (padding, padding), (padding, padding), (0, 0)),
             mode="constant",
+            constant_values=pad_value,
         )
-    strides = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kernel, kernel),
-        strides=(
-            strides[0],
-            strides[1],
-            strides[2] * stride,
-            strides[3] * stride,
-            strides[2],
-            strides[3],
-        ),
-        writeable=False,
-    )
-    patches = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-        n * out_h * out_w, c * kernel * kernel
-    )
-    return np.ascontiguousarray(patches), (out_h, out_w)
+    patches = np.empty((n, out_h, out_w, c, kernel, kernel), dtype=x.dtype)
+    rows = slice(None, stride * (out_h - 1) + 1, stride)
+    cols = slice(None, stride * (out_w - 1) + 1, stride)
+    for i in range(kernel):
+        for j in range(kernel):
+            patches[..., i, j] = x[:, i:, j:][:, rows, cols]
+    return patches.reshape(n * out_h * out_w, c * kernel * kernel), (out_h, out_w)
 
 
 def conv2d(
@@ -104,7 +109,12 @@ def _pool2d(
     out_h = conv_output_size(h, kernel, stride, padding)
     out_w = conv_output_size(w, kernel, stride, padding)
     if padding > 0:
-        fill = -np.inf if reducer is np.max else 0.0
+        if reducer is not np.max:
+            fill = 0.0
+        elif np.issubdtype(x.dtype, np.integer):
+            fill = np.iinfo(x.dtype).min
+        else:
+            fill = -np.inf
         x = np.pad(
             x,
             ((0, 0), (0, 0), (padding, padding), (padding, padding)),
@@ -131,9 +141,16 @@ def _pool2d(
 def maxpool2d(
     x: np.ndarray, kernel: int, stride: int | None = None, padding: int = 0
 ) -> np.ndarray:
-    """Max pooling over an NCHW tensor."""
+    """Max pooling over an NCHW tensor.
+
+    Integer tensors (activation codes) are pooled in their own dtype; any
+    other input is pooled in float64.
+    """
     stride = kernel if stride is None else stride
-    return _pool2d(np.asarray(x, dtype=np.float64), kernel, stride, padding, np.max)
+    x = np.asarray(x)
+    if not np.issubdtype(x.dtype, np.integer):
+        x = x.astype(np.float64, copy=False)
+    return _pool2d(x, kernel, stride, padding, np.max)
 
 
 def avgpool2d(
@@ -145,11 +162,11 @@ def avgpool2d(
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """Global average pooling: NCHW -> NC."""
-    x = np.asarray(x, dtype=np.float64)
+    """Global average pooling: NCHW -> NC, averaged in float64."""
+    x = np.asarray(x)
     if x.ndim != 4:
         raise ValueError("global_avg_pool expects an NCHW tensor")
-    return x.mean(axis=(2, 3))
+    return x.mean(axis=(2, 3), dtype=np.float64)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -12,6 +12,12 @@ accepts a *PIM mat-mul hook*: a callable that replaces the exact integer
 product of raw input codes and raw weight codes with the output of an analog
 crossbar simulation.  Everything else (zero-point corrections, bias, ReLU,
 requantization) stays digital, exactly as in the paper's architectures.
+
+Activation codes travel between layers in their quantization's narrow code
+dtype (:attr:`TensorQuant.code_dtype`: ``uint8`` unsigned, ``int8`` signed),
+through pooling, flattening and im2col, into the PIM hook.  Code arithmetic
+that can leave that range -- zero-point corrections, row sums, error
+differences -- widens to ``int64`` or ``float64`` first.
 """
 
 from __future__ import annotations
@@ -60,11 +66,19 @@ class TensorQuant:
         """Inclusive 8-bit code range."""
         return (-128, 127) if self.signed else (0, 255)
 
+    @property
+    def code_dtype(self) -> np.dtype:
+        """The narrowest integer dtype holding :attr:`code_range`."""
+        return np.dtype(np.int8 if self.signed else np.uint8)
+
     def quantize(self, values: np.ndarray) -> np.ndarray:
-        """Real values -> integer codes."""
+        """Real values -> integer codes in :attr:`code_dtype`."""
         lo, hi = self.code_range
-        codes = np.round(np.asarray(values, dtype=np.float64) / self.scale)
-        return np.clip(codes + self.zero_point, lo, hi).astype(np.int64)
+        codes = np.asarray(values, dtype=np.float64) / self.scale
+        np.round(codes, out=codes)
+        codes += self.zero_point
+        np.clip(codes, lo, hi, out=codes)
+        return codes.astype(self.code_dtype)
 
     def dequantize(self, codes: np.ndarray) -> np.ndarray:
         """Integer codes -> real values."""
@@ -88,7 +102,11 @@ class PimMatmul(Protocol):
     """A hook replacing the exact integer code product with a PIM simulation."""
 
     def __call__(self, input_codes: np.ndarray, layer: "MatmulLayer") -> np.ndarray:
-        """Return the (approximate) raw product ``input_codes @ weight_codes``."""
+        """Return the (approximate) raw product ``input_codes @ weight_codes``.
+
+        ``input_codes`` arrive in the narrow code dtype (``uint8`` or
+        ``int8``): widen them before arithmetic that can leave its range.
+        """
         ...
 
 
@@ -258,30 +276,31 @@ class MatmulLayer(Layer):
     ) -> np.ndarray:
         """Integer mat-mul with zero-point correction -> real-valued psums.
 
-        ``patch_codes`` has shape ``(M, reduction_dim)``.  The raw code product
-        is computed exactly or by the PIM hook; corrections involving zero
-        points are always digital.
+        ``patch_codes`` has shape ``(M, reduction_dim)`` and reaches the hook
+        in its own dtype (the narrow code dtype on the model path).  The raw
+        code product is computed exactly or by the PIM hook; corrections
+        involving zero points are always digital, with row sums in ``int64``.
         """
         if not self.is_calibrated:
             raise RuntimeError(f"layer {self.name!r} has not been calibrated")
-        patch_codes = np.asarray(patch_codes, dtype=np.int64)
+        patch_codes = np.asarray(patch_codes)
         if pim_matmul is None:
             raw = patch_codes @ self.weight_codes
         else:
             raw = np.asarray(pim_matmul(patch_codes, self), dtype=np.float64)
         zp_x = self.input_quant.zero_point
         zp_w = self.weight_zero_point  # (out_features,)
-        input_sums = patch_codes.sum(axis=1, keepdims=True)
+        input_sums = patch_codes.sum(axis=1, keepdims=True, dtype=np.int64)
         weight_sums = self.weight_code_sums
         k = self.reduction_dim
-        corrected = (
-            raw
-            - input_sums * zp_w[np.newaxis, :]
-            - zp_x * weight_sums[np.newaxis, :]
-            + k * zp_x * zp_w[np.newaxis, :]
-        )
-        real = corrected * (self.input_quant.scale * self.weight_scale)[np.newaxis, :]
-        return real + self.bias[np.newaxis, :]
+        # Same evaluation order as the plain expression (bit-identical even
+        # for non-integer hook outputs), in place after the first term.
+        real = np.subtract(raw, input_sums * zp_w[np.newaxis, :], dtype=np.float64)
+        real -= zp_x * weight_sums[np.newaxis, :]
+        real += k * zp_x * zp_w[np.newaxis, :]
+        real *= (self.input_quant.scale * self.weight_scale)[np.newaxis, :]
+        real += self.bias[np.newaxis, :]
+        return real
 
     def forward_quantized(
         self,
@@ -295,7 +314,7 @@ class MatmulLayer(Layer):
         patches, shape_info = self._to_patches(codes, self.input_quant.zero_point)
         real = self.matmul_quantized(patches, pim_matmul=pim_matmul)
         if self.fuse_relu:
-            real = np.maximum(real, 0.0)
+            np.maximum(real, 0.0, out=real)
         out_codes_flat = self.output_quant.quantize(real)
         out = self._from_flat(out_codes_flat, shape_info, batch)
         return out, self.output_quant
@@ -352,11 +371,7 @@ class Conv2d(MatmulLayer):
     def _to_patches(
         self, codes: np.ndarray, pad_value: int
     ) -> tuple[np.ndarray, tuple]:
-        shifted = codes - pad_value
-        patches, (out_h, out_w) = F.im2col(
-            shifted, self.kernel, self.stride, self.padding
-        )
-        return patches + pad_value, (out_h, out_w)
+        return F.im2col(codes, self.kernel, self.stride, self.padding, pad_value)
 
     def _from_flat(self, flat: np.ndarray, shape_info: tuple, batch: int) -> np.ndarray:
         out_h, out_w = shape_info
@@ -407,7 +422,7 @@ class Linear(MatmulLayer):
     def _to_patches(
         self, codes: np.ndarray, pad_value: int
     ) -> tuple[np.ndarray, tuple]:
-        return np.asarray(codes, dtype=np.int64), ()
+        return np.asarray(codes), ()
 
     def _from_flat(self, flat: np.ndarray, shape_info: tuple, batch: int) -> np.ndarray:
         return flat.reshape(batch, self.out_features)
@@ -430,7 +445,7 @@ class ReLU(Layer):
 
 
 class MaxPool2d(Layer):
-    """Max pooling; operates directly on codes in the integer path."""
+    """Max pooling; pools codes directly, in their dtype, in the integer path."""
 
     def __init__(
         self,
@@ -448,10 +463,7 @@ class MaxPool2d(Layer):
         return F.maxpool2d(x, self.kernel, self.stride, self.padding)
 
     def forward_quantized(self, codes, quant, pim_matmul=None):
-        pooled = F.maxpool2d(
-            codes.astype(np.float64), self.kernel, self.stride, self.padding
-        )
-        return pooled.astype(np.int64), quant
+        return F.maxpool2d(codes, self.kernel, self.stride, self.padding), quant
 
     def output_shape(self, input_shape):
         c, h, w = input_shape
@@ -463,7 +475,10 @@ class MaxPool2d(Layer):
 
 
 class AvgPool2d(Layer):
-    """Average pooling; the integer path averages codes and rounds."""
+    """Average pooling; the integer path averages codes and rounds.
+
+    The pooled codes keep the input codes' dtype.
+    """
 
     def __init__(
         self,
@@ -481,11 +496,9 @@ class AvgPool2d(Layer):
         return F.avgpool2d(x, self.kernel, self.stride, self.padding)
 
     def forward_quantized(self, codes, quant, pim_matmul=None):
-        pooled = F.avgpool2d(
-            codes.astype(np.float64), self.kernel, self.stride, self.padding
-        )
+        pooled = F.avgpool2d(codes, self.kernel, self.stride, self.padding)
         lo, hi = quant.code_range
-        return np.clip(np.round(pooled), lo, hi).astype(np.int64), quant
+        return np.clip(np.round(pooled), lo, hi).astype(codes.dtype), quant
 
     def output_shape(self, input_shape):
         c, h, w = input_shape
@@ -497,7 +510,7 @@ class AvgPool2d(Layer):
 
 
 class GlobalAvgPool(Layer):
-    """Global average pooling NCHW -> NC."""
+    """Global average pooling NCHW -> NC; pooled codes keep the input dtype."""
 
     def __init__(self, name: str = "gap"):
         super().__init__(name)
@@ -506,9 +519,9 @@ class GlobalAvgPool(Layer):
         return F.global_avg_pool(x)
 
     def forward_quantized(self, codes, quant, pim_matmul=None):
-        pooled = F.global_avg_pool(codes.astype(np.float64))
+        pooled = F.global_avg_pool(codes)
         lo, hi = quant.code_range
-        return np.clip(np.round(pooled), lo, hi).astype(np.int64), quant
+        return np.clip(np.round(pooled), lo, hi).astype(codes.dtype), quant
 
     def output_shape(self, input_shape):
         c, _, _ = input_shape

@@ -24,7 +24,8 @@ class LayerActivation:
 
     ``patch_codes`` is the ``(M, reduction_dim)`` matrix of raw input codes the
     layer's crossbars would see -- exactly the "test inputs" RAELLA's
-    preprocessing (Algorithm 1) consumes.
+    preprocessing (Algorithm 1) consumes.  It is ``int64`` (widened from the
+    narrow code dtype the forward pass carries), so callers may subtract.
     """
 
     layer_name: str
@@ -150,8 +151,8 @@ class QuantizedModel:
             Optional hook replacing every mat-mul layer's exact integer
             product with an analog-PIM simulation.
         return_codes:
-            If true, return the final layer's integer codes instead of the
-            dequantized real values.
+            If true, return the final layer's integer codes (as ``int64``)
+            instead of the dequantized real values.
         micro_batch:
             If set, run the batch through the network ``micro_batch`` samples
             at a time and concatenate the outputs.  Bounds the working-set
@@ -178,7 +179,7 @@ class QuantizedModel:
         for layer in self.layers:
             codes, quant = layer.forward_quantized(codes, quant, pim_matmul=pim_matmul)
         if return_codes:
-            return codes
+            return codes.astype(np.int64)
         return quant.dequantize(codes)
 
     def predict(

@@ -11,6 +11,12 @@ The codes are cast once to the narrowest unsigned dtype holding
 ``input_bits`` bits (``uint8`` for RAELLA's 8-bit inputs) and every shift and
 mask runs in that dtype.  The cast is exact for the slices: it keeps the low
 bits of each code, and every phase reads only bits below ``input_bits``.
+
+Activation dtype contract: the model path carries ``uint8`` codes from
+quantization to :meth:`~repro.core.executor.PimLayerExecutor.matmul`, which
+validates once per layer call and hands every row chunk unsigned codes
+(splitting signed inputs into magnitudes), so :func:`narrow_codes` passes
+``uint8`` chunks through without a sign check or cast.
 """
 
 from __future__ import annotations

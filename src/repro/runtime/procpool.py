@@ -1344,6 +1344,12 @@ class ReplicaPool:
         self._spawn_restart(handle)
 
     def _spawn_restart(self, handle: WorkerHandle) -> None:
+        """Start a restart thread that :meth:`close` will join.
+
+        The thread is registered and started under one lock hold, so every
+        registered thread has started and pruning by ``is_alive`` drops only
+        finished ones; once ``close`` has set ``_closed``, no thread starts.
+        """
         thread = threading.Thread(
             target=self._restart,
             args=(handle,),
@@ -1351,9 +1357,11 @@ class ReplicaPool:
             daemon=True,
         )
         with self._threads_lock:
+            if self._closed:
+                return
             self._restart_threads = [t for t in self._restart_threads if t.is_alive()]
             self._restart_threads.append(thread)
-        thread.start()
+            thread.start()
 
     def _restart(self, handle: WorkerHandle) -> None:
         """Replace a dead slot's worker with a fresh one (one claimant wins)."""

@@ -28,6 +28,13 @@ column-sum collection keep the inherited per-phase loop on float64 column
 sums, fed by one batched GEMM over every phase through the ``_phase_sums``
 hook.
 
+Activation dtype contract: codes reach :meth:`matmul` in their narrow code
+dtype (``uint8`` from unsigned quantization, pooling and im2col).  The
+inherited :meth:`~repro.core.executor.PimLayerExecutor.matmul` validates
+them once per layer call and hands every chunk unsigned codes, so
+:func:`~repro.runtime.phases.narrow_codes` passes ``uint8`` chunks through
+without a sign check or cast; row sums widen to ``int64``.
+
 Weight encoding is shared across executor instances through
 :mod:`repro.runtime.cache`.
 """
@@ -189,7 +196,7 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         encoded = chunk.encoded
         if encoded.encoding.uses_centers:
             analog += encoded.centers[np.newaxis, :].astype(np.float64) * codes.sum(
-                axis=1, keepdims=True
+                axis=1, keepdims=True, dtype=np.int64
             )
         return analog
 

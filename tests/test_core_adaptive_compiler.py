@@ -14,7 +14,7 @@ from repro.core.adaptive_slicing import (
 )
 from repro.core.center_offset import WeightEncoding
 from repro.core.compiler import RaellaCompiler, RaellaCompilerConfig
-from repro.core.executor import PimLayerConfig
+from repro.core.executor import PimLayerConfig, PimLayerExecutor
 from repro.hw.architecture import RAELLA_ARCH
 
 
@@ -63,6 +63,29 @@ class TestErrorMeasurement:
             tiny_linear_layer, tiny_patches, PimLayerConfig(adc_bits=4)
         )
         assert narrow >= wide
+
+
+    def test_error_of_pim_outputs_off_expected_does_not_wrap(
+        self, tiny_linear_layer, tiny_patches
+    ):
+        # A 3-bit signed ADC clips offset column sums on both rails, so PIM
+        # outputs land below the exact codes and above them; on uint8 codes
+        # ``expected - actual`` would wrap around for the latter.
+        config = PimLayerConfig(adc_bits=3)
+        expected = quantized_layer_outputs(tiny_linear_layer, tiny_patches)
+        actual = quantized_layer_outputs(
+            tiny_linear_layer,
+            tiny_patches,
+            pim_matmul=PimLayerExecutor(tiny_linear_layer, config),
+        )
+        assert expected.dtype == actual.dtype == np.uint8
+        expected, actual = expected.astype(np.int64), actual.astype(np.int64)
+        assert np.any(actual < expected)
+        assert np.any(actual > expected)
+        nonzero = expected != 0
+        reference = np.mean(np.abs(expected - actual)[nonzero])
+        error = layer_output_error(tiny_linear_layer, tiny_patches, config)
+        assert error == reference
 
 
 class TestChooseWeightSlicing:

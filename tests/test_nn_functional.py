@@ -38,6 +38,34 @@ class TestIm2col:
         with pytest.raises(ValueError):
             F.im2col(np.zeros((3, 3)), kernel=3)
 
+    @pytest.mark.parametrize(
+        "kernel,stride,padding,pad_value",
+        [(3, 1, 1, 0), (3, 2, 1, 9), (2, 2, 0, 0), (5, 1, 2, 255), (3, 3, 2, 4)],
+    )
+    def test_matches_naive_patch_loop(self, kernel, stride, padding, pad_value):
+        rng = np.random.default_rng(kernel * 10 + stride)
+        # A channels-last buffer viewed NCHW, as activations travel.
+        x = rng.integers(0, 256, size=(2, 7, 6, 3), dtype=np.uint8).transpose(
+            0, 3, 1, 2
+        )
+        patches, (oh, ow) = F.im2col(x, kernel, stride, padding, pad_value)
+        padded = np.full((2, 3, 7 + 2 * padding, 6 + 2 * padding), pad_value)
+        padded[:, :, padding : padding + 7, padding : padding + 6] = x
+        expected = [
+            padded[n, :, i : i + kernel, j : j + kernel].ravel()
+            for n in range(2)
+            for i in range(0, oh * stride, stride)
+            for j in range(0, ow * stride, stride)
+        ]
+        assert patches.dtype == np.uint8
+        assert np.array_equal(patches, np.array(expected))
+
+    def test_pad_value_outside_the_dtype_widens(self):
+        x = np.full((1, 1, 2, 2), -3, dtype=np.int8)
+        patches, _ = F.im2col(x, kernel=3, padding=1, pad_value=200)
+        assert patches.dtype == np.int16
+        assert patches[0].tolist() == [200] * 4 + [-3, -3, 200, -3, -3]
+
 
 class TestConv2d:
     def test_matches_manual_convolution(self):
@@ -84,6 +112,13 @@ class TestPooling:
         x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
         out = F.avgpool2d(x, kernel=2)
         assert np.array_equal(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
+
+    def test_maxpool_pools_integer_codes_in_their_dtype(self):
+        x = np.arange(25, dtype=np.uint8).reshape(1, 1, 5, 5)
+        out = F.maxpool2d(x, kernel=3, stride=2, padding=1)
+        assert out.dtype == np.uint8
+        expected = F.maxpool2d(x.astype(float), kernel=3, stride=2, padding=1)
+        assert np.array_equal(out, expected)
 
     def test_maxpool_with_stride(self):
         x = np.arange(25, dtype=float).reshape(1, 1, 5, 5)

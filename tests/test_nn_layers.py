@@ -170,6 +170,17 @@ class TestConv2dLayer:
         # Corner patch contains padded entries equal to the zero point.
         corner = patches[0].reshape(3, 3, 3)
         assert np.all(corner[:, 0, 0] == layer.input_quant.zero_point)
+        # With a nonzero zero point, padding the uint8 codes directly is
+        # bit-identical to shifting int64 codes, zero-padding and unshifting.
+        layer.calibrate(inputs - 0.5, layer.forward_float(inputs - 0.5))
+        zero_point = layer.input_quant.zero_point
+        assert zero_point > 0
+        codes = layer.input_quant.quantize(inputs - 0.5)
+        assert codes.dtype == np.uint8
+        patches, _ = layer._to_patches(codes, zero_point)
+        shifted, _ = F.im2col(codes.astype(np.int64) - zero_point, 3, 1, 1)
+        assert patches.dtype == np.uint8
+        assert np.array_equal(patches, shifted + zero_point)
 
     def test_rejects_non_square_kernels(self):
         with pytest.raises(ValueError):
@@ -192,6 +203,18 @@ class TestShapeOnlyLayers:
         quant = TensorQuant(scale=0.1)
         out, _ = MaxPool2d(2).forward_quantized(codes, quant)
         assert np.array_equal(out, F.maxpool2d(codes.astype(float), 2).astype(int))
+
+    def test_pools_keep_the_code_dtype(self, rng):
+        for signed, dtype in ((False, np.uint8), (True, np.int8)):
+            quant = TensorQuant(scale=0.1, signed=signed)
+            codes = quant.quantize(rng.normal(0, 5, size=(2, 3, 4, 4)))
+            assert codes.dtype == dtype
+            pools = (MaxPool2d(2), MaxPool2d(3, 1, 1), AvgPool2d(2), GlobalAvgPool())
+            for layer in pools:
+                out, _ = layer.forward_quantized(codes, quant)
+                assert out.dtype == dtype, layer
+                wide, _ = layer.forward_quantized(codes.astype(np.int64), quant)
+                assert np.array_equal(out, wide), layer
 
     def test_avgpool_quantized_rounds(self):
         codes = np.array([[[[0, 1], [2, 3]]]])

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Linear
+from repro.nn.layers import Linear, MatmulLayer
 from repro.nn.model import QuantizedModel
-from repro.nn.synthetic import synthetic_linear_weights
+from repro.nn.synthetic import (
+    synthetic_images,
+    synthetic_linear_weights,
+    synthetic_signed_activations,
+)
+from repro.nn.zoo import bert_large_ffn_like, resnet18_like
 
 
 class TestModelStructure:
@@ -131,3 +136,42 @@ class TestSignedInputModel:
         x = rng.normal(0, 1, size=(4, 8))
         captured = model.capture_layer_inputs(x)
         assert captured["fc"].patch_codes.min() < 0
+
+
+class TestActivationCodeDtypes:
+    """Activations travel in their quantization's narrow code dtype."""
+
+    @pytest.mark.parametrize("build_model", [resnet18_like, bert_large_ffn_like])
+    def test_no_int64_between_layers(self, build_model, rng):
+        model = build_model(seed=0)
+        if len(model.input_shape) == 3:
+            x = synthetic_images(2, model.input_shape, rng)
+        else:
+            x = synthetic_signed_activations((4, *model.input_shape), rng)
+        hook_dtypes = {}
+
+        def hook(codes, layer):
+            hook_dtypes[layer.name] = codes.dtype
+            return codes.astype(np.int64) @ layer.weight_codes
+
+        codes = model.input_quant.quantize(x)
+        assert codes.dtype == model.input_quant.code_dtype
+        quant = model.input_quant
+        for layer in model.layers:
+            in_dtype = codes.dtype
+            codes, quant = layer.forward_quantized(codes, quant, pim_matmul=hook)
+            if isinstance(layer, MatmulLayer):
+                assert hook_dtypes[layer.name] == in_dtype, layer.name
+                assert codes.dtype == layer.output_quant.code_dtype, layer.name
+            else:
+                assert codes.dtype == in_dtype, layer.name
+            assert codes.dtype in (np.uint8, np.int8), layer.name
+        assert set(hook_dtypes) == {layer.name for layer in model.matmul_layers()}
+        if build_model is bert_large_ffn_like:
+            assert hook_dtypes["bert_ffn0_in"] == np.int8
+        # The public API edges still hand out int64.
+        final = model.forward_quantized(x, pim_matmul=hook, return_codes=True)
+        assert final.dtype == np.int64
+        assert np.array_equal(final, codes)
+        captured = model.capture_layer_inputs(x)
+        assert {a.patch_codes.dtype for a in captured.values()} == {np.dtype(np.int64)}

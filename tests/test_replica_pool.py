@@ -11,6 +11,7 @@ dead worker restarted in the background.
 import os
 import signal
 import sys
+import threading
 import time
 
 import numpy as np
@@ -231,6 +232,68 @@ class TestSelfHealing:
             ReplicaPool.launch(tiny_mlp_model, replicas=0)
         with pytest.raises(ValueError, match="blas_threads"):
             ReplicaPool.launch(tiny_mlp_model, blas_threads=0)
+
+
+class _InterleavingLock:
+    """A lock that runs ``on_first_release`` right after its first release."""
+
+    def __init__(self, on_first_release):
+        self._lock = threading.Lock()
+        self._on_first_release = on_first_release
+
+    def __enter__(self):
+        self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+        callback, self._on_first_release = self._on_first_release, None
+        if callback is not None:
+            callback()
+
+
+class TestRestartThreadBookkeeping:
+    def test_close_joins_a_restart_spawned_while_another_spawns(self, tiny_mlp_model):
+        # Force the interleaving: a second spawn (the prober retrying a
+        # dead slot) runs in the window right after the first spawn leaves
+        # the threads lock.  The first restart thread must stay registered,
+        # so close() joins it instead of returning while it still runs.
+        registered = threading.Event()
+        first = {}
+
+        def restart(handle):
+            assert registered.wait(timeout=10)
+            if threading.current_thread() is first["thread"]:
+                time.sleep(2.0)  # outlasts close()'s own worker teardown
+
+        with ReplicaPool.launch(tiny_mlp_model, replicas=1) as pool:
+            handle = pool._handles[0]
+
+            def concurrent_spawn():
+                first["thread"] = pool._restart_threads[-1]
+                registered.set()
+                spawner = threading.Thread(target=pool._spawn_restart, args=(handle,))
+                spawner.start()
+                spawner.join(timeout=10)
+                assert not spawner.is_alive()
+
+            pool._restart = restart
+            pool._threads_lock = _InterleavingLock(concurrent_spawn)
+            pool._spawn_restart(handle)
+            assert len(pool._restart_threads) == 2
+        assert not first["thread"].is_alive()
+
+    def test_no_restart_spawns_after_close(self, tiny_mlp_model):
+        calls = []
+        pool = ReplicaPool.launch(tiny_mlp_model, replicas=1)
+        handle = pool._handles[0]
+        pool.close()
+        pool._restart = calls.append
+        pool._spawn_restart(handle)
+        assert calls == []
+        assert not [
+            t for t in threading.enumerate() if t.name.startswith("replica-restart")
+        ]
 
 
 class TestBlasPinning:

@@ -145,6 +145,26 @@ class TestExecutorParity:
         assert np.array_equal(reference.matmul(patches), vectorized.matmul(patches))
         assert_stats_equal(reference.stats, vectorized.stats)
 
+    @pytest.mark.parametrize("name", sorted(PARITY_CONFIGS))
+    def test_int8_codes_down_to_minus_128_identical(
+        self, name, signed_layer_and_patches
+    ):
+        # int8 codes reach the executor straight from a signed quantization;
+        # -128's magnitude does not fit int8, and the split must not wrap.
+        layer, patches = signed_layer_and_patches
+        codes = patches.astype(np.int8)
+        codes[0, :3] = -128
+        codes[1, :] = 127
+        config = PARITY_CONFIGS[name]
+        reference = PimLayerExecutor(layer, config)
+        vectorized = VectorizedLayerExecutor(layer, config, weight_cache=None)
+        wide_reference = PimLayerExecutor(layer, config)
+        outputs = vectorized.matmul(codes).tobytes()
+        assert outputs == reference.matmul(codes).tobytes()
+        assert outputs == wide_reference.matmul(codes.astype(np.int64)).tobytes()
+        assert_stats_equal(reference.stats, vectorized.stats)
+        assert_stats_equal(wide_reference.stats, vectorized.stats)
+
     @pytest.mark.parametrize("level", [0.04, 0.12])
     def test_seeded_noise_identical(self, level, tiny_linear_layer, tiny_patches):
         config = PimLayerConfig(collect_column_sums=True)
