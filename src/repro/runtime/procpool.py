@@ -39,8 +39,8 @@ matches the in-process engine exactly.
 
 Each worker pins its BLAS/OpenMP thread pools (``OMP_NUM_THREADS`` /
 ``OPENBLAS_NUM_THREADS`` / ``MKL_NUM_THREADS``, via
-:attr:`EngineSpec.blas_threads`) so N replicas divide the machine instead of
-oversubscribing it.
+:attr:`EngineSpec.blas_threads`) and runs its planned row tiles on one
+thread, so N replicas divide the machine instead of oversubscribing it.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ import numpy as np
 from repro.analog.noise import NoiseModel, NoiselessModel
 from repro.core.executor import LayerStatistics, PimLayerConfig
 from repro.nn.model import QuantizedModel
+from repro.runtime import vectorized
 
 __all__ = [
     "EngineSpec",
@@ -104,9 +105,6 @@ _RESTART_BACKOFF_MAX_S = 30.0
 
 #: How much of a dead worker's stderr a :class:`WorkerStartupError` carries.
 _STDERR_TAIL_BYTES = 4096
-
-#: The environment variables every common BLAS/OpenMP runtime honours.
-_BLAS_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: Serialises the parent-side environment staging around ``Process.start()``
 #: (spawned children capture ``os.environ`` at exec time).
@@ -366,11 +364,14 @@ def _limit_blas_threads(n: int | None) -> None:
     The environment variables cover spawned workers (BLAS reads them when the
     fresh interpreter first loads it); a forked worker inherits an
     already-initialised BLAS, so when threadpoolctl is available the live
-    pools are resized too.
+    pools are resized too.  The worker's ``n`` cores are its BLAS pool's, so
+    its planned row tiles run on the calling thread
+    (:data:`~repro.runtime.vectorized.TILE_WORKERS` = 1).
     """
     if n is None:
         return
-    for var in _BLAS_ENV_VARS:
+    vectorized.TILE_WORKERS = 1
+    for var in vectorized.BLAS_ENV_VARS:
         os.environ[var] = str(n)
     try:
         from threadpoolctl import threadpool_limits
@@ -645,8 +646,8 @@ class EngineWorker:
             # reads it on load.  (Forked children additionally re-apply it
             # in their own bootstrap.)
             with _BLAS_ENV_LOCK:
-                saved = {var: os.environ.get(var) for var in _BLAS_ENV_VARS}
-                for var in _BLAS_ENV_VARS:
+                saved = {var: os.environ.get(var) for var in vectorized.BLAS_ENV_VARS}
+                for var in vectorized.BLAS_ENV_VARS:
                     os.environ[var] = str(spec.blas_threads)
                 try:
                     self._process.start()

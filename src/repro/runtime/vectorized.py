@@ -28,6 +28,19 @@ column-sum collection keep the inherited per-phase loop on float64 column
 sums, fed by one batched GEMM over every phase through the ``_phase_sums``
 hook.
 
+Threading model: the planned path runs each chunk in self-contained,
+cache-sized row tiles (:data:`TILE_ELEMENTS`).  A chunk of two or more tiles
+runs them on up to :data:`TILE_WORKERS` threads: the calling thread plus
+threads started for that call alone and joined before it returns, so no
+thread outlives a :meth:`matmul` (a long-lived pool would keep
+:func:`~repro.runtime.procpool._default_start_method` off ``fork``).  The
+budget is the usable cores per BLAS thread: every core where BLAS is pinned
+to one thread, 1 where an unpinned BLAS pool already spans them, and 1 in a
+replica worker.  Single-tile calls, noisy layers and column-sum collection
+run on the calling thread alone.  One executor serves one call at a time;
+distinct executors may run concurrently, as the thread-backend server runs
+them.
+
 Activation dtype contract: codes reach :meth:`matmul` in their narrow code
 dtype (``uint8`` from unsigned quantization, pooling and im2col).  The
 inherited :meth:`~repro.core.executor.PimLayerExecutor.matmul` validates
@@ -41,21 +54,65 @@ Weight encoding is shared across executor instances through
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 from repro.analog.noise import NoiseModel, NoiselessModel
 from repro.core.dynamic_input import InputPhase
-from repro.core.executor import PimLayerConfig, PimLayerExecutor, _EncodedChunk
+from repro.core.executor import (
+    LayerStatistics,
+    PimLayerConfig,
+    PimLayerExecutor,
+    _EncodedChunk,
+)
 from repro.nn.layers import MatmulLayer
 from repro.runtime.cache import GLOBAL_WEIGHT_CACHE, EncodedWeightCache
 from repro.runtime.phases import narrow_codes, slice_phases
 from repro.runtime.plan import CompiledLayerPlan, float32_gemm_is_exact
 
-__all__ = ["TILE_ELEMENTS", "VectorizedLayerExecutor", "float32_gemm_is_exact"]
+__all__ = [
+    "BLAS_ENV_VARS",
+    "TILE_ELEMENTS",
+    "TILE_WORKERS",
+    "VectorizedLayerExecutor",
+    "float32_gemm_is_exact",
+]
 
 #: Row-tile budget of the planned fast path, in plane-tensor plus product
 #: values: a float32 tile's GEMM operand and products fit in 2 MB of L2.
 TILE_ELEMENTS = 1 << 19
+
+
+#: Environment variables that size BLAS/OpenMP thread pools.
+BLAS_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _tile_workers() -> int:
+    """Usable cores per BLAS thread, at least one.
+
+    Row tiles and a multi-threaded BLAS pool compete for the same cores:
+    GEMMs issued from several threads at once queue on the one pool.  So
+    the tiles get the cores only where :data:`BLAS_ENV_VARS` pin BLAS below
+    the core count; an unpinned pool already spans every core.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cores = os.cpu_count() or 1
+    pins = [os.environ.get(var, "").strip() for var in BLAS_ENV_VARS]
+    pinned = [int(pin) for pin in pins if pin.isdigit() and int(pin) > 0]
+    return max(1, cores // min(pinned, default=cores))
+
+
+#: Threads one planned chunk's row tiles run on at once (the calling thread
+#: included): the usable cores per BLAS thread, read at import.  With BLAS
+#: pinned to one thread, as the repository benchmark and replica workers
+#: pin it, that is every usable core.  A replica worker sets it to 1: its
+#: :attr:`~repro.runtime.procpool.EngineSpec.blas_threads` cores are its
+#: BLAS pool's, so N replicas still divide the machine.
+TILE_WORKERS = _tile_workers()
 
 
 class VectorizedLayerExecutor(PimLayerExecutor):
@@ -80,10 +137,19 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         operand tables -- no weight encoding at all; otherwise it compiles
         its own.
 
+    Threads: a noiseless chunk of several row tiles runs them on up to
+    :data:`TILE_WORKERS` call-scoped threads, all joined before
+    :meth:`matmul` returns; extra threads count into private
+    :class:`~repro.core.executor.LayerStatistics` merged into :attr:`stats`
+    after the join, so outputs and counters do not depend on the thread
+    count.  Do not call one executor from two threads at once.
+
     Memory note: outside the row-tiled noiseless fast path, each chunk's
     phase tensor holds ``n_phases * M * rows`` values; for very large
     batches run through :class:`~repro.runtime.engine.NetworkEngine`
-    micro-batching.
+    micro-batching.  On the fast path each tile worker holds one tile's
+    working set (about :data:`TILE_ELEMENTS` values) at a time, so peak
+    memory grows by one tile per extra worker.
     """
 
     def __init__(
@@ -173,46 +239,118 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         integer total.  (A zero may come out as -0.0; the zero-initialised
         accumulator in ``_matmul_unsigned`` turns it into +0.0, exactly as
         in the reference.)  Pulses come from the plan's per-code pulse table,
-        one gather over the codes.  Input rows are independent, so the plane
-        GEMM and the speculation masks run in row tiles of at most
-        :data:`TILE_ELEMENTS` plane-tensor plus product values: the working
-        set stays cache-sized for any ``M``.
+        one gather over the codes.
+
+        Input rows are independent, so the chunk runs in row tiles of at
+        most :data:`TILE_ELEMENTS` plane-tensor plus product values, each
+        self-contained (:meth:`_planned_tile`): the working set stays
+        cache-sized for any ``M``.  A chunk of several tiles runs them on
+        up to :data:`TILE_WORKERS` cores (:meth:`_run_tiles_threaded`);
+        every tile writes its own rows of the output and counts integer
+        totals, so the result and the counters do not depend on which
+        thread ran which tile.
         """
         plan = self.layer_plan
         operands = plan.operands[chunk_index]
-        stats = self.stats
         # Phases read only the low ``input_bits`` bits of a code.
         narrow = narrow_codes(codes, plan.phase_shifts.dtype) & plan.code_mask
+        m, rows = narrow.shape
+        analog = np.empty((m, operands.combined.shape[1]), dtype=np.float64)
+        tile = max(1, TILE_ELEMENTS // (plan.n_planes * (rows + operands.n_columns)))
+        centers = chunk.encoded.centers if chunk.encoded.encoding.uses_centers else None
+        tiles = range(0, m, tile)
+        arrays = (narrow, codes, operands, centers, analog)
+        workers = min(TILE_WORKERS, len(tiles))
+        if workers < 2:
+            for start in tiles:
+                self._planned_tile(start, start + tile, *arrays, self.stats)
+        else:
+            self._run_tiles_threaded(tiles, arrays, workers)
+        return analog
+
+    def _run_tiles_threaded(self, tiles: range, arrays: tuple, workers: int) -> None:
+        """Run :meth:`_planned_tile` for every tile in ``tiles`` on ``workers`` threads.
+
+        The calling thread works too, counting into ``self.stats``; each of
+        the ``workers - 1`` call-scoped threads counts into a private
+        :class:`LayerStatistics` that is folded in with ``merge_runs`` after
+        the join.  Threads pull starts from one shared iterator until it is
+        exhausted or a tile has raised, and are all joined before this
+        returns -- no thread outlives the call (a persistent pool would
+        keep :func:`~repro.runtime.procpool._default_start_method` off
+        ``fork``).  The first exception raised in any tile re-raises here.
+        """
+        starts = iter(tiles)
+        lock = threading.Lock()
+        errors: list[BaseException] = []
+
+        def drain(stats: LayerStatistics) -> None:
+            while True:
+                with lock:
+                    start = None if errors else next(starts, None)
+                if start is None:
+                    return
+                try:
+                    self._planned_tile(start, start + tiles.step, *arrays, stats)
+                except BaseException as error:
+                    with lock:
+                        errors.append(error)
+                    return
+
+        private = [LayerStatistics() for _ in range(workers - 1)]
+        threads: list[threading.Thread] = []
+        try:
+            for stats in private:
+                thread = threading.Thread(
+                    target=drain, args=(stats,), name="pim-row-tile", daemon=True
+                )
+                thread.start()
+                threads.append(thread)
+            drain(self.stats)
+        finally:
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[0]
+        for stats in private:
+            self.stats.merge_runs(stats)
+
+    def _planned_tile(
+        self,
+        start: int,
+        stop: int,
+        narrow: np.ndarray,
+        codes: np.ndarray,
+        operands,
+        centers: np.ndarray | None,
+        analog: np.ndarray,
+        stats: LayerStatistics,
+    ) -> None:
+        """Rows ``start:stop`` of the planned fast path, written into ``analog``.
+
+        Counts the tile's pulses from the plan's pulse table, writes the
+        exact product of its masked codes ``narrow`` (plus the centers'
+        share, from the unmasked ``codes``, if the encoding uses centers),
+        GEMMs its input planes, derives every speculative group's column
+        sums from them with one small product, counts the ADC events into
+        ``stats`` and, only where some conversion saturated, gathers the
+        planes' sums to subtract what the ADC clipped off.
+        """
+        plan = self.layer_plan
+        low, high = self.config.adc_min, self.config.adc_max
+        narrow, codes = narrow[start:stop], codes[start:stop]
+        analog = analog[start:stop]
         row_pulses = np.take(plan.pulse_table, narrow).sum(axis=0, dtype=np.int64)
         stats.input_pulses += int(row_pulses.sum())
         stats.crossbar_activity += float(row_pulses @ operands.sum_flat_rowsum)
         combined = operands.combined
-        analog = np.asarray(narrow.astype(combined.dtype) @ combined, dtype=np.float64)
-        m, rows = narrow.shape
-        tile = max(1, TILE_ELEMENTS // (plan.n_planes * (rows + operands.n_columns)))
-        for start in range(0, m, tile):
-            stop = start + tile
-            self._planned_tile(narrow[start:stop], operands, analog[start:stop])
-        encoded = chunk.encoded
-        if encoded.encoding.uses_centers:
-            analog += encoded.centers[np.newaxis, :].astype(np.float64) * codes.sum(
+        analog[...] = narrow.astype(combined.dtype) @ combined
+        if centers is not None:
+            analog += centers[np.newaxis, :].astype(np.float64) * codes.sum(
                 axis=1, keepdims=True, dtype=np.int64
             )
-        return analog
-
-    def _planned_tile(self, codes: np.ndarray, operands, analog: np.ndarray) -> None:
-        """Subtract one row tile's fidelity losses from its exact ``analog``.
-
-        GEMMs the tile's input planes, derives every speculative group's
-        column sums from them with one small product, counts the ADC events
-        and, only where some conversion saturated, gathers the planes' sums
-        to subtract what the ADC clipped off.
-        """
-        plan = self.layer_plan
-        stats = self.stats
-        low, high = self.config.adc_min, self.config.adc_max
-        planes = slice_phases(codes, plan.plane_shifts, plan.plane_masks)
-        flat = planes.reshape(-1, codes.shape[1]).astype(operands.dtype)
+        planes = slice_phases(narrow, plan.plane_shifts, plan.plane_masks)
+        flat = planes.reshape(-1, narrow.shape[1]).astype(operands.dtype)
         sums = (flat @ operands.weights).reshape(plan.n_planes, -1)  # (B, m*S*F)
         # Planes out of ADC range: the only places a conversion can lose
         # anything (rare; a handful per thousand plane sums).
@@ -241,7 +379,7 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         if speculative:  # a recovery plane converts only if its group failed
             loss *= saturated[plan.plane_group[clipped_planes], positions]
         stats.fidelity_loss_events += int(np.count_nonzero(loss))
-        shape = (codes.shape[0], plan.n_slices, plan.n_filters)
+        shape = (narrow.shape[0], plan.n_slices, plan.n_filters)
         rows, slices, filters = np.unravel_index(positions, shape)
         loss *= plan.loss_scales[clipped_planes, slices]
         analog -= np.bincount(

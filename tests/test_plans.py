@@ -14,11 +14,19 @@ Three layers of guarantees:
   actually change;
 * **transport** -- a plan shipped inside an :class:`EngineSpec` boots a
   replica worker to bit-identical outputs.
+
+The planned kernel's row tiles may run on several call-scoped threads;
+:class:`TestParallelRowTiles` forces that path and holds it to the same
+bit-identity, plus the rule that no thread outlives a ``matmul`` call.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -35,6 +43,8 @@ from repro.runtime import (
     VectorizedLayerExecutor,
     compile_model_plan,
 )
+from repro.runtime import vectorized
+from repro.runtime.procpool import _limit_blas_threads
 from repro.serve import ModelRegistry
 
 from tests.test_runtime_engine import PARITY_CONFIGS, assert_stats_equal
@@ -305,6 +315,259 @@ class TestBitPlaneKernel:
         reference = PimLayerExecutor(tiny_linear_layer, PimLayerConfig())
         assert_same_bytes(planned.matmul(tiny_patches), reference.matmul(tiny_patches))
         assert_stats_equal(planned.stats, reference.stats)
+
+
+def signed_linear(rng, n_out: int = 5, n_in: int = 16, batch: int = 48):
+    """A BERT-style signed-input layer and ``int8`` codes down to -128."""
+    from repro.nn.layers import Linear
+    from repro.nn.synthetic import synthetic_linear_weights
+
+    layer = Linear(
+        "signed_fc", synthetic_linear_weights(n_out, n_in, rng), signed_input=True
+    )
+    inputs = rng.normal(0, 1, size=(32, n_in))
+    layer.calibrate(inputs, layer.forward_float(inputs))
+    codes = layer.input_quant.quantize(rng.normal(0, 1, size=(batch, n_in)))
+    codes = codes.astype(np.int8)
+    codes[0, :3] = -128
+    return layer, codes
+
+
+def few_row_tiles(monkeypatch, executor, rows_per_tile: int = 5) -> None:
+    """Shrink the tile budget to ``rows_per_tile`` rows of the widest chunk."""
+    plan = executor.layer_plan
+    per_row = max(
+        plan.n_planes * (chunk.rows + operands.n_columns)
+        for chunk, operands in zip(executor._chunks, plan.operands)
+    )
+    monkeypatch.setattr(vectorized, "TILE_ELEMENTS", rows_per_tile * per_row)
+
+
+def spy_threaded_calls(monkeypatch) -> list[int]:
+    """Record the worker count of every threaded tile run."""
+    calls: list[int] = []
+    run = VectorizedLayerExecutor._run_tiles_threaded
+
+    def spy(self, *args):
+        calls.append(args[-1])
+        return run(self, *args)
+
+    monkeypatch.setattr(VectorizedLayerExecutor, "_run_tiles_threaded", spy)
+    return calls
+
+
+PARALLEL_CASES = {
+    "speculative": PARITY_CONFIGS["raella"].with_changes(collect_column_sums=False),
+    "bit_serial": PARITY_CONFIGS["isaac"],
+    "multi_chunk": PARITY_CONFIGS["raella_multi_chunk"],
+    "zero_offset": PARITY_CONFIGS["zero_offset"],
+}
+
+
+class TestParallelRowTiles:
+    """A chunk's row tiles on call-scoped threads: same bits, same counters,
+    and no thread left behind."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("name", sorted(PARALLEL_CASES))
+    def test_threaded_tiles_match_the_reference(
+        self, name, workers, tiny_linear_layer, tiny_patches, monkeypatch
+    ):
+        config = PARALLEL_CASES[name]
+        planned = VectorizedLayerExecutor(tiny_linear_layer, config)
+        assert planned.layer_plan.fast_path_eligible
+        few_row_tiles(monkeypatch, planned)
+        monkeypatch.setattr(vectorized, "TILE_WORKERS", workers)
+        calls = spy_threaded_calls(monkeypatch)
+        assert tiny_patches.shape[0] % 5  # the last tile is short
+        reference = PimLayerExecutor(tiny_linear_layer, config)
+        assert_same_bytes(planned.matmul(tiny_patches), reference.matmul(tiny_patches))
+        assert_stats_equal(planned.stats, reference.stats)
+        assert calls and set(calls) == {workers}
+        assert len(calls) == planned.n_row_chunks
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_threaded_signed_int8_tiles_match_the_reference(
+        self, workers, rng, monkeypatch
+    ):
+        layer, codes = signed_linear(rng)
+        planned = VectorizedLayerExecutor(layer, PimLayerConfig(), weight_cache=None)
+        few_row_tiles(monkeypatch, planned, rows_per_tile=7)
+        monkeypatch.setattr(vectorized, "TILE_WORKERS", workers)
+        calls = spy_threaded_calls(monkeypatch)
+        reference = PimLayerExecutor(layer, PimLayerConfig())
+        assert_same_bytes(planned.matmul(codes), reference.matmul(codes))
+        assert_stats_equal(planned.stats, reference.stats)
+        assert len(calls) == 2  # positive and negative magnitudes
+
+    def test_counters_survive_rapid_thread_switching(self, rng, monkeypatch):
+        """More tile workers than cores, one-row tiles and a tiny switch
+        interval: a counter update lost to a race would show here."""
+        layer, codes = calibrated_linear(rng, 8, 64, batch=160)
+        config = PimLayerConfig(adc_bits=5)
+        planned = VectorizedLayerExecutor(layer, config, weight_cache=None)
+        few_row_tiles(monkeypatch, planned, rows_per_tile=1)
+        monkeypatch.setattr(vectorized, "TILE_WORKERS", 2 * os.cpu_count() + 2)
+        reference = PimLayerExecutor(layer, config)
+        expected = reference.matmul(codes)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                planned.reset_stats()
+                assert_same_bytes(planned.matmul(codes), expected)
+                assert_stats_equal(planned.stats, reference.stats)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_exception_reraises_in_the_caller(
+        self, tiny_linear_layer, tiny_patches, monkeypatch
+    ):
+        planned = VectorizedLayerExecutor(tiny_linear_layer, PimLayerConfig())
+        few_row_tiles(monkeypatch, planned)
+        monkeypatch.setattr(vectorized, "TILE_WORKERS", 3)
+        caller = threading.get_ident()
+        worker_ran = threading.Event()
+        tile = VectorizedLayerExecutor._planned_tile
+
+        def failing_tile(self, *args):
+            if threading.get_ident() != caller:
+                worker_ran.set()
+                raise RuntimeError("tile failed in a worker")
+            worker_ran.wait(timeout=10)  # let a worker take a tile
+            return tile(self, *args)
+
+        monkeypatch.setattr(VectorizedLayerExecutor, "_planned_tile", failing_tile)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="tile failed in a worker"):
+            planned.matmul(tiny_patches)
+        assert worker_ran.is_set()
+        assert threading.active_count() == before
+        assert not [t for t in threading.enumerate() if t.name == "pim-row-tile"]
+
+    def test_no_thread_outlives_a_multi_tile_matmul(
+        self, tiny_linear_layer, tiny_patches, monkeypatch
+    ):
+        planned = VectorizedLayerExecutor(tiny_linear_layer, PimLayerConfig())
+        few_row_tiles(monkeypatch, planned)
+        monkeypatch.setattr(vectorized, "TILE_WORKERS", 3)
+        calls = spy_threaded_calls(monkeypatch)
+        before = threading.active_count()
+        planned.matmul(tiny_patches)
+        assert calls == [3]
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(
+        "fork" not in __import__("multiprocessing").get_all_start_methods(),
+        reason="fork start method unavailable",
+    )
+    def test_replica_pools_still_fork_after_a_multi_tile_matmul(self):
+        # A fresh, single-threaded interpreter: a persistent tile pool would
+        # leave a live thread behind and turn later pools to ``spawn``.
+        script = """
+import threading
+import numpy as np
+from repro.core.executor import PimLayerConfig
+from repro.nn.layers import Linear
+from repro.nn.synthetic import synthetic_linear_weights
+from repro.runtime import VectorizedLayerExecutor, vectorized
+from repro.runtime.procpool import _default_start_method
+
+rng = np.random.default_rng(0)
+layer = Linear("fc", synthetic_linear_weights(6, 24, rng, std=0.2))
+inputs = np.abs(rng.normal(0, 1, size=(64, 24)))
+layer.calibrate(inputs, layer.forward_float(inputs))
+vectorized.TILE_WORKERS = 2
+vectorized.TILE_ELEMENTS = 1
+runs = []
+run = VectorizedLayerExecutor._run_tiles_threaded
+VectorizedLayerExecutor._run_tiles_threaded = (
+    lambda self, *args: runs.append(args[-1]) or run(self, *args)
+)
+VectorizedLayerExecutor(layer, PimLayerConfig()).matmul(layer.input_quant.quantize(inputs))
+assert runs == [2], runs
+print(threading.active_count(), _default_start_method())
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["1", "fork"]
+
+    def test_pinned_replica_worker_runs_tiles_on_one_thread(self, monkeypatch):
+        for var in vectorized.BLAS_ENV_VARS:  # restored after the test
+            monkeypatch.setenv(var, "4")
+        monkeypatch.setattr(vectorized, "TILE_WORKERS", 4)
+        _limit_blas_threads(1)
+        assert vectorized.TILE_WORKERS == 1
+        assert {os.environ[var] for var in vectorized.BLAS_ENV_VARS} == {"1"}
+
+    def test_budget_is_usable_cores_per_blas_thread(self, monkeypatch):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(4)), raising=False
+        )
+        for var in vectorized.BLAS_ENV_VARS:
+            monkeypatch.delenv(var, raising=False)
+        assert vectorized._tile_workers() == 1  # an unpinned pool spans every core
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert vectorized._tile_workers() == 4
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert vectorized._tile_workers() == 4  # the narrowest pin sizes the pool
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert vectorized._tile_workers() == 2
+
+    def test_concurrent_multi_tile_layers_match_a_sequential_run(
+        self, tiny_linear_layer, tiny_patches, rng, monkeypatch
+    ):
+        """Two threads run multi-tile executors of different layers at once,
+        as the thread-backend server does; every byte matches a sequential run."""
+        wide, wide_codes = calibrated_linear(rng, 8, 64, batch=96)
+        jobs = [
+            (tiny_linear_layer, PARITY_CONFIGS["raella_multi_chunk"], tiny_patches),
+            (wide, PimLayerConfig(adc_bits=5), wide_codes),
+        ]
+        monkeypatch.setattr(vectorized, "TILE_ELEMENTS", 2000)
+        monkeypatch.setattr(vectorized, "TILE_WORKERS", 2)
+        calls = spy_threaded_calls(monkeypatch)
+
+        def run_all(executors):
+            return [
+                ex.matmul(codes).tobytes() for ex, (_, _, codes) in zip(executors, jobs)
+            ]
+
+        sequential = [
+            VectorizedLayerExecutor(layer, config) for layer, config, _ in jobs
+        ]
+        expected = run_all(sequential)
+        assert calls
+        for _ in range(5):
+            executors = [
+                VectorizedLayerExecutor(layer, config) for layer, config, _ in jobs
+            ]
+            barrier = threading.Barrier(len(jobs))
+            outputs: dict[int, bytes] = {}
+
+            def drive(index):
+                barrier.wait(timeout=10)
+                _, _, codes = jobs[index]
+                outputs[index] = executors[index].matmul(codes).tobytes()
+
+            threads = [
+                threading.Thread(target=drive, args=(i,)) for i in range(len(jobs))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert [outputs.get(i) for i in range(len(jobs))] == expected
+            for executor, baseline in zip(executors, sequential):
+                assert_stats_equal(executor.stats, baseline.stats)
 
 
 class TestModelPlan:
