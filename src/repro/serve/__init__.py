@@ -17,7 +17,8 @@ layer:
 * :mod:`repro.serve.scheduler` -- the dynamic micro-batching substrate:
   :class:`BatchingPolicy` (batch-size target + latency budget),
   :class:`InferenceFuture` result handles and the per-model
-  :class:`RequestQueue`.
+  :class:`RequestQueue`, which forms batches for idle workers and counts
+  the backlog (queued plus in-flight samples).
 * :mod:`repro.serve.server` -- :class:`InferenceServer` coalesces concurrent
   requests per model into one engine call and splits the outputs back per
   request; different models execute concurrently, each model serialises.
@@ -25,8 +26,9 @@ layer:
   :class:`~repro.telemetry.TelemetryCollector` attached the server records
   per-request cost traces and schedules SLO-aware (highest priority, least
   deadline slack first) instead of FIFO-by-age, with an aging rule so
-  best-effort work is never starved.  Workers dispatch the globally most
-  urgent formed batch across models rather than FIFO-draining one model.
+  best-effort work is never starved.  There is one scheduling stage: each
+  idle worker asks the queue for the globally most urgent ready model
+  below its dispatch capacity and forms that batch on the spot.
 * :mod:`repro.serve.admission` -- :class:`AdmissionController` screens every
   submit against queue-depth/inflight-cost caps, an overload state machine
   (:class:`OverloadState`) and the calibrated unmeetable-deadline test,

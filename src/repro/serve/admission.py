@@ -98,8 +98,8 @@ class AdmissionPolicy:
     Parameters
     ----------
     max_queue_samples_per_model:
-        Cap on one model's backlog (queued + dispatched-but-unfinished
-        samples).  A request that would push the model past the cap is shed.
+        Cap on one model's backlog (queued + executing samples).  A
+        request that would push the model past the cap is shed.
     max_queue_samples_per_tenant:
         The same cap summed over every model registered to the request's
         tenant (:meth:`ModelRegistry.register
@@ -349,7 +349,7 @@ class AdmissionController:
 
         ``deadline_s`` is *relative* (seconds from now, as passed to
         ``submit``); ``backlog_samples`` maps every model to its queued plus
-        dispatched-but-unfinished samples, and ``tenants`` maps model names
+        executing samples, and ``tenants`` maps model names
         to tenant labels.  Rules apply in order:
 
         1. overload state (critical sheds below ``critical_priority``,

@@ -208,14 +208,14 @@ class AsyncInferenceServer:
         return self._server.backlog_by_model()
 
     async def start(self) -> "AsyncInferenceServer":
-        """Start the underlying scheduler and dispatch workers."""
+        """Start the underlying server's workers."""
         self._server.start()
         return self
 
     async def stop(self) -> None:
         """Drain pending requests and stop the server, off the event loop.
 
-        The sync ``stop`` joins the scheduler thread after the queue drains;
+        The sync ``stop`` joins the worker threads after the queue drains;
         running it in the default executor keeps completion bridging live
         (the loop keeps spinning) while the drain happens, so every future
         submitted before ``stop`` still resolves.

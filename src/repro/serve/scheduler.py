@@ -3,10 +3,14 @@
 The serving layer coalesces concurrent requests *per model* into one engine
 call.  :class:`BatchingPolicy` sets the two knobs of the classic dynamic
 batcher: a batch-size target and a latency budget.  :class:`RequestQueue`
-holds pending :class:`InferenceRequest` objects per model and hands the
-scheduler the next ready batch -- by default the model whose oldest request
-has waited longest, as soon as that model has a full batch or its oldest
-request exhausts the latency budget.
+holds pending :class:`InferenceRequest` objects per model and hands an idle
+worker the next batch that may start -- by default the model whose oldest
+request has waited longest, as soon as that model has a full batch or its
+oldest request exhausts the latency budget.  The batch is formed at that
+moment, so requests that arrive while every worker is busy still join it.
+Models whose engine is already running as many batches as it can (the
+caller's placement function says so) are skipped, and the queue counts each
+popped batch's samples as in flight until the worker releases it.
 
 Requests may optionally carry a *priority* and a *deadline*.  While any such
 request is pending (and the queue's SLO mode is on), model selection switches
@@ -19,10 +23,9 @@ whose slack has run out dispatches immediately, even with a partial batch.
 An aging rule bounds starvation: heads older than
 :attr:`BatchingPolicy.starvation_limit_s` are promoted into the top pending
 priority class, so best-effort work survives a saturated high-priority
-stream.  :func:`most_urgent` is that order, written once; the server's
-dispatch stage ranks formed batches with it too.  With no
-priorities, no deadlines, or SLO mode off, the scheduling decisions are
-exactly the FIFO ones.
+stream.  :func:`most_urgent` is that order, written once and ranked only
+here.  With no priorities, no deadlines, or SLO mode off, the scheduling
+decisions are exactly the FIFO ones.
 
 Requests never split across batches: a batch is a whole number of requests, so
 splitting engine outputs back per request is a plain ``np.split`` at request
@@ -43,6 +46,7 @@ import numpy as np
 
 __all__ = [
     "BatchingPolicy",
+    "FormedBatch",
     "InferenceFuture",
     "InferenceRequest",
     "RequestQueue",
@@ -52,6 +56,12 @@ __all__ = [
 #: Estimator signature: (model_name, queued_samples) -> predicted batch
 #: latency in seconds, or None when the model has no prediction.
 LatencyEstimator = Callable[[str, int], "float | None"]
+
+#: Placement signature: (model_name, batch_samples, batch_deadline_s) ->
+#: ``(engine_key, route)`` when the batch may start now, or ``None`` while
+#: its engine key already runs as many batches as it can.  ``route`` is
+#: opaque to the queue and rides the popped :class:`FormedBatch`.
+Placer = Callable[[str, int, "float | None"], "tuple[str, object] | None"]
 
 
 @dataclass(frozen=True)
@@ -74,12 +84,11 @@ class BatchingPolicy:
         for the last few samples (see :meth:`effective_delay_s`).
     starvation_limit_s:
         The aging rule bounding priority starvation: a model whose oldest
-        pending request (or oldest dispatched batch, at the worker layer)
-        has waited longer than this is promoted into the top pending
-        priority class, competing there on slack/deadline like everything
-        else -- so a saturated stream of high-priority work cannot delay a
-        best-effort request without a deadline forever, while genuinely
-        urgent deadlines still dispatch first.  Must be positive; it only
+        pending request has waited longer than this is promoted into the
+        top pending priority class, competing there on slack/deadline like
+        everything else -- so a saturated stream of high-priority work
+        cannot delay a best-effort request without a deadline forever, while
+        genuinely urgent deadlines still dispatch first.  Must be positive; it only
         matters under SLO-aware scheduling (the FIFO path is oldest-first
         already).
     """
@@ -125,11 +134,9 @@ def most_urgent(candidates: list[tuple], now: float, starvation_limit_s: float) 
     2. then the smallest ``secondary`` key;
     3. then the smallest ``tiebreak``.
 
-    Exact ties keep the earliest candidate.  Both schedulers rank with this
-    one function and differ only in the keys they pass:
-    :class:`RequestQueue` uses the batch's slack and the head's enqueue time,
-    the server's dispatch stage the absolute deadline (``inf`` when none) and
-    the batch's formation sequence number.
+    Exact ties keep the earliest candidate.  :class:`RequestQueue` is the
+    only caller: it keys each model on its next batch's slack and then the
+    head request's enqueue time.
     """
     top_priority = max(candidate[1] for candidate in candidates)
     best_key, best_name = None, None
@@ -238,11 +245,6 @@ class InferenceRequest:
     #: unsampled requests -- the common case -- and the whole tracing path
     #: is skipped.
     trace: object | None = None
-    #: When the scheduler formed this request into a batch (``0.0`` until
-    #: then; only stamped for traced requests).  Splits the pre-dispatch
-    #: wait into queue time (co-batching) and dispatch time (batch formed,
-    #: waiting for a worker).
-    formed_at: float = 0.0
 
     @property
     def n_samples(self) -> int:
@@ -255,11 +257,33 @@ class InferenceRequest:
         return self.priority != 0 or self.deadline_s is not None
 
 
+@dataclass(eq=False)
+class FormedBatch:
+    """One batch :meth:`RequestQueue.next_batch` popped for a worker.
+
+    ``key`` is the engine key its samples count under while in flight: the
+    model name, or the variant a fleet batch was routed to.  ``route`` is
+    whatever the placement function returned with the key (the fleet's
+    :class:`~repro.serve.fleet.RouteDecision`, else ``None``), and
+    ``formed_s`` the instant the batch was popped.  The samples stay in
+    :meth:`RequestQueue.backlog_by_model` until :meth:`RequestQueue.release`.
+    """
+
+    requests: list[InferenceRequest]
+    key: str
+    route: object | None
+    samples: int
+    formed_s: float
+    released: bool = False
+
+
 class RequestQueue:
     """Per-model FIFO queues with batch-forming pop, shared by all submitters.
 
-    ``next_batch`` is intended for a single scheduler thread; ``submit`` may
-    be called from any number of threads.
+    Any number of threads may ``submit``; any number of worker threads may
+    block in ``next_batch`` at once.  Each pop is one step under the queue
+    lock: the placement check, the pop and the in-flight mark, so a batch
+    never starts on an engine key that is already at capacity.
 
     Parameters
     ----------
@@ -283,14 +307,18 @@ class RequestQueue:
         slo_mode: bool = True,
     ) -> None:
         self._pending: OrderedDict[str, deque[InferenceRequest]] = OrderedDict()
-        self._condition = threading.Condition()
+        # Reentrant, so a placement function running inside next_batch may
+        # read in_flight_batches() and backlog_by_model().
+        self._condition = threading.Condition(threading.RLock())
         self._closed = False
         self._latency_estimator = latency_estimator
         self._slo_mode = slo_mode
         self._slo_pending = 0
+        # Engine key -> (batches, samples) popped but not yet released.
+        self._in_flight: dict[str, tuple[int, int]] = {}
 
     def submit(self, request: InferenceRequest) -> None:
-        """Enqueue a request and wake the scheduler."""
+        """Enqueue a request and wake the waiting workers."""
         with self._condition:
             if self._closed:
                 raise RuntimeError("request queue is closed")
@@ -315,29 +343,47 @@ class RequestQueue:
         with self._condition:
             return sum(len(q) for q in self._pending.values())
 
-    def queued_samples_by_model(self) -> dict[str, int]:
-        """Pending sample counts per model, for admission-control decisions.
+    def in_flight_batches(self, key: str) -> int:
+        """Batches popped onto engine key ``key`` and not yet released."""
+        with self._condition:
+            return self._in_flight.get(key, (0, 0))[0]
 
-        A consistent snapshot under the queue lock; models whose deques have
-        drained are omitted.  The scan is O(pending requests) -- admission
-        control calls this once per submit, which stays far below the
-        microsecond budget for realistic queue depths.
+    def backlog_by_model(self) -> dict[str, int]:
+        """Queued plus in-flight samples per key, for admission and routing.
+
+        Queued samples count under the submitted name, in-flight ones under
+        the engine key they were placed on (a routed fleet batch counts
+        under its variant).  A consistent snapshot under the queue lock;
+        keys with nothing queued or in flight are omitted.  The scan is
+        O(pending requests) -- admission control calls this once per
+        submit, which stays far below the microsecond budget for realistic
+        queue depths.
         """
         with self._condition:
-            return {
+            backlog = {
                 name: sum(r.n_samples for r in requests)
                 for name, requests in self._pending.items()
-                if requests
             }
+            for key, (_batches, samples) in self._in_flight.items():
+                backlog[key] = backlog.get(key, 0) + samples
+            return backlog
 
-    def _oldest_model(self) -> str | None:
-        oldest_name, oldest_time = None, None
-        for name, requests in self._pending.items():
-            if requests and (
-                oldest_time is None or requests[0].enqueued_at < oldest_time
-            ):
-                oldest_name, oldest_time = name, requests[0].enqueued_at
-        return oldest_name
+    def release(self, batch: FormedBatch) -> None:
+        """Retire a popped batch from the in-flight counts, exactly once.
+
+        Wakes the waiting workers: the batch's engine key may have dropped
+        below its capacity.
+        """
+        with self._condition:
+            if batch.released:
+                return
+            batch.released = True
+            batches, samples = self._in_flight[batch.key]
+            if batches == 1:
+                del self._in_flight[batch.key]
+            else:
+                self._in_flight[batch.key] = (batches - 1, samples - batch.samples)
+            self._condition.notify_all()
 
     def _batch_preview(
         self, requests: deque[InferenceRequest], policy: BatchingPolicy
@@ -369,22 +415,38 @@ class RequestQueue:
                 )
         return samples, priority, min_deadline, samples >= policy.max_batch_size
 
-    def _most_urgent_dispatch(
-        self, policy: BatchingPolicy, now: float
-    ) -> tuple[str | None, float | None]:
-        """SLO-aware selection: ``(model to dispatch or None, min due-in)``.
+    def _predicted_latency(self, name: str, samples: int) -> float:
+        if self._latency_estimator is None:
+            return 0.0
+        # A failing user-supplied estimator must degrade to "no
+        # prediction", not kill the worker thread.
+        try:
+            estimate = self._latency_estimator(name, samples)
+        except Exception:
+            estimate = None
+        return 0.0 if estimate is None else estimate
 
-        Each model is judged by the batch it would dispatch right now
-        (:meth:`_batch_preview`).  A model is *ready* when that batch is
-        full, its slack -- tightest ``deadline - now - predicted batch
-        latency`` within the batch, or the remaining co-batching budget when
-        the batch carries no deadline -- has run out, or the queue is
-        closed.  While nothing is ready the second element tells the caller
-        how long it may sleep before the earliest model comes due.  Once
-        *any* model is ready, a dispatch is going to happen -- so the
-        globally most urgent model wins under :func:`most_urgent` (highest
-        priority class first, then least slack, then oldest head request),
-        even with a partial batch:
+    def _pick(
+        self, policy: BatchingPolicy, place: Placer, now: float
+    ) -> tuple[str | None, tuple | None, float | None]:
+        """``(model, placement, due_in)``: the batch to pop now, if any.
+
+        Only models ``place`` accepts compete; one at capacity is skipped
+        until a release wakes the workers.  A model is *ready* when its next
+        batch (:meth:`_batch_preview`) is full, its slack -- tightest
+        ``deadline - now - predicted batch latency`` within the batch, or
+        the remaining co-batching budget when the batch carries no deadline
+        -- has run out, or the queue is closed.  With nothing to pop,
+        ``due_in`` tells the caller how long it may sleep before the
+        earliest placeable model comes due (``None``: until woken).
+
+        FIFO path (no SLO hints pending, or SLO mode off): only the
+        placeable model whose head request has waited longest may go.
+
+        SLO path: once *any* placeable model is ready, a dispatch is going
+        to happen -- so the globally most urgent placeable model wins under
+        :func:`most_urgent` (highest priority class first, then least
+        slack, then oldest head request), even with a partial batch:
         delaying an urgent request behind a less urgent full batch would
         invert the SLO ordering, and the engine has work either way.
 
@@ -399,39 +461,44 @@ class RequestQueue:
         its (long exhausted) delay budget, which keeps falling with age, so
         it eventually undercuts any stream of fresh arrivals.
         """
-        entries = []
+        slo = self._slo_mode and self._slo_pending > 0
+        names = (
+            list(self._pending)
+            if slo
+            else sorted(self._pending, key=lambda n: self._pending[n][0].enqueued_at)
+        )
+        entries, placements = [], {}
         min_due, any_ready = None, False
-        for name, requests in self._pending.items():
-            if not requests:
-                continue
+        for name in names:
+            requests = self._pending[name]
             samples, priority, min_deadline, full = self._batch_preview(
                 requests, policy
             )
+            placement = place(name, samples, min_deadline)
+            if placement is None:
+                continue
             head = requests[0]
-            budget_left = policy.effective_delay_s(samples) - (now - head.enqueued_at)
-            if min_deadline is None:
-                slack = budget_left
-            else:
-                predicted = 0.0
-                if self._latency_estimator is not None:
-                    # A failing user-supplied estimator must degrade to
-                    # "no prediction", not kill the scheduler thread.
-                    try:
-                        estimate = self._latency_estimator(name, samples)
-                    except Exception:
-                        estimate = None
-                    if estimate is not None:
-                        predicted = estimate
-                slack = min_deadline - now - predicted
+            slack = budget_left = policy.effective_delay_s(samples) - (
+                now - head.enqueued_at
+            )
+            if slo and min_deadline is not None:
+                slack = min_deadline - now - self._predicted_latency(name, samples)
             due_in = min(budget_left, slack)
+            ready = full or due_in <= 0 or self._closed
+            if not slo:
+                return (name, placement, None) if ready else (None, None, due_in)
             min_due = due_in if min_due is None else min(min_due, due_in)
-            any_ready = any_ready or full or due_in <= 0 or self._closed
+            any_ready = any_ready or ready
+            placements[name] = placement
             entries.append((name, priority, head.enqueued_at, slack, head.enqueued_at))
         if not any_ready:
-            return None, min_due
-        return most_urgent(entries, now, policy.starvation_limit_s), min_due
+            return None, None, min_due
+        name = most_urgent(entries, now, policy.starvation_limit_s)
+        return name, placements[name], None
 
-    def _pop_batch(self, name: str, policy: BatchingPolicy) -> list[InferenceRequest]:
+    def _pop_batch(
+        self, name: str, placement: tuple, policy: BatchingPolicy, now: float
+    ) -> FormedBatch:
         requests = self._pending[name]
         batch = [requests.popleft()]
         total = batch[0].n_samples
@@ -441,52 +508,33 @@ class RequestQueue:
         if not requests:
             del self._pending[name]
         self._slo_pending -= sum(1 for request in batch if request.has_slo)
-        return batch
+        key, route = placement
+        batches, samples = self._in_flight.get(key, (0, 0))
+        self._in_flight[key] = (batches + 1, samples + total)
+        return FormedBatch(batch, key, route, total, now)
 
-    def next_batch(self, policy: BatchingPolicy) -> list[InferenceRequest] | None:
-        """Block until a batch is ready; ``None`` once closed and drained.
+    def next_batch(self, policy: BatchingPolicy, place: Placer) -> FormedBatch | None:
+        """Block until a batch may start; ``None`` once closed and drained.
 
-        FIFO path (no SLO hints pending, or SLO mode off): the model whose
-        head request has waited longest is served first; its batch dispatches
-        when the queued samples reach ``max_batch_size``, when the head
-        request's age exhausts the (possibly adaptive) delay budget, or
-        immediately once the queue is closed (drain mode).
-
-        SLO path (some pending request carries a priority or deadline): once
-        any model is due -- full batch, exhausted budget, deadline at risk,
-        or drain mode -- dispatch the globally most urgent model (highest
-        priority, then least slack; see :meth:`_most_urgent_dispatch`),
-        partial batch or not.
+        ``place(name, samples, deadline_s)`` is called under the queue lock
+        for each model competing for this pop, with the stats of the batch
+        that model would form; it returns ``(engine_key, route)`` or
+        ``None`` when that engine key is at capacity (see :data:`Placer`).
+        The winner -- the oldest placeable model once it is ready (FIFO
+        path), or the most urgent placeable model once any is ready (SLO
+        path; see :meth:`_pick`) -- is popped, and its samples count as in flight
+        under its engine key until :meth:`release`.  A closed queue still
+        pending at capacity waits for a release; workers get ``None`` only
+        once it is closed and empty.
         """
         with self._condition:
             while True:
-                if self._slo_mode and self._slo_pending > 0:
-                    now = time.monotonic()
-                    name, due_in = self._most_urgent_dispatch(policy, now)
-                    if name is not None:
-                        return self._pop_batch(name, policy)
-                    if due_in is None:  # nothing pending at all
-                        if self._closed:
-                            return None
-                        self._condition.wait()
-                    else:
-                        self._condition.wait(timeout=max(due_in, 0.0))
-                    continue
-                name = self._oldest_model()
-                if name is None:
-                    if self._closed:
-                        return None
-                    self._condition.wait()
-                    continue
-                requests = self._pending[name]
-                queued_samples = sum(r.n_samples for r in requests)
-                head_age = time.monotonic() - requests[0].enqueued_at
-                remaining = policy.effective_delay_s(queued_samples) - head_age
-                if (
-                    queued_samples < policy.max_batch_size
-                    and remaining > 0
-                    and not self._closed
-                ):
-                    self._condition.wait(timeout=remaining)
-                    continue
-                return self._pop_batch(name, policy)
+                now = time.monotonic()
+                name, placement, due_in = self._pick(policy, place, now)
+                if name is not None:
+                    return self._pop_batch(name, placement, policy, now)
+                if self._closed and not self._pending:
+                    return None
+                self._condition.wait(
+                    timeout=None if due_in is None else max(due_in, 0.0)
+                )

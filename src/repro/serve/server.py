@@ -14,15 +14,16 @@ the calibrated latency predictions, and doomed or over-cap requests are shed
 Threading model:
 
 * any number of client threads call :meth:`submit` / :meth:`infer`;
-* one scheduler thread forms batches and appends them to per-model FIFO
-  dispatch queues;
-* worker threads repeatedly pop the *globally most urgent* dispatched batch
-  (highest priority first, with aged-starved batches promoted into the top
-  class, then earliest deadline, then formation order) from any model not
-  already being drained -- batches of
-  different models run concurrently, batches of the same model run in
-  formation order, and a busy worker no longer FIFO-drains one model while
-  a higher-priority batch of another model waits;
+* ``max_workers`` worker threads are the only schedulers: an idle worker
+  asks the :class:`~repro.serve.scheduler.RequestQueue` for the most urgent
+  *ready* model below its dispatch capacity (highest priority first, with
+  aged-starved heads promoted into the top class, then least deadline
+  slack), and the queue forms that model's batch at that moment -- so
+  requests that arrive while every worker is busy still join it.  A batch
+  addressed to a fleet is routed in the same step.  The worker executes the
+  batch and releases its in-flight samples before the futures resolve.
+  Batches of different models run concurrently, batches of the same model
+  start in formation order;
 * engine access is additionally serialised per *executor* (locks acquired in
   a global order), because the shared :class:`~repro.runtime.ExecutorPool`
   can back several hosted names with the same executors (e.g. one model
@@ -35,8 +36,7 @@ Threading model:
   truly in parallel while their worker-side engine timings still feed
   telemetry calibration.  A pool advertising ``dispatch_width > 1`` also
   runs up to that many *same-model* batches concurrently (one per healthy
-  replica); single-width engines keep the classic one-batch-per-model
-  draining rule.
+  replica); single-width engines run one batch per model at a time.
 
 Results are bit-identical to calling ``engine.run`` directly on each request's
 inputs whenever the engine is deterministic (the default noiseless setup):
@@ -50,14 +50,10 @@ from __future__ import annotations
 
 import copy
 import itertools
-import math
 import threading
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
@@ -72,10 +68,10 @@ from repro.serve.fleet import FleetRouter, RouteDecision, RoutingObjective
 from repro.serve.registry import ModelRegistry
 from repro.serve.scheduler import (
     BatchingPolicy,
+    FormedBatch,
     InferenceFuture,
     InferenceRequest,
     RequestQueue,
-    most_urgent,
 )
 from repro.telemetry import RequestTrace, TelemetryCollector, Tracer
 
@@ -159,52 +155,6 @@ class _EngineLockEntry:
     refs: int = 0
 
 
-@dataclass
-class _DispatchedBatch:
-    """One formed batch waiting for (or undergoing) execution.
-
-    The urgency fields are frozen at formation time: ``priority`` is the
-    batch's highest request priority, ``deadline_s`` its tightest absolute
-    deadline, ``enqueued_at`` its oldest request's submission instant (the
-    aging clock), and ``seq`` the global formation order that keeps
-    same-model batches FIFO and breaks ties deterministically.
-
-    ``engine_name`` is the registry name the batch executes on: the
-    requests' own model name, except for fleet submissions, where the
-    router rebinds it to the chosen variant (``route`` then carries the
-    :class:`~repro.serve.fleet.RouteDecision` evidence, and may be rebound
-    again if the variant is unregistered mid-flight).
-    """
-
-    seq: int
-    requests: list[InferenceRequest]
-    samples: int
-    priority: int
-    deadline_s: float | None
-    enqueued_at: float
-    engine_name: str
-    route: RouteDecision | None = None
-    # The dispatch-queue name this batch's samples are counted under; set by
-    # the worker that pops it and cleared (under the dispatch guard) when the
-    # batch is retired from the dispatched backlog -- see _retire_dispatch.
-    dispatch_key: str | None = None
-
-    @classmethod
-    def from_requests(
-        cls, seq: int, requests: list[InferenceRequest]
-    ) -> "_DispatchedBatch":
-        deadlines = [r.deadline_s for r in requests if r.deadline_s is not None]
-        return cls(
-            seq=seq,
-            requests=requests,
-            samples=sum(r.n_samples for r in requests),
-            priority=max(r.priority for r in requests),
-            deadline_s=min(deadlines) if deadlines else None,
-            enqueued_at=min(r.enqueued_at for r in requests),
-            engine_name=requests[0].model_name,
-        )
-
-
 class InferenceServer:
     """Dynamic micro-batching server over a model registry.
 
@@ -213,12 +163,13 @@ class InferenceServer:
     registry:
         The hosted models.  Models may be registered while the server runs.
     policy:
-        Batch-size / latency-budget knobs of the scheduler (including the
-        anti-starvation aging limit used by both batch formation and worker
-        dispatch).
+        Batch-size / latency-budget knobs of the request queue (including
+        the anti-starvation aging limit).
     max_workers:
-        Worker threads executing coalesced batches; batches of different
-        models run concurrently, batches of one model always serialise.
+        Worker threads; each forms its own batch from the request queue
+        when idle and executes it.  Batches of different models run
+        concurrently; batches of one model serialise unless its engine
+        advertises a ``dispatch_width`` above 1.
     telemetry:
         Optional :class:`~repro.telemetry.TelemetryCollector`.  When set, the
         server records a :class:`~repro.telemetry.RequestTrace` per completed
@@ -257,7 +208,7 @@ class InferenceServer:
         submissions (:meth:`ModelRegistry.register_fleet
         <repro.serve.registry.ModelRegistry.register_fleet>`).  Batches
         addressed at a fleet name are placed on one of its architecture
-        variants at formation time by a
+        variants when a worker forms them, by a
         :class:`~repro.serve.fleet.FleetRouter` (exposed as
         :attr:`router`), by default minimising modeled energy subject to
         the batch's deadline slack; per-variant backlog feeds back into
@@ -265,8 +216,8 @@ class InferenceServer:
         one.  Non-fleet submissions never touch the router.
 
     Use as a context manager, or call :meth:`start` / :meth:`stop`.  Requests
-    may be submitted before :meth:`start`; they dispatch once the scheduler
-    runs (handy for deterministic tests and benchmarks).
+    may be submitted before :meth:`start`; they dispatch once the workers
+    run (handy for deterministic tests and benchmarks).
     """
 
     def __init__(
@@ -321,19 +272,8 @@ class InferenceServer:
         # same lock.
         self._executor_locks: dict[int, _EngineLockEntry] = {}
         self._locks_generation = -1
-        # Per-model FIFO queues of formed batches.  Workers pop the globally
-        # most urgent head batch of any model with spare dispatch capacity
-        # (in-flight batches < the engine's dispatch_width, 1 for ordinary
-        # engines); _dispatched_samples counts samples formed-but-unfinished
-        # (including the batch currently executing), which admission control
-        # adds to the request queue's depth to see the whole backlog.
-        self._dispatch: dict[str, deque[_DispatchedBatch]] = {}
-        self._active_batches: dict[str, int] = {}
-        self._dispatched_samples: dict[str, int] = {}
-        self._dispatch_seq = itertools.count()
-        self._dispatch_guard = threading.Lock()
-        self._scheduler: threading.Thread | None = None
-        self._workers: ThreadPoolExecutor | None = None
+        self._locks_guard = threading.Lock()
+        self._workers: list[threading.Thread] = []
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -396,29 +336,29 @@ class InferenceServer:
         return predict
 
     def start(self) -> "InferenceServer":
-        """Start the scheduler and worker pool (idempotent, restartable)."""
-        if self._scheduler is not None:
+        """Start the worker threads (idempotent, restartable)."""
+        if self._workers:
             return self
         if self._queue.closed:  # restarting after stop(): fresh queue
             self._queue = self._make_queue()
-        self._workers = ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="serve-worker"
-        )
-        self._scheduler = threading.Thread(
-            target=self._schedule_loop, name="serve-scheduler", daemon=True
-        )
-        self._scheduler.start()
+        self._workers = [
+            threading.Thread(
+                target=self._work, name=f"serve-worker-{index}", daemon=True
+            )
+            for index in range(self.max_workers)
+        ]
+        for worker in self._workers:
+            worker.start()
         return self
 
     def stop(self) -> None:
-        """Drain pending requests, then stop scheduler and workers."""
-        if self._scheduler is None:
+        """Drain pending requests, then join every worker."""
+        if not self._workers:
             return
         self._queue.close()
-        self._scheduler.join()
-        self._workers.shutdown(wait=True)
-        self._scheduler = None
-        self._workers = None
+        for worker in self._workers:
+            worker.join()
+        self._workers = []
 
     def __enter__(self) -> "InferenceServer":
         return self.start()
@@ -595,7 +535,7 @@ class InferenceServer:
             n_samples=n_samples,
             priority=priority,
             deadline_s=deadline_s,
-            backlog_samples=self._backlog_by_model(),
+            backlog_samples=self._queue.backlog_by_model(),
             tenants=tenants,
             predictor=predictor,
             replica_counts=self._dispatch_widths(),
@@ -621,24 +561,16 @@ class InferenceServer:
                 widths[name] = width
         return widths
 
-    def _backlog_by_model(self) -> dict[str, int]:
-        """Queued plus dispatched-but-unfinished samples per model."""
-        backlog = self._queue.queued_samples_by_model()
-        with self._dispatch_guard:
-            for name, samples in self._dispatched_samples.items():
-                if samples:
-                    backlog[name] = backlog.get(name, 0) + samples
-        return backlog
-
     def backlog_by_model(self) -> dict[str, int]:
-        """Public backlog snapshot: in-flight samples per model.
+        """Public backlog snapshot: queued plus executing samples per model.
 
-        Counts queued plus dispatched-but-unfinished samples -- the same
-        figure admission control prices.  The asyncio gateway's health
-        endpoint reports this so a load balancer can see pressure building
-        before the admission controller starts shedding.
+        The request queue's count, and the same figure admission control
+        prices; a routed fleet batch counts under its variant once a worker
+        has formed it.  The asyncio gateway's health endpoint reports this
+        so a load balancer can see pressure building before the admission
+        controller starts shedding.
         """
-        return self._backlog_by_model()
+        return self._queue.backlog_by_model()
 
     def _wire_cost_model(self, model_name: str) -> None:
         """Attach the registry's cost tables to the collector, once per model.
@@ -769,7 +701,7 @@ class InferenceServer:
         """Requests currently queued (not yet formed into batches)."""
         return len(self._queue)
 
-    # -- scheduler / workers ---------------------------------------------------
+    # -- workers ---------------------------------------------------------------
 
     @staticmethod
     def _engine_lock_ids(engine) -> set[int]:
@@ -821,15 +753,15 @@ class InferenceServer:
         serialisation), never accumulate forever.
         """
         lock_ids = self._engine_lock_ids(engine)
-        # Snapshot the live ids *before* taking the dispatch guard: the
-        # O(models x executors) registry scan must not stall every worker's
-        # batch selection.  The unguarded generation read can only be stale,
-        # which at worst defers (or redoes) one pruning pass; the refs > 0
-        # rule keeps any in-flight entry safe regardless.
+        # Snapshot the live ids *before* taking the guard: the
+        # O(models x executors) registry scan must not stall every other
+        # worker's lock lookup.  The unguarded generation read can only be
+        # stale, which at worst defers (or redoes) one pruning pass; the
+        # refs > 0 rule keeps any in-flight entry safe regardless.
         generation = self.registry.generation
         stale = generation != self._locks_generation
         live = self._live_lock_ids() if stale else None
-        with self._dispatch_guard:
+        with self._locks_guard:
             if live is not None and self._locks_generation < generation:
                 self._executor_locks = {
                     lock_id: entry
@@ -847,81 +779,94 @@ class InferenceServer:
 
     def _release_engine_locks(self, entries: list[_EngineLockEntry]) -> None:
         """Drop the in-flight references taken by :meth:`_engine_locks`."""
-        with self._dispatch_guard:
+        with self._locks_guard:
             for entry in entries:
                 entry.refs -= 1
 
-    def _schedule_loop(self) -> None:
-        while True:
-            batch = self._queue.next_batch(self.policy)
-            if batch is None:
-                return
-            name = batch[0].model_name
-            if self.tracer is not None:
-                formed = time.monotonic()
-                for request in batch:
-                    if request.trace is not None:
-                        request.formed_at = formed
-            entry = _DispatchedBatch.from_requests(next(self._dispatch_seq), batch)
-            if self.registry.is_fleet(name):
-                self._route_entry(name, entry)
-            key = entry.engine_name
-            # Routed batches join the *variant's* FIFO: per-variant
-            # capacity, ordering and serialisation are exactly those of
-            # direct submissions, which is what keeps a pinned fleet
-            # bit-identical to single-variant serving -- and what makes
-            # _dispatched_samples per-variant backlog the router feeds on.
-            with self._dispatch_guard:
-                self._dispatch.setdefault(key, deque()).append(entry)
-                self._dispatched_samples[key] = (
-                    self._dispatched_samples.get(key, 0) + entry.samples
-                )
-            # One worker task per formed batch: each task executes zero or
-            # more batches (whatever is most urgent when it gets a thread)
-            # and exits when nothing is selectable, so batches can never
-            # outnumber the tasks that will look for them.
-            self._workers.submit(self._dispatch_worker)
+    def _work(self) -> None:
+        """One worker: form the most urgent startable batch, run it, repeat."""
+        queue = self._queue
+        while (batch := queue.next_batch(self.policy, self._place)) is not None:
+            try:
+                self._execute_batch(batch)
+            finally:
+                # Normally a no-op: _execute_batch releases the batch before
+                # its futures resolve.  This is the safety net for paths
+                # that failed before reaching the accounting.
+                queue.release(batch)
 
-    def _route_entry(
-        self, fleet: str, entry: _DispatchedBatch, reroute: bool = False
-    ) -> bool:
-        """Place one fleet batch on a variant; ``True`` when a variant was chosen.
+    def _place(
+        self, name: str, samples: int, deadline_s: float | None
+    ) -> tuple[str, RouteDecision | None] | None:
+        """Where a batch of ``name`` would start now: ``(engine key, route)``.
+
+        :meth:`RequestQueue.next_batch
+        <repro.serve.scheduler.RequestQueue.next_batch>` calls this under
+        its lock, so the capacity check here and the queue's in-flight mark
+        are one step: a key never runs more batches at once than its
+        engine's dispatch width (1 unless a replica pool advertises more),
+        and ``None`` keeps the batch queued until a release.  A fleet name
+        is routed here, so routed batches count against the *variant's*
+        capacity exactly like direct submissions -- which keeps a pinned
+        fleet bit-identical to single-variant serving.  The decision is
+        recorded only once a worker executes the batch.
+        """
+        key, route = name, None
+        if self.registry.is_fleet(name):
+            route = self._route(name, samples, deadline_s)
+            if route is not None:
+                key = route.variant
+        if self._queue.in_flight_batches(key) >= self._dispatch_capacity(key):
+            return None
+        return key, route
+
+    def _route(
+        self, fleet: str, samples: int, deadline_s: float | None
+    ) -> RouteDecision | None:
+        """Place one fleet batch on a variant; ``None`` when none is live.
 
         The decision path is dictionary lookups over precomputed cost
         tables and calibration scalars -- no engine is touched, so routing
-        adds microseconds to batch formation.  ``reroute=True`` is the
-        mid-flight drain path (the chosen variant was unregistered with
-        the batch already dispatched): the batch is replaced onto the
-        remaining variants and the hop is counted separately so the
-        telemetry's routed-batch totals stay one-per-batch.  ``False``
-        means no live variant exists; the caller lets the batch fail (or,
-        at formation time, lets the engine lookup produce the usual
-        unknown-model error).
+        adds microseconds to batch formation.  The router's backlog input
+        is the queue's per-key count.  ``None`` lets the engine lookup
+        produce the usual unknown-model error (or the batch fail, on the
+        mid-flight reroute path).
         """
-        started = time.monotonic()
         try:
-            decision = self.router.route(
+            return self.router.route(
                 fleet,
-                entry.samples,
-                deadline_s=entry.deadline_s,
-                now=started,
-                backlog=self._backlog_by_model(),
+                samples,
+                deadline_s=deadline_s,
+                backlog=self._queue.backlog_by_model(),
             )
         except LookupError:  # fleet emptied or dropped concurrently
-            return False
-        decided = time.monotonic()
-        entry.engine_name = decision.variant
-        entry.route = decision
+            return None
+
+    def _record_route(
+        self,
+        decision: RouteDecision,
+        requests: list[InferenceRequest],
+        started: float,
+        decided: float,
+        reroute: bool = False,
+    ) -> None:
+        """Count one executed placement and add its ``route`` spans.
+
+        ``reroute=True`` is the mid-flight drain path (the chosen variant
+        was unregistered with the batch already formed): the hop is counted
+        separately so the telemetry's routed-batch totals stay
+        one-per-batch.
+        """
         if self.telemetry is not None:
             self.telemetry.record_route(decision, reroute=reroute)
         if reroute and self.tracer is not None:
             self.tracer.record_event(
                 "fleet_reroute",
-                fleet=fleet,
+                fleet=decision.fleet,
                 variant=decision.variant,
-                samples=entry.samples,
+                samples=decision.n_samples,
             )
-        for request in entry.requests:
+        for request in requests:
             if request.trace is not None:
                 request.trace.add_span(
                     "route",
@@ -933,117 +878,41 @@ class InferenceServer:
                     reason=decision.reason,
                     rerouted=reroute,
                 )
-        return True
-
-    def _select_model_locked(self, now: float) -> str | None:
-        """The most urgent head batch across models not already draining.
-
-        Urgency order: :func:`~repro.serve.scheduler.most_urgent`, the
-        queue's order -- highest priority class first, where a batch older
-        than :attr:`BatchingPolicy.starvation_limit_s` is promoted into the
-        top pending class -- keyed here on the earliest deadline (EDF;
-        deadline-free batches rank last), then formation order.  Only
-        head batches compete, and a model already running as many batches as
-        its engine's dispatch width (1 unless a replica pool advertises
-        more) is skipped -- same-model batches still *dispatch* in formation
-        order, replicas merely overlap their execution.  With
-        ``slo_scheduling=False`` (the benchmarks' FIFO baseline) dispatch is
-        strictly formation-ordered, mirroring the queue's FIFO mode.
-        """
-        candidates = []
-        for name, pending in self._dispatch.items():
-            if not pending:
-                continue
-            if self._active_batches.get(name, 0) >= self._dispatch_capacity(name):
-                continue
-            head = pending[0]
-            deadline = math.inf if head.deadline_s is None else head.deadline_s
-            candidates.append(
-                (name, head.priority, head.enqueued_at, deadline, head.seq)
-            )
-        if not candidates:
-            return None
-        if not self.slo_scheduling:
-            return min(candidates, key=itemgetter(4))[0]
-        return most_urgent(candidates, now, self.policy.starvation_limit_s)
 
     def _dispatch_capacity(self, name: str) -> int:
         """How many batches of one model may execute concurrently (>= 1)."""
         try:
             engine = self.registry.engine(name)
-        except KeyError:  # unregistered with batches still queued
+        except KeyError:  # unregistered with requests still queued
             return 1
         return max(1, int(getattr(engine, "dispatch_width", 1)))
 
-    def _dispatch_worker(self) -> None:
-        """Execute globally-most-urgent batches until none is selectable."""
-        while True:
-            with self._dispatch_guard:
-                name = self._select_model_locked(time.monotonic())
-                if name is None:
-                    return
-                self._active_batches[name] = self._active_batches.get(name, 0) + 1
-                entry = self._dispatch[name].popleft()
-                entry.dispatch_key = name
-            try:
-                self._execute_batch(entry)
-            finally:
-                # Normally a no-op: _execute_batch retires the batch before
-                # its futures resolve.  This is the safety net for paths
-                # that failed before reaching the accounting.
-                self._retire_dispatch(entry)
-                with self._dispatch_guard:
-                    active = self._active_batches.get(name, 0) - 1
-                    if active > 0:
-                        self._active_batches[name] = active
-                    else:
-                        self._active_batches.pop(name, None)
-                    if not self._dispatch.get(name):
-                        self._dispatch.pop(name, None)
-
-    def _retire_dispatch(self, entry: _DispatchedBatch) -> None:
-        """Drop a batch's samples from the dispatched backlog, exactly once.
-
-        Runs on the execution path *before* the batch's futures resolve, so
-        a caller woken by its result no longer finds its own request in
-        ``backlog_by_model()`` (queued and dispatched counts are the figure
-        admission control prices).  Clearing ``dispatch_key`` under the
-        guard makes the retirement idempotent.
-        """
-        with self._dispatch_guard:
-            name = entry.dispatch_key
-            if name is None:
-                return
-            entry.dispatch_key = None
-            remaining = self._dispatched_samples.get(name, 0) - entry.samples
-            if remaining > 0:
-                self._dispatched_samples[name] = remaining
-            else:
-                self._dispatched_samples.pop(name, None)
-
-    def _execute_batch(self, entry: _DispatchedBatch) -> None:
-        batch = entry.requests
-        sizes = [request.n_samples for request in batch]
+    def _execute_batch(self, batch: FormedBatch) -> None:
+        requests = batch.requests
+        engine_name, route = batch.key, batch.route
+        sizes = [request.n_samples for request in requests]
         # Trace fan-out: the batch runs once, but each sampled request's
         # trace gets its own copy of the batch-level spans collected in
         # ``sink`` (engine/worker_ipc, as plain dicts so the runtime layer
         # never imports telemetry).  ``trace_ctx`` rides the worker request
         # so worker-side spans come back tagged with every trace they serve.
-        traced = [request for request in batch if request.trace is not None]
+        traced = [request for request in requests if request.trace is not None]
         sink: list[dict] | None = [] if traced else None
         trace_ctx = (
             tuple(request.trace.trace_id for request in traced) if traced else None
         )
+        if route is not None:
+            self._record_route(route, requests, batch.formed_s, time.monotonic())
         dispatched = time.monotonic()
         try:
             inputs = (
-                batch[0].inputs
-                if len(batch) == 1
-                else np.concatenate([request.inputs for request in batch], axis=0)
+                requests[0].inputs
+                if len(requests) == 1
+                else np.concatenate([request.inputs for request in requests], axis=0)
             )
             while True:
                 try:
-                    engine = self.registry.engine(entry.engine_name)
+                    engine = self.registry.engine(engine_name)
                     outputs, engine_time, engine_records = self._run_engine(
                         engine, inputs, sizes, sink, trace_ctx
                     )
@@ -1058,21 +927,32 @@ class InferenceServer:
                     # bounded by the fleet width; anything else -- including
                     # a fleet emptied of variants -- falls through to the
                     # failure path below.
-                    if entry.route is None or entry.engine_name in self.registry:
+                    if route is None or engine_name in self.registry:
                         raise
-                    if not self._route_entry(entry.route.fleet, entry, reroute=True):
+                    started = time.monotonic()
+                    deadline = min(
+                        (r.deadline_s for r in requests if r.deadline_s is not None),
+                        default=None,
+                    )
+                    route = self._route(route.fleet, batch.samples, deadline)
+                    if route is None:
                         raise
+                    engine_name = route.variant
+                    self._record_route(
+                        route, requests, started, time.monotonic(), reroute=True
+                    )
         except BaseException as error:
-            self._retire_dispatch(entry)
-            for request in batch:
+            self._queue.release(batch)
+            for request in requests:
                 request.future._set_error(_clone_error(error))
             with self._stats_lock:
-                self._stats.requests_failed += len(batch)
+                self._stats.requests_failed += len(requests)
             if traced:
                 failed_at = time.monotonic()
                 self._finish_traces(
                     traced,
                     sink,
+                    batch.formed_s,
                     dispatched,
                     delivered=failed_at,
                     completed=failed_at,
@@ -1084,44 +964,47 @@ class InferenceServer:
         results = np.split(outputs, bounds, axis=0)
         delivered = time.monotonic()
         completed = delivered
-        # All accounting (server stats, traces, telemetry) is finalised
-        # *before* the futures resolve: a caller woken by ``result()`` must
-        # see its own request already reflected in ``statistics()``.  The
+        # All accounting (queue backlog, server stats, traces, telemetry) is
+        # finalised *before* the futures resolve: a caller woken by
+        # ``result()`` must see its own request already reflected in
+        # ``statistics()`` and gone from ``backlog_by_model()``.  The
         # ``finally`` guarantees the futures resolve even if accounting
         # raises.
         try:
-            self._retire_dispatch(entry)
+            self._queue.release(batch)
             with self._stats_lock:
                 stats = self._stats
-                stats.requests_completed += len(batch)
+                stats.requests_completed += len(requests)
                 stats.batches_executed += 1
-                stats.samples_executed += int(sum(sizes))
-                stats.max_batch_size = max(stats.max_batch_size, int(sum(sizes)))
+                stats.samples_executed += batch.samples
+                stats.max_batch_size = max(stats.max_batch_size, batch.samples)
                 stats.engine_time_s += engine_time
                 stats.queue_wait_s += sum(
-                    dispatched - request.enqueued_at for request in batch
+                    dispatched - request.enqueued_at for request in requests
                 )
                 # Routed batches are counted under the variant that actually
                 # executed them (the fleet-level totals live in the telemetry
                 # collector's routing counters).
-                stats.batches_per_model[entry.engine_name] = (
-                    stats.batches_per_model.get(entry.engine_name, 0) + 1
+                stats.batches_per_model[engine_name] = (
+                    stats.batches_per_model.get(engine_name, 0) + 1
                 )
             if traced:
                 self._finish_traces(
                     traced,
                     sink,
+                    batch.formed_s,
                     dispatched,
                     delivered=delivered,
                     completed=completed,
                     status="ok",
-                    batch_size=int(sum(sizes)),
+                    batch_size=batch.samples,
                 )
             if self.telemetry is not None:
-                if entry.route is not None:
-                    self.telemetry.record_route_outcome(entry.route)
+                if route is not None:
+                    self.telemetry.record_route_outcome(route)
                 self._record_telemetry(
-                    entry,
+                    requests,
+                    engine_name,
                     engine,
                     sizes,
                     dispatched,
@@ -1130,7 +1013,7 @@ class InferenceServer:
                     engine_records,
                 )
         finally:
-            for request, result in zip(batch, results):
+            for request, result in zip(requests, results):
                 request.future._set_result(result)
 
     def _run_engine(
@@ -1183,6 +1066,7 @@ class InferenceServer:
         self,
         traced: list[InferenceRequest],
         sink: list[dict] | None,
+        formed: float,
         dispatched: float,
         *,
         delivered: float,
@@ -1194,9 +1078,9 @@ class InferenceServer:
         """Close every sampled request's trace for one executed batch.
 
         Each traced request gets its own copies of the per-batch spans:
-        ``queue_wait`` (submit -> batch formation), ``dispatch_wait``
-        (formation -> worker pickup), ``execute`` (pickup -> outputs
-        delivered), the sink's ``worker_ipc``/``engine`` spans (clamped into
+        ``queue_wait`` (submit -> the worker forms the batch),
+        ``dispatch_wait`` (formation -> execution start: the routing time),
+        ``execute`` (execution start -> outputs delivered), the sink's ``worker_ipc``/``engine`` spans (clamped into
         the execute window as a cross-platform guard; on Linux worker clocks
         share ``CLOCK_MONOTONIC`` so the clamp is a no-op), and ``complete``
         (output split + future delivery).  Finishing freezes the span list,
@@ -1204,8 +1088,6 @@ class InferenceServer:
         """
         for request in traced:
             handle = request.trace
-            formed = request.formed_at or dispatched
-            formed = min(formed, dispatched)
             handle.add_span("queue_wait", request.enqueued_at, formed)
             handle.add_span("dispatch_wait", formed, dispatched)
             attrs: dict = {"status": status}
@@ -1222,7 +1104,8 @@ class InferenceServer:
 
     def _record_telemetry(
         self,
-        entry: _DispatchedBatch,
+        requests: list[InferenceRequest],
+        name: str,
         engine,
         sizes: list[int],
         dispatched: float,
@@ -1247,8 +1130,6 @@ class InferenceServer:
         energy attribution must use the executing architecture's tables.
         Fleet-level aggregates come from the collector's routing counters.
         """
-        batch = entry.requests
-        name = entry.engine_name
         batch_samples = int(sum(sizes))
         self.telemetry.record_engine_runs(name, engine_records)
         pool_health = getattr(engine, "pool_health", None)
@@ -1268,7 +1149,7 @@ class InferenceServer:
         batch_modeled_us = (
             None if cost is None else cost.batch_latency_us(batch_samples)
         )
-        for request in batch:
+        for request in requests:
             handle = request.trace
             self.telemetry.record(
                 RequestTrace(

@@ -38,6 +38,17 @@ def _shared_memory_blocks() -> set[str]:
     return {name for name in entries if name.startswith("psm_")}
 
 
+def _serve_threads(known: set[threading.Thread]) -> list[threading.Thread]:
+    """Live ``serve-`` threads (server workers) beyond ``known``."""
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread not in known
+        and thread.is_alive()
+        and thread.name.startswith("serve-")
+    ]
+
+
 def _event_loop_threads(known: set[threading.Thread]) -> list[threading.Thread]:
     """Threads (beyond ``known``) currently running an asyncio event loop.
 
@@ -63,14 +74,17 @@ def _event_loop_threads(known: set[threading.Thread]) -> list[threading.Thread]:
 
 @pytest.fixture(autouse=True)
 def no_leaked_worker_processes():
-    """Resource hygiene: no leaked processes, shared memory or event loops.
+    """Resource hygiene: no leaked processes, shared memory, event loops or
+    server workers.
 
     Process-backed engines (:mod:`repro.runtime.procpool`) spawn one child
-    per hosted model plus shared-memory transport blocks, and the asyncio
-    front door (:mod:`repro.serve.aio`) runs under event loops; a test that
-    forgets to close any of them leaves state that outlives the test and
-    poisons later ones.  Leftovers are reclaimed so the failure does not
-    cascade, then the test fails.
+    per hosted model plus shared-memory transport blocks, the asyncio
+    front door (:mod:`repro.serve.aio`) runs under event loops, and a
+    started :class:`~repro.serve.InferenceServer` keeps its ``serve-``
+    worker threads until ``stop()``; a test that forgets to close any of
+    them leaves state that outlives the test and poisons later ones.
+    Leftovers are reclaimed where possible so the failure does not cascade,
+    then the test fails.
     """
     shm_before = _shared_memory_blocks()
     threads_before = set(threading.enumerate())
@@ -85,11 +99,13 @@ def no_leaked_worker_processes():
     while time.monotonic() < deadline:
         leaked_shm = _shared_memory_blocks() - shm_before
         loops = _event_loop_threads(threads_before)
-        if not leaked_shm and not loops:
+        workers = _serve_threads(threads_before)
+        if not leaked_shm and not loops and not workers:
             break
         time.sleep(0.05)
     leaked_shm = _shared_memory_blocks() - shm_before
     loops = _event_loop_threads(threads_before)
+    workers = _serve_threads(threads_before)
     for name in leaked_shm:  # reclaim so one failure does not cascade
         try:
             block = shared_memory.SharedMemory(name=name)
@@ -100,6 +116,7 @@ def no_leaked_worker_processes():
     assert not leaked, f"test leaked worker processes: {leaked}"
     assert not leaked_shm, f"test leaked shared-memory blocks: {sorted(leaked_shm)}"
     assert not loops, f"test leaked running event loops on threads: {loops}"
+    assert not workers, f"test leaked server worker threads: {workers}"
 
 
 @pytest.fixture

@@ -11,9 +11,9 @@ The contract under test:
   :class:`RequestShedError` when a result is demanded;
 * admission outcomes and the DAC/ADC/crossbar/digital energy split flow into
   the telemetry exports;
-* workers dispatch the globally most urgent formed batch (priority, then
-  EDF, then formation order, with aged batches promoted) instead of
-  FIFO-draining one model.
+* an idle worker forms the globally most urgent batch among the models
+  below capacity (priority, then least slack, then arrival, with aged heads
+  promoted) instead of FIFO-draining one model.
 """
 
 import threading
@@ -33,8 +33,7 @@ from repro.serve import (
     RequestShedError,
     ServerStoppedError,
 )
-from repro.serve.scheduler import InferenceFuture, InferenceRequest
-from repro.serve.server import _DispatchedBatch
+from repro.serve.scheduler import InferenceFuture, InferenceRequest, RequestQueue
 
 
 def per_sample_predictor(seconds_per_sample):
@@ -520,84 +519,83 @@ class TestServerIntegration:
         assert "component=\"digital\"" in telemetry.to_prometheus()
 
 
-def make_entry(seq, priority=0, deadline_s=None, age_s=0.0, samples=1):
+def make_request(index, priority=0, deadline_s=None, age_s=0.0, samples=1):
     now = time.monotonic()
-    request = InferenceRequest(
-        model_name=f"m{seq}",
+    return InferenceRequest(
+        model_name=f"m{index}",
         inputs=np.zeros((samples, 2)),
         future=InferenceFuture(),
         enqueued_at=now - age_s,
         priority=priority,
         deadline_s=None if deadline_s is None else now + deadline_s,
     )
-    return _DispatchedBatch.from_requests(seq, [request])
 
 
 class TestDispatchUrgency:
-    """White-box tests of the worker-side globally-most-urgent selection."""
+    """White-box tests of the queue's pick for an idle worker.
 
-    def select(self, server, entries, active=()):
-        from collections import deque
+    The queue is closed (drain mode), so every model is ready and only the
+    urgency order and the models' capacity decide.  A 10 s delay budget is
+    the slack of a deadline-free batch, so it ranks behind the deadlines
+    used here.
+    """
 
-        server._dispatch = {
-            entry.requests[0].model_name: deque([entry]) for entry in entries
-        }
-        server._active_batches = {name: 1 for name in active}
-        return server._select_model_locked(time.monotonic())
+    POLICY = BatchingPolicy(max_delay_s=10.0, starvation_limit_s=0.5)
 
-    @pytest.fixture
-    def server(self, serving_registry):
-        return InferenceServer(serving_registry, BatchingPolicy(starvation_limit_s=0.5))
+    def select(self, requests, busy=(), slo_mode=True):
+        queue = RequestQueue(slo_mode=slo_mode)
+        for request in requests:
+            queue.submit(request)
+        queue.close()
 
-    def test_priority_beats_formation_order(self, server):
-        chosen = self.select(
-            server, [make_entry(0, priority=0), make_entry(1, priority=3)]
-        )
+        def place(name, samples, deadline_s):
+            return None if name in busy else (name, None)
+
+        return queue.next_batch(self.POLICY, place).requests[0].model_name
+
+    def test_priority_beats_formation_order(self):
+        chosen = self.select([make_request(0, priority=0), make_request(1, priority=3)])
         assert chosen == "m1"
 
-    def test_edf_within_a_priority_class(self, server):
+    def test_edf_within_a_priority_class(self):
         chosen = self.select(
-            server,
             [
-                make_entry(0),  # no deadline: ranks last
-                make_entry(1, deadline_s=5.0),
-                make_entry(2, deadline_s=0.5),
-            ],
+                make_request(0),  # no deadline: its 10 s budget ranks last
+                make_request(1, deadline_s=5.0),
+                make_request(2, deadline_s=0.5),
+            ]
         )
         assert chosen == "m2"
 
-    def test_formation_order_breaks_ties(self, server):
-        chosen = self.select(server, [make_entry(0), make_entry(1)])
+    def test_formation_order_breaks_ties(self):
+        chosen = self.select([make_request(0, priority=1), make_request(1, priority=1)])
         assert chosen == "m0"
 
-    def test_active_model_is_skipped(self, server):
+    def test_active_model_is_skipped(self):
         chosen = self.select(
-            server,
-            [make_entry(0, priority=3), make_entry(1)],
-            active=("m0",),
+            [make_request(0, priority=3), make_request(1)], busy=("m0",)
         )
         assert chosen == "m1"
 
-    def test_fifo_mode_dispatches_in_formation_order(self, serving_registry):
+    def test_fifo_mode_dispatches_in_formation_order(self):
         # slo_scheduling=False is the benchmarks' FIFO baseline: dispatch
         # must ignore priorities/deadlines end to end.
-        server = InferenceServer(serving_registry, slo_scheduling=False)
-        chosen = self.select(server, [make_entry(0), make_entry(1, priority=3)])
+        chosen = self.select(
+            [make_request(0), make_request(1, priority=3)], slo_mode=False
+        )
         assert chosen == "m0"
 
-    def test_starved_batch_promoted_over_priority(self, server):
-        chosen = self.select(
-            server, [make_entry(0, age_s=1.0), make_entry(1, priority=3)]
-        )
-        assert chosen == "m0"  # older than the 0.5s limit -> top class + EDF
+    def test_starved_batch_promoted_over_priority(self):
+        chosen = self.select([make_request(0, age_s=1.0), make_request(1, priority=3)])
+        assert chosen == "m0"  # older than the 0.5s limit -> top class, less slack
 
     def test_workers_jump_to_urgent_model(self, tiny_mlp_model, rng):
         """End to end: a high-priority batch overtakes a busy model's queue.
 
         One worker serialises execution and model "slow" gets an artificial
-        engine delay, so its formed batches pile up; a later high-priority
-        "fast" batch must dispatch before the backlog drains (the pre-PR
-        dispatcher FIFO-drained all of "slow" first).
+        engine delay, so its requests pile up; a later high-priority "fast"
+        request must dispatch before the backlog drains (a FIFO-by-age
+        dispatcher would drain all of "slow" first).
         """
         from repro.telemetry import TelemetryCollector
 

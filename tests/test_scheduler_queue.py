@@ -2,24 +2,29 @@
 
 Covers the scheduler behaviours the serving tests exercise only implicitly:
 oversized single requests, a zero latency budget (immediate dispatch),
-interleaved multi-model fairness, and the opt-in batch-size-aware adaptive
-delay budget -- plus property-based randomized streams (hypothesis) pinning
-the dispatch invariants: nothing lost or duplicated, per-model FIFO
-preserved, priority-then-EDF ordering, and the starvation aging bound.  The
-ordering properties are stated once on :func:`most_urgent`, the urgency
-order both the queue and the server's dispatch stage rank with.
+interleaved multi-model fairness, the opt-in batch-size-aware adaptive
+delay budget, and the capacity-aware pick (busy models skipped, a release
+waking a blocked worker) -- plus property-based randomized streams
+(hypothesis) pinning the dispatch invariants: nothing lost or duplicated,
+per-model FIFO preserved, in-flight batches within capacity,
+priority-then-EDF ordering, and the starvation aging bound.  The ordering
+properties are stated once on :func:`most_urgent`, the urgency order the
+queue ranks with.
 """
 
 import math
+import sys
+import threading
 import time
-from collections import deque
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.serve import InferenceServer, ModelRegistry
+from repro.serve import scheduler
 from repro.serve.scheduler import (
     BatchingPolicy,
     InferenceFuture,
@@ -27,7 +32,22 @@ from repro.serve.scheduler import (
     RequestQueue,
     most_urgent,
 )
-from repro.serve.server import _DispatchedBatch
+
+
+def anywhere(name, samples, deadline_s):
+    """Placement with no capacity limit: every batch runs on its own name."""
+    return name, None
+
+
+def pop(queue, policy):
+    """The next batch's requests (``None`` once closed and drained)."""
+    batch = queue.next_batch(policy, anywhere)
+    return None if batch is None else batch.requests
+
+
+def except_busy(busy):
+    """Placement that refuses the models in ``busy`` (at capacity)."""
+    return lambda name, samples, deadline_s: None if name in busy else (name, None)
 
 
 def make_request(
@@ -77,10 +97,10 @@ class TestRequestQueueEdgeCases:
         queue.submit(make_request("m", samples=2))
         policy = BatchingPolicy(max_batch_size=8, max_delay_s=10.0)
         queue.close()
-        batch = queue.next_batch(policy)
+        batch = pop(queue, policy)
         assert len(batch) == 1
         assert batch[0].n_samples == 50  # runs alone, never splits
-        follow_up = queue.next_batch(policy)
+        follow_up = pop(queue, policy)
         assert [r.n_samples for r in follow_up] == [2]
 
     def test_oversized_request_never_coalesces_a_second_request(self):
@@ -91,15 +111,15 @@ class TestRequestQueueEdgeCases:
         queue.close()
         # The first request exactly fills the batch: the 1-sample request
         # must wait for the next batch rather than overflow this one.
-        assert [r.n_samples for r in queue.next_batch(policy)] == [8]
-        assert [r.n_samples for r in queue.next_batch(policy)] == [1]
+        assert [r.n_samples for r in pop(queue, policy)] == [8]
+        assert [r.n_samples for r in pop(queue, policy)] == [1]
 
     def test_zero_delay_dispatches_immediately(self):
         queue = RequestQueue()
         queue.submit(make_request("m"))
         policy = BatchingPolicy(max_batch_size=64, max_delay_s=0.0)
         start = time.monotonic()
-        batch = queue.next_batch(policy)  # queue still open, batch not full
+        batch = pop(queue, policy)  # queue still open, batch not full
         elapsed = time.monotonic() - start
         assert len(batch) == 1
         assert elapsed < 1.0  # no waiting on the (zero) latency budget
@@ -113,9 +133,9 @@ class TestRequestQueueEdgeCases:
             queue.submit(make_request("b", enqueued_at=base + 2 * i + 1))
         queue.close()
         policy = BatchingPolicy(max_batch_size=64, max_delay_s=10.0)
-        first = queue.next_batch(policy)
-        second = queue.next_batch(policy)
-        assert queue.next_batch(policy) is None
+        first = pop(queue, policy)
+        second = pop(queue, policy)
+        assert pop(queue, policy) is None
         # Oldest head first (a), whole per-model queue coalesces, then b --
         # a steady stream on one model cannot starve the other.
         assert [r.model_name for r in first] == ["a", "a", "a"]
@@ -129,7 +149,7 @@ class TestRequestQueueEdgeCases:
             queue.submit(make_request("busy", enqueued_at=base + 0.001 * (i + 1)))
         queue.close()
         policy = BatchingPolicy(max_batch_size=4, max_delay_s=10.0)
-        assert queue.next_batch(policy)[0].model_name == "quiet"
+        assert pop(queue, policy)[0].model_name == "quiet"
 
     def test_submit_after_close_raises(self):
         queue = RequestQueue()
@@ -137,7 +157,119 @@ class TestRequestQueueEdgeCases:
         with pytest.raises(RuntimeError, match="closed"):
             queue.submit(make_request("m"))
         policy = BatchingPolicy()
-        assert queue.next_batch(policy) is None
+        assert pop(queue, policy) is None
+
+
+class TestCapacityAwarePick:
+    """``next_batch`` only pops models its placement function accepts."""
+
+    @pytest.mark.parametrize("priority", [0, 3])  # FIFO path, SLO path
+    def test_busy_model_does_not_block_a_ready_one(self, priority):
+        queue = RequestQueue()
+        base = time.monotonic()
+        queue.submit(make_request("busy", enqueued_at=base - 1.0, priority=priority))
+        queue.submit(make_request("idle", enqueued_at=base))
+        policy = BatchingPolicy(max_batch_size=1, max_delay_s=10.0)
+        batch = queue.next_batch(policy, except_busy({"busy"}))
+        assert [r.model_name for r in batch.requests] == ["idle"]
+        assert len(queue) == 1  # the older, busy model's request waits
+
+    def test_in_flight_counts_under_the_placed_key_until_release(self):
+        queue = RequestQueue()
+        base = time.monotonic()
+        queue.submit(make_request("fleet", samples=2, enqueued_at=base - 1.0))
+        queue.submit(make_request("other", samples=3, enqueued_at=base))
+        policy = BatchingPolicy(max_batch_size=8, max_delay_s=0.0)
+        batch = queue.next_batch(policy, lambda name, s, d: ("variant", "route"))
+        assert (batch.key, batch.route, batch.samples) == ("variant", "route", 2)
+        assert queue.in_flight_batches("variant") == 1
+        assert queue.backlog_by_model() == {"other": 3, "variant": 2}
+        queue.release(batch)
+        queue.release(batch)  # idempotent
+        assert queue.in_flight_batches("variant") == 0
+        assert queue.backlog_by_model() == {"other": 3}
+
+    def test_release_wakes_a_worker_blocked_on_capacity(self):
+        queue = RequestQueue()
+        queue.submit(make_request("m"))
+        queue.submit(make_request("m"))
+        policy = BatchingPolicy(max_batch_size=1, max_delay_s=0.0)
+
+        def one_at_a_time(name, samples, deadline_s):
+            return None if queue.in_flight_batches(name) else (name, None)
+
+        first = queue.next_batch(policy, one_at_a_time)
+        popped = []
+        worker = threading.Thread(
+            target=lambda: popped.append(queue.next_batch(policy, one_at_a_time))
+        )
+        worker.start()
+        worker.join(timeout=0.2)
+        assert worker.is_alive() and not popped  # "m" is at capacity
+        queue.close()  # closed but not empty: the worker keeps waiting
+        worker.join(timeout=0.2)
+        assert worker.is_alive() and not popped
+        queue.release(first)
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        assert len(popped[0].requests) == 1
+        queue.release(popped[0])
+        assert queue.next_batch(policy, one_at_a_time) is None
+
+
+    def test_racing_workers_respect_capacity(self):
+        """Stress: more workers than cores race on one queue with a short
+        switch interval; every request pops exactly once and no model ever
+        runs more batches than its capacity."""
+        capacities = {"a": 1, "b": 2, "c": 3}
+        queue = RequestQueue()
+        policy = BatchingPolicy(max_batch_size=3, max_delay_s=0.0005)
+        guard = threading.Lock()
+        running = dict.fromkeys(capacities, 0)
+        peak = dict.fromkeys(capacities, 0)
+        popped = []
+
+        def place(name, samples, deadline_s):
+            if queue.in_flight_batches(name) >= capacities[name]:
+                return None
+            return name, None
+
+        def work():
+            while (batch := queue.next_batch(policy, place)) is not None:
+                with guard:
+                    running[batch.key] += 1
+                    peak[batch.key] = max(peak[batch.key], running[batch.key])
+                    popped.extend(r.request_id for r in batch.requests)
+                time.sleep(0)  # let the other workers race for the queue
+                with guard:
+                    running[batch.key] -= 1
+                queue.release(batch)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(6)]
+            for worker in workers:
+                worker.start()
+            for index in range(300):
+                queue.submit(
+                    InferenceRequest(
+                        model_name="abc"[index % 3],
+                        inputs=np.zeros((1, 3)),
+                        future=InferenceFuture(),
+                        enqueued_at=time.monotonic(),
+                        request_id=index,
+                    )
+                )
+            queue.close()
+            for worker in workers:
+                worker.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert sorted(popped) == list(range(300))
+        assert all(peak[model] <= capacities[model] for model in capacities)
+        assert queue.backlog_by_model() == {}
 
 
 class TestStarvationAging:
@@ -171,7 +303,7 @@ class TestStarvationAging:
             max_batch_size=4, max_delay_s=0.0, starvation_limit_s=10.0
         )
         # Under the limit, the priority class wins as before.
-        assert queue.next_batch(policy)[0].model_name == "busy"
+        assert pop(queue, policy)[0].model_name == "busy"
 
     def test_starved_best_effort_jumps_priority_classes(self):
         queue = RequestQueue()
@@ -182,7 +314,7 @@ class TestStarvationAging:
             max_batch_size=4, max_delay_s=0.0, starvation_limit_s=0.5
         )
         # Past the limit, the aging rule promotes the best-effort model.
-        assert queue.next_batch(policy)[0].model_name == "quiet"
+        assert pop(queue, policy)[0].model_name == "quiet"
 
     def test_always_full_stream_starves_only_up_to_the_limit(self):
         queue = RequestQueue()
@@ -196,7 +328,7 @@ class TestStarvationAging:
         dispatched = []
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
-            batch = queue.next_batch(policy)
+            batch = pop(queue, policy)
             dispatched.append(batch[0].model_name)
             if batch[0].model_name == "quiet":
                 break
@@ -225,22 +357,32 @@ request_specs = st.lists(
 class TestDispatchProperties:
     """Property-based invariants of ``RequestQueue`` over random streams.
 
-    Every test drains a closed queue (drain mode never blocks), so the
-    randomized schedules stay deterministic apart from ``time.monotonic``
-    drift -- which the invariants are chosen to be insensitive to.
+    Every test drains a closed queue (drain mode never blocks while some
+    model is below capacity), so the randomized schedules stay
+    deterministic apart from ``time.monotonic`` drift -- which the
+    invariants are chosen to be insensitive to.
     """
 
     @given(
         stream=request_specs,
         max_batch=st.integers(min_value=1, max_value=12),
         slo_mode=st.booleans(),
+        capacities=st.fixed_dictionaries(
+            {model: st.integers(min_value=1, max_value=3) for model in "abc"}
+        ),
+        order=st.randoms(use_true_random=False),
     )
     @settings(max_examples=40, deadline=None)
     def test_drain_conserves_requests_and_per_model_fifo(
-        self, stream, max_batch, slo_mode
+        self, stream, max_batch, slo_mode, capacities, order
     ):
         """No request lost, duplicated, reordered within its model, or
-        batched beyond the size target (oversized singletons excepted)."""
+        batched beyond the size target (oversized singletons excepted).
+
+        Each model gets a random capacity and releases interleave randomly
+        with pops: no model ever has more batches in flight than its
+        capacity, the backlog is queued plus in-flight samples at every
+        step, and it is empty after the last release."""
         queue = RequestQueue(slo_mode=slo_mode)
         base = time.monotonic() - 120.0
         for i, (model, samples, priority, offset) in enumerate(stream):
@@ -257,9 +399,38 @@ class TestDispatchProperties:
             )
         queue.close()
         policy = BatchingPolicy(max_batch_size=max_batch, max_delay_s=0.0)
-        batches = []
-        while (batch := queue.next_batch(policy)) is not None:
-            batches.append(batch)
+
+        def place(name, samples, deadline_s):
+            if queue.in_flight_batches(name) >= capacities[name]:
+                return None
+            return name, None
+
+        queued: dict[str, int] = {}
+        for model, samples, _priority, _offset in stream:
+            queued[model] = queued.get(model, 0) + samples
+        batches, in_flight = [], []
+        while True:
+            startable = any(
+                queued[model] and queue.in_flight_batches(model) < capacities[model]
+                for model in queued
+            )
+            if in_flight and (not startable or order.random() < 0.5):
+                queue.release(in_flight.pop(order.randrange(len(in_flight))))
+            else:
+                batch = queue.next_batch(policy, place)
+                if batch is None:
+                    break
+                assert queue.in_flight_batches(batch.key) <= capacities[batch.key]
+                queued[batch.key] -= batch.samples
+                in_flight.append(batch)
+                batches.append(batch.requests)
+            expected = {model: samples for model, samples in queued.items() if samples}
+            for batch in in_flight:
+                expected[batch.key] = expected.get(batch.key, 0) + batch.samples
+            assert queue.backlog_by_model() == expected
+        for batch in in_flight:
+            queue.release(batch)
+        assert queue.backlog_by_model() == {}
         dispatched = [request for batch in batches for request in batch]
         assert sorted(r.request_id for r in dispatched) == list(range(len(stream)))
         per_model: dict[str, list[int]] = {}
@@ -307,7 +478,7 @@ class TestDispatchProperties:
             max_batch_size=4, max_delay_s=10.0, starvation_limit_s=1000.0
         )
         order = []
-        while (batch := queue.next_batch(policy)) is not None:
+        while (batch := pop(queue, policy)) is not None:
             assert len(batch) == 1  # distinct models never co-batch
             order.append(batch[0].request_id)
         # Rank by the *absolute* deadline the queue actually sees: offsets
@@ -347,7 +518,7 @@ class TestDispatchProperties:
         policy = BatchingPolicy(
             max_batch_size=4, max_delay_s=0.0, starvation_limit_s=limit
         )
-        batch = queue.next_batch(policy)
+        batch = pop(queue, policy)
         assert batch[0].model_name == "quiet"
 
 
@@ -357,7 +528,7 @@ class TestAdaptiveDelay:
         queue.submit(make_request("m", samples=3))
         policy = BatchingPolicy(max_batch_size=4, max_delay_s=2.0, adaptive_delay=True)
         start = time.monotonic()
-        batch = queue.next_batch(policy)  # 3/4 full: budget shrinks to 0.5s
+        batch = pop(queue, policy)  # 3/4 full: budget shrinks to 0.5s
         elapsed = time.monotonic() - start
         assert [r.n_samples for r in batch] == [3]
         assert elapsed < 1.5  # well under the non-adaptive 2s budget
@@ -367,7 +538,7 @@ class TestAdaptiveDelay:
         queue.submit(make_request("m", samples=3))
         policy = BatchingPolicy(max_batch_size=4, max_delay_s=0.4)
         start = time.monotonic()
-        queue.next_batch(policy)
+        pop(queue, policy)
         elapsed = time.monotonic() - start
         assert elapsed >= 0.3  # the full (non-adaptive) budget was honoured
 
@@ -440,33 +611,39 @@ class TestUrgencyOrder:
     )
     @settings(max_examples=60, deadline=None)
     def test_server_dispatch_is_the_shared_argmin(self, heads):
-        """The server's dispatch stage picks :func:`most_urgent`'s argmin
-        over the idle models' head batches, keyed on the absolute deadline
-        (``inf`` when none) and then the formation sequence."""
+        """A worker's pick is :func:`most_urgent`'s argmin over the models
+        below capacity, keyed on the queue's slack (the absolute deadline
+        minus now, or the remaining delay budget when none) and then the head
+        request's arrival; without SLO hints it is the oldest such head."""
         now, limit = self.NOW, 0.5
-        server = InferenceServer(
-            ModelRegistry(), BatchingPolicy(starvation_limit_s=limit)
-        )
-        server._dispatch = {}
-        server._active_batches = {}
-        candidates = []
-        for seq, (priority, age, deadline, active) in enumerate(heads):
-            name = f"m{seq}"
-            request = InferenceRequest(
-                model_name=name,
-                inputs=np.zeros((1, 2)),
-                future=InferenceFuture(),
+        assume(not all(busy for *_spec, busy in heads))
+        policy = BatchingPolicy(starvation_limit_s=limit)
+        queue = RequestQueue()
+        candidates, busy_models = [], set()
+        for index, (priority, age, deadline, busy) in enumerate(heads):
+            name = f"m{index}"
+            request = make_request(
+                name,
                 enqueued_at=now - age,
                 priority=priority,
                 deadline_s=None if deadline is None else now + deadline,
             )
-            server._dispatch[name] = deque(
-                [_DispatchedBatch.from_requests(seq, [request])]
-            )
-            if active:  # one batch already running: at its dispatch width
-                server._active_batches[name] = 1
+            queue.submit(request)
+            if busy:  # one batch already running: at its dispatch width
+                busy_models.add(name)
                 continue
-            secondary = math.inf if deadline is None else now + deadline
-            candidates.append((name, priority, now - age, secondary, seq))
-        expected = most_urgent(candidates, now, limit) if candidates else None
-        assert server._select_model_locked(now) == expected
+            slack = (
+                policy.effective_delay_s(1) - (now - request.enqueued_at)
+                if deadline is None
+                else request.deadline_s - now
+            )
+            candidates.append((name, priority, request.enqueued_at, slack, now - age))
+        queue.close()  # drain mode: every model is ready, only urgency decides
+        frozen = SimpleNamespace(monotonic=lambda: now)
+        with mock.patch.object(scheduler, "time", frozen):
+            batch = queue.next_batch(policy, except_busy(busy_models))
+        if any(priority or deadline is not None for priority, _, deadline, _ in heads):
+            expected = most_urgent(candidates, now, limit)
+        else:
+            expected = min(candidates, key=lambda candidate: candidate[2])[0]
+        assert batch.requests[0].model_name == expected

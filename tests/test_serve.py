@@ -7,6 +7,7 @@ scheduling/throughput changes.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -347,7 +348,7 @@ class TestInferenceServer:
         assert stats.requests_completed == 0
         assert stats.batches_executed == 0
         assert stats.queue_wait_s == 0.0
-        assert server._dispatched_samples == {}
+        assert server.backlog_by_model() == {}
 
     def test_submit_after_stop_rejected(self, registry):
         server = InferenceServer(registry)
@@ -451,8 +452,65 @@ class TestInferenceServer:
         server = InferenceServer(registry)
         with server:
             server.infer("mlp", inputs, timeout=30)
-        with server:  # restart gets a fresh queue, not a dead scheduler
+        with server:  # restart gets a fresh queue and fresh workers
             assert np.array_equal(server.infer("mlp", inputs, timeout=30), direct)
+
+    @staticmethod
+    def hold_first_run(engine):
+        """Block the engine's first run until the returned event is set."""
+        original_run = engine.run
+        started, release = threading.Event(), threading.Event()
+
+        def held_run(inputs, **kwargs):
+            if not started.is_set():
+                started.set()
+                assert release.wait(timeout=10.0)
+            return original_run(inputs, **kwargs)
+
+        engine.run = held_run
+        return started, release, original_run
+
+    def test_late_arrivals_join_the_batch(self, registry, rng):
+        # A worker forms its batch only when it is idle, so requests that
+        # arrive while it is busy ride one batch instead of one each.
+        started, release, original_run = self.hold_first_run(registry.engine("mlp"))
+        inputs = np.abs(rng.normal(0, 1, size=(3, 16)))
+        server = InferenceServer(
+            registry, BatchingPolicy(max_batch_size=8, max_delay_s=0.0), max_workers=1
+        )
+        with server:
+            first = server.submit("mlp", inputs[:1])
+            assert started.wait(timeout=10.0)
+            late = []
+            for i in (1, 2):
+                late.append(server.submit("mlp", inputs[i : i + 1]))
+                time.sleep(0.05)  # with a 0 s budget, each is due on arrival
+            release.set()
+            results = [decision.result(timeout=30) for decision in [first, *late]]
+        assert np.array_equal(np.concatenate(results), original_run(inputs))
+        stats = server.statistics()
+        assert stats.batches_executed == 2
+        assert stats.max_batch_size == 2
+
+    def test_model_at_capacity_does_not_block_a_ready_one(
+        self, registry, tiny_conv_model, rng
+    ):
+        registry.register("conv", tiny_conv_model)
+        started, release, _ = self.hold_first_run(registry.engine("mlp"))
+        server = InferenceServer(
+            registry, BatchingPolicy(max_batch_size=1, max_delay_s=0.0), max_workers=2
+        )
+        with server:
+            first = server.submit("mlp", np.zeros((1, 16)))
+            assert started.wait(timeout=10.0)
+            second = server.submit("mlp", np.zeros((1, 16)))  # "mlp" is busy
+            conv = server.submit("conv", np.abs(rng.normal(0, 1, size=(1, 3, 8, 8))))
+            conv.result(timeout=30)  # the idle worker ran it meanwhile
+            assert not first.done() and server.pending_requests == 1
+            release.set()
+            first.result(timeout=30)
+            second.result(timeout=30)
+        assert server.statistics().batches_per_model == {"mlp": 2, "conv": 1}
 
     def test_shared_executors_across_names_are_serialised(self, registry, rng):
         # Registering one model under two names shares its pooled executors;

@@ -39,6 +39,12 @@ from repro.telemetry import (
 ZOO_CROSS_CHECK_MODELS = ("resnet18", "mobilenetv2")
 
 
+def pop(queue, policy):
+    """The next batch's requests, placed with no capacity limit."""
+    batch = queue.next_batch(policy, lambda name, samples, deadline_s: (name, None))
+    return None if batch is None else batch.requests
+
+
 def make_trace(
     request_id=0,
     model_name="m",
@@ -676,9 +682,9 @@ class TestSloServing:
         queue.submit(self._request("tight", now, deadline_s=now + 0.05))
         queue.close()  # drain mode: every model is ready, urgency decides
         policy = BatchingPolicy(max_batch_size=8, max_delay_s=10.0)
-        assert queue.next_batch(policy)[0].model_name == "tight"
-        assert queue.next_batch(policy)[0].model_name == "loose"
-        assert queue.next_batch(policy) is None
+        assert pop(queue, policy)[0].model_name == "tight"
+        assert pop(queue, policy)[0].model_name == "loose"
+        assert pop(queue, policy) is None
 
     def test_priority_classes_beat_age(self):
         # Within the starvation limit, priority outranks age; beyond it the
@@ -695,8 +701,8 @@ class TestSloServing:
         policy = BatchingPolicy(
             max_batch_size=8, max_delay_s=10.0, starvation_limit_s=30.0
         )
-        assert queue.next_batch(policy)[0].model_name == "new_high"
-        assert queue.next_batch(policy)[0].model_name == "old_low"
+        assert pop(queue, policy)[0].model_name == "new_high"
+        assert pop(queue, policy)[0].model_name == "old_low"
 
     def test_fifo_without_slo_hints(self):
         queue = RequestQueue()
@@ -705,8 +711,8 @@ class TestSloServing:
         queue.submit(self._request("first", now - 1.0))
         queue.close()
         policy = BatchingPolicy(max_batch_size=8, max_delay_s=10.0)
-        assert queue.next_batch(policy)[0].model_name == "first"
-        assert queue.next_batch(policy)[0].model_name == "second"
+        assert pop(queue, policy)[0].model_name == "first"
+        assert pop(queue, policy)[0].model_name == "second"
 
     def test_slo_mode_off_forces_fifo(self):
         queue = RequestQueue(slo_mode=False)
@@ -715,7 +721,7 @@ class TestSloServing:
         queue.submit(self._request("urgent", now, deadline_s=now + 0.01))
         queue.close()
         policy = BatchingPolicy(max_batch_size=8, max_delay_s=10.0)
-        assert queue.next_batch(policy)[0].model_name == "older"
+        assert pop(queue, policy)[0].model_name == "older"
 
     def test_failing_estimator_degrades_to_no_prediction(self):
         def broken(name, samples):
@@ -726,7 +732,7 @@ class TestSloServing:
         queue.submit(self._request("m", now, deadline_s=now + 30.0))
         queue.close()
         policy = BatchingPolicy(max_batch_size=8, max_delay_s=10.0)
-        batch = queue.next_batch(policy)  # must not raise
+        batch = pop(queue, policy)  # must not raise
         assert batch[0].model_name == "m"
 
     def test_latency_estimator_tightens_slack(self):
@@ -739,7 +745,7 @@ class TestSloServing:
         queue.submit(self._request("slow", now, deadline_s=now + 10.0))
         queue.close()
         policy = BatchingPolicy(max_batch_size=8, max_delay_s=10.0)
-        assert queue.next_batch(policy)[0].model_name == "slow"
+        assert pop(queue, policy)[0].model_name == "slow"
 
     def test_urgency_judged_on_dispatchable_batch_only(self):
         # Model "mixed" has a bulk backlog at its head and an urgent request
@@ -757,12 +763,12 @@ class TestSloServing:
         # "mixed"'s dispatchable batch is the 2x4-sample bulk prefix (no
         # deadline -> budget slack ~10s); "other"'s batch carries the 5s
         # deadline -> less slack -> dispatches first.
-        assert queue.next_batch(policy)[0].model_name == "other"
-        bulk = queue.next_batch(policy)
+        assert pop(queue, policy)[0].model_name == "other"
+        bulk = pop(queue, policy)
         assert [r.model_name for r in bulk] == ["mixed", "mixed"]
-        urgent = queue.next_batch(policy)
+        urgent = pop(queue, policy)
         assert [r.deadline_s is not None for r in urgent] == [False, True]
-        assert queue.next_batch(policy) is None
+        assert pop(queue, policy) is None
 
     def test_deadline_at_risk_dispatches_partial_batch(self):
         queue = RequestQueue()
@@ -770,7 +776,7 @@ class TestSloServing:
         queue.submit(self._request("m", now, deadline_s=now + 0.01))
         policy = BatchingPolicy(max_batch_size=64, max_delay_s=30.0)
         start = time.monotonic()
-        batch = queue.next_batch(policy)  # queue still open, batch partial
+        batch = pop(queue, policy)  # queue still open, batch partial
         assert len(batch) == 1
         assert time.monotonic() - start < 5.0  # not the 30s delay budget
 
