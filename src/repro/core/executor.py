@@ -198,10 +198,6 @@ class LayerStatistics:
         self.n_columns += other.n_columns
         return self
 
-    def merge(self, other: "LayerStatistics") -> "LayerStatistics":
-        """Backwards-compatible alias for :meth:`merge_runs`."""
-        return self.merge_runs(other)
-
     def _accumulate_events(self, other: "LayerStatistics") -> None:
         self.n_inputs += other.n_inputs
         self.macs += other.macs

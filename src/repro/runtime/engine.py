@@ -16,12 +16,17 @@ Three construction paths:
   so repeated experiments reuse programmed crossbars.
 * :meth:`NetworkEngine.from_program` -- wrap an existing compiled
   :class:`~repro.core.compiler.RaellaProgram`.
+
+:meth:`NetworkEngine.run_timed` is the one place an engine run is timed and
+its ``engine`` span built -- in the serving threads and in every
+:class:`~repro.runtime.procpool.ReplicaPool` worker process alike.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
-from typing import Callable
 
 import numpy as np
 
@@ -74,10 +79,6 @@ class NetworkEngine:
         #: The compiled :class:`~repro.runtime.plan.ModelPlan` this engine was
         #: built against (``None`` when built without one).
         self.model_plan = None
-        # Telemetry hooks: (n_samples, elapsed_s) callbacks fired after every
-        # run().  The list is empty by default and run() does not even start a
-        # timer then, so unmetered execution pays nothing.
-        self._run_probes: list[Callable[[int, float], None]] = []
 
     # -- construction ---------------------------------------------------------
 
@@ -177,44 +178,55 @@ class NetworkEngine:
         explicit ``None`` to force one full-batch pass.
         """
         resolved = self.micro_batch if micro_batch is _USE_DEFAULT else micro_batch
-        if not self._run_probes:
-            return self.model.forward_quantized(
-                inputs,
-                pim_matmul=self.pim_matmul,
-                return_codes=return_codes,
-                micro_batch=resolved,
-            )
-        start = time.perf_counter()
-        outputs = self.model.forward_quantized(
+        return self.model.forward_quantized(
             inputs,
             pim_matmul=self.pim_matmul,
             return_codes=return_codes,
             micro_batch=resolved,
         )
-        elapsed = time.perf_counter() - start
-        self._notify_run_probes(int(np.asarray(inputs).shape[0]), elapsed)
-        return outputs
 
-    def _notify_run_probes(self, n_samples: int, elapsed_s: float) -> None:
-        """Fire every attached run probe (subclasses with their own run paths
-        call this too)."""
-        for probe in list(self._run_probes):
-            probe(n_samples, elapsed_s)
+    def run_timed(
+        self,
+        inputs: np.ndarray,
+        return_codes: bool = False,
+        micro_batch: int | None = _USE_DEFAULT,
+        *,
+        trace_ctx: tuple | None = None,
+        span_sink: list | None = None,
+    ) -> tuple[np.ndarray, float, list[tuple[int, float, str | None]]]:
+        """Run and time one batch -> ``(outputs, engine seconds, records)``.
 
-    def add_run_probe(
-        self, probe: Callable[[int, float], None]
-    ) -> Callable[[int, float], None]:
-        """Attach a telemetry probe called as ``probe(n_samples, elapsed_s)``
-        after every :meth:`run` (e.g.
-        ``TelemetryCollector.engine_probe(model_name)``).  Returns the probe
-        so callers can keep the handle for :meth:`remove_run_probe`.
+        The same contract as :meth:`ReplicaPool.run_timed
+        <repro.runtime.procpool.ReplicaPool.run_timed>`: records are
+        ``(n_samples, elapsed_s, replica)`` with ``replica=None`` for an
+        in-process engine.  Only :meth:`run` is timed, so a caller that
+        takes locks first never charges lock waits to the engine.
+
+        When ``span_sink`` (a plain list) is given, one ``engine`` span dict
+        is appended to it, stamped with this process's pid/tid on the
+        monotonic clock; it carries ``trace_ids`` only when ``trace_ctx`` (a
+        tuple of trace ids) names at least one trace.
         """
-        self._run_probes.append(probe)
-        return probe
-
-    def remove_run_probe(self, probe: Callable[[int, float], None]) -> None:
-        """Detach a probe previously added with :meth:`add_run_probe`."""
-        self._run_probes.remove(probe)
+        n_samples = int(np.shape(inputs)[0])
+        started_at = time.monotonic()
+        start = time.perf_counter()
+        outputs = self.run(inputs, return_codes=return_codes, micro_batch=micro_batch)
+        elapsed = time.perf_counter() - start
+        if span_sink is not None:
+            span = {
+                "name": "engine",
+                "start_s": started_at,
+                "end_s": started_at + elapsed,
+                "pid": os.getpid(),
+                "tid": threading.get_ident(),
+                "n_samples": n_samples,
+                "replica": None,
+                "status": "ok",
+            }
+            if trace_ctx:
+                span["trace_ids"] = list(trace_ctx)
+            span_sink.append(span)
+        return outputs, elapsed, [(n_samples, elapsed, None)]
 
     def predict(
         self, inputs: np.ndarray, micro_batch: int | None = _USE_DEFAULT

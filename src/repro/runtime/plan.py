@@ -291,8 +291,6 @@ class ModelPlan:
 
     model_name: str
     config: PimLayerConfig
-    noiseless: bool
-    float32: bool
     micro_batch: int | None
     layers: Mapping[str, CompiledLayerPlan] = field(repr=False)
 
@@ -355,16 +353,9 @@ def compile_model_plan(
     for layer in model.matmul_layers():
         executor = pool.get(layer, config, noise=noise, float32=float32)
         layers[layer.name] = executor.layer_plan
-    noiseless = noise is None or isinstance(noise, NoiselessModel)
-    # The pool normalises the float32 request (``None`` -> pool default);
-    # read the resolved value back from the layer plans so the ModelPlan
-    # records what actually runs.
-    resolved_float32 = any(plan.float32 for plan in layers.values())
     return ModelPlan(
         model_name=model.name,
         config=config,
-        noiseless=noiseless,
-        float32=resolved_float32,
         micro_batch=micro_batch,
         layers=layers,
     )

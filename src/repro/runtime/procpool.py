@@ -418,12 +418,12 @@ def _engine_worker_main(
     """The worker process: build the engine, then serve the request pipe.
 
     Replies are ``("ok", seq, block_name_or_None, meta_dict)`` or the
-    ``("err", ...)`` tuple of :func:`_error_message`.  A ``run`` reply's meta
-    carries the worker-side engine wall time and the engine-run records
-    ``[(n_samples, elapsed_s)]`` the parent merges into its telemetry; when
-    the request propagated a trace context (a tuple of trace ids), the meta
-    additionally ships ``spans`` -- worker-side engine span dicts stamped
-    with this process's pid/tid -- for the parent's distributed traces.
+    ``("err", ...)`` tuple of :func:`_error_message`.  A ``run`` request is
+    served by :meth:`NetworkEngine.run_timed
+    <repro.runtime.engine.NetworkEngine.run_timed>`; the reply's meta ships
+    its engine wall time and engine-run records, plus -- when the request
+    asked for spans -- its ``engine`` span (this process's pid/tid) under
+    ``spans`` for the parent's distributed traces.
     """
     if stderr_path is not None:
         # Redirect fd 2 before anything can fail so build errors, import
@@ -478,40 +478,25 @@ def _engine_worker_main(
                         out_slot,
                     ) = message
                     inputs = receiver.view(block, seq)
-                    started_at = time.monotonic()
-                    start = time.perf_counter()
-                    if has_override:
-                        outputs = engine.run(
-                            inputs, return_codes=return_codes, micro_batch=micro_batch
-                        )
-                    else:
-                        outputs = engine.run(inputs, return_codes=return_codes)
-                    elapsed = time.perf_counter() - start
+                    # ``trace_ctx`` doubles as the span request: ``None``
+                    # when the parent has no span sink, else the trace ids
+                    # to stamp (empty when the parent traces no request).
+                    spans = None if trace_ctx is None else []
+                    overrides = {"micro_batch": micro_batch} if has_override else {}
+                    outputs, elapsed, records = engine.run_timed(
+                        inputs,
+                        return_codes=return_codes,
+                        trace_ctx=trace_ctx,
+                        span_sink=spans,
+                        **overrides,
+                    )
                     slot_sender = senders.get(out_slot)
                     if slot_sender is None:
                         slot_sender = senders[out_slot] = _ArraySender()
                     out_block = slot_sender.send(seq, outputs)
-                    meta = {
-                        "engine_time_s": elapsed,
-                        "records": [(int(inputs.shape[0]), elapsed)],
-                    }
-                    if trace_ctx is not None:
-                        # Propagated trace context: ship one worker-side
-                        # engine span (this process's pid/tid, timestamps on
-                        # the host-shared monotonic clock) back with the
-                        # records so the parent folds it into each sampled
-                        # request's trace.
-                        meta["spans"] = [
-                            {
-                                "name": "engine",
-                                "start_s": started_at,
-                                "end_s": started_at + elapsed,
-                                "pid": os.getpid(),
-                                "tid": threading.get_ident(),
-                                "trace_ids": list(trace_ctx),
-                                "n_samples": int(inputs.shape[0]),
-                            }
-                        ]
+                    meta = {"engine_time_s": elapsed, "records": records}
+                    if spans is not None:
+                        meta["spans"] = spans
                     results.send(("ok", seq, out_block, meta))
                 elif kind == "ping":
                     meta = {
@@ -861,24 +846,6 @@ class EngineWorker:
         return f"EngineWorker({state})"
 
 
-def _notify_completion(callbacks: list[Callable[[dict], None]], event: dict) -> None:
-    """Fire batch-completion callbacks; observers must not break dispatch.
-
-    The event dict carries ``model`` (name), ``n_samples`` (batch size),
-    ``engine_time_s`` (worker-measured engine seconds), ``replica`` (the
-    slot index, as a string, that executed the batch) and ``requeues``
-    (crash-retries before the batch succeeded).  Callback exceptions are
-    logged and swallowed, same contract as
-    :meth:`InferenceFuture.add_done_callback
-    <repro.serve.scheduler.InferenceFuture.add_done_callback>`.
-    """
-    for callback in list(callbacks):
-        try:
-            callback(dict(event))
-        except Exception:
-            logging.getLogger(__name__).exception("engine completion callback raised")
-
-
 def _needs_pinning(noise: NoiseModel | None) -> bool:
     """Whether pool dispatch must stay on one replica for bit-identity.
 
@@ -1000,8 +967,6 @@ class ReplicaPool:
         self._handles: list[WorkerHandle] = []
         self._restart_total = 0
         self._closed = False
-        self._run_probes: list[Callable[[int, float], None]] = []
-        self._completion_callbacks: list[Callable[[dict], None]] = []
         # Optional lifecycle observer (set_lifecycle_observer): receives one
         # dict per replica crash / restart / failed restart.  The serving
         # layer points this at the tracing flight recorder.
@@ -1194,14 +1159,15 @@ class ReplicaPool:
         ``(n_samples, elapsed_s, replica)`` so telemetry can attribute
         engine time per replica.
 
-        The timing and records are measured *inside* the worker around the
-        engine call, so telemetry calibration sees pure engine time, never
+        The timing and records come from :meth:`NetworkEngine.run_timed
+        <repro.runtime.engine.NetworkEngine.run_timed>` *inside* the worker,
+        so telemetry calibration sees pure engine time, never
         pipe/shared-memory overhead.
 
+        ``span_sink`` (a plain list) receives span dicts for this call, and
         ``trace_ctx`` (a tuple of trace ids) propagates distributed-trace
-        context into the worker; with it set, ``span_sink`` (a plain list)
-        receives span dicts for this call.  Both default to off and cost
-        nothing.  Every *attempt* leaves a span in the sink: a crashed
+        context into the worker's ``engine`` span.  Both default to off and
+        cost nothing.  Every *attempt* leaves a span in the sink: a crashed
         attempt contributes an ``engine`` span with ``status="crashed"``
         attributed to the dead replica (timed parent-side -- the worker
         never replied), and the successful attempt contributes its
@@ -1216,7 +1182,8 @@ class ReplicaPool:
             return_codes,
             has_override,
             micro_batch if has_override else None,
-            trace_ctx,
+            # The worker ships spans only when asked: no sink, no spans.
+            None if span_sink is None else tuple(trace_ctx or ()),
         )
         attempts = 0
         max_attempts = max(2, len(self._handles) + 1)
@@ -1267,21 +1234,8 @@ class ReplicaPool:
             )
         records = [
             (int(n), float(elapsed), str(handle.index))
-            for n, elapsed in meta["records"]
+            for n, elapsed, _replica in meta["records"]
         ]
-        for n_samples, elapsed_s, _replica in records:
-            for probe in list(self._run_probes):
-                probe(n_samples, elapsed_s)
-        _notify_completion(
-            self._completion_callbacks,
-            {
-                "model": self._name,
-                "n_samples": int(batch.shape[0]),
-                "engine_time_s": float(meta["engine_time_s"]),
-                "replica": str(handle.index),
-                "requeues": attempts,
-            },
-        )
         return outputs, meta["engine_time_s"], records
 
     def run(
@@ -1443,36 +1397,7 @@ class ReplicaPool:
                 elif state == _HEALTHY and (worker is None or not worker.is_alive):
                     self._on_crash(handle, worker)
 
-    # -- probes / statistics ---------------------------------------------------
-
-    def add_run_probe(
-        self, probe: Callable[[int, float], None]
-    ) -> Callable[[int, float], None]:
-        """Attach a ``probe(n_samples, worker_elapsed_s)`` run callback."""
-        self._run_probes.append(probe)
-        return probe
-
-    def remove_run_probe(self, probe: Callable[[int, float], None]) -> None:
-        """Detach a probe previously added with :meth:`add_run_probe`."""
-        self._run_probes.remove(probe)
-
-    def add_completion_callback(
-        self, callback: Callable[[dict], None]
-    ) -> Callable[[dict], None]:
-        """Attach a batch-completion callback (see :func:`_notify_completion`).
-
-        Fired once per batch that ultimately *succeeded*, after any
-        crash-requeues: ``replica`` is the slot index that executed the
-        batch and ``requeues`` counts how many dead siblings rejected it
-        first -- so an observer (e.g. the async fault-injection tests) can
-        assert that a SIGKILL mid-batch cost a requeue but lost nothing.
-        """
-        self._completion_callbacks.append(callback)
-        return callback
-
-    def remove_completion_callback(self, callback: Callable[[dict], None]) -> None:
-        """Detach a callback added with :meth:`add_completion_callback`."""
-        self._completion_callbacks.remove(callback)
+    # -- statistics ------------------------------------------------------------
 
     def layer_statistics(self) -> dict[str, LayerStatistics]:
         """Per-layer statistics merged across every healthy replica."""

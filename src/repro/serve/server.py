@@ -914,7 +914,7 @@ class InferenceServer:
                 try:
                     engine = self.registry.engine(engine_name)
                     outputs, engine_time, engine_records = self._run_engine(
-                        engine, inputs, sizes, sink, trace_ctx
+                        engine, inputs, sink, trace_ctx
                     )
                     break
                 except BaseException:
@@ -1006,7 +1006,7 @@ class InferenceServer:
                     requests,
                     engine_name,
                     engine,
-                    sizes,
+                    batch.samples,
                     dispatched,
                     completed,
                     engine_time,
@@ -1020,47 +1020,32 @@ class InferenceServer:
         self,
         engine,
         inputs: np.ndarray,
-        sizes: list[int],
         sink: list[dict] | None,
         trace_ctx: tuple | None,
     ) -> tuple[np.ndarray, float, list[tuple]]:
-        """Run one coalesced batch on ``engine``; returns outputs + timings."""
+        """Run one coalesced batch on ``engine``; returns outputs + timings.
+
+        Both backends take one path: hold the executor locks, then let
+        ``engine.run_timed`` time the run, return its engine-run records and
+        append its ``engine`` span to ``sink``.  Timing starts once the
+        locks are held, so telemetry calibration never sees lock waits.
+        Process-backed engines (``worker_owns_state``) take no locks: all
+        mutable state lives in the worker, which serialises its own requests
+        and times the run itself, so calibration never sees IPC cost.  A
+        replica pool also absorbs worker crashes inside ``run_timed`` by
+        requeueing the batch onto a healthy sibling.
+        """
         if getattr(engine, "worker_owns_state", False):
-            # Process-backed engine: all mutable state lives in the
-            # worker, which serialises its own requests -- no executor
-            # locks.  Timing and engine-run records are measured inside
-            # the worker, so telemetry calibration never sees IPC cost.
-            # A replica pool additionally absorbs worker crashes here:
-            # the batch is requeued onto a healthy sibling inside
-            # run_timed, so a crash never surfaces as request failures.
-            if sink is None:
-                return engine.run_timed(inputs)
-            return engine.run_timed(inputs, trace_ctx=trace_ctx, span_sink=sink)
-        entries = self._engine_locks(engine)
+            entries = []
+        else:
+            entries = self._engine_locks(engine)
         try:
             with ExitStack() as stack:
                 for entry in entries:
                     stack.enter_context(entry.lock)
-                engine_start = time.monotonic()
-                start = time.perf_counter()
-                outputs = engine.run(inputs)
-                engine_time = time.perf_counter() - start
+                return engine.run_timed(inputs, trace_ctx=trace_ctx, span_sink=sink)
         finally:
             self._release_engine_locks(entries)
-        engine_records = [(int(sum(sizes)), engine_time)]
-        if sink is not None:
-            # Thread-backed engines run in-process: the engine span
-            # is parent-measured (same pid/tid as the worker thread).
-            sink.append(
-                {
-                    "name": "engine",
-                    "start_s": engine_start,
-                    "end_s": engine_start + engine_time,
-                    "replica": None,
-                    "status": "ok",
-                }
-            )
-        return outputs, engine_time, engine_records
 
     def _finish_traces(
         self,
@@ -1107,7 +1092,7 @@ class InferenceServer:
         requests: list[InferenceRequest],
         name: str,
         engine,
-        sizes: list[int],
+        batch_samples: int,
         dispatched: float,
         completed: float,
         engine_time: float,
@@ -1115,12 +1100,11 @@ class InferenceServer:
     ) -> None:
         """Feed one completed batch into the telemetry collector.
 
-        ``engine_records`` are the per-run ``(n_samples, elapsed_s)`` pairs
-        -- or ``(n_samples, elapsed_s, replica)`` triples from a replica
-        pool: measured server-side for in-process engines, shipped back over
-        the result pipe for process-backed ones -- either way they feed the
-        same calibration, so predicted latency stays grounded in engine
-        time.  Engines exposing ``pool_health()`` (replica pools) also get
+        ``engine_records`` are the ``(n_samples, elapsed_s, replica)``
+        records ``engine.run_timed`` returned -- measured in this process
+        for thread engines and inside the worker for process-backed ones --
+        so both backends feed the same calibration and predicted latency
+        stays grounded in engine time.  Engines exposing ``pool_health()`` (replica pools) also get
         their healthy/total replica counts and restart total snapshotted
         into the collector per batch.
 
@@ -1130,7 +1114,6 @@ class InferenceServer:
         energy attribution must use the executing architecture's tables.
         Fleet-level aggregates come from the collector's routing counters.
         """
-        batch_samples = int(sum(sizes))
         self.telemetry.record_engine_runs(name, engine_records)
         pool_health = getattr(engine, "pool_health", None)
         if pool_health is not None:

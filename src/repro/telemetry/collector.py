@@ -5,9 +5,11 @@
 :class:`RequestTrace` per completed request (queue wait, coalesced batch
 size, engine wall time, modeled energy/latency from the request's
 :class:`~repro.telemetry.cost.CostModel`) plus one engine-run record per
-coalesced batch; :meth:`NetworkEngine.add_run_probe
-<repro.runtime.engine.NetworkEngine.add_run_probe>` feeds the same engine-run
-records for direct engine use outside the server.  Everything is exportable
+coalesced batch.  Engine-run records come from ``run_timed``
+(:meth:`NetworkEngine.run_timed <repro.runtime.engine.NetworkEngine.run_timed>`
+or :meth:`ReplicaPool.run_timed <repro.runtime.procpool.ReplicaPool.run_timed>`);
+code that drives an engine outside the server feeds them to
+:meth:`TelemetryCollector.record_engine_runs`.  Everything is exportable
 as JSON (:meth:`export_json`) and Prometheus text format
 (:meth:`to_prometheus`).
 
@@ -619,10 +621,9 @@ class TelemetryCollector:
     ) -> None:
         """Record one engine batch execution (also calibrates prediction).
 
-        The server calls this once per coalesced batch;
-        ``NetworkEngine.add_run_probe(collector.engine_probe(name))`` wires
-        the same record for engines driven outside the server.  ``replica``
-        (a :class:`~repro.runtime.ReplicaPool` slot label) additionally
+        The server records once per coalesced batch, through
+        :meth:`record_engine_runs`.  ``replica`` (a
+        :class:`~repro.runtime.ReplicaPool` slot label) additionally
         attributes the run to that replica's own totals.
         """
         with self._lock:
@@ -652,18 +653,13 @@ class TelemetryCollector:
                     )
 
     def record_engine_runs(self, model_name: str, records: list[tuple]) -> None:
-        """Merge a batch of engine-run records.
+        """Merge the engine-run records one ``run_timed`` call returned.
 
-        Records are ``(n_samples, elapsed_s)`` pairs -- or
-        ``(n_samples, elapsed_s, replica)`` triples from a
-        :class:`~repro.runtime.ReplicaPool`.  The server uses this to fold
-        in worker-side records shipped back over a process backend's result
-        pipe; each record calibrates prediction exactly like a locally
-        observed run.
+        Records are ``(n_samples, elapsed_s, replica)`` triples;
+        ``replica`` is ``None`` for an in-process engine.  Each record
+        calibrates prediction the same way, whichever backend measured it.
         """
-        for record in records:
-            n_samples, elapsed_s = record[0], record[1]
-            replica = record[2] if len(record) > 2 else None
+        for n_samples, elapsed_s, replica in records:
             self.record_engine_run(model_name, n_samples, elapsed_s, replica=replica)
 
     def record_route(self, decision, *, reroute: bool = False) -> None:
@@ -735,14 +731,6 @@ class TelemetryCollector:
             aggregate.replicas_healthy = healthy
             aggregate.replicas_total = replicas
             aggregate.worker_restarts = max(aggregate.worker_restarts, restarts)
-
-    def engine_probe(self, model_name: str):
-        """A :meth:`NetworkEngine.add_run_probe` callback feeding this collector."""
-
-        def probe(n_samples: int, elapsed_s: float) -> None:
-            self.record_engine_run(model_name, n_samples, elapsed_s)
-
-        return probe
 
     # -- snapshots -------------------------------------------------------------
 

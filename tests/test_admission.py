@@ -606,9 +606,9 @@ class TestDispatchUrgency:
         engine = registry.engine("slow")
         original_run = engine.run
 
-        def delayed_run(inputs):
+        def delayed_run(inputs, **kwargs):
             time.sleep(0.03)
-            return original_run(inputs)
+            return original_run(inputs, **kwargs)
 
         engine.run = delayed_run
         try:

@@ -173,12 +173,13 @@ class TestFaultInjection:
         registry = ModelRegistry()
         registry.register("mlp", tiny_mlp_model, backend="process", replicas=2)
         pool = registry.engine("mlp")
-        events = []
-        pool.add_completion_callback(events.append)
+        telemetry = TelemetryCollector()
         inputs = make_inputs(8)
 
         async def scenario():
-            async with AsyncInferenceServer(registry, POLICY) as server:
+            async with AsyncInferenceServer(
+                registry, POLICY, telemetry=telemetry
+            ) as server:
                 decisions = await asyncio.gather(
                     *[server.submit("mlp", r) for r in inputs]
                 )
@@ -193,12 +194,16 @@ class TestFaultInjection:
             reference.register("mlp", tiny_mlp_model)
             direct = [reference.engine("mlp").run(r) for r in inputs]
             assert all(np.array_equal(a, b) for a, b in zip(results, direct))
-            # The completion hook saw every sample exactly once, whatever
-            # mix of clean runs and crash-requeues delivered them.
-            assert sum(e["n_samples"] for e in events) == sum(
-                r.shape[0] for r in inputs
+            # The engine-run records counted every sample exactly once,
+            # whatever mix of clean runs and crash-requeues delivered them,
+            # and each record names the replica that served it.
+            submitted = sum(r.shape[0] for r in inputs)
+            aggregate = telemetry.aggregate("mlp")
+            assert aggregate.engine_run_samples == submitted
+            assert (
+                sum(t["samples"] for t in aggregate.replica_engine_runs.values())
+                == submitted
             )
-            assert all(e["replica"] is not None for e in events)
             # The pool heals before we tear it down.
             deadline = time.monotonic() + 30
             while pool.healthy_replicas < 2:

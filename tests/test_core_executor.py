@@ -262,7 +262,7 @@ class TestStatistics:
         b = PimLayerExecutor(tiny_linear_layer, PimLayerConfig())
         a.matmul(tiny_patches)
         b.matmul(tiny_patches)
-        merged = a.stats.merge(b.stats)
+        merged = a.stats.merge_runs(b.stats)
         assert merged.macs == 2 * b.stats.macs
 
     def test_merge_runs_keeps_structural_maximum(self, tiny_linear_layer, tiny_patches):

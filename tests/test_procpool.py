@@ -9,6 +9,7 @@ single-worker process backend is a one-replica
 checked on a bare :class:`~repro.runtime.EngineWorker`.
 """
 
+import inspect
 import multiprocessing
 import os
 import signal
@@ -53,6 +54,61 @@ def process_engine(tiny_mlp_model):
     engine = launch_one(tiny_mlp_model)
     yield engine
     engine.close()
+
+
+@pytest.fixture(params=["thread", "process"])
+def either_engine(request, tiny_mlp_model):
+    """The in-process engine, then the single-worker process backend."""
+    if request.param == "thread":
+        yield reference_engine(tiny_mlp_model)
+        return
+    engine = launch_one(tiny_mlp_model)
+    yield engine
+    engine.close()
+
+
+class TestRunTimedContract:
+    """Both backends time and trace a batch through one ``run_timed``."""
+
+    def test_signatures_match(self):
+        def shape(method):
+            return [
+                (p.name, p.kind) for p in inspect.signature(method).parameters.values()
+            ]
+
+        assert shape(NetworkEngine.run_timed) == shape(ReplicaPool.run_timed)
+
+    def test_outputs_and_records(self, tiny_mlp_model, either_engine, rng):
+        inputs = np.abs(rng.normal(0, 1, size=(6, 16)))
+        reference = reference_engine(tiny_mlp_model)
+        outputs, elapsed, records = either_engine.run_timed(inputs)
+        assert outputs.tobytes() == reference.run(inputs).tobytes()
+        assert outputs.tobytes() == either_engine.run(inputs).tobytes()
+        assert elapsed > 0
+        assert sum(n_samples for n_samples, _s, _replica in records) == 6
+        assert all(seconds > 0 for _n, seconds, _replica in records)
+        codes, _elapsed, _records = either_engine.run_timed(
+            inputs, return_codes=True, micro_batch=4
+        )
+        expected = reference.run(inputs, return_codes=True, micro_batch=4)
+        assert codes.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("trace_ctx", [None, ("t1", "t2")])
+    def test_one_engine_span_per_run(self, either_engine, trace_ctx, rng):
+        inputs = np.abs(rng.normal(0, 1, size=(5, 16)))
+        sink: list[dict] = []
+        either_engine.run_timed(inputs, trace_ctx=trace_ctx, span_sink=sink)
+        spans = [span for span in sink if span["name"] == "engine"]
+        assert len(spans) == 1
+        span = spans[0]
+        assert span["status"] == "ok"
+        assert span["n_samples"] == 5
+        assert span["end_s"] >= span["start_s"]
+        assert {"pid", "tid", "replica"} <= span.keys()
+        if trace_ctx is None:
+            assert "trace_ids" not in span
+        else:
+            assert span["trace_ids"] == list(trace_ctx)
 
 
 class TestProcessEngineParity:
@@ -145,11 +201,6 @@ class TestSharedMemoryTransport:
         assert outputs.shape[0] == 5
         assert elapsed > 0
         assert records == [(5, elapsed, "0")]
-        probed: list[tuple[int, float]] = []
-        probe = process_engine.add_run_probe(lambda n, s: probed.append((n, s)))
-        process_engine.run(inputs)
-        assert len(probed) == 1 and probed[0][0] == 5 and probed[0][1] > 0
-        process_engine.remove_run_probe(probe)
 
 
 class TestWorkerLifecycle:

@@ -281,17 +281,19 @@ class TestTelemetryCollector:
         assert 'model="weird\\"name\\\\with\\nstuff"' in text
         assert "\n{" not in text  # no raw newline leaked into a label
 
-    def test_engine_probe(self, tiny_mlp_model, rng):
+    def test_run_timed_records_feed_collector(self, tiny_mlp_model, rng):
+        # An engine driven outside the server feeds its run_timed records
+        # to the collector directly; untimed runs record nothing.
         collector = TelemetryCollector()
         engine = NetworkEngine.build(tiny_mlp_model)
-        probe = engine.add_run_probe(collector.engine_probe("tiny"))
         inputs = np.abs(rng.normal(0, 1, size=(5, 16)))
-        engine.run(inputs)
+        _outputs, elapsed, records = engine.run_timed(inputs)
+        collector.record_engine_runs("tiny", records)
         aggregate = collector.aggregate("tiny")
         assert aggregate.engine_runs == 1
         assert aggregate.engine_run_samples == 5
-        assert aggregate.engine_run_s > 0
-        engine.remove_run_probe(probe)
+        assert aggregate.engine_run_s == elapsed > 0
+        assert aggregate.replica_engine_runs == {}
         engine.run(inputs)
         assert collector.aggregate("tiny").engine_runs == 1
 
