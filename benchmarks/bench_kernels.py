@@ -204,6 +204,37 @@ def test_vectorized_large_batch_speedup(conv1_shaped_layer):
     assert speedup >= minimum, f"large-batch speedup only {speedup:.2f}x"
 
 
+def test_packed_planes_speedup(conv1_shaped_layer, monkeypatch):
+    """Two bit planes per float32 GEMM row beat one plane per row at large M.
+
+    Packing halves the plane GEMM and replaces the per-code pulse gather
+    with a column-sum GEMV; unpacked is forced by raising the packing row
+    gate.  The two alternate round by round on one executor.  A 2-vCPU host
+    measures 1.3-1.55x (BLAS unpinned); MIN_PACKED_SPEEDUP relaxes the 1.1x
+    bar on noisy shared runners (CI sets 1.0).
+    """
+    minimum = float(os.environ.get("MIN_PACKED_SPEEDUP", "1.1"))
+    layer, patches = conv1_shaped_layer
+    executor = VectorizedLayerExecutor(layer, PimLayerConfig())
+    assert all(operands.packed for operands in executor.layer_plan.operands)
+    gates = {"packed": vectorized.PACKED_MIN_ROWS, "unpacked": patches.shape[0] + 1}
+    timings: dict[str, list[float]] = {mode: [] for mode in gates}
+    results = {}
+    for round_index in range(8):  # round 0 warms up
+        for mode, gate in gates.items():
+            monkeypatch.setattr(vectorized, "PACKED_MIN_ROWS", gate)
+            executor.reset_stats()
+            start = time.perf_counter()
+            output = executor.matmul(patches)
+            elapsed = time.perf_counter() - start
+            if round_index:
+                timings[mode].append(elapsed)
+            results[mode] = (output.tobytes(), repr(executor.stats))
+    assert results["packed"] == results["unpacked"]
+    speedup = min(timings["unpacked"]) / min(timings["packed"])
+    assert speedup >= minimum, f"packed-plane speedup only {speedup:.2f}x"
+
+
 def time_tile_budgets(rounds: int = 7) -> dict:
     """Best-of-``rounds`` conv1-shaped matmul at the full tile budget and at 1.
 

@@ -17,7 +17,8 @@ batched engine while staying bit-identical to the per-phase reference:
   24-bit mantissa (``float32=False`` forces float64).
 * :mod:`repro.runtime.plan` compiles the whole derivation -- slicing extents,
   bit-plane and phase-extraction tables, the per-code pulse table, GEMM
-  operand views with proven dtypes -- into per-layer plans, compiled when
+  operand views with proven dtypes and plane-packing proofs -- into
+  per-layer plans, compiled when
   each executor is built, and a pickle-able :class:`ModelPlan` per
   ``(model, config, noise, float32)``: noiseless executors collapse the
   per-phase ADC/speculation loop into whole-tensor operations, and replica

@@ -17,6 +17,10 @@ quantization to :meth:`~repro.core.executor.PimLayerExecutor.matmul`, which
 validates once per layer call and hands every row chunk unsigned codes
 (splitting signed inputs into magnitudes), so :func:`narrow_codes` passes
 ``uint8`` chunks through without a sign check or cast.
+
+:func:`pack_planes` builds the noiseless fast path's packed operand: two
+planes per ``uint16`` value, one in the low :data:`PACKED_FIELD_BITS` bits
+and one above them, so a single GEMM row carries both planes' products.
 """
 
 from __future__ import annotations
@@ -27,7 +31,17 @@ import numpy as np
 
 from repro.core.dynamic_input import InputSlicePlan
 
-__all__ = ["extract_phase_tensor", "narrow_codes", "plan_shift_masks", "slice_phases"]
+__all__ = [
+    "PACKED_FIELD_BITS",
+    "extract_phase_tensor",
+    "narrow_codes",
+    "pack_planes",
+    "plan_shift_masks",
+    "slice_phases",
+]
+
+#: Bit offset of the second plane in a packed operand value (a 4096 factor).
+PACKED_FIELD_BITS = 12
 
 
 @lru_cache(maxsize=None)
@@ -76,6 +90,68 @@ def slice_phases(
     return (codes[np.newaxis, :, :] >> shifts[:, np.newaxis, np.newaxis]) & (
         masks[:, np.newaxis, np.newaxis]
     )
+
+
+@lru_cache(maxsize=None)
+def _shared_pair_gap(shifts: tuple, masks: tuple) -> int | None:
+    """The one shift gap of every plane pair of ``uint8`` codes, if it exists.
+
+    ``gap = shifts[j] - shifts[j + h]`` for every pair ``j`` when the plane
+    count is even, every plane has one mask and every high plane
+    ``j + h`` reads only the low ``16 - PACKED_FIELD_BITS`` bits of a code
+    (speculative and bit-serial plans of 8-bit inputs do); else ``None``.
+    """
+    half = len(shifts) // 2
+    gaps = {low - high for low, high in zip(shifts[:half], shifts[half:])}
+    width = int(masks[0]).bit_length()
+    if (
+        len(shifts) % 2
+        or len(set(masks)) != 1
+        or len(gaps) != 1
+        or min(gaps) < 0
+        or max(shifts[half:]) + width > 16 - PACKED_FIELD_BITS
+    ):
+        return None
+    return gaps.pop()
+
+
+def pack_planes(codes: np.ndarray, shifts: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Two planes per value: ``(ceil(n/2), M, rows)`` ``uint16``, ``n = len(shifts)``.
+
+    Entry ``[j, i, r]`` is ``plane_j + 2**PACKED_FIELD_BITS * plane_(j+h)``
+    with ``h = ceil(n/2)``, where ``plane_b = (codes >> shifts[b]) &
+    masks[b]``; for odd ``n`` the middle plane ``j = h - 1`` rides alone.
+    ``codes`` are the ``(M, rows)`` unsigned codes; every mask must be at
+    most 15 so a packed value fits ``uint16``.
+
+    When every pair of ``uint8`` codes shares one shift gap
+    (:func:`_shared_pair_gap`), both planes of pair ``j`` are read from one
+    value per code, ``(codes << 12) | (codes >> gap)``, shifted right by
+    ``shifts[j + h]`` and masked: two passes per pair instead of six.
+    """
+    half = (len(shifts) + 1) // 2
+    wide = codes.astype(np.uint16)
+    gap = (
+        _shared_pair_gap(tuple(shifts.tolist()), tuple(masks.tolist()))
+        if codes.dtype == np.uint8
+        else None
+    )
+    if gap is not None:
+        both = wide << PACKED_FIELD_BITS
+        both |= wide >> gap
+        packed = both[np.newaxis] >> shifts[half:, np.newaxis, np.newaxis]
+        packed &= int(masks[0]) * ((1 << PACKED_FIELD_BITS) + 1)
+        return packed
+    wide = wide[np.newaxis]
+    packed = (wide >> shifts[:half, np.newaxis, np.newaxis]) & (
+        masks[:half, np.newaxis, np.newaxis]
+    )
+    high = (wide >> shifts[half:, np.newaxis, np.newaxis]) & (
+        masks[half:, np.newaxis, np.newaxis]
+    )
+    high <<= PACKED_FIELD_BITS
+    packed[: len(high)] |= high
+    return packed
 
 
 def extract_phase_tensor(codes: np.ndarray, plan: InputSlicePlan) -> np.ndarray:

@@ -15,7 +15,9 @@ This module hoists that work into two pickle-able artifacts:
   dtypes (:func:`float32_gemm_is_exact`), the narrow-dtype phase-extraction
   shift/mask tables with the per-code pulse table derived from them, and
   the bit-plane tables of the noiseless fast path (which planes to GEMM,
-  how speculative sums combine them, the power-of-two loss scales).
+  how speculative sums combine them, how many pulses each plane's value
+  stands for, the power-of-two loss scales) and, per chunk, whether two
+  planes may share one float32 GEMM row (:func:`packed_gemm_is_exact`).
   Every :class:`~repro.runtime.vectorized.VectorizedLayerExecutor` compiles
   its plan at construction (or boots from a shipped one).
 * :class:`ModelPlan` -- the per-layer plans of a whole model plus the
@@ -32,11 +34,14 @@ in the noiseless pipeline every column sum, ADC-converted value, scale factor
 dtype, and the final sums accumulate in float64 far below ``2**53``, so *any*
 regrouping of the additions -- deriving speculative sums from bit-plane
 sums, replacing the masked scale-sum by one exact product minus the clipped
-excess, counting pulses per input code rather than per phase -- produces
-bit-identical outputs and (integer) statistics counters.  Seeded noise draws
-are order-sensitive, so noisy executors keep the reference per-phase loop
-(the plan still supplies the extraction tables and operands) and draw once
-per (chunk, phase) in plan order.
+excess, counting pulses from plane column sums rather than per phase --
+produces bit-identical outputs and (integer) statistics counters.  Packing
+two planes into one float32 operand value, ``plane_lo + 4096 * plane_hi``,
+keeps that exactness where :func:`packed_gemm_is_exact` proves each plane's
+column sum fits a 12-bit field.  Seeded noise draws are order-sensitive, so
+noisy executors keep the reference per-phase loop (the plan still supplies
+the extraction tables and operands) and draw once per (chunk, phase) in
+plan order.
 """
 
 from __future__ import annotations
@@ -50,17 +55,21 @@ import numpy as np
 from repro.analog.noise import NoiseModel, NoiselessModel
 from repro.core.dynamic_input import InputSlicePlan
 from repro.core.executor import PimLayerConfig, _EncodedChunk
-from repro.runtime.phases import plan_shift_masks, slice_phases
+from repro.runtime.phases import PACKED_FIELD_BITS, plan_shift_masks, slice_phases
 
 __all__ = [
     "CompiledLayerPlan",
     "ModelPlan",
     "compile_model_plan",
     "float32_gemm_is_exact",
+    "packed_gemm_is_exact",
 ]
 
 #: Largest contiguous integer range float32 represents exactly (24-bit mantissa).
 _FLOAT32_EXACT_LIMIT = 1 << 24
+
+#: Largest magnitude a packed field decodes exactly: below half the field.
+PACKED_FIELD_MAX = (1 << (PACKED_FIELD_BITS - 1)) - 1
 
 
 def float32_gemm_is_exact(max_slice_value: int, weights: np.ndarray) -> bool:
@@ -79,6 +88,28 @@ def float32_gemm_is_exact(max_slice_value: int, weights: np.ndarray) -> bool:
     return max_slice_value * float(column_abs_sum) < _FLOAT32_EXACT_LIMIT
 
 
+def packed_gemm_is_exact(max_plane_value: int, weights: np.ndarray) -> bool:
+    """Whether a float32 GEMM of two packed planes x ``weights`` decodes exactly.
+
+    A packed operand value is ``lo + 4096 * hi`` for two plane values ``lo``
+    and ``hi`` of at most ``max_plane_value``, so a product row is
+    ``S_lo + 4096 * S_hi`` for the two planes' column sums.  Each sum is an
+    integer of magnitude at most ``max_plane_value * max_c sum_r
+    |weights[r, c]|``; while that stays within :data:`PACKED_FIELD_MAX`
+    (2047), ``hi = rint(X / 4096)`` and ``lo = X - 4096 * hi`` recover both
+    exactly, and every partial sum stays below ``4097 * 2047 < 2**24``, so
+    the float32 GEMM is exact in any summation order.  Plane values above 15
+    are refused: their packed value would not fit the ``uint16`` operand
+    scratch.
+    """
+    if (max_plane_value + 1) << PACKED_FIELD_BITS > 1 << 16:
+        return False
+    if weights.size == 0:
+        return True
+    column_abs_sum = np.abs(weights).sum(axis=0).max()
+    return max_plane_value * float(column_abs_sum) <= PACKED_FIELD_MAX
+
+
 class _ChunkOperands:
     """Float GEMM operands of one encoded chunk, prepared once per plan."""
 
@@ -89,6 +120,7 @@ class _ChunkOperands:
         float32: bool,
         max_slice_value: int,
         code_mask: int,
+        max_plane_value: int,
     ):
         self.combined = None
         if noiseless:
@@ -124,6 +156,13 @@ class _ChunkOperands:
         )
         self.weights = weights.astype(self.dtype)
         self.n_columns = chunk.diff_flat.shape[1]
+        #: Whether the noiseless fast path may GEMM two planes per float32
+        #: operand row on this chunk (proven once, here).
+        self.packed = (
+            noiseless
+            and self.dtype == np.float32
+            and packed_gemm_is_exact(max_plane_value, weights)
+        )
 
 
 @lru_cache(maxsize=None)
@@ -149,6 +188,9 @@ def _phase_tables(input_plan: InputSlicePlan) -> dict[str, np.ndarray]:
         phase_shifts=phase_shifts,
         phase_masks=phase_masks,
         pulse_table=pulses.astype(np.min_scalar_type(pulses.max())),
+        # A speculative phase's value is its group's planes combined, so a
+        # code's pulses are linear in its plane values.
+        pulse_coef=1 + group_weights.sum(axis=0),
         plane_shifts=phase_shifts[planes],
         plane_masks=phase_masks[planes],
         plane_group=np.array(
@@ -174,15 +216,19 @@ class CompiledLayerPlan:
     extraction tables of every phase (:func:`~repro.runtime.phases.slice_phases`);
     ``pulse_table[v]`` is the DAC pulse count of input code ``v`` summed over
     every phase, ``sum_p (v >> shift_p) & mask_p``, in the narrowest
-    unsigned dtype holding it.
+    unsigned dtype holding it; ``pulse_coef`` gives the same count from the
+    code's plane values, ``pulse_table[v] == pulse_coef @ planes(v)``.
 
     The noiseless fast path GEMMs only the ``plane_*`` phases: the 1-bit
     recovery planes of a speculative plan, or the phases of a bit-serial
-    one.  Row ``g`` of ``group_weights`` rebuilds speculative group ``g``'s
-    column sums from the planes' (``2**(shift_b - shift_g)`` for each plane
-    ``b`` of the group); ``plane_group`` maps each recovery plane to its
-    group and ``group_widths`` counts each group's planes -- all three are
-    empty for bit-serial plans.  ``loss_scales[b, s]`` is
+    one.  On a chunk whose operands are ``packed``, calls of enough rows
+    put plane ``b + ceil(B/2)`` in the same float32 operand value as plane
+    ``b``, which halves the plane GEMM.  Row ``g`` of ``group_weights``
+    rebuilds speculative group ``g``'s column sums from the planes'
+    (``2**(shift_b - shift_g)`` for each plane ``b`` of the group);
+    ``plane_group`` maps each recovery plane to its group and
+    ``group_widths`` counts each group's planes -- all three are empty for
+    bit-serial plans.  ``loss_scales[b, s]`` is
     ``2**(shift_b + weight_shift_s)``, the weight of plane ``b``'s clipped
     excess on weight slice ``s``, and ``code_mask`` keeps the
     ``input_bits`` low bits that the phases read.
@@ -200,6 +246,7 @@ class CompiledLayerPlan:
     phase_shifts: np.ndarray
     phase_masks: np.ndarray
     pulse_table: np.ndarray
+    pulse_coef: np.ndarray
     plane_shifts: np.ndarray
     plane_masks: np.ndarray
     plane_group: np.ndarray
@@ -216,7 +263,7 @@ class CompiledLayerPlan:
 
     @property
     def n_planes(self) -> int:
-        """Input planes the noiseless fast path GEMMs (8 with speculation)."""
+        """Input planes the noiseless fast path reads (8 with speculation)."""
         return len(self.plane_shifts)
 
     @property
@@ -238,10 +285,11 @@ class CompiledLayerPlan:
         float32 = bool(executor.float32)
         tables = _phase_tables(input_plan)
         max_slice = int(tables["phase_masks"].max())
+        max_plane = int(tables["plane_masks"].max())
         code_mask = (1 << input_plan.speculative_slicing.total_bits) - 1
         chunks = tuple(executor._chunks)
         operands = tuple(
-            _ChunkOperands(chunk, noiseless, float32, max_slice, code_mask)
+            _ChunkOperands(chunk, noiseless, float32, max_slice, code_mask, max_plane)
             for chunk in chunks
         )
         slicing = (

@@ -39,8 +39,10 @@ matches the in-process engine exactly.
 
 Each worker pins its BLAS/OpenMP thread pools (``OMP_NUM_THREADS`` /
 ``OPENBLAS_NUM_THREADS`` / ``MKL_NUM_THREADS``, via
-:attr:`EngineSpec.blas_threads`) and runs its planned row tiles on one
-thread, so N replicas divide the machine instead of oversubscribing it.
+:attr:`EngineSpec.blas_threads`, plus a live resize of every loaded
+OpenBLAS, which a forked worker inherits already started) and runs its
+planned row tiles on one thread, so N replicas divide the machine instead
+of oversubscribing it.
 """
 
 from __future__ import annotations
@@ -109,9 +111,6 @@ _STDERR_TAIL_BYTES = 4096
 #: Serialises the parent-side environment staging around ``Process.start()``
 #: (spawned children capture ``os.environ`` at exec time).
 _BLAS_ENV_LOCK = threading.Lock()
-
-#: Worker-side: keeps threadpoolctl limit contexts alive for process lifetime.
-_BLAS_LIMIT_GUARDS: list = []
 
 #: Replica slot states (guarded by the owning pool's condition).
 _HEALTHY = "healthy"
@@ -358,29 +357,87 @@ def _build_engine_from_spec(spec: EngineSpec):
     )
 
 
+#: ``(prefix, suffix)`` of the OpenBLAS thread-count entry points
+#: ``{prefix}_get_num_threads{suffix}``/``{prefix}_set_num_threads{suffix}``,
+#: as plain, 64-bit-integer and scipy-openblas (numpy's wheels) builds
+#: export them.
+_OPENBLAS_SYMBOLS = (
+    ("openblas", ""),
+    ("openblas", "64_"),
+    ("scipy_openblas", "64_"),
+    ("scipy_openblas", ""),
+)
+
+
+def _openblas_thread_controls() -> list[tuple[Callable, Callable]]:
+    """``(get_num_threads, set_num_threads)`` of every loaded OpenBLAS.
+
+    The libraries are the shared objects mapped into this process
+    (``/proc/self/maps``) whose file name mentions OpenBLAS, opened with
+    ``ctypes`` without loading anything new -- threadpoolctl's mechanism,
+    without the dependency.  Empty where no OpenBLAS is loaded or the maps
+    file is unreadable (non-Linux).
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
+        try:
+            library = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_SYMBOLS:
+            getter = getattr(library, f"{prefix}_get_num_threads{suffix}", None)
+            setter = getattr(library, f"{prefix}_set_num_threads{suffix}", None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                controls.append((getter, setter))
+                break
+    return controls
+
+
+def _blas_pool_threads() -> int | None:
+    """The live thread count of the first loaded OpenBLAS (``None``: none found)."""
+    controls = _openblas_thread_controls()
+    return int(controls[0][0]()) if controls else None
+
+
 def _limit_blas_threads(n: int | None) -> None:
-    """Worker bootstrap: pin BLAS/OpenMP pools to ``n`` threads (best effort).
+    """Worker bootstrap: pin BLAS/OpenMP pools to ``n`` threads.
 
     The environment variables cover spawned workers (BLAS reads them when the
-    fresh interpreter first loads it); a forked worker inherits an
-    already-initialised BLAS, so when threadpoolctl is available the live
-    pools are resized too.  The worker's ``n`` cores are its BLAS pool's, so
-    its planned row tiles run on the calling thread
-    (:data:`~repro.runtime.vectorized.TILE_WORKERS` = 1).
+    fresh interpreter first loads it).  A forked worker inherits its
+    parent's already-started BLAS pool, which no longer reads them, so every
+    loaded OpenBLAS is also resized through its ``*_set_num_threads*`` entry
+    point (:func:`_openblas_thread_controls`); where no known setter exists
+    a :class:`RuntimeWarning` says the live pool kept its size.  The
+    worker's ``n`` cores are its BLAS pool's, so its planned row tiles run
+    on the calling thread (:data:`~repro.runtime.vectorized.TILE_WORKERS` =
+    1).
     """
     if n is None:
         return
     vectorized.TILE_WORKERS = 1
     for var in vectorized.BLAS_ENV_VARS:
         os.environ[var] = str(n)
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return
-    try:  # pragma: no cover - depends on optional threadpoolctl
-        _BLAS_LIMIT_GUARDS.append(threadpool_limits(limits=n))
-    except Exception:
-        pass
+    controls = _openblas_thread_controls()
+    if not controls:
+        import warnings
+
+        warnings.warn(
+            "no known BLAS thread-count setter is loaded; a forked worker "
+            f"keeps its parent's BLAS pool instead of {n} thread(s)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    for _getter, setter in controls:
+        setter(n)
 
 
 def _error_message(seq: int, error: BaseException) -> tuple:
@@ -502,6 +559,7 @@ def _engine_worker_main(
                     meta = {
                         "pid": os.getpid(),
                         "blas_threads": os.environ.get("OMP_NUM_THREADS"),
+                        "blas_pool_threads": _blas_pool_threads(),
                     }
                     results.send(("ok", seq, None, meta))
                 elif kind == "layer_stats":
@@ -802,7 +860,9 @@ class EngineWorker:
             return view, meta
 
     def ping(self) -> dict:
-        """A liveness round trip -> the worker's ``{"pid", "blas_threads"}``."""
+        """A liveness round trip -> the worker's ``{"pid", "blas_threads",
+        "blas_pool_threads"}``: its BLAS pin variable and its OpenBLAS pool's
+        live thread count (``None`` when no OpenBLAS is loaded)."""
         _none, meta = self.request("ping")
         return meta
 

@@ -20,16 +20,20 @@ Every executor compiles a :class:`~repro.runtime.plan.CompiledLayerPlan`
 at construction (or boots from a shipped one, ``plan=...``).  Noiseless
 layers run :meth:`_planned_chunk_matmul`: one exact product of the codes
 with the shifted-together weight slices, a GEMM of only the input *bit
-planes* (8 with speculation, not 11 phases) whose sums also give every
-speculative sum, and a correction at the rare positions where the ADC
-clipped a conversion the reference keeps.  Seeded noise draws and
-column-sum sampling *are* order-sensitive, so noisy executors and
-column-sum collection keep the inherited per-phase loop on float64 column
-sums, fed by one batched GEMM over every phase through the ``_phase_sums``
-hook.
+planes* (8 planes with speculation, not 11 phases) whose sums also give
+every speculative sum, and a correction at the rare positions where the ADC
+clipped a conversion the reference keeps.  Calls of at least
+:data:`PACKED_MIN_ROWS` rows, on chunks whose plan proves it exact
+(:func:`~repro.runtime.plan.packed_gemm_is_exact`), pack two planes into
+each float32 operand value: the GEMM then has 4 operand rows per input row
+with speculation, not 8, and the pulses come from the packed operand's
+column sums.  Seeded noise draws and column-sum sampling *are*
+order-sensitive, so noisy executors and column-sum collection keep the
+inherited per-phase loop on float64 column sums, fed by one batched GEMM
+over every phase through the ``_phase_sums`` hook.
 
 Threading model: the planned path runs each chunk in self-contained,
-cache-sized row tiles (:data:`TILE_ELEMENTS`).  A chunk of two or more tiles
+bounded row tiles (:data:`TILE_ELEMENTS`).  A chunk of two or more tiles
 runs them on up to :data:`TILE_WORKERS` threads: the calling thread plus
 threads started for that call alone and joined before it returns, so no
 thread outlives a :meth:`matmul` (a long-lived pool would keep
@@ -69,20 +73,83 @@ from repro.core.executor import (
 )
 from repro.nn.layers import MatmulLayer
 from repro.runtime.cache import GLOBAL_WEIGHT_CACHE, EncodedWeightCache
-from repro.runtime.phases import narrow_codes, slice_phases
-from repro.runtime.plan import CompiledLayerPlan, float32_gemm_is_exact
+from repro.runtime.phases import (
+    PACKED_FIELD_BITS,
+    narrow_codes,
+    pack_planes,
+    slice_phases,
+)
+from repro.runtime.plan import (
+    PACKED_FIELD_MAX,
+    CompiledLayerPlan,
+    float32_gemm_is_exact,
+)
 
 __all__ = [
     "BLAS_ENV_VARS",
+    "PACKED_MIN_ROWS",
     "TILE_ELEMENTS",
     "TILE_WORKERS",
     "VectorizedLayerExecutor",
     "float32_gemm_is_exact",
 ]
 
-#: Row-tile budget of the planned fast path, in plane-tensor plus product
-#: values: a float32 tile's GEMM operand and products fit in 2 MB of L2.
-TILE_ELEMENTS = 1 << 19
+#: Row-tile budget of the planned fast path, in working-set values
+#: (:func:`_row_footprint`), about 4 MB of float32 per tile.  A tile issues
+#: some 70 NumPy calls whatever its size, so the budget trades that
+#: per-tile overhead against cache misses: on a 2-vCPU host with 2 MB of L2
+#: per core, a packed ``resnet18_like`` pass ran ~10% faster at 2**20
+#: values than at 2**19, and no faster at 2**21.
+TILE_ELEMENTS = 1 << 20
+
+
+#: Fewest rows a chunk call needs to GEMM its planes packed, two per float32
+#: operand row.  At a few rows the pack and decode passes cost more than the
+#: halved GEMM saves (isolated layers ran 0.87-0.90x packed at M=3); the
+#: gate sits above every serving-sized batch (<= 32 rows), so small batches
+#: keep the unpacked planes and the per-code pulse table.
+PACKED_MIN_ROWS = 64
+
+
+def _row_footprint(plan: CompiledLayerPlan, operands, rows: int, packed: bool) -> int:
+    """Working-set values one input row adds to a planned tile of a ``rows``-row chunk.
+
+    Unpacked: its plane slices and plane products.  Packed: its ``uint16``
+    scratch and float32 packed operand rows, its packed products and its
+    decoded plane sums.
+    """
+    n_planes, n_columns = plan.n_planes, operands.n_columns
+    if not packed:
+        return n_planes * (rows + n_columns)
+    half = (n_planes + 1) // 2
+    return 2 * half * rows + (half + n_planes) * n_columns
+
+
+def _tile_rows(plan: CompiledLayerPlan, operands, rows: int, packed: bool) -> int:
+    """Input rows per planned tile: :data:`TILE_ELEMENTS` of working set.
+
+    A packed tile also keeps ``m * max_plane`` within one packed field, so
+    its packed operand's column sums decode exactly.
+    """
+    tile = max(1, TILE_ELEMENTS // _row_footprint(plan, operands, rows, packed))
+    if packed:
+        tile = min(tile, PACKED_FIELD_MAX // int(plan.plane_masks.max()))
+    return tile
+
+
+def _unpack_rows(values: np.ndarray, half: int) -> None:
+    """Decode packed rows ``values[:half]`` in place into ``values``.
+
+    Row ``j`` holds ``lo + 4096 * hi`` for fields of magnitude at most
+    :data:`~repro.runtime.plan.PACKED_FIELD_MAX`, so ``hi = rint(x / 4096)``
+    and ``lo = x - 4096 * hi`` (both exact in float32); ``lo`` stays in row
+    ``j`` and ``hi`` goes to row ``half + j``.
+    """
+    high = values[half:]
+    low = values[: len(high)]
+    np.multiply(low, 1.0 / (1 << PACKED_FIELD_BITS), out=high)
+    np.rint(high, out=high)
+    low -= high * (1 << PACKED_FIELD_BITS)
 
 
 #: Environment variables that size BLAS/OpenMP thread pools.
@@ -117,6 +184,10 @@ TILE_WORKERS = _tile_workers()
 
 class VectorizedLayerExecutor(PimLayerExecutor):
     """Batched-phase executor, bit-identical to the per-phase reference.
+
+    Noiseless layers run the planned bit-plane kernel; a call of at least
+    :data:`PACKED_MIN_ROWS` rows GEMMs two planes per float32 operand row on
+    every chunk whose plan proved it exact (``float32`` chunks only).
 
     Parameters
     ----------
@@ -239,12 +310,15 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         integer total.  (A zero may come out as -0.0; the zero-initialised
         accumulator in ``_matmul_unsigned`` turns it into +0.0, exactly as
         in the reference.)  Pulses come from the plan's per-code pulse table,
-        one gather over the codes.
+        one gather over the codes, or, when the planes are packed, from the
+        packed operand's column sums.  A call packs when it has at least
+        :data:`PACKED_MIN_ROWS` rows and the chunk's operands are proven
+        ``packed``; nothing else decides it.
 
         Input rows are independent, so the chunk runs in row tiles of at
-        most :data:`TILE_ELEMENTS` plane-tensor plus product values, each
-        self-contained (:meth:`_planned_tile`): the working set stays
-        cache-sized for any ``M``.  A chunk of several tiles runs them on
+        most :data:`TILE_ELEMENTS` working-set values (:func:`_tile_rows`),
+        each self-contained (:meth:`_planned_tile`): the working set stays
+        bounded for any ``M``.  A chunk of several tiles runs them on
         up to :data:`TILE_WORKERS` cores (:meth:`_run_tiles_threaded`);
         every tile writes its own rows of the output and counts integer
         totals, so the result and the counters do not depend on which
@@ -256,10 +330,11 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         narrow = narrow_codes(codes, plan.phase_shifts.dtype) & plan.code_mask
         m, rows = narrow.shape
         analog = np.empty((m, operands.combined.shape[1]), dtype=np.float64)
-        tile = max(1, TILE_ELEMENTS // (plan.n_planes * (rows + operands.n_columns)))
+        packed = operands.packed and m >= PACKED_MIN_ROWS
+        tile = _tile_rows(plan, operands, rows, packed)
         centers = chunk.encoded.centers if chunk.encoded.encoding.uses_centers else None
         tiles = range(0, m, tile)
-        arrays = (narrow, codes, operands, centers, analog)
+        arrays = (narrow, codes, operands, packed, centers, analog)
         workers = min(TILE_WORKERS, len(tiles))
         if workers < 2:
             for start in tiles:
@@ -322,25 +397,34 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         narrow: np.ndarray,
         codes: np.ndarray,
         operands,
+        packed: bool,
         centers: np.ndarray | None,
         analog: np.ndarray,
         stats: LayerStatistics,
     ) -> None:
         """Rows ``start:stop`` of the planned fast path, written into ``analog``.
 
-        Counts the tile's pulses from the plan's pulse table, writes the
-        exact product of its masked codes ``narrow`` (plus the centers'
-        share, from the unmasked ``codes``, if the encoding uses centers),
-        GEMMs its input planes, derives every speculative group's column
-        sums from them with one small product, counts the ADC events into
-        ``stats`` and, only where some conversion saturated, gathers the
-        planes' sums to subtract what the ADC clipped off.
+        GEMMs the tile's input planes (two per float32 operand row when
+        ``packed``, :meth:`_packed_plane_sums`) and counts its pulses (from
+        the plane column sums when packed, else from the plan's pulse
+        table), writes the exact product of its masked codes ``narrow``
+        (plus the centers' share, from the unmasked ``codes``, if the
+        encoding uses centers), derives every speculative group's column
+        sums from the planes' with one small product, counts the ADC events
+        into ``stats`` and, only where some conversion saturated, gathers
+        the planes' sums to subtract what the ADC clipped off.
         """
         plan = self.layer_plan
         low, high = self.config.adc_min, self.config.adc_max
         narrow, codes = narrow[start:stop], codes[start:stop]
         analog = analog[start:stop]
-        row_pulses = np.take(plan.pulse_table, narrow).sum(axis=0, dtype=np.int64)
+        if packed:
+            sums, row_pulses = self._packed_plane_sums(narrow, operands)
+        else:
+            row_pulses = np.take(plan.pulse_table, narrow).sum(axis=0, dtype=np.int64)
+            planes = slice_phases(narrow, plan.plane_shifts, plan.plane_masks)
+            flat = planes.reshape(-1, narrow.shape[1]).astype(operands.dtype)
+            sums = (flat @ operands.weights).reshape(plan.n_planes, -1)  # (B, m*S*F)
         stats.input_pulses += int(row_pulses.sum())
         stats.crossbar_activity += float(row_pulses @ operands.sum_flat_rowsum)
         combined = operands.combined
@@ -349,9 +433,6 @@ class VectorizedLayerExecutor(PimLayerExecutor):
             analog += centers[np.newaxis, :].astype(np.float64) * codes.sum(
                 axis=1, keepdims=True, dtype=np.int64
             )
-        planes = slice_phases(narrow, plan.plane_shifts, plan.plane_masks)
-        flat = planes.reshape(-1, narrow.shape[1]).astype(operands.dtype)
-        sums = (flat @ operands.weights).reshape(plan.n_planes, -1)  # (B, m*S*F)
         # Planes out of ADC range: the only places a conversion can lose
         # anything (rare; a handful per thousand plane sums).
         clipped = sums < low
@@ -385,6 +466,39 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         analog -= np.bincount(
             rows * plan.n_filters + filters, loss, minlength=analog.size
         ).reshape(analog.shape)
+
+    def _packed_plane_sums(
+        self, narrow: np.ndarray, operands
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A tile's ``(B, m*S*F)`` plane sums and per-row pulses, planes packed.
+
+        One float32 GEMM of ``ceil(B/2) * m`` packed rows
+        (:func:`~repro.runtime.phases.pack_planes`) yields
+        ``S_b + 4096 * S_(b+ceil(B/2))`` per pair of planes, decoded exactly
+        as the chunk's ``packed`` proof guarantees (:func:`_unpack_rows`).
+        The packed operand's column sums, decoded the same way, are every
+        plane's per-row value totals, and the plan's ``pulse_coef`` turns
+        them into per-row pulse counts (exact while ``m * max_plane`` stays
+        within a field, which :func:`_tile_rows` enforces).
+        """
+        plan = self.layer_plan
+        m, rows = narrow.shape
+        half = (plan.n_planes + 1) // 2
+        operand = pack_planes(narrow, plan.plane_shifts, plan.plane_masks).astype(
+            np.float32
+        )  # (ceil(B/2), m, rows)
+        sums = np.empty((plan.n_planes, m * operands.n_columns), dtype=np.float32)
+        np.matmul(
+            operand.reshape(half * m, rows),
+            operands.weights,
+            out=sums[:half].reshape(half * m, operands.n_columns),
+        )
+        _unpack_rows(sums, half)
+        column_sums = np.empty((plan.n_planes, rows), dtype=np.float32)
+        np.matmul(np.ones(m, dtype=np.float32), operand, out=column_sums[:half])
+        _unpack_rows(column_sums, half)
+        row_pulses = (plan.pulse_coef @ column_sums).astype(np.int64)
+        return sums, row_pulses
 
     def _batched_phase_sums(
         self, codes: np.ndarray, chunk_index: int

@@ -33,6 +33,7 @@ import pytest
 
 from repro.analog.noise import GaussianColumnNoise, NoiselessModel
 from repro.arithmetic.slicing import Slicing
+from repro.core.center_offset import WeightEncoding
 from repro.core.dynamic_input import SpeculationMode
 from repro.core.executor import PimLayerConfig, PimLayerExecutor
 from repro.runtime import (
@@ -44,7 +45,8 @@ from repro.runtime import (
     compile_model_plan,
 )
 from repro.runtime import vectorized
-from repro.runtime.procpool import _limit_blas_threads
+from repro.runtime.procpool import _limit_blas_threads, _openblas_thread_controls
+from repro.runtime.vectorized import _tile_rows
 from repro.serve import ModelRegistry
 
 from tests.test_runtime_engine import PARITY_CONFIGS, assert_stats_equal
@@ -317,6 +319,270 @@ class TestBitPlaneKernel:
         assert_stats_equal(planned.stats, reference.stats)
 
 
+#: Configurations whose noiseless chunks GEMM packed planes at M >= 64.
+PACKED_CASES = {
+    "speculative": PimLayerConfig(),
+    "bit_serial_1b": PARITY_CONFIGS["isaac"],
+    "bit_serial_2b": PimLayerConfig(
+        speculation=SpeculationMode.BIT_SERIAL,
+        serial_input_slicing=Slicing((2, 2, 2, 2)),
+    ),
+    "bit_serial_odd": PimLayerConfig(
+        speculation=SpeculationMode.BIT_SERIAL,
+        serial_input_slicing=Slicing((3, 3, 2)),
+    ),
+    "zero_offset": PARITY_CONFIGS["zero_offset"],
+    "unsigned": PimLayerConfig(
+        weight_encoding=WeightEncoding.UNSIGNED, adc_signed=False
+    ),
+    "multi_chunk": PARITY_CONFIGS["raella_multi_chunk"],
+}
+
+
+def spy_packed_operands(monkeypatch) -> list[tuple]:
+    """Record the shape of every packed plane operand the kernel builds."""
+    shapes: list[tuple] = []
+    pack_planes = vectorized.pack_planes
+
+    def spy(codes, shifts, masks):
+        packed = pack_planes(codes, shifts, masks)
+        shapes.append(packed.shape)
+        return packed
+
+    monkeypatch.setattr(vectorized, "pack_planes", spy)
+    return shapes
+
+
+def assert_matches_reference(layer, config, codes) -> VectorizedLayerExecutor:
+    """Run ``codes`` planned and through the per-phase reference; same bytes
+    and same counters.  Returns the planned executor."""
+    planned = VectorizedLayerExecutor(layer, config, weight_cache=None)
+    reference = PimLayerExecutor(layer, config)
+    assert_same_bytes(planned.matmul(codes), reference.matmul(codes))
+    assert_stats_equal(planned.stats, reference.stats)
+    return planned
+
+
+def bound_layer(last_code: int):
+    """A 16-input layer whose widest weight column sums to ``2040 + last_code``.
+
+    Weight codes equal the float weights (each filter spans 0..255, so the
+    scale is 1); with ``UNSIGNED`` encoding and one 8-bit weight slice the
+    crossbar operand is the codes themselves.
+    """
+    from repro.nn.layers import Linear
+
+    weights = np.zeros((3, 16))
+    weights[:, 0] = 255
+    weights[0, 1:8] = 255
+    weights[0, 8] = last_code
+    weights[1:, 1:] = np.arange(15) * 3
+    layer = Linear("bound_fc", weights)
+    assert np.array_equal(layer.weight_codes.T, weights)
+    inputs = np.abs(np.random.default_rng(3).normal(0, 1, size=(32, 16)))
+    layer.calibrate(inputs, layer.forward_float(inputs))
+    return layer
+
+
+BOUND_CONFIG = PimLayerConfig(
+    weight_encoding=WeightEncoding.UNSIGNED,
+    adc_signed=False,
+    weight_slicing=Slicing((8,)),
+    device_bits=8,
+)
+
+
+class TestPackedPlanes:
+    """Two bit planes per float32 GEMM row at M >= PACKED_MIN_ROWS: the
+    same bits and counters as the per-phase reference."""
+
+    @pytest.mark.parametrize("name", sorted(PACKED_CASES))
+    def test_packed_planes_match_the_reference(self, name, rng, monkeypatch):
+        config = PACKED_CASES[name]
+        layer, codes = calibrated_linear(
+            rng, 7, 40, batch=vectorized.PACKED_MIN_ROWS + 9
+        )
+        shapes = spy_packed_operands(monkeypatch)
+        planned = assert_matches_reference(layer, config, codes)
+        plan = planned.layer_plan
+        assert all(operands.packed for operands in plan.operands)
+        half = (plan.n_planes + 1) // 2
+        assert len(shapes) == planned.n_row_chunks
+        assert all(shape[:2] == (half, codes.shape[0]) for shape in shapes)
+
+    def test_speculative_plan_gemms_four_packed_rows_per_input_row(
+        self, rng, monkeypatch
+    ):
+        layer, codes = calibrated_linear(rng, 6, 24, batch=64)
+        planned = VectorizedLayerExecutor(layer, PimLayerConfig(), weight_cache=None)
+        assert planned.layer_plan.n_planes == 8
+        shapes = spy_packed_operands(monkeypatch)
+        gemm_rows = []
+        unpacked = []
+        packed_sums = VectorizedLayerExecutor._packed_plane_sums
+        slice_phases = vectorized.slice_phases
+
+        def spy_sums(self, narrow, operands):
+            sums, pulses = packed_sums(self, narrow, operands)
+            gemm_rows.append(shapes[-1][0] * shapes[-1][1])
+            return sums, pulses
+
+        def spy_slices(codes, shifts, masks):
+            unpacked.append(shifts.size)
+            return slice_phases(codes, shifts, masks)
+
+        monkeypatch.setattr(VectorizedLayerExecutor, "_packed_plane_sums", spy_sums)
+        monkeypatch.setattr(vectorized, "slice_phases", spy_slices)
+        planned.matmul(codes)
+        assert shapes == [(4, 64, 24)]
+        assert gemm_rows == [4 * 64]  # not 8 plane rows per input row
+        assert unpacked == []
+
+    @pytest.mark.parametrize("n_out, n_in", [(32, 288), (2, 512), (64, 16)])
+    def test_packed_tiles_stay_within_the_tile_budget(self, n_out, n_in, rng):
+        """Beyond the output and the codes, a multi-tile packed chunk peaks
+        within 1.5x the tile budget's float32 bytes: the budget counts the
+        scratch, packed operand, packed products and decoded sums."""
+        import tracemalloc
+
+        layer, codes = calibrated_linear(rng, n_out, n_in, batch=512)
+        executor = VectorizedLayerExecutor(layer, PimLayerConfig(), weight_cache=None)
+        plan, chunk = executor.layer_plan, executor._chunks[0]
+        assert plan.operands[0].packed
+        assert _tile_rows(plan, plan.operands[0], n_in, True) < codes.shape[0]
+        executor._planned_chunk_matmul(codes, chunk, 0)  # warm-up
+        tracemalloc.start()
+        try:
+            executor._planned_chunk_matmul(codes, chunk, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        fixed = codes.size + 8 * codes.shape[0] * plan.n_filters
+        budget_bytes = 4 * vectorized.TILE_ELEMENTS
+        over = (peak - fixed) / budget_bytes
+        assert over <= 1.5, f"{over:.2f}x the tile budget"
+
+    def test_small_calls_keep_unpacked_planes(self, rng, monkeypatch):
+        layer, codes = calibrated_linear(rng, 6, 24, batch=vectorized.PACKED_MIN_ROWS)
+        shapes = spy_packed_operands(monkeypatch)
+        planned = assert_matches_reference(layer, PimLayerConfig(), codes[:-1])
+        assert planned.layer_plan.operands[0].packed and shapes == []
+        planned.matmul(codes)
+        assert len(shapes) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_packed_row_tiles_match_the_reference(self, workers, rng, monkeypatch):
+        layer, codes = calibrated_linear(rng, 8, 80, batch=151)
+        config = PimLayerConfig(adc_bits=5, crossbar_rows=40)
+        planned = VectorizedLayerExecutor(layer, config, weight_cache=None)
+        plan = planned.layer_plan
+        per_row = max(
+            vectorized._row_footprint(plan, operands, chunk.rows, True)
+            for chunk, operands in zip(planned._chunks, plan.operands)
+        )
+        monkeypatch.setattr(vectorized, "TILE_ELEMENTS", 13 * per_row)
+        monkeypatch.setattr(vectorized, "TILE_WORKERS", workers)
+        calls = spy_threaded_calls(monkeypatch)
+        shapes = spy_packed_operands(monkeypatch)
+        reference = PimLayerExecutor(layer, config)
+        assert_same_bytes(planned.matmul(codes), reference.matmul(codes))
+        assert_stats_equal(planned.stats, reference.stats)
+        assert planned.stats.fidelity_loss_events > 0
+        assert len(shapes) == 2 * -(-codes.shape[0] // 13)  # two equal chunks
+        assert {shape[1] for shape in shapes} == {13, codes.shape[0] % 13}
+        assert len(calls) == (2 if workers > 1 else 0)
+
+    def test_signed_int8_codes_pack(self, rng, monkeypatch):
+        layer, codes = signed_linear(rng, batch=80)
+        shapes = spy_packed_operands(monkeypatch)
+        assert_matches_reference(layer, PimLayerConfig(), codes)
+        assert len(shapes) == 2  # positive and negative magnitudes
+
+    def test_tile_rows_keep_column_sums_decodable(self, rng, monkeypatch):
+        """A huge tile budget is capped so ``m * max_plane`` fits one field."""
+        from repro.runtime.plan import PACKED_FIELD_MAX
+
+        layer, codes = calibrated_linear(rng, 2, 8, batch=1200)
+        config = PACKED_CASES["bit_serial_2b"]
+        monkeypatch.setattr(vectorized, "TILE_ELEMENTS", 1 << 30)
+        shapes = spy_packed_operands(monkeypatch)
+        planned = assert_matches_reference(layer, config, codes)
+        assert planned.layer_plan.plane_masks.max() == 3
+        assert max(shape[1] for shape in shapes) == PACKED_FIELD_MAX // 3
+
+    @pytest.mark.parametrize("last_code, packed", [(7, True), (8, False)])
+    def test_chunk_at_the_packing_bound(self, last_code, packed, rng, monkeypatch):
+        layer = bound_layer(last_code)
+        codes = rng.integers(0, 256, size=(70, 16)).astype(np.uint8)
+        codes[:, :9] = 255  # every plane sums the widest column in full
+        shapes = spy_packed_operands(monkeypatch)
+        planned = assert_matches_reference(layer, BOUND_CONFIG, codes)
+        operands = planned.layer_plan.operands[0]
+        assert np.abs(operands.weights).sum(axis=0).max() == 2040 + last_code
+        assert operands.packed is packed
+        assert len(shapes) == int(packed)
+
+    def test_packed_gemm_bound(self):
+        from repro.runtime.plan import packed_gemm_is_exact
+
+        column = np.zeros((4, 2))
+        column[:, 0] = [-1000, 1000, 40, 7]
+        assert packed_gemm_is_exact(1, column)
+        column[3, 0] = -8
+        assert not packed_gemm_is_exact(1, column)
+        assert packed_gemm_is_exact(3, np.array([[682.0]]))  # 3 * 682 = 2046
+        assert not packed_gemm_is_exact(3, np.array([[-683.0]]))
+        assert packed_gemm_is_exact(15, np.ones((1, 1)))
+        assert not packed_gemm_is_exact(16, np.ones((1, 1)))  # overflows uint16
+
+    def test_noisy_and_float64_chunks_never_pack(self, tiny_linear_layer):
+        noisy = VectorizedLayerExecutor(
+            tiny_linear_layer, PimLayerConfig(), noise=GaussianColumnNoise(0.05, seed=1)
+        )
+        float64 = VectorizedLayerExecutor(
+            tiny_linear_layer, PimLayerConfig(), float32=False
+        )
+        for executor in (noisy, float64):
+            assert not any(op.packed for op in executor.layer_plan.operands)
+
+    @pytest.mark.parametrize(
+        "config",
+        [*PARITY_CONFIGS.values(), *PACKED_CASES.values(), BOUND_CONFIG],
+        ids=[*PARITY_CONFIGS, *PACKED_CASES, "bound"],
+    )
+    def test_pulse_coefficients_reproduce_the_pulse_table(self, config, rng):
+        if config is BOUND_CONFIG:
+            layer = bound_layer(7)
+        else:
+            layer, _ = calibrated_linear(rng, 3, 16)
+        plan = VectorizedLayerExecutor(layer, config, weight_cache=None).layer_plan
+        every_code = np.arange(plan.code_mask + 1, dtype=np.uint8)[np.newaxis, :]
+        planes = vectorized.slice_phases(
+            every_code, plan.plane_shifts, plan.plane_masks
+        )
+        pulses = plan.pulse_coef @ planes[:, 0, :].astype(np.int64)
+        assert np.array_equal(pulses, plan.pulse_table[: plan.code_mask + 1])
+
+    @pytest.mark.parametrize("model_name", ["resnet18_like", "bert_large_ffn_like"])
+    def test_zoo_layers_match_the_reference(self, model_name, monkeypatch):
+        from repro.nn import zoo
+        from repro.nn.synthetic import synthetic_images, synthetic_signed_activations
+
+        model = getattr(zoo, model_name)()
+        data_rng = np.random.default_rng(7)
+        if model_name == "resnet18_like":
+            inputs = synthetic_images(1, model.input_shape, data_rng)
+        else:
+            inputs = synthetic_signed_activations((96,) + model.input_shape, data_rng)
+        shapes = spy_packed_operands(monkeypatch)
+        activations = model.capture_layer_inputs(inputs)
+        for layer in model.matmul_layers():
+            codes = activations[layer.name].patch_codes
+            planned = assert_matches_reference(layer, PimLayerConfig(), codes)
+            assert all(op.packed for op in planned.layer_plan.operands)
+        assert len(shapes) >= len(model.matmul_layers()) - 2
+
+
 def signed_linear(rng, n_out: int = 5, n_in: int = 16, batch: int = 48):
     """A BERT-style signed-input layer and ``int8`` codes down to -128."""
     from repro.nn.layers import Linear
@@ -503,9 +769,14 @@ print(threading.active_count(), _default_start_method())
         for var in vectorized.BLAS_ENV_VARS:  # restored after the test
             monkeypatch.setenv(var, "4")
         monkeypatch.setattr(vectorized, "TILE_WORKERS", 4)
-        _limit_blas_threads(1)
-        assert vectorized.TILE_WORKERS == 1
-        assert {os.environ[var] for var in vectorized.BLAS_ENV_VARS} == {"1"}
+        saved = [(get(), set_) for get, set_ in _openblas_thread_controls()]
+        try:
+            _limit_blas_threads(1)
+            assert vectorized.TILE_WORKERS == 1
+            assert {os.environ[var] for var in vectorized.BLAS_ENV_VARS} == {"1"}
+        finally:  # the live pool resize outlives monkeypatch
+            for threads, set_threads in saved:
+                set_threads(threads)
 
     def test_budget_is_usable_cores_per_blas_thread(self, monkeypatch):
         monkeypatch.setattr(

@@ -13,6 +13,7 @@ import signal
 import sys
 import threading
 import time
+from multiprocessing import get_all_start_methods
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from repro.runtime import (
     NetworkEngine,
     ReplicaPool,
     WorkerStartupError,
+    procpool,
+    vectorized,
 )
 from repro.serve import (
     AdmissionController,
@@ -307,6 +310,40 @@ class TestBlasPinning:
         with ReplicaPool.launch(tiny_mlp_model, replicas=1) as pool:
             meta = pool._handles[0].worker.ping()
             assert meta["blas_threads"] == "1"
+
+    def test_forked_replicas_resize_an_unpinned_parents_blas_pool(self, tiny_mlp_model):
+        """A forked worker inherits its parent's started BLAS pool, which no
+        longer reads the pin variables; the live resize must still pin it."""
+        if "fork" not in get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+        controls = procpool._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded in this process")
+        get_threads, set_threads = controls[0]
+        saved = get_threads()
+        set_threads(2)  # an unpinned parent on a two-core host
+        try:
+            assert procpool._blas_pool_threads() == 2
+            with ReplicaPool.launch(
+                tiny_mlp_model, replicas=2, start_method="fork"
+            ) as pool:
+                metas = [handle.worker.ping() for handle in pool._handles]
+            assert [meta["blas_pool_threads"] for meta in metas] == [1, 1]
+            with ReplicaPool.launch(
+                tiny_mlp_model, replicas=1, blas_threads=None, start_method="fork"
+            ) as pool:  # unpinned workers keep the parent's pool
+                assert pool._handles[0].worker.ping()["blas_pool_threads"] == 2
+        finally:
+            set_threads(saved)
+
+    def test_missing_blas_setter_is_reported(self, monkeypatch):
+        monkeypatch.setattr(procpool, "_openblas_thread_controls", lambda: [])
+        for var in vectorized.BLAS_ENV_VARS:  # restored after the test
+            monkeypatch.setenv(var, "2")
+        monkeypatch.setattr(vectorized, "TILE_WORKERS", vectorized.TILE_WORKERS)
+        with pytest.warns(RuntimeWarning, match="BLAS"):
+            procpool._limit_blas_threads(1)
+        assert procpool._blas_pool_threads() is None
 
 
 class TestRegistryReplicas:
