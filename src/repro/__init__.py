@@ -9,7 +9,7 @@ This package reproduces the system described in
 The package is organised as:
 
 * :mod:`repro.arithmetic` -- bit-slicing and quantization substrate.
-* :mod:`repro.analog`     -- behavioural ReRAM crossbar / ADC / DAC / noise models.
+* :mod:`repro.analog`     -- the Gaussian column-sum noise model.
 * :mod:`repro.nn`         -- NumPy quantized-DNN substrate (layers, models, zoo,
   synthetic data, training).
 * :mod:`repro.core`       -- the RAELLA contribution: Center+Offset encoding,
@@ -26,8 +26,8 @@ The package is organised as:
 * :mod:`repro.telemetry`  -- hardware-grounded serving telemetry: per-layer
   energy/latency cost tables bridged from :mod:`repro.hw`, per-request
   traces and per-tenant aggregates with JSON/Prometheus export.
-* :mod:`repro.hw`         -- Accelergy/Timeloop-style energy, area and
-  throughput models plus the Titanium-Law analysis.
+* :mod:`repro.hw`         -- Accelergy/Timeloop-style energy and throughput
+  models plus the Titanium-Law analysis.
 * :mod:`repro.baselines`  -- ISAAC, FORMS, TIMELY and Zero+Offset baselines.
 * :mod:`repro.experiments`-- one module per paper table/figure.
 

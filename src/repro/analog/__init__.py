@@ -1,34 +1,16 @@
-"""Behavioural models of the analog PIM substrate.
+"""Column-sum noise models of the analog PIM substrate.
 
-This subpackage models the analog portion of a ReRAM PIM accelerator at the
-functional level the paper's evaluation relies on:
+The executors form column sums, clip them to the ADC range and count
+converts themselves; this subpackage only supplies the analog variation
+they add to each column sum:
 
-* :mod:`repro.analog.devices`  -- ReRAM device and cell (1T1R / 2T2R) parameters.
-* :mod:`repro.analog.dac`      -- pulse-train digital-to-analog converters.
-* :mod:`repro.analog.adc`      -- analog-to-digital converter models, including
-  RAELLA's saturating LSB-capture ADC and the LSB-truncating ADC used by
-  Sum-Fidelity-Limited baselines.
-* :mod:`repro.analog.noise`    -- the Gaussian column-sum noise model of
-  Section 7.2.
-* :mod:`repro.analog.crossbar` -- the crossbar array: programming sliced
-  weights and computing analog column sums.
+* :mod:`repro.analog.noise` -- the Gaussian column-sum noise model of
+  Section 7.2 and the noiseless default.
 """
 
-from repro.analog.adc import ADCResult, SaturatingADC, TruncatingADC
-from repro.analog.crossbar import Crossbar, CrossbarConfig
-from repro.analog.dac import PulseTrainDAC
-from repro.analog.devices import CellType, ReRAMDevice
 from repro.analog.noise import GaussianColumnNoise, NoiseModel, NoiselessModel
 
 __all__ = [
-    "ADCResult",
-    "SaturatingADC",
-    "TruncatingADC",
-    "Crossbar",
-    "CrossbarConfig",
-    "PulseTrainDAC",
-    "CellType",
-    "ReRAMDevice",
     "GaussianColumnNoise",
     "NoiseModel",
     "NoiselessModel",

@@ -9,15 +9,13 @@ library relies on:
 * :mod:`repro.arithmetic.slicing` -- the :class:`Slicing` value type describing
   how an 8-bit operand is partitioned into slices, enumeration of all legal
   slicings, and the named slicings used by RAELLA and the baselines.
-* :mod:`repro.arithmetic.quantize` -- 8-bit per-channel affine quantization,
-  16-bit partial-sum accumulation and requantization to 8-bit outputs.
+* :mod:`repro.arithmetic.quantize` -- 8-bit per-channel and per-tensor affine
+  quantization and dequantization.
 """
 
 from repro.arithmetic.bits import (
     bit_density,
-    reassemble_slices,
     signed_crop,
-    signed_slices,
     unsigned_slices,
 )
 from repro.arithmetic.quantize import (
@@ -25,7 +23,6 @@ from repro.arithmetic.quantize import (
     dequantize,
     quantize_per_channel,
     quantize_tensor,
-    requantize_psums,
 )
 from repro.arithmetic.slicing import (
     ISAAC_INPUT_SLICING,
@@ -38,15 +35,12 @@ from repro.arithmetic.slicing import (
 
 __all__ = [
     "bit_density",
-    "reassemble_slices",
     "signed_crop",
-    "signed_slices",
     "unsigned_slices",
     "QuantizationParams",
     "dequantize",
     "quantize_per_channel",
     "quantize_tensor",
-    "requantize_psums",
     "Slicing",
     "enumerate_slicings",
     "ISAAC_INPUT_SLICING",

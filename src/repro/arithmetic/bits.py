@@ -3,8 +3,8 @@
 PIM architectures cannot process full 8-bit operands in a single analog step.
 Instead they *slice* operands into groups of bits (Section 2.3 of the paper):
 weight slices are laid out spatially across crossbar columns and input slices
-are fed temporally over multiple cycles.  This module provides the slicing and
-reassembly primitives, including the signed crop ``D(h, l, x)`` used by the
+are fed temporally over multiple cycles.  This module provides the slicing
+primitives, including the signed crop ``D(h, l, x)`` used by the
 Center+Offset optimisation (Eq. 2), and the bit-density statistics behind
 Fig. 8 of the paper.
 
@@ -19,12 +19,8 @@ import numpy as np
 
 __all__ = [
     "unsigned_slices",
-    "signed_slices",
     "signed_crop",
-    "reassemble_slices",
     "bit_density",
-    "min_bits_unsigned",
-    "min_bits_signed",
 ]
 
 
@@ -121,45 +117,6 @@ def signed_crop(values: np.ndarray | Sequence[int], high: int, low: int) -> np.n
     return (np.sign(arr) * magnitude).astype(np.int64)
 
 
-def signed_slices(
-    values: np.ndarray | Sequence[int], widths: Sequence[int]
-) -> list[np.ndarray]:
-    """Slice signed integers into sign-magnitude bit groups.
-
-    Each slice carries the sign of the original value, which is how RAELLA's
-    Center+Offset offsets (``w - phi``) are decomposed before the positive and
-    negative parts are programmed into the two devices of a 2T2R cell.
-    """
-    arr = _as_int_array(values)
-    widths = _validate_widths(widths)
-    total = sum(widths)
-    if np.any(np.abs(arr) >= (1 << total)):
-        raise ValueError(f"value magnitudes exceed {total}-bit range")
-    out = []
-    shifts = slice_shifts(widths)
-    for width, shift in zip(widths, shifts):
-        out.append(signed_crop(arr, shift + width - 1, shift))
-    return out
-
-
-def reassemble_slices(
-    slices: Sequence[np.ndarray], widths: Sequence[int]
-) -> np.ndarray:
-    """Reassemble sliced values: ``sum_i slice_i << shift_i``.
-
-    Inverse of :func:`unsigned_slices` and :func:`signed_slices` (for values
-    whose slices all share the original sign).
-    """
-    widths = _validate_widths(widths)
-    if len(slices) != len(widths):
-        raise ValueError(f"got {len(slices)} slices for {len(widths)} widths")
-    shifts = slice_shifts(widths)
-    total = np.zeros_like(_as_int_array(slices[0]))
-    for part, shift in zip(slices, shifts):
-        total = total + (_as_int_array(part) << shift)
-    return total
-
-
 def bit_density(values: np.ndarray | Sequence[int], n_bits: int = 8) -> np.ndarray:
     """Per-bit density: probability that each bit position is 1.
 
@@ -176,25 +133,3 @@ def bit_density(values: np.ndarray | Sequence[int], n_bits: int = 8) -> np.ndarr
     for bit in range(n_bits):
         densities[bit] = np.mean((arr >> bit) & 1)
     return densities
-
-
-def min_bits_unsigned(values: np.ndarray | Sequence[int]) -> int:
-    """Minimum number of bits needed to represent ``values`` unsigned."""
-    arr = _as_int_array(values)
-    if np.any(arr < 0):
-        raise ValueError("values must be non-negative")
-    top = int(arr.max(initial=0))
-    return max(int(top).bit_length(), 1)
-
-
-def min_bits_signed(values: np.ndarray | Sequence[int]) -> int:
-    """Minimum number of bits for a signed two's-complement representation."""
-    arr = _as_int_array(values)
-    if arr.size == 0:
-        return 1
-    lo = int(arr.min())
-    hi = int(arr.max())
-    bits = 1
-    while not (-(1 << (bits - 1)) <= lo and hi < (1 << (bits - 1))):
-        bits += 1
-    return bits

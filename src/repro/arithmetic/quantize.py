@@ -1,4 +1,4 @@
-"""8-bit per-channel quantization and 16-bit partial-sum requantization.
+"""8-bit per-channel and per-tensor affine quantization.
 
 RAELLA targets off-the-shelf 8-bit per-channel quantized DNNs with 16-bit
 partial sums (Section 2.1).  This module implements that quantization scheme
@@ -9,10 +9,9 @@ for the NumPy DNN substrate:
   re-encodes them as ``center +- offset``),
 * activations are quantized per tensor, unsigned for post-ReLU activations and
   signed for layers such as BERT's feed-forward blocks,
-* integer partial sums are accumulated at 16-bit-equivalent precision and
-  requantized back to 8-bit outputs with a fused scale/bias and optional fused
-  ReLU, following the per-channel linear quantization of [Zhao et al., ICLR'20]
-  referenced by the paper.
+* layers accumulate integer partial sums and requantize them to 8-bit
+  outputs (:class:`repro.nn.layers.MatmulLayer`), following the per-channel
+  linear quantization of [Zhao et al., ICLR'20] referenced by the paper.
 """
 
 from __future__ import annotations
@@ -26,15 +25,10 @@ __all__ = [
     "quantize_tensor",
     "quantize_per_channel",
     "dequantize",
-    "requantize_psums",
-    "integer_dot_product_terms",
 ]
 
 #: Number of bits used for operands throughout the library.
 OPERAND_BITS = 8
-
-#: Number of bits partial sums are accumulated to before requantization.
-PSUM_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -145,69 +139,3 @@ def quantize_per_channel(
     params = QuantizationParams(scale=scale, zero_point=zero_point, signed=signed)
     codes = quantize_tensor(weights, params, channel_axis=channel_axis)
     return codes, params
-
-
-def integer_dot_product_terms(
-    input_codes: np.ndarray,
-    weight_codes: np.ndarray,
-    input_zero_point: int,
-    weight_zero_points: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """Decompose an affine-quantized dot product into integer terms.
-
-    For ``real = s_i (i - z_i)`` and ``real_w = s_w (w - z_w)`` the dot product
-    of a filter with an input vector expands into four integer terms.  The
-    crossbar computes ``sum_r i_r * w_r``; the remaining terms are handled
-    digitally (they only involve sums of inputs and constants).  This helper
-    returns the terms separately so executors can account for them.
-    """
-    input_codes = np.asarray(input_codes, dtype=np.int64)
-    weight_codes = np.asarray(weight_codes, dtype=np.int64)
-    weight_zero_points = np.asarray(weight_zero_points, dtype=np.int64)
-    raw = input_codes @ weight_codes
-    input_sum = input_codes.sum(axis=-1, keepdims=True)
-    weight_sum = weight_codes.sum(axis=0)
-    n = weight_codes.shape[0]
-    return {
-        "raw": raw,
-        "input_sum_term": input_sum * weight_zero_points,
-        "weight_sum_term": input_zero_point * weight_sum,
-        "constant_term": np.asarray(input_zero_point * weight_zero_points * n),
-    }
-
-
-def requantize_psums(
-    psums: np.ndarray,
-    output_scale: np.ndarray,
-    output_bias: np.ndarray | None = None,
-    fuse_relu: bool = True,
-    signed_output: bool = False,
-    channel_axis: int = -1,
-) -> np.ndarray:
-    """Requantize 16-bit integer partial sums to 8-bit output codes.
-
-    ``output_scale`` and ``output_bias`` play the role of the FP16 per-channel
-    scale and bias the paper allocates 32 bits per output channel for
-    (Section 5.3).  ReLU is optionally fused into the requantization, which is
-    the behaviour the error-budget calculation in Section 4.2.1 relies on.
-    """
-    psums = np.asarray(psums, dtype=np.float64)
-    output_scale = np.atleast_1d(np.asarray(output_scale, dtype=np.float64))
-    if np.any(output_scale <= 0):
-        raise ValueError("output scales must be positive")
-    if output_bias is None:
-        output_bias = np.zeros_like(output_scale)
-    output_bias = np.atleast_1d(np.asarray(output_bias, dtype=np.float64))
-    shape = [1] * psums.ndim
-    axis = channel_axis % psums.ndim
-    if output_scale.size not in (1, psums.shape[axis]):
-        raise ValueError(
-            f"output_scale has {output_scale.size} entries but channel axis "
-            f"has {psums.shape[axis]}"
-        )
-    shape[axis] = output_scale.size
-    scaled = psums * output_scale.reshape(shape) + output_bias.reshape(shape)
-    if fuse_relu:
-        scaled = np.maximum(scaled, 0.0)
-    lo, hi = QuantizationParams.code_range_static(signed_output)
-    return np.clip(np.round(scaled), lo, hi).astype(np.int64)

@@ -16,12 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.arithmetic.bits import (
-    reassemble_slices,
-    signed_slices,
-    slice_shifts,
-    unsigned_slices,
-)
+from repro.arithmetic.bits import slice_shifts, unsigned_slices
 
 __all__ = [
     "Slicing",
@@ -79,33 +74,6 @@ class Slicing:
     def slice_unsigned(self, values: np.ndarray) -> list[np.ndarray]:
         """Slice unsigned integer values according to this slicing."""
         return unsigned_slices(values, self.widths)
-
-    def slice_signed(self, values: np.ndarray) -> list[np.ndarray]:
-        """Slice signed integer values (sign-magnitude per slice)."""
-        return signed_slices(values, self.widths)
-
-    def reassemble(self, slices: Sequence[np.ndarray]) -> np.ndarray:
-        """Reassemble sliced values back into full-width integers."""
-        return reassemble_slices(slices, self.widths)
-
-    def refine_to_bit_serial(self) -> "Slicing":
-        """Return the 1-bit-per-slice slicing covering the same width."""
-        return Slicing((1,) * self.total_bits)
-
-    def split_slice_to_bits(self, index: int) -> "Slicing":
-        """Return a new slicing with slice ``index`` expanded into 1-bit slices.
-
-        This is the re-slicing RAELLA's recovery step performs when a
-        speculative input slice fails (Section 4.3).
-        """
-        if not 0 <= index < self.n_slices:
-            raise IndexError(f"slice index {index} out of range")
-        widths = (
-            self.widths[:index]
-            + (1,) * self.widths[index]
-            + self.widths[index + 1 :]
-        )
-        return Slicing(widths)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.widths)

@@ -30,18 +30,9 @@ class FormsBaseline:
     arch: ArchitectureSpec = field(default_factory=lambda: FORMS_ARCH)
 
     @property
-    def pruning_factor(self) -> float:
-        """MACs/DNN reduction from pruning (2.0x at the highest ratio)."""
-        return self.arch.mac_reduction_factor
-
-    @property
     def requires_retraining(self) -> bool:
         """FORMS retrains to recover pruning-induced accuracy loss."""
         return True
-
-    def reported_accuracy_drop(self, model_name: str) -> float | None:
-        """Accuracy drop (%) reported by the original paper, if available."""
-        return FORMS_REPORTED_ACCURACY_DROP.get(model_name)
 
     def energy(self, shapes: ModelShapes, batch_size: int = 1) -> EnergyBreakdown:
         """Energy breakdown for a full-scale DNN (after pruning)."""

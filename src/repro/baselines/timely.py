@@ -8,16 +8,15 @@ so DNNs must be requantized and retrained.  The paper compares against
 TIMELY's published numbers and rebuilds RAELLA with TIMELY's 65 nm analog
 components for a like-for-like comparison (Fig. 13).
 
-Functionally, TIMELY-style conversion is modelled by the LSB-truncating ADC
-(:class:`repro.analog.adc.TruncatingADC`); the cost model uses the 65 nm
-component library with cheap time-domain conversions.
+The cost model uses the 65 nm component library with cheap time-domain
+conversions; the fidelity loss itself is not simulated: TIMELY keeps the top
+8 bits of a 24-bit column sum and drops its 16 least significant bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analog.adc import TruncatingADC
 from repro.hw.architecture import TIMELY_ARCH, ArchitectureSpec
 from repro.hw.energy import EnergyBreakdown, EnergyModel
 from repro.hw.throughput import ThroughputModel, ThroughputReport
@@ -39,18 +38,6 @@ class TimelyBaseline:
     def requires_retraining(self) -> bool:
         """TIMELY requantizes and retrains DNNs to tolerate fidelity loss."""
         return True
-
-    def truncating_adc(self, sum_bits: int = 24) -> TruncatingADC:
-        """The LSB-dropping conversion TIMELY's fidelity loss corresponds to."""
-        return TruncatingADC(bits=self.arch.adc_bits, signed=False)
-
-    def lsbs_dropped(self, sum_bits: int = 24) -> int:
-        """Bits of column-sum fidelity lost per conversion."""
-        return self.truncating_adc().lsbs_dropped(sum_bits)
-
-    def reported_accuracy_drop(self, model_name: str) -> float | None:
-        """Accuracy drop (%) reported by the original paper, if available."""
-        return TIMELY_REPORTED_ACCURACY_DROP.get(model_name)
 
     def energy(self, shapes: ModelShapes, batch_size: int = 1) -> EnergyBreakdown:
         """Energy breakdown for a full-scale DNN."""

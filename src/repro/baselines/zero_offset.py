@@ -33,7 +33,7 @@ def zero_offset_compiler_config(
     efficiency and throughput match and only the encoding differs; adaptive
     slicing is therefore disabled here and callers should copy the slicings
     chosen by the Center+Offset compilation (see
-    :func:`repro.experiments.table4.run_table4`).
+    :func:`repro.experiments.table4_accuracy.run_table4`).
     """
     from dataclasses import replace
 

@@ -18,7 +18,6 @@ from repro.core.center_offset import (
     CenterOffsetEncoder,
     EncodedWeights,
     WeightEncoding,
-    optimal_center,
     optimal_centers,
 )
 from repro.core.compiler import CompiledLayer, RaellaCompiler, RaellaProgram
@@ -33,7 +32,6 @@ __all__ = [
     "CenterOffsetEncoder",
     "EncodedWeights",
     "WeightEncoding",
-    "optimal_center",
     "optimal_centers",
     "CompiledLayer",
     "RaellaCompiler",

@@ -40,7 +40,6 @@ __all__ = [
     "WeightEncoding",
     "EncodedWeights",
     "CenterOffsetEncoder",
-    "optimal_center",
     "optimal_centers",
     "compute_offsets",
 ]
@@ -97,32 +96,6 @@ def _slice_column_cost(
         column_sum = sliced.sum(axis=-1).astype(np.float64)
         cost += (2.0**shift) * np.abs(column_sum) ** power
     return cost
-
-
-def optimal_center(
-    filter_codes: np.ndarray,
-    slicing: Slicing,
-    power: float = 4.0,
-    candidates: np.ndarray | None = None,
-) -> int:
-    """Solve Eq. 2 for a single weight filter.
-
-    Parameters
-    ----------
-    filter_codes:
-        Unsigned 8-bit weight codes of one filter (1-D array).
-    slicing:
-        The weight slicing the filter will be programmed with.
-    power:
-        Exponent applied to each column's slice sum (4 in the paper).
-    candidates:
-        Candidate center values; defaults to 1..255.
-    """
-    filter_codes = np.asarray(filter_codes, dtype=np.int64).ravel()
-    if filter_codes.size == 0:
-        raise ValueError("filter must contain at least one weight")
-    column = filter_codes[:, np.newaxis]
-    return int(optimal_centers(column, slicing, power, candidates)[0])
 
 
 def optimal_centers(
@@ -218,14 +191,6 @@ class EncodedWeights:
     def n_columns(self) -> int:
         """Number of physical crossbar columns (filters x slices)."""
         return self.n_filters * self.slicing.n_slices
-
-    @property
-    def devices_programmed(self) -> int:
-        """Number of ReRAM devices holding non-zero slice values."""
-        return int(
-            np.count_nonzero(self.positive_slices)
-            + np.count_nonzero(self.negative_slices)
-        )
 
     def reconstruct_codes(self) -> np.ndarray:
         """Reassemble the original weight codes (sanity check / tests)."""

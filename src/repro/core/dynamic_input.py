@@ -66,11 +66,6 @@ class InputPhase:
         if self.width <= 0 or self.shift < 0:
             raise ValueError("phase width must be positive and shift non-negative")
 
-    @property
-    def magnitude_shift(self) -> int:
-        """Shift applied to this phase's converted column sums."""
-        return self.shift
-
 
 @dataclass(frozen=True)
 class InputSlicePlan:
@@ -139,21 +134,6 @@ class InputSlicePlan:
     def n_cycles(self) -> int:
         """Crossbar cycles per full input presentation (11 with speculation)."""
         return len(self.phases)
-
-    @property
-    def n_speculative(self) -> int:
-        """Number of speculative phases."""
-        return sum(1 for p in self.phases if p.kind == "speculative")
-
-    @property
-    def n_recovery(self) -> int:
-        """Number of recovery phases."""
-        return sum(1 for p in self.phases if p.kind == "recovery")
-
-    @property
-    def adc_converting_phases(self) -> tuple[InputPhase, ...]:
-        """Phases in which ADCs convert every column (speculative / serial)."""
-        return tuple(p for p in self.phases if p.kind != "recovery")
 
 
 def extract_input_slice(input_codes: np.ndarray, phase: InputPhase) -> np.ndarray:

@@ -56,12 +56,6 @@ class ColumnSumSetupResult:
             return "speculative"
         return "serial"
 
-    def resolution_bits(self, kind: str | None = None) -> np.ndarray:
-        """Signed bit-width needed for each collected column sum."""
-        sums = self.column_sums[kind or self.primary_kind]
-        magnitudes = np.abs(sums).astype(np.int64)
-        return np.ceil(np.log2(np.maximum(magnitudes, 1) + 1)).astype(int) + 1
-
 
 @dataclass
 class Fig03Result:

@@ -4,9 +4,9 @@ The paper evaluates accelerators with Accelergy/Timeloop component models in
 32 nm (and a 65 nm variant for the TIMELY comparison).  This subpackage
 reproduces that methodology:
 
-* :mod:`repro.hw.components`   -- per-action energy and area of every hardware
+* :mod:`repro.hw.components`   -- per-action energy of every hardware
   component (ADC, DAC, ReRAM crossbar, SRAM/eDRAM buffers, router, digital
-  logic) with resolution/technology scaling.
+  logic) with ADC resolution scaling.
 * :mod:`repro.hw.architecture` -- architecture specifications (RAELLA, ISAAC,
   FORMS, TIMELY) and workload operand statistics.
 * :mod:`repro.hw.actions`      -- per-layer action counts (ADC converts, DAC

@@ -44,7 +44,6 @@ class LayerActionCounts:
     quantize_ops: float
     center_adds: float
     center_applies: float
-    reram_devices_programmed: float
     row_utilization: float
 
     @property
@@ -129,7 +128,6 @@ def count_layer_actions(
     else:
         center_adds = 0.0
         center_applies = 0.0
-    reram_devices_programmed = k_eff * n_filters * n_weight_slices
     row_utilization = min(k_eff / (n_row_chunks * arch.crossbar_rows), 1.0)
 
     return LayerActionCounts(
@@ -153,7 +151,6 @@ def count_layer_actions(
         quantize_ops=quantize_ops,
         center_adds=center_adds,
         center_applies=center_applies,
-        reram_devices_programmed=reram_devices_programmed,
         row_utilization=row_utilization,
     )
 

@@ -121,7 +121,6 @@ class ArchitectureSpec:
     n_tiles: int = 743
     edram_kb_per_tile: int = 64
     cycle_time_ns: float = 100.0
-    area_budget_mm2: float = 600.0
     # Mapping features / workload transformations.
     supports_toeplitz: bool = True
     mac_reduction_factor: float = 1.0  # >1 for pruned (Weight-Count-Limited) designs

@@ -1,4 +1,4 @@
-"""Per-action energy and area of hardware components.
+"""Per-action energy of hardware components.
 
 Constants follow the sources the paper uses: the Kull et al. 8-bit SAR ADC
 (ISAAC's ADC) scaled across resolutions following Saberi et al., pulse-train
@@ -8,8 +8,8 @@ eDRAM/router numbers from ISAAC.  Values are architecture-level estimates --
 the goal is to reproduce the paper's accounting methodology and relative
 results, not SPICE-level accuracy.
 
-All energies are in picojoules (pJ) per action, all areas in square
-millimetres (mm^2), at the 32 nm node unless scaled.
+All energies are in picojoules (pJ) per action, at the 32 nm node unless
+scaled.
 """
 
 from __future__ import annotations
@@ -21,27 +21,18 @@ __all__ = ["ComponentLibrary", "TechnologyNode"]
 
 @dataclass(frozen=True)
 class TechnologyNode:
-    """Simple technology scaling between nodes.
+    """The technology node a component library's constants are expressed at.
 
-    Dynamic energy scales roughly with the square of feature size; area scales
-    with the square as well.  This is only used for the 65 nm TIMELY
-    comparison, where the paper rebuilds RAELLA with TIMELY's components.
+    Only the 65 nm TIMELY comparison, where the paper rebuilds RAELLA with
+    TIMELY's components, departs from 32 nm.
     """
 
     feature_nm: float = 32.0
 
-    def energy_scale(self, reference_nm: float = 32.0) -> float:
-        """Multiplicative energy factor relative to the reference node."""
-        return (self.feature_nm / reference_nm) ** 2
-
-    def area_scale(self, reference_nm: float = 32.0) -> float:
-        """Multiplicative area factor relative to the reference node."""
-        return (self.feature_nm / reference_nm) ** 2
-
 
 @dataclass(frozen=True)
 class ComponentLibrary:
-    """Energy/area constants for one technology node and circuit family.
+    """Energy constants for one technology node and circuit family.
 
     The defaults model the 32 nm components shared by RAELLA, ISAAC and FORMS
     in the paper's apples-to-apples comparison.  ``for_timely_components``
@@ -60,29 +51,19 @@ class ComponentLibrary:
     #: 6-9 bit regime (Saberi et al.); 1.3/bit is the effective value that
     #: calibrates the ISAAC baseline against its published breakdown.
     adc_resolution_energy_base: float = 1.3
-    #: Area of one 8-bit ADC (mm^2); scales with the same base.
-    adc_area_8b_mm2: float = 0.0012
-    adc_resolution_area_base: float = 2.0
 
     # -- DAC / row drivers -----------------------------------------------------
     #: Energy per emitted input pulse (flip-flop + AND + row driver).
     dac_energy_per_pulse_pj: float = 0.0008
-    dac_area_per_row_mm2: float = 1.0e-7
 
     # -- ReRAM crossbar --------------------------------------------------------
     #: Energy of one device conducting at full (on-state) conductance for one
     #: 1 ns pulse: V^2 * G_on * t = 0.2^2 * 1e-3 * 1e-9 = 40 fJ.
     reram_energy_per_device_pulse_pj: float = 0.04
-    #: Average device conductance as a fraction of on-state conductance,
-    #: averaged over programmed slice values (bell-curve offsets are small).
-    reram_area_per_cell_mm2: float = 2.5e-8
-    #: 2T2R cells add access transistors; ~10% system-area overhead per paper.
-    t2r2_cell_area_factor: float = 2.0
 
     # -- Column periphery ------------------------------------------------------
     #: Sample+hold plus current buffer, per column per cycle.
     column_periphery_energy_pj: float = 0.005
-    column_periphery_area_per_col_mm2: float = 2.0e-7
 
     # -- Digital ---------------------------------------------------------------
     #: Shift+add of one converted column sum into a psum.
@@ -93,21 +74,14 @@ class ComponentLibrary:
     center_add_energy_pj: float = 0.003
     #: One multiply/subtract applying a center to a psum.
     center_apply_energy_pj: float = 0.03
-    digital_area_per_tile_mm2: float = 0.02
 
     # -- Memories ---------------------------------------------------------------
     #: SRAM (input / psum / weight-center buffers), per byte accessed.
     sram_energy_per_byte_pj: float = 0.10
-    sram_area_per_kb_mm2: float = 0.0012
     #: Tile eDRAM buffer, per byte accessed.
     edram_energy_per_byte_pj: float = 0.5
-    edram_area_per_kb_mm2: float = 0.0006
     #: On-chip router/network, per byte moved between tiles.
     router_energy_per_byte_pj: float = 1.2
-    router_area_mm2: float = 0.15
-
-    # -- ReRAM programming -------------------------------------------------------
-    reram_write_energy_pj: float = 100.0
 
     def adc_energy_pj(self, bits: int) -> float:
         """Energy of one conversion at the given resolution.
@@ -118,12 +92,6 @@ class ComponentLibrary:
         if not 1 <= bits <= 16:
             raise ValueError("ADC resolution must be in [1, 16]")
         return self.adc_energy_8b_pj * self.adc_resolution_energy_base ** (bits - 8)
-
-    def adc_area_mm2(self, bits: int) -> float:
-        """Area of one ADC at the given resolution."""
-        if not 1 <= bits <= 16:
-            raise ValueError("ADC resolution must be in [1, 16]")
-        return self.adc_area_8b_mm2 * self.adc_resolution_area_base ** (bits - 8)
 
     def scaled(self, factor: float) -> "ComponentLibrary":
         """Return a copy with all energies multiplied by ``factor``."""
@@ -141,7 +109,6 @@ class ComponentLibrary:
             "sram_energy_per_byte_pj",
             "edram_energy_per_byte_pj",
             "router_energy_per_byte_pj",
-            "reram_write_energy_pj",
         ]
         return replace(self, **{f: getattr(self, f) * factor for f in fields_to_scale})
 

@@ -130,21 +130,3 @@ class EnergyModel:
             total = total.scaled(batch_size)
             total.name = f"{shapes.name}@{self.arch.name}x{batch_size}"
         return total
-
-    def energy_per_mac_pj(self, shapes: ModelShapes) -> float:
-        """Average energy per MAC across the DNN (pJ)."""
-        breakdown = self.model_energy(shapes)
-        macs = sum(a.macs for a in count_model_actions(shapes, self.arch))
-        return breakdown.total_pj / macs if macs else 0.0
-
-    def adc_energy_fraction(self, shapes: ModelShapes) -> float:
-        """Fraction of total energy spent in ADCs."""
-        return self.model_energy(shapes).fraction("adc")
-
-    def programming_energy_pj(self, shapes: ModelShapes) -> float:
-        """One-time ReRAM programming energy (amortised over inferences)."""
-        total_devices = sum(
-            a.reram_devices_programmed
-            for a in count_model_actions(shapes, self.arch)
-        )
-        return total_devices * self.lib.reram_write_energy_pj

@@ -68,11 +68,6 @@ class DnnMapping:
         return sum(m.crossbars for m in self.layers)
 
     @property
-    def crossbar_utilization(self) -> float:
-        """Fraction of the chip's crossbars occupied."""
-        return self.total_crossbars_used / self.arch.total_crossbars
-
-    @property
     def bottleneck(self) -> LayerMapping:
         """The layer with the highest per-sample latency."""
         return max(self.layers, key=lambda m: m.latency_cycles)

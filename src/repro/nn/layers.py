@@ -116,11 +116,6 @@ class Layer:
     def __init__(self, name: str):
         self.name = name
 
-    @property
-    def is_matmul(self) -> bool:
-        """Whether the layer maps onto PIM crossbars."""
-        return False
-
     def forward_float(self, x: np.ndarray) -> np.ndarray:
         """Float-domain forward pass."""
         raise NotImplementedError
@@ -247,10 +242,6 @@ class MatmulLayer(Layer):
             np.maximum(float_outputs, 0.0) if self.fuse_relu else float_outputs
         )
         self.output_quant = TensorQuant.from_values(reference, signed=signed_output)
-
-    @property
-    def is_matmul(self) -> bool:
-        return True
 
     @property
     def is_calibrated(self) -> bool:

@@ -56,7 +56,7 @@ from repro.runtime.cache import (
     ModelPlanCache,
 )
 from repro.runtime.engine import NetworkEngine
-from repro.runtime.phases import extract_phase_tensor, plan_shift_masks
+from repro.runtime.phases import plan_shift_masks
 from repro.runtime.plan import (
     CompiledLayerPlan,
     ModelPlan,
@@ -92,7 +92,6 @@ __all__ = [
     "WorkerHandle",
     "WorkerStartupError",
     "compile_model_plan",
-    "extract_phase_tensor",
     "float32_gemm_is_exact",
     "plan_shift_masks",
 ]

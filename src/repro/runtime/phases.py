@@ -33,7 +33,6 @@ from repro.core.dynamic_input import InputSlicePlan
 
 __all__ = [
     "PACKED_FIELD_BITS",
-    "extract_phase_tensor",
     "narrow_codes",
     "pack_planes",
     "plan_shift_masks",
@@ -152,14 +151,3 @@ def pack_planes(codes: np.ndarray, shifts: np.ndarray, masks: np.ndarray) -> np.
     high <<= PACKED_FIELD_BITS
     packed[: len(high)] |= high
     return packed
-
-
-def extract_phase_tensor(codes: np.ndarray, plan: InputSlicePlan) -> np.ndarray:
-    """All input slices of a batch in one shot: ``(n_phases, M, rows)``.
-
-    ``codes`` is the non-negative ``(M, rows)`` input-code matrix; entry
-    ``[p, i, r]`` is the value phase ``p`` feeds to the DAC of row ``r`` for
-    input ``i``.  Identical to stacking ``extract_input_slice`` over the
-    plan's phases.
-    """
-    return slice_phases(codes, *plan_shift_masks(plan))

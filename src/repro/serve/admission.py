@@ -68,18 +68,6 @@ class OverloadState(enum.Enum):
     SHED_BEST_EFFORT = "shed_best_effort"
     SHED_ALL_BUT_TOP = "shed_all_but_top"
 
-    @property
-    def severity(self) -> int:
-        """Numeric escalation level (0 accepting .. 2 critical), for export."""
-        return _SEVERITY[self]
-
-
-_SEVERITY = {
-    OverloadState.ACCEPTING: 0,
-    OverloadState.SHED_BEST_EFFORT: 1,
-    OverloadState.SHED_ALL_BUT_TOP: 2,
-}
-
 
 @dataclass(frozen=True)
 class AdmissionPolicy:

@@ -452,8 +452,9 @@ _PROMETHEUS_HISTOGRAMS = (
 _HISTOGRAM_KEYS = tuple(key for _suffix, _help, key in _PROMETHEUS_HISTOGRAMS)
 
 #: Overload state string -> numeric gauge level for the Prometheus export.
-#: Mirrors OverloadState.severity in repro.serve.admission (the serve layer
-#: imports telemetry, so telemetry cannot import the enum back).
+#: Lists the states of repro.serve.admission.OverloadState in escalation
+#: order (the serve layer imports telemetry, so telemetry cannot import the
+#: enum back).
 _OVERLOAD_SEVERITY = {
     "accepting": 0,
     "shed_best_effort": 1,
@@ -517,7 +518,7 @@ class TelemetryCollector:
         scheduler then treats predicted latency as zero).
 
         ``include_queue_wait=True`` adds the model's observed queue-wait EMA
-        (:meth:`queue_wait_ema_s`) on top: the admission controller uses
+        (0.0 before any trace) on top: the admission controller uses
         this variant so its deadline feasibility check prices *cross-model
         worker contention* -- time batches of co-hosted tenants spend ahead
         of this model's -- not just the modeled execution time.  The
@@ -536,11 +537,6 @@ class TelemetryCollector:
                 else 0.0
             )
         return cost.batch_latency_s(n_samples) * scale + queue_wait
-
-    def queue_wait_ema_s(self, model_name: str) -> float:
-        """The model's smoothed observed queue wait (0.0 before any trace)."""
-        with self._lock:
-            return self._queue_wait_ema.get(model_name, 0.0)
 
     # -- recording -------------------------------------------------------------
 

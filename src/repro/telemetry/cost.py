@@ -123,11 +123,6 @@ class LayerCost:
         """Energy per input sample in picojoules."""
         return self.energy.total_pj
 
-    @property
-    def energy_per_mac_pj(self) -> float:
-        """Average energy per MAC in this layer (pJ)."""
-        return self.energy_pj / self.macs if self.macs else 0.0
-
 
 class CostModel:
     """Per-layer energy/latency lookup tables for one (model, architecture).
@@ -276,25 +271,6 @@ class CostModel:
         return self.batch_latency_us(n_samples) / 1e6
 
     # -- reporting ------------------------------------------------------------
-
-    def validate_against_energy_model(self, rel_tol: float = 1e-6) -> float:
-        """Cross-check totals against a fresh :meth:`EnergyModel.model_energy`.
-
-        Returns the relative error; raises ``ValueError`` beyond ``rel_tol``.
-        This is the consistency contract the Fig. 12 harness relies on (it
-        computes the same totals through :class:`EnergyModel` directly).
-        """
-        reference = EnergyModel(self.arch).model_energy(self.shapes).total_pj
-        if reference == 0.0:
-            error = abs(self._energy_per_sample_pj)
-        else:
-            error = abs(self._energy_per_sample_pj - reference) / abs(reference)
-        if error > rel_tol:
-            raise ValueError(
-                f"CostModel total {self._energy_per_sample_pj} pJ deviates from "
-                f"EnergyModel total {reference} pJ by {error:.2e} (> {rel_tol})"
-            )
-        return error
 
     def summary(self) -> str:
         """Human-readable per-layer cost table."""

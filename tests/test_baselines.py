@@ -46,13 +46,8 @@ class TestIsaacBaseline:
 class TestFormsBaseline:
     def test_pruning_metadata(self):
         baseline = FormsBaseline()
-        assert baseline.pruning_factor == pytest.approx(2.0)
+        assert baseline.arch.mac_reduction_factor == pytest.approx(2.0)
         assert baseline.requires_retraining
-
-    def test_reported_accuracy_drops(self):
-        baseline = FormsBaseline()
-        assert baseline.reported_accuracy_drop("resnet18") == pytest.approx(0.62)
-        assert baseline.reported_accuracy_drop("vgg") is None
 
     def test_pruning_reduces_energy_vs_isaac(self):
         shapes = model_shapes("resnet18")
@@ -64,13 +59,7 @@ class TestFormsBaseline:
 
 class TestTimelyBaseline:
     def test_metadata(self):
-        baseline = TimelyBaseline()
-        assert baseline.requires_retraining
-        assert baseline.reported_accuracy_drop("resnet50") == pytest.approx(0.1)
-
-    def test_fidelity_loss_in_bits(self):
-        baseline = TimelyBaseline()
-        assert baseline.lsbs_dropped(24) == 16
+        assert TimelyBaseline().requires_retraining
 
     def test_energy_positive_and_cheaper_than_isaac(self):
         shapes = model_shapes("resnet18")

@@ -4,11 +4,14 @@ Each ``python``-fenced code block in ``README.md`` and ``docs/*.md`` is
 extracted and executed.  Blocks within one document share a namespace, in
 order, so later snippets may build on earlier ones (the README's serving
 snippet reuses the quickstart's model).  Non-Python fences (``bash``,
-``text``) are ignored.
+``text``) are ignored.  Every dotted ``repro.…`` name in those documents
+and in the ``src/`` docstrings must name an importable object.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -53,3 +56,49 @@ def test_readme_links_resolve():
     text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     for target in re.findall(r"\]\((?!https?://)([^)#]+)\)", text):
         assert (REPO_ROOT / target).exists(), f"broken README link: {target}"
+
+
+_DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+
+
+def _docstrings(path: Path) -> list[str]:
+    """The module, class and function docstrings of one source file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return [
+        doc
+        for node in ast.walk(tree)
+        if isinstance(node, kinds) and (doc := ast.get_docstring(node))
+    ]
+
+
+def _resolve(dotted: str) -> None:
+    """Import the longest module prefix of ``dotted``; ``getattr`` the rest."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:split])
+        try:
+            target = importlib.import_module(module_name)
+        except ModuleNotFoundError as error:
+            if not f"{module_name}.".startswith(f"{error.name}."):
+                raise  # a missing dependency, not a shorter module path
+            continue
+        for attribute in parts[split:]:
+            target = getattr(target, attribute)
+        return
+
+
+def test_dotted_repro_names_resolve():
+    """Every ``repro.x.y`` name in the docs and docstrings names a real object."""
+    sources = {path: [path.read_text(encoding="utf-8")] for path in DOCUMENTS}
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        sources[path] = _docstrings(path)
+    broken = []
+    for path, texts in sources.items():
+        names = {name for text in texts for name in _DOTTED.findall(text)}
+        for dotted in sorted(names):
+            try:
+                _resolve(dotted)
+            except (ImportError, AttributeError) as error:
+                broken.append(f"{path.relative_to(REPO_ROOT)}: {dotted} ({error})")
+    assert not broken, "stale cross-references:\n" + "\n".join(broken)

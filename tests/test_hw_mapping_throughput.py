@@ -12,7 +12,7 @@ class TestMapper:
     def test_mapping_fits_chip(self):
         mapping = Mapper(RAELLA_ARCH).map(model_shapes("resnet18"))
         assert mapping.fits()
-        assert 0 < mapping.crossbar_utilization <= 1
+        assert 0 < mapping.total_crossbars_used <= RAELLA_ARCH.total_crossbars
 
     def test_unreplicated_mapping_smaller_than_replicated(self):
         shapes = model_shapes("resnet18")

@@ -8,7 +8,6 @@ from repro.arithmetic.slicing import Slicing, enumerate_slicings
 from repro.core.center_offset import (
     CenterOffsetEncoder,
     WeightEncoding,
-    optimal_center,
     optimal_centers,
 )
 from repro.core.dynamic_input import (
@@ -59,7 +58,7 @@ class TestEncodingProperties:
         slicing = Slicing((4, 2, 2))
         from repro.core.center_offset import _slice_column_cost
 
-        center = optimal_center(codes, slicing)
+        center = optimal_centers(codes[:, np.newaxis], slicing)[0]
         assert _slice_column_cost(codes - center, slicing, 4.0) <= _slice_column_cost(
             codes - 128, slicing, 4.0
         )
@@ -189,8 +188,8 @@ class TestCompiledPlanPhaseProperties:
 
     :class:`~repro.runtime.plan.CompiledLayerPlan` freezes phase extraction
     into narrow-dtype shift/mask tables; extraction driven by them must
-    reproduce :func:`~repro.runtime.phases.extract_phase_tensor` and the
-    stacked int64 :func:`extract_input_slice` element for element, for every
+    reproduce the plan's own :func:`~repro.runtime.phases.plan_shift_masks`
+    tables and the stacked int64 :func:`extract_input_slice` element for element, for every
     slicing and speculation mode and for codes wider than ``input_bits`` (the
     narrow cast drops only bits no phase reads), or the planned fast path
     silently feeds wrong DAC values.
@@ -216,7 +215,7 @@ class TestCompiledPlanPhaseProperties:
     )
     @settings(max_examples=20, deadline=None)
     def test_compiled_tables_match_extract_phase_tensor(self, seed, slicing, mode):
-        from repro.runtime.phases import extract_phase_tensor, slice_phases
+        from repro.runtime.phases import plan_shift_masks, slice_phases
         from repro.runtime.plan import CompiledLayerPlan
         from repro.runtime.vectorized import VectorizedLayerExecutor
 
@@ -239,7 +238,7 @@ class TestCompiledPlanPhaseProperties:
         tabled = slice_phases(codes, compiled.phase_shifts, compiled.phase_masks)
         assert tabled.dtype == np.uint8
         assert np.array_equal(tabled, expected)
-        extracted = extract_phase_tensor(codes, compiled.input_plan)
+        extracted = slice_phases(codes, *plan_shift_masks(compiled.input_plan))
         assert np.array_equal(extracted, expected)
 
     @given(
@@ -333,7 +332,8 @@ class TestPlannedExecutorProperties:
         signed,
         wide,
     ):
-        from repro.runtime import VectorizedLayerExecutor, extract_phase_tensor
+        from repro.runtime import VectorizedLayerExecutor, plan_shift_masks
+        from repro.runtime.phases import slice_phases
         from tests.test_runtime_engine import assert_stats_equal
 
         rng = np.random.default_rng(seed)
@@ -359,7 +359,7 @@ class TestPlannedExecutorProperties:
 
         # The per-code pulse table is the phase tensor's sum for every code.
         magnitudes = np.abs(codes)
-        per_row = extract_phase_tensor(magnitudes, plan.input_plan).sum(
+        per_row = slice_phases(magnitudes, *plan_shift_masks(plan.input_plan)).sum(
             axis=(0, 1), dtype=np.int64
         )
         tabled = plan.pulse_table[magnitudes.astype(np.uint8)].sum(axis=0)

@@ -31,8 +31,9 @@ from repro.runtime import (
     ExecutorPool,
     NetworkEngine,
     VectorizedLayerExecutor,
-    extract_phase_tensor,
+    plan_shift_masks,
 )
+from repro.runtime.phases import slice_phases
 
 #: Statistic counters that must match exactly between the two executor paths.
 STAT_FIELDS = (
@@ -94,7 +95,7 @@ class TestPhaseTensor:
     def test_matches_per_phase_extraction(self, rng):
         plan = InputSlicePlan.build()
         codes = rng.integers(0, 256, size=(13, 9))
-        tensor = extract_phase_tensor(codes, plan)
+        tensor = slice_phases(codes, *plan_shift_masks(plan))
         assert tensor.shape == (plan.n_cycles, 13, 9)
         for index, phase in enumerate(plan.phases):
             assert np.array_equal(tensor[index], extract_input_slice(codes, phase))
@@ -102,25 +103,25 @@ class TestPhaseTensor:
     def test_bit_serial_plan(self, rng):
         plan = InputSlicePlan.build(mode=SpeculationMode.BIT_SERIAL)
         codes = rng.integers(0, 256, size=(4, 6))
-        tensor = extract_phase_tensor(codes, plan)
+        tensor = slice_phases(codes, *plan_shift_masks(plan))
         for index, phase in enumerate(plan.phases):
             assert np.array_equal(tensor[index], extract_input_slice(codes, phase))
 
     def test_rejects_negative_codes(self):
         plan = InputSlicePlan.build()
         with pytest.raises(ValueError):
-            extract_phase_tensor(np.array([[-1, 2]]), plan)
+            slice_phases(np.array([[-1, 2]]), *plan_shift_masks(plan))
 
     def test_narrow_dtype_covers_up_to_16_input_bits(self, rng):
         wide = InputSlicePlan.build(mode=SpeculationMode.BIT_SERIAL, input_bits=12)
         codes = rng.integers(0, 1 << 12, size=(3, 5))
-        tensor = extract_phase_tensor(codes, wide)
+        tensor = slice_phases(codes, *plan_shift_masks(wide))
         assert tensor.dtype == np.uint16
         for index, phase in enumerate(wide.phases):
             assert np.array_equal(tensor[index], extract_input_slice(codes, phase))
         too_wide = InputSlicePlan.build(mode=SpeculationMode.BIT_SERIAL, input_bits=17)
         with pytest.raises(ValueError, match="16-bit"):
-            extract_phase_tensor(codes, too_wide)
+            slice_phases(codes, *plan_shift_masks(too_wide))
 
 
 class TestExecutorParity:
