@@ -13,12 +13,11 @@
 from repro.baselines.forms import FormsBaseline
 from repro.baselines.isaac import IsaacBaseline
 from repro.baselines.timely import TimelyBaseline
-from repro.baselines.zero_offset import zero_offset_compiler_config, zero_offset_config
+from repro.baselines.zero_offset import zero_offset_config
 
 __all__ = [
     "IsaacBaseline",
     "FormsBaseline",
     "TimelyBaseline",
     "zero_offset_config",
-    "zero_offset_compiler_config",
 ]

@@ -36,6 +36,7 @@ into fused GEMMs and caches weight encodings -- prefer it on hot paths.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -419,29 +420,6 @@ class PimLayerExecutor:
         self.stats.cycles += m * self.plan.n_cycles
         return raw
 
-    def _phase_column_sums(
-        self, slice_values: np.ndarray, chunk: _EncodedChunk
-    ) -> tuple[np.ndarray, float]:
-        """Analog column sums for one phase: (M, n_slices, filters) and activity."""
-        m = slice_values.shape[0]
-        n_slices = chunk.encoded.slicing.n_slices
-        n_filters = chunk.encoded.n_filters
-        if isinstance(self.noise, NoiselessModel):
-            sums = (slice_values @ chunk.diff_flat).astype(np.float64)
-            # Total analog activity has a cheap closed form when it is only
-            # needed in aggregate (energy accounting).
-            activity = float(slice_values.sum(axis=0) @ chunk.sum_flat.sum(axis=1))
-        else:
-            total = (slice_values @ chunk.sum_flat).astype(np.float64)
-            diff = (slice_values @ chunk.diff_flat).astype(np.float64)
-            positive = 0.5 * (total + diff)
-            negative = 0.5 * (total - diff)
-            activity = float(total.sum())
-            sums = self.noise.apply(positive, negative)
-        self.stats.crossbar_activity += activity
-        self.stats.input_pulses += int(slice_values.sum())
-        return sums.reshape(m, n_slices, n_filters), activity
-
     def _convert(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """ADC conversion: returns (clipped integer values, saturation mask).
 
@@ -462,51 +440,97 @@ class PimLayerExecutor:
     ) -> np.ndarray:
         """One row chunk's contribution, shaped ``(M, n_filters)``.
 
+        Runs the plan's speculation/recovery (or bit-serial) schedule on the
+        chunk's stream of phase column sums, :meth:`_chunk_phase_sums`.
         ``chunk_index`` is the chunk's position in :attr:`_chunks`; subclasses
         keying per-chunk state (GEMM operands, compiled plans) index by it
         rather than by object identity, which keeps that state picklable and
         immune to ``id()`` reuse.
         """
-        m = codes.shape[0]
         encoded = chunk.encoded
-        n_filters = encoded.n_filters
+        phase_sums = self._chunk_phase_sums(codes, chunk, chunk_index)
         weight_shifts = np.array(encoded.slicing.shifts, dtype=np.int64)
-        analog = np.zeros((m, n_filters), dtype=np.float64)
-        if encoded.encoding.uses_centers:
-            digital = encoded.centers[np.newaxis, :].astype(np.float64) * codes.sum(
-                axis=1, keepdims=True, dtype=np.int64
-            )
-        else:
-            digital = np.zeros((m, n_filters), dtype=np.float64)
-
         if self.plan.mode is SpeculationMode.SPECULATIVE:
-            analog += self._run_speculative(codes, chunk, weight_shifts)
+            analog = self._run_speculative(phase_sums, weight_shifts)
         else:
-            analog += self._run_serial(codes, chunk, weight_shifts)
-        return digital + analog
+            analog = self._run_serial(phase_sums, weight_shifts)
+        if not encoded.encoding.uses_centers:
+            return analog
+        return analog + encoded.centers[np.newaxis, :].astype(np.float64) * codes.sum(
+            axis=1, keepdims=True, dtype=np.int64
+        )
 
-    def _phase_sums(
-        self, codes: np.ndarray, chunk: _EncodedChunk, phase: InputPhase, index: int
-    ) -> np.ndarray:
-        """Analog column sums of one phase, shaped ``(M, n_slices, filters)``.
+    def _chunk_phase_sums(
+        self, codes: np.ndarray, chunk: _EncodedChunk, chunk_index: int
+    ) -> Iterator[np.ndarray]:
+        """Yield each phase's column sums ``(M, n_slices, filters)``, in plan order.
 
-        The per-phase path extracts the slice and runs one matmul here; the
-        vectorized runtime executor overrides this to serve sums precomputed
-        for all phases in a single batched GEMM.  ``index`` is the phase's
-        position in the plan.
+        The reference extracts one phase's slice and runs its matmuls only
+        when the schedule asks for the phase (:meth:`_reference_phase_sums`),
+        so no slice tensor outlives its phase.  The vectorized runtime
+        executor overrides this to serve the same stream from one batched
+        GEMM per chunk.
         """
+        noiseless = isinstance(self.noise, NoiselessModel)
+        sum_rowsum = chunk.sum_flat.sum(axis=1) if noiseless else None
+        for phase in self.plan.phases:
+            yield self._reference_phase_sums(codes, chunk, phase, sum_rowsum)
+
+    def _reference_phase_sums(
+        self,
+        codes: np.ndarray,
+        chunk: _EncodedChunk,
+        phase: InputPhase,
+        sum_rowsum: np.ndarray | None,
+    ) -> np.ndarray:
+        """One phase's column sums from its own slice and matmuls."""
         slice_values = extract_input_slice(codes, phase)
-        sums, _ = self._phase_column_sums(slice_values, chunk)
-        return sums
+        total = None if sum_rowsum is not None else slice_values @ chunk.sum_flat
+        return self._phase_column_sums(
+            slice_values @ chunk.diff_flat,
+            total,
+            slice_values.sum(axis=0),
+            sum_rowsum,
+        )
+
+    def _phase_column_sums(
+        self,
+        diff: np.ndarray,
+        total: np.ndarray | None,
+        row_pulses: np.ndarray,
+        sum_rowsum: np.ndarray | None,
+    ) -> np.ndarray:
+        """Account one phase and return its column sums ``(M, n_slices, filters)``.
+
+        ``diff`` and ``total`` are the phase's exact ``(M, n_slices *
+        filters)`` products with the chunk's ``W+ - W-`` and ``W+ + W-``
+        slices, ``row_pulses`` its DAC pulses per crossbar row.  Without
+        noise ``total`` is ``None``: the sums are ``diff`` and the analog
+        activity has a closed form over ``sum_rowsum``, the row sums of
+        ``W+ + W-``.  Under noise the positive and negative column currents
+        take one noise draw.  Every phase of both executors is accounted
+        here, in plan order.
+        """
+        diff = np.asarray(diff, dtype=np.float64)
+        if total is None:
+            sums = diff
+            activity = float(row_pulses @ sum_rowsum)
+        else:
+            total = np.asarray(total, dtype=np.float64)
+            positive = 0.5 * (total + diff)
+            negative = 0.5 * (total - diff)
+            activity = float(total.sum())
+            sums = self.noise.apply(positive, negative)
+        self.stats.crossbar_activity += activity
+        self.stats.input_pulses += int(row_pulses.sum())
+        return sums.reshape(len(diff), -1, self.layer.out_features)
 
     def _run_serial(
-        self, codes: np.ndarray, chunk: _EncodedChunk, weight_shifts: np.ndarray
+        self, phase_sums: Iterator[np.ndarray], weight_shifts: np.ndarray
     ) -> np.ndarray:
-        m = codes.shape[0]
-        n_filters = chunk.encoded.n_filters
-        accum = np.zeros((m, n_filters), dtype=np.float64)
-        for index, phase in enumerate(self.plan.phases):
-            sums = self._phase_sums(codes, chunk, phase, index)
+        accum = 0.0
+        for phase in self.plan.phases:
+            sums = next(phase_sums)
             self._record_column_sums("serial", sums)
             converted, saturated = self._convert(sums)
             self.stats.adc_converts_serial += converted.size
@@ -517,38 +541,27 @@ class PimLayerExecutor:
         return accum
 
     def _run_speculative(
-        self, codes: np.ndarray, chunk: _EncodedChunk, weight_shifts: np.ndarray
+        self, phase_sums: Iterator[np.ndarray], weight_shifts: np.ndarray
     ) -> np.ndarray:
-        m = codes.shape[0]
-        n_filters = chunk.encoded.n_filters
-        accum = np.zeros((m, n_filters), dtype=np.float64)
         phases = self.plan.phases
-        idx = 0
-        while idx < len(phases):
-            spec_phase = phases[idx]
-            assert spec_phase.kind == "speculative"
-            recovery_phases = []
-            j = idx + 1
-            while j < len(phases) and phases[j].kind == "recovery":
-                recovery_phases.append((j, phases[j]))
-                j += 1
+        starts = [i for i, phase in enumerate(phases) if phase.kind == "speculative"]
+        assert starts[0] == 0
+        accum = 0.0
+        for start, stop in zip(starts, starts[1:] + [len(phases)]):
             accum += self._speculate_and_recover(
-                codes, chunk, weight_shifts, (idx, spec_phase), recovery_phases
+                phase_sums, weight_shifts, phases[start], phases[start + 1 : stop]
             )
-            idx = j
         return accum
 
     def _speculate_and_recover(
         self,
-        codes: np.ndarray,
-        chunk: _EncodedChunk,
+        phase_sums: Iterator[np.ndarray],
         weight_shifts: np.ndarray,
-        spec: tuple[int, InputPhase],
-        recovery_phases: list[tuple[int, InputPhase]],
+        spec_phase: InputPhase,
+        recovery_phases: tuple[InputPhase, ...],
     ) -> np.ndarray:
-        spec_index, spec_phase = spec
         # Speculative cycle: all columns converted.
-        sums = self._phase_sums(codes, chunk, spec_phase, spec_index)
+        sums = next(phase_sums)
         self._record_column_sums("speculative", sums)
         converted, saturated = self._convert(sums)
         self.stats.adc_converts_speculative += converted.size
@@ -561,8 +574,8 @@ class PimLayerExecutor:
         )
         # Recovery cycles: crossbars always run them; ADCs convert only the
         # columns whose speculative conversion saturated.
-        for index, phase in recovery_phases:
-            bit_sums = self._phase_sums(codes, chunk, phase, index)
+        for phase in recovery_phases:
+            bit_sums = next(phase_sums)
             self._record_column_sums("recovery", bit_sums)
             converted_bits, bit_saturated = self._convert(bit_sums)
             needed = saturated

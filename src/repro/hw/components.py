@@ -14,20 +14,9 @@ scaled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["ComponentLibrary", "TechnologyNode"]
-
-
-@dataclass(frozen=True)
-class TechnologyNode:
-    """The technology node a component library's constants are expressed at.
-
-    Only the 65 nm TIMELY comparison, where the paper rebuilds RAELLA with
-    TIMELY's components, departs from 32 nm.
-    """
-
-    feature_nm: float = 32.0
+__all__ = ["ComponentLibrary"]
 
 
 @dataclass(frozen=True)
@@ -37,11 +26,11 @@ class ComponentLibrary:
     The defaults model the 32 nm components shared by RAELLA, ISAAC and FORMS
     in the paper's apples-to-apples comparison.  ``for_timely_components``
     builds the 65 nm variant with TIMELY's analog front end (time-domain
-    converters instead of SAR ADCs).
+    converters instead of SAR ADCs).  ``name`` labels the node and family
+    (``"32nm"``, ``"65nm_timely"``).
     """
 
     name: str = "32nm"
-    technology: TechnologyNode = field(default_factory=TechnologyNode)
 
     # -- ADC -----------------------------------------------------------------
     #: Energy of one 8-bit conversion (Kull SAR ADC, ~3.1 mW at 1.2 GS/s).
@@ -121,10 +110,8 @@ class ComponentLibrary:
         conversion and each psum accumulation cheaper, while digital logic and
         memories pay the 65 nm energy penalty.
         """
-        node = TechnologyNode(feature_nm=65.0)
         return cls(
             name="65nm_timely",
-            technology=node,
             # TDC-based conversion: cheaper per convert than a SAR ADC even at
             # the older node.
             adc_energy_8b_pj=1.6,

@@ -39,9 +39,9 @@ produces bit-identical outputs and (integer) statistics counters.  Packing
 two planes into one float32 operand value, ``plane_lo + 4096 * plane_hi``,
 keeps that exactness where :func:`packed_gemm_is_exact` proves each plane's
 column sum fits a 12-bit field.  Seeded noise draws are order-sensitive, so
-noisy executors keep the reference per-phase loop (the plan still supplies
-the extraction tables and operands) and draw once per (chunk, phase) in
-plan order.
+noisy executors keep the reference speculation/recovery schedule, fed one
+batched GEMM's phase sums per chunk (the plan supplies the extraction
+tables and operands), and draw once per (chunk, phase) in plan order.
 """
 
 from __future__ import annotations
@@ -272,8 +272,9 @@ class CompiledLayerPlan:
 
         Noise draws are order-sensitive (seeded RNG state advances per
         phase) and column-sum collection subsamples in per-phase order, so
-        both force the reference per-phase loop; everything else is exact
-        integer arithmetic and may be re-grouped freely.
+        both keep the reference schedule, which consumes every phase's
+        column sums in plan order; everything else is exact integer
+        arithmetic and may be re-grouped freely.
         """
         return self.noiseless and not self.config.collect_column_sums
 

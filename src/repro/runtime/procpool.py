@@ -964,11 +964,6 @@ class WorkerHandle:
         self.state = _HEALTHY
 
     @property
-    def alive(self) -> bool:
-        """Whether the slot currently holds a running worker process."""
-        return self.worker is not None and self.worker.is_alive
-
-    @property
     def pid(self) -> int | None:
         """The current worker's process id (``None`` when empty/closed)."""
         return None if self.worker is None else self.worker.pid

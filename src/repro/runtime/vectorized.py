@@ -28,9 +28,10 @@ clipped a conversion the reference keeps.  Calls of at least
 each float32 operand value: the GEMM then has 4 operand rows per input row
 with speculation, not 8, and the pulses come from the packed operand's
 column sums.  Seeded noise draws and column-sum sampling *are*
-order-sensitive, so noisy executors and column-sum collection keep the
-inherited per-phase loop on float64 column sums, fed by one batched GEMM
-over every phase through the ``_phase_sums`` hook.
+order-sensitive, so noisy executors and column-sum collection run the
+inherited speculation/recovery schedule on float64 column sums: one batched
+GEMM per chunk feeds it every phase's sums, in plan order, as the stream
+that :meth:`_chunk_phase_sums` yields.
 
 Threading model: the planned path runs each chunk in self-contained,
 bounded row tiles (:data:`TILE_ELEMENTS`).  A chunk of two or more tiles
@@ -60,11 +61,11 @@ from __future__ import annotations
 
 import os
 import threading
+from collections.abc import Iterator
 
 import numpy as np
 
 from repro.analog.noise import NoiseModel, NoiselessModel
-from repro.core.dynamic_input import InputPhase
 from repro.core.executor import (
     LayerStatistics,
     PimLayerConfig,
@@ -255,7 +256,6 @@ class VectorizedLayerExecutor(PimLayerExecutor):
             )
         #: The compiled plan this executor runs.
         self.layer_plan = plan
-        self._phase_sums_cache: list[np.ndarray] | None = None
 
     @property
     def gemm_dtypes(self) -> list[type]:
@@ -278,16 +278,7 @@ class VectorizedLayerExecutor(PimLayerExecutor):
     ) -> np.ndarray:
         if self.layer_plan.fast_path_eligible:
             return self._planned_chunk_matmul(codes, chunk, chunk_index)
-        self._phase_sums_cache = self._batched_phase_sums(codes, chunk_index)
-        try:
-            return super()._chunk_matmul(codes, chunk, chunk_index)
-        finally:
-            self._phase_sums_cache = None
-
-    def _phase_sums(
-        self, codes: np.ndarray, chunk: _EncodedChunk, phase: InputPhase, index: int
-    ) -> np.ndarray:
-        return self._phase_sums_cache[index]
+        return super()._chunk_matmul(codes, chunk, chunk_index)
 
     def _planned_chunk_matmul(
         self, codes: np.ndarray, chunk: _EncodedChunk, chunk_index: int
@@ -500,45 +491,32 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         row_pulses = (plan.pulse_coef @ column_sums).astype(np.int64)
         return sums, row_pulses
 
-    def _batched_phase_sums(
-        self, codes: np.ndarray, chunk_index: int
-    ) -> list[np.ndarray]:
-        """All phases' analog column sums for one chunk, one GEMM.
+    def _chunk_phase_sums(
+        self, codes: np.ndarray, chunk: _EncodedChunk, chunk_index: int
+    ) -> Iterator[np.ndarray]:
+        """Yield each phase's analog column sums, in plan order, from one GEMM.
 
-        Returns one ``(M, n_slices, filters)`` array per phase and performs
-        the per-phase statistics / noise bookkeeping in plan order, exactly
-        as the per-phase reference does.
+        Every phase is sliced at once and GEMMed against the chunk's plan
+        operands (``W+ - W-``, stacked with ``W+ + W-`` under noise); each
+        phase's rows are then accounted, and under noise drawn, by
+        :meth:`~repro.core.executor.PimLayerExecutor._phase_column_sums`
+        when the schedule asks for the phase, exactly as in the reference.
         """
         plan = self.layer_plan
         operands = plan.operands[chunk_index]
-        m = codes.shape[0]
-        phase_tensor = slice_phases(codes, plan.phase_shifts, plan.phase_masks)
-        flat = phase_tensor.reshape(-1, codes.shape[1]).astype(operands.dtype)
+        phases = slice_phases(codes, plan.phase_shifts, plan.phase_masks)
+        row_pulses = phases.sum(axis=1, dtype=np.int64)  # (n_phases, rows)
         # Float32 products are exact integers within float32's mantissa;
         # widening is lossless and keeps the ADC/noise stages on float64.
-        products = np.asarray(flat @ operands.weights, dtype=np.float64)
-        products = products.reshape(plan.n_phases, m, -1)
-        # Per-phase input pulses and the rows' pulse totals per phase.
-        phase_row_pulses = phase_tensor.sum(axis=1, dtype=np.int64)
-        pulses = phase_row_pulses.sum(axis=1)
-        sums: list[np.ndarray] = []
-        if operands.sum_flat_rowsum is not None:
-            # Noiseless path: the products *are* the column sums; analog
-            # activity has the reference's closed form per phase.
-            activities = phase_row_pulses @ operands.sum_flat_rowsum
-            for index in range(plan.n_phases):
-                self.stats.crossbar_activity += float(activities[index])
-                self.stats.input_pulses += int(pulses[index])
-                sums.append(products[index].reshape(m, plan.n_slices, plan.n_filters))
-        else:
-            n_cols = operands.n_columns
-            diff = products[:, :, :n_cols]
-            total = products[:, :, n_cols:]
-            for index in range(plan.n_phases):
-                positive = 0.5 * (total[index] + diff[index])
-                negative = 0.5 * (total[index] - diff[index])
-                self.stats.crossbar_activity += float(total[index].sum())
-                self.stats.input_pulses += int(pulses[index])
-                noisy = self.noise.apply(positive, negative)
-                sums.append(noisy.reshape(m, plan.n_slices, plan.n_filters))
-        return sums
+        products = np.asarray(
+            phases.reshape(-1, codes.shape[1]).astype(operands.dtype)
+            @ operands.weights,
+            dtype=np.float64,
+        ).reshape(plan.n_phases, codes.shape[0], -1)
+        del phases  # the schedule runs between yields; free the slices first
+        n_columns, sum_rowsum = operands.n_columns, operands.sum_flat_rowsum
+        for index in range(plan.n_phases):
+            total = None if sum_rowsum is not None else products[index, :, n_columns:]
+            yield self._phase_column_sums(
+                products[index, :, :n_columns], total, row_pulses[index], sum_rowsum
+            )

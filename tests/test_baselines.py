@@ -6,7 +6,7 @@ import pytest
 from repro.baselines.forms import FormsBaseline
 from repro.baselines.isaac import IsaacBaseline
 from repro.baselines.timely import TimelyBaseline
-from repro.baselines.zero_offset import zero_offset_compiler_config, zero_offset_config
+from repro.baselines.zero_offset import zero_offset_config
 from repro.core.center_offset import WeightEncoding
 from repro.core.dynamic_input import SpeculationMode
 from repro.core.executor import PimLayerExecutor
@@ -73,8 +73,3 @@ class TestZeroOffsetBaseline:
         config = zero_offset_config()
         assert config.weight_encoding == WeightEncoding.ZERO_OFFSET
         assert config.crossbar_rows == 512  # everything else stays RAELLA
-
-    def test_compiler_config_disables_adaptive_slicing(self):
-        config = zero_offset_compiler_config()
-        assert not config.adaptive_slicing_enabled
-        assert config.pim.weight_encoding == WeightEncoding.ZERO_OFFSET

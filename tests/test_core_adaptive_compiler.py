@@ -12,7 +12,6 @@ from repro.core.adaptive_slicing import (
     layer_output_error,
     quantized_layer_outputs,
 )
-from repro.core.center_offset import WeightEncoding
 from repro.core.compiler import RaellaCompiler, RaellaCompilerConfig
 from repro.core.executor import PimLayerConfig, PimLayerExecutor
 from repro.hw.architecture import RAELLA_ARCH
@@ -226,17 +225,6 @@ class TestCompiler:
         stranger = Linear("stranger", synthetic_linear_weights(2, 4, rng))
         with pytest.raises(KeyError):
             program.pim_matmul(np.zeros((1, 4), dtype=int), stranger)
-
-    def test_zero_offset_compiler_config(self, tiny_mlp_model):
-        from repro.baselines.zero_offset import zero_offset_compiler_config
-
-        config = zero_offset_compiler_config()
-        assert config.pim.weight_encoding == WeightEncoding.ZERO_OFFSET
-        assert not config.adaptive_slicing_enabled
-        program = RaellaCompiler(config).compile(tiny_mlp_model)
-        assert program.layers[
-            "fc1"
-        ].executor.config.weight_encoding == WeightEncoding.ZERO_OFFSET
 
 
 class TestAccelerator:

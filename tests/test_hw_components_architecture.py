@@ -41,7 +41,7 @@ class TestComponentLibrary:
     def test_timely_library_has_cheaper_converts(self):
         timely = ComponentLibrary.for_timely_components()
         assert timely.adc_energy_pj(8) < ComponentLibrary().adc_energy_pj(8)
-        assert timely.technology.feature_nm == 65.0
+        assert timely.name == "65nm_timely"
 
 
 class TestOperandStatistics:
@@ -105,7 +105,7 @@ class TestArchitectureSpecs:
         assert not RAELLA_65NM_NO_SPEC_ARCH.speculative
 
     def test_65nm_variant_uses_timely_components(self):
-        assert RAELLA_65NM_ARCH.components.technology.feature_nm == 65.0
+        assert RAELLA_65NM_ARCH.components.name == "65nm_timely"
 
     def test_total_crossbars(self):
         assert RAELLA_ARCH.total_crossbars == 743 * 32

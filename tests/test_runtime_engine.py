@@ -166,9 +166,10 @@ class TestExecutorParity:
         assert_stats_equal(reference.stats, vectorized.stats)
         assert_stats_equal(wide_reference.stats, vectorized.stats)
 
+    @pytest.mark.parametrize("name", sorted(PARITY_CONFIGS))
     @pytest.mark.parametrize("level", [0.04, 0.12])
-    def test_seeded_noise_identical(self, level, tiny_linear_layer, tiny_patches):
-        config = PimLayerConfig(collect_column_sums=True)
+    def test_seeded_noise_identical(self, level, name, tiny_linear_layer, tiny_patches):
+        config = PARITY_CONFIGS[name].with_changes(collect_column_sums=True)
         reference = PimLayerExecutor(
             tiny_linear_layer, config, noise=GaussianColumnNoise(level=level, seed=11)
         )

@@ -515,7 +515,7 @@ class TestInferenceServer:
     def test_shared_executors_across_names_are_serialised(self, registry, rng):
         # Registering one model under two names shares its pooled executors;
         # concurrent batches for both names must not race on executor state
-        # (the vectorized executor keeps a per-call phase-sums scratch field).
+        # (executors accumulate their ``stats`` in place).
         registry.register("mlp_twin", registry.model("mlp"))
         assert (
             registry.engine("mlp_twin").executors["fc1"]
