@@ -4,7 +4,8 @@ Not a paper artifact: these track the performance of the building blocks that
 every experiment relies on (center optimisation, weight encoding, and the
 crossbar executor in speculative and bit-serial modes), plus the vectorized
 :mod:`repro.runtime` executor against the per-phase reference and its row
-tiles on every usable core against one.
+tiles on every usable core against one, and the layers' exact reference
+product on BLAS against NumPy's ``int64`` matmul.
 
 ``python benchmarks/bench_kernels.py`` prints the row-tile timing report of
 :func:`time_tile_budgets` as one JSON line (pin BLAS to one thread first).
@@ -31,6 +32,7 @@ from repro.core.executor import PimLayerConfig, PimLayerExecutor
 from repro.nn.layers import Linear
 from repro.nn.synthetic import synthetic_linear_weights
 from repro.runtime import VectorizedLayerExecutor, vectorized
+from repro.runtime.procpool import _openblas_thread_controls
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +235,50 @@ def test_packed_planes_speedup(conv1_shaped_layer, monkeypatch):
     assert results["packed"] == results["unpacked"]
     speedup = min(timings["unpacked"]) / min(timings["packed"])
     assert speedup >= minimum, f"packed-plane speedup only {speedup:.2f}x"
+
+
+def test_reference_product_speedup():
+    """The exact reference product runs as a float64 BLAS GEMM, not int64.
+
+    ``MatmulLayer.matmul_quantized`` without a hook (input capture and the
+    adaptive-slicing search's expected outputs) computes ``codes @
+    weight_codes`` as a float64 GEMM proven exact; NumPy's ``int64`` matmul
+    has no BLAS path.  On the conv1 capture shape, ``(4096 x 288) @ (288 x
+    32)`` with ``uint8`` codes and BLAS on one thread, a 2-vCPU host
+    measures 9-15x; the bar is a fixed 5x.
+    """
+    rng = np.random.default_rng(2)
+    layer = Linear("bench_capture", synthetic_linear_weights(32, 288, rng, std=0.1))
+    inputs = np.abs(rng.normal(0, 1, size=(4096, 288)))
+    layer.calibrate(inputs[:256], layer.forward_float(inputs[:256]))
+    codes = layer.input_quant.quantize(inputs)
+    assert codes.dtype == np.uint8
+
+    def best_of(product, rounds):
+        product()  # warm-up
+        timings = []
+        for _ in range(rounds):
+            start = time.perf_counter()
+            result = product()
+            timings.append(time.perf_counter() - start)
+        return min(timings), result
+
+    # One core each: NumPy's int64 matmul runs on the calling thread, and a
+    # two-thread BLAS pool on a shared 2-vCPU host is as often slower as
+    # faster on this small GEMM.
+    saved = [(get(), set_threads) for get, set_threads in _openblas_thread_controls()]
+    try:
+        for _threads, set_threads in saved:
+            set_threads(1)
+        int64_time, int64_result = best_of(lambda: codes @ layer.weight_codes, 5)
+        blas_time, blas_result = best_of(lambda: layer._exact_code_product(codes), 15)
+    finally:  # restore the live pool size
+        for threads, set_threads in saved:
+            set_threads(threads)
+    assert int64_result.dtype == np.int64
+    assert np.array_equal(blas_result, int64_result.astype(np.float64))
+    speedup = int64_time / blas_time
+    assert speedup >= 5.0, f"reference-product speedup only {speedup:.2f}x"
 
 
 def time_tile_budgets(rounds: int = 7) -> dict:

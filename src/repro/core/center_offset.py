@@ -110,9 +110,12 @@ def optimal_centers(
     codes.  A filter's column sum ``sum_r D(h, l, w_r - c)`` depends only on
     how many of its rows hold each code ``v``, so every (candidate, filter)
     column sum of a slice is one GEMM of a ``(candidates, 256)`` table
-    ``D(h, l, v - c)`` with the ``(256, filters)`` code histogram.  All
-    products and sums are integers far below 2**53, so the float64 GEMM is
-    exact and the costs equal :func:`_slice_column_cost` bit for bit.
+    ``D(h, l, v - c)`` with the ``(256, filters)`` code histogram.  Every
+    product and partial sum is an integer of magnitude below ``2**width *
+    rows`` (``|D| < 2**width`` and a filter's counts sum to ``rows``), so
+    the GEMM runs in float32 while that stays within ``2**24`` (every
+    crossbar-sized chunk) and in float64 beyond; either way it is exact and
+    the costs equal :func:`_slice_column_cost` bit for bit.
     """
     weight_codes = np.asarray(weight_codes, dtype=np.int64)
     if weight_codes.ndim != 2:
@@ -124,14 +127,17 @@ def optimal_centers(
     # hist[v, f] = number of rows of filter f holding code v.
     flat_index = weight_codes * n_filters + np.arange(n_filters)
     hist = np.bincount(flat_index.ravel(), minlength=256 * n_filters)
-    hist = hist.reshape(256, n_filters).astype(np.float64)
+    exact32 = weight_codes.shape[0] << slicing.max_slice_bits <= 1 << 24
+    gemm_dtype = np.float32 if exact32 else np.float64
+    hist = hist.reshape(256, n_filters).astype(gemm_dtype)
     costs = np.zeros((cands.size, n_filters), dtype=np.float64)
     for width, shift in zip(slicing.widths, slicing.shifts):
         if candidates is None:
             table = _default_crop_table(shift + width - 1, shift)
         else:
             table = _crop_table(cands, shift + width - 1, shift)
-        column_sum = table.astype(np.float64) @ hist  # (candidates, filters)
+        column_sum = table.astype(gemm_dtype) @ hist  # (candidates, filters)
+        column_sum = column_sum.astype(np.float64, copy=False)
         costs += (2.0**shift) * np.abs(column_sum) ** power
     return cands[np.argmin(costs, axis=0)].astype(np.int64)
 

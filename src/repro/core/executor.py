@@ -304,20 +304,21 @@ class PimLayerExecutor:
             encoded = self.encoder.encode(block, zero_points)
             diff = encoded.positive_slices - encoded.negative_slices
             total = encoded.positive_slices + encoded.negative_slices
-            diff_flat = diff.transpose(1, 0, 2).reshape(block.shape[0], -1)
-            sum_flat = total.transpose(1, 0, 2).reshape(block.shape[0], -1)
             # Both lie within +-2 * (2**bits - 1): keep them in the narrowest
             # signed dtype holding that (int8 up to 6-bit slices); products
-            # with int64 slice values still accumulate in int64.
+            # with int64 slice values still accumulate in int64.  One
+            # casting copy lays each out (rows, slices, filters).
             bound = 2 * ((1 << encoded.slicing.max_slice_bits) - 1)
             dtype = np.min_scalar_type(-bound)
+            diff_flat = np.ascontiguousarray(diff.transpose(1, 0, 2), dtype=dtype)
+            sum_flat = np.ascontiguousarray(total.transpose(1, 0, 2), dtype=dtype)
             chunks.append(
                 _EncodedChunk(
                     row_start=row_start,
                     rows=block.shape[0],
                     encoded=encoded,
-                    diff_flat=np.ascontiguousarray(diff_flat, dtype=dtype),
-                    sum_flat=np.ascontiguousarray(sum_flat, dtype=dtype),
+                    diff_flat=diff_flat.reshape(block.shape[0], -1),
+                    sum_flat=sum_flat.reshape(block.shape[0], -1),
                 )
             )
         return chunks

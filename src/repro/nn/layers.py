@@ -45,6 +45,9 @@ __all__ = [
     "PimMatmul",
 ]
 
+#: Largest contiguous integer range float64 represents exactly (53-bit mantissa).
+_FLOAT64_EXACT_LIMIT = 1 << 53
+
 
 @dataclass(frozen=True)
 class TensorQuant:
@@ -202,6 +205,7 @@ class MatmulLayer(Layer):
         self.weight_zero_point = params.zero_point
         self._weight_fingerprint: str | None = None
         self._weight_code_sums: np.ndarray | None = None
+        self._float_weight_codes: np.ndarray | None = None
 
     @property
     def weight_fingerprint(self) -> str:
@@ -225,6 +229,34 @@ class MatmulLayer(Layer):
         if self._weight_code_sums is None:
             self._weight_code_sums = self.weight_codes.sum(axis=0)
         return self._weight_code_sums
+
+    def _exact_code_product(self, patch_codes: np.ndarray) -> np.ndarray:
+        """``patch_codes @ weight_codes`` as a float64 GEMM proven exact.
+
+        Weight codes are unsigned, so every product and partial sum of an
+        output is an integer of magnitude at most ``max|code| * max_c sum_r
+        w_rc``.  Below ``2**53`` float64 holds each one exactly, so the BLAS
+        GEMM returns the integer product in any summation order.  Codes
+        outside that range raise ``ValueError``.
+        """
+        if self._float_weight_codes is None:
+            self._float_weight_codes = self.weight_codes.astype(np.float64)
+        column_bound = int(self.weight_code_sums.max(initial=0))
+        if np.issubdtype(patch_codes.dtype, np.integer):
+            info = np.iinfo(patch_codes.dtype)
+            max_code = max(int(info.max), -int(info.min))
+        else:
+            max_code = _FLOAT64_EXACT_LIMIT
+        if max_code * column_bound >= _FLOAT64_EXACT_LIMIT and patch_codes.size:
+            # The dtype alone does not prove it (e.g. int64): scan the codes.
+            max_code = max(float(patch_codes.max()), -float(patch_codes.min()))
+            if max_code * column_bound >= _FLOAT64_EXACT_LIMIT:
+                raise ValueError(
+                    f"layer {self.name!r}: input codes up to {max_code:.0f} "
+                    "overflow the exact float64 product of weight columns "
+                    f"summing to {column_bound}"
+                )
+        return patch_codes.astype(np.float64) @ self._float_weight_codes
 
     # -- calibration ---------------------------------------------------------
 
@@ -269,14 +301,16 @@ class MatmulLayer(Layer):
 
         ``patch_codes`` has shape ``(M, reduction_dim)`` and reaches the hook
         in its own dtype (the narrow code dtype on the model path).  The raw
-        code product is computed exactly or by the PIM hook; corrections
-        involving zero points are always digital, with row sums in ``int64``.
+        code product comes from the PIM hook or, without one, from a float64
+        GEMM proven exact for the codes' range (codes outside it raise
+        ``ValueError``); corrections involving zero points are always
+        digital, with row sums in ``int64``.
         """
         if not self.is_calibrated:
             raise RuntimeError(f"layer {self.name!r} has not been calibrated")
         patch_codes = np.asarray(patch_codes)
         if pim_matmul is None:
-            raw = patch_codes @ self.weight_codes
+            raw = self._exact_code_product(patch_codes)
         else:
             raw = np.asarray(pim_matmul(patch_codes, self), dtype=np.float64)
         zp_x = self.input_quant.zero_point

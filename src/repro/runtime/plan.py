@@ -38,10 +38,15 @@ excess, counting pulses from plane column sums rather than per phase --
 produces bit-identical outputs and (integer) statistics counters.  Packing
 two planes into one float32 operand value, ``plane_lo + 4096 * plane_hi``,
 keeps that exactness where :func:`packed_gemm_is_exact` proves each plane's
-column sum fits a 12-bit field.  Seeded noise draws are order-sensitive, so
-noisy executors keep the reference speculation/recovery schedule, fed one
-batched GEMM's phase sums per chunk (the plan supplies the extraction
-tables and operands), and draw once per (chunk, phase) in plan order.
+column sum fits a 12-bit field.  Both exactness proofs bound a weight
+column by its larger signed total, ``max(sum_r max(w, 0), sum_r max(-w,
+0))``, not by ``sum_r |w|``: inputs are non-negative, so every partial sum,
+in any summation order, lies between the column's negative and positive
+totals, and Center+Offset's balanced columns about halve the bound.  Seeded
+noise draws are order-sensitive, so noisy executors keep the reference
+speculation/recovery schedule, fed one batched GEMM's phase sums per chunk
+(the plan supplies the extraction tables and operands), and draw once per
+(chunk, phase) in plan order.
 """
 
 from __future__ import annotations
@@ -72,20 +77,39 @@ _FLOAT32_EXACT_LIMIT = 1 << 24
 PACKED_FIELD_MAX = (1 << (PACKED_FIELD_BITS - 1)) - 1
 
 
+def _column_sum_bound(weights: np.ndarray) -> float:
+    """The largest magnitude any partial column sum of ``x @ weights`` reaches
+    per unit of input, for non-negative inputs ``x``.
+
+    With ``x >= 0`` every term ``x_r * w_rc`` has the sign of ``w_rc``, and
+    any partial sum (in any summation order) adds a subset of a column's
+    terms, so it lies between ``max(x) * sum_r min(w_rc, 0)`` and
+    ``max(x) * sum_r max(w_rc, 0)``.  This returns ``max_c max(sum_r
+    max(w_rc, 0), sum_r max(-w_rc, 0))``, which is at most ``max_c sum_r
+    |w_rc|`` and about half of it on the balanced columns Center+Offset
+    encodes.
+    """
+    if weights.size == 0:
+        return 0.0
+    # max(sum w+, sum w-) = (sum |w| + |sum w|) / 2, exactly: both are integers.
+    column_abs = np.abs(weights).sum(axis=0)
+    column_sum = weights.sum(axis=0)
+    return float((column_abs + np.abs(column_sum)).max()) / 2
+
+
 def float32_gemm_is_exact(max_slice_value: int, weights: np.ndarray) -> bool:
     """Whether a slice-value x ``weights`` GEMM is provably exact in float32.
 
-    Every product and running partial sum of the GEMM is an integer bounded in
-    magnitude by ``max_slice_value * max_c(sum_r |weights[r, c]|)`` (slice
-    values are non-negative, so partial sums cannot overshoot this bound
-    mid-accumulation either).  If that bound stays below ``2**24`` each
-    intermediate is exactly representable in float32, making the float32 GEMM
-    bit-identical to the float64 one regardless of BLAS summation order.
+    Slice values are non-negative integers, so every product and running
+    partial sum of the GEMM is an integer between ``max_slice_value`` times a
+    column's negative total and its positive total, whatever the summation
+    order: its magnitude is at most ``max_slice_value *
+    _column_sum_bound(weights)``.  If that bound stays below
+    ``2**24`` each intermediate is exactly representable in float32, making
+    the float32 GEMM bit-identical to the float64 one regardless of BLAS
+    summation order.
     """
-    if weights.size == 0:
-        return True
-    column_abs_sum = np.abs(weights).sum(axis=0).max()
-    return max_slice_value * float(column_abs_sum) < _FLOAT32_EXACT_LIMIT
+    return max_slice_value * _column_sum_bound(weights) < _FLOAT32_EXACT_LIMIT
 
 
 def packed_gemm_is_exact(max_plane_value: int, weights: np.ndarray) -> bool:
@@ -93,21 +117,20 @@ def packed_gemm_is_exact(max_plane_value: int, weights: np.ndarray) -> bool:
 
     A packed operand value is ``lo + 4096 * hi`` for two plane values ``lo``
     and ``hi`` of at most ``max_plane_value``, so a product row is
-    ``S_lo + 4096 * S_hi`` for the two planes' column sums.  Each sum is an
-    integer of magnitude at most ``max_plane_value * max_c sum_r
-    |weights[r, c]|``; while that stays within :data:`PACKED_FIELD_MAX`
-    (2047), ``hi = rint(X / 4096)`` and ``lo = X - 4096 * hi`` recover both
-    exactly, and every partial sum stays below ``4097 * 2047 < 2**24``, so
-    the float32 GEMM is exact in any summation order.  Plane values above 15
-    are refused: their packed value would not fit the ``uint16`` operand
-    scratch.
+    ``S_lo + 4096 * S_hi`` for the two planes' column sums.  Plane values are
+    non-negative, so each sum, and each partial sum on the way to it, is an
+    integer between ``max_plane_value`` times a column's negative and
+    positive weight totals: its magnitude is at most ``max_plane_value *
+    _column_sum_bound(weights)``.  While that stays within
+    :data:`PACKED_FIELD_MAX` (2047), ``hi = rint(X / 4096)`` and
+    ``lo = X - 4096 * hi`` recover both exactly, and every partial sum stays
+    below ``4097 * 2047 < 2**24``, so the float32 GEMM is exact in any
+    summation order.  Plane values above 15 are refused: their packed value
+    would not fit the ``uint16`` operand scratch.
     """
     if (max_plane_value + 1) << PACKED_FIELD_BITS > 1 << 16:
         return False
-    if weights.size == 0:
-        return True
-    column_abs_sum = np.abs(weights).sum(axis=0).max()
-    return max_plane_value * float(column_abs_sum) <= PACKED_FIELD_MAX
+    return max_plane_value * _column_sum_bound(weights) <= PACKED_FIELD_MAX
 
 
 class _ChunkOperands:
@@ -141,8 +164,10 @@ class _ChunkOperands:
             weights = np.hstack([chunk.diff_flat, chunk.sum_flat])
             self.sum_flat_rowsum = None
         # Weight slices are below 2**bits, so no operand entry exceeds
-        # 2 * (2**bits - 1) in magnitude; when a full column of those is
-        # float32-exact, the scan of the actual weights can be skipped.
+        # 2 * (2**bits - 1) in magnitude and no column's positive or
+        # negative total exceeds ``rows`` such entries: when that bounds
+        # :func:`_column_sum_bound` below 2**24, the scan of the actual
+        # weights can be skipped.
         bits = chunk.encoded.slicing.max_slice_bits
         column_bound = max_slice_value * chunk.rows * 2 * ((1 << bits) - 1)
         self.dtype = (

@@ -317,8 +317,11 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         """
         plan = self.layer_plan
         operands = plan.operands[chunk_index]
-        # Phases read only the low ``input_bits`` bits of a code.
-        narrow = narrow_codes(codes, plan.phase_shifts.dtype) & plan.code_mask
+        # Phases read only the low ``input_bits`` bits of a code; a mask
+        # that keeps every bit of the code dtype needs no masked copy.
+        narrow = narrow_codes(codes, plan.phase_shifts.dtype)
+        if plan.code_mask != np.iinfo(narrow.dtype).max:
+            narrow = narrow & plan.code_mask
         m, rows = narrow.shape
         analog = np.empty((m, operands.combined.shape[1]), dtype=np.float64)
         packed = operands.packed and m >= PACKED_MIN_ROWS

@@ -6,7 +6,6 @@ import pytest
 from repro.baselines.forms import FormsBaseline
 from repro.baselines.isaac import IsaacBaseline
 from repro.baselines.timely import TimelyBaseline
-from repro.baselines.zero_offset import zero_offset_config
 from repro.core.center_offset import WeightEncoding
 from repro.core.dynamic_input import SpeculationMode
 from repro.core.executor import PimLayerExecutor
@@ -66,10 +65,3 @@ class TestTimelyBaseline:
         assert 0 < TimelyBaseline().energy(shapes).total_uj < IsaacBaseline().energy(
             shapes
         ).total_uj
-
-
-class TestZeroOffsetBaseline:
-    def test_config_switches_encoding_only(self):
-        config = zero_offset_config()
-        assert config.weight_encoding == WeightEncoding.ZERO_OFFSET
-        assert config.crossbar_rows == 512  # everything else stays RAELLA

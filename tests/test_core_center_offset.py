@@ -79,6 +79,31 @@ class TestOptimalCenters:
         individual = [optimal_center(codes[:, i], slicing) for i in range(5)]
         assert np.array_equal(batched, individual)
 
+    def test_matches_the_elementwise_eq2_search(self, rng):
+        from repro.core.center_offset import CENTER_CANDIDATES, _slice_column_cost
+
+        codes = rng.integers(0, 256, size=(300, 4))
+        codes[:, 0] = 255  # column sums far from zero
+        slicing = Slicing((4, 2, 2))
+        offsets = codes.T[np.newaxis] - CENTER_CANDIDATES[:, np.newaxis, np.newaxis]
+        costs = _slice_column_cost(offsets, slicing, 4.0)
+        expected = CENTER_CANDIDATES[np.argmin(costs, axis=0)]
+        assert np.array_equal(optimal_centers(codes, slicing), expected)
+
+    def test_column_sums_beyond_float32_stay_exact(self):
+        """70,001 rows of one 9-bit slice: candidate 481's column sum is
+        -16,835,241, which float32 rounds to -16,835,240, the magnitude of
+        candidate 0's.  Only exact sums rank candidate 0 strictly better."""
+        from repro.core.center_offset import _slice_column_cost
+
+        codes = np.array([240] * 35_001 + [241] * 35_000)[:, np.newaxis]
+        candidates = np.array([481, 0])
+        slicing = Slicing((9,))
+        offsets = codes.T[np.newaxis] - candidates[:, np.newaxis, np.newaxis]
+        costs = _slice_column_cost(offsets, slicing, 4.0)
+        assert costs[1, 0] < costs[0, 0]
+        assert optimal_centers(codes, slicing, candidates=candidates)[0] == 0
+
     @pytest.mark.parametrize("bad_code", [-1, 256])
     def test_rejects_codes_outside_unsigned_8_bit(self, bad_code):
         codes = np.full((8, 3), 100)

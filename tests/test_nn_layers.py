@@ -103,6 +103,33 @@ class TestLinearLayer:
         )
         assert np.array_equal(ref, hooked)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64])
+    def test_reference_product_equals_the_int64_product(self, dtype, rng):
+        layer, _ = self._layer(rng)
+        info = np.iinfo(np.int8 if dtype == np.int8 else np.uint8)
+        codes = rng.integers(info.min, int(info.max) + 1, size=(33, 20)).astype(dtype)
+        codes[0], codes[1] = info.min, info.max  # -128 for int8
+
+        def int64_product(x, hooked_layer):
+            return x.astype(np.int64) @ hooked_layer.weight_codes
+
+        exact = layer.matmul_quantized(codes, pim_matmul=int64_product)
+        assert layer.matmul_quantized(codes).tobytes() == exact.tobytes()
+
+    def test_reference_product_refuses_codes_beyond_its_proof(self, rng):
+        layer, _ = self._layer(rng)
+        largest = ((1 << 53) - 1) // int(layer.weight_code_sums.max())
+        codes = np.zeros((3, 20), dtype=np.int64)
+        codes[0] = largest
+        codes[1] = -largest
+        exact = (codes @ layer.weight_codes).astype(np.float64)
+        assert np.array_equal(layer._exact_code_product(codes), exact)
+        for row, value in ((0, largest + 1), (1, -largest - 1)):
+            wider = codes.copy()
+            wider[row] = value
+            with pytest.raises(ValueError, match="overflow"):
+                layer.matmul_quantized(wider)
+
     def test_uncalibrated_layer_raises(self, rng):
         layer = Linear("fc", synthetic_linear_weights(4, 8, rng))
         with pytest.raises(RuntimeError):

@@ -30,6 +30,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.analog.noise import GaussianColumnNoise, NoiselessModel
 from repro.arithmetic.slicing import Slicing
@@ -45,6 +47,7 @@ from repro.runtime import (
     compile_model_plan,
 )
 from repro.runtime import vectorized
+from repro.runtime.plan import PACKED_FIELD_MAX
 from repro.runtime.procpool import _limit_blas_threads, _openblas_thread_controls
 from repro.runtime.vectorized import _tile_rows
 from repro.serve import ModelRegistry
@@ -392,6 +395,14 @@ BOUND_CONFIG = PimLayerConfig(
 )
 
 
+#: The adaptive-slicing search's trial config: 1-bit input phases and
+#: 4-bit devices (see ``choose_weight_slicing``); each trial sets the
+#: weight slicing.
+SEARCH_CONFIG = PimLayerConfig(
+    speculation=SpeculationMode.BIT_SERIAL, serial_input_slicing=None, device_bits=4
+)
+
+
 class TestPackedPlanes:
     """Two bit planes per float32 GEMM row at M >= PACKED_MIN_ROWS: the
     same bits and counters as the per-phase reference."""
@@ -500,8 +511,6 @@ class TestPackedPlanes:
 
     def test_tile_rows_keep_column_sums_decodable(self, rng, monkeypatch):
         """A huge tile budget is capped so ``m * max_plane`` fits one field."""
-        from repro.runtime.plan import PACKED_FIELD_MAX
-
         layer, codes = calibrated_linear(rng, 2, 8, batch=1200)
         config = PACKED_CASES["bit_serial_2b"]
         monkeypatch.setattr(vectorized, "TILE_ELEMENTS", 1 << 30)
@@ -525,15 +534,74 @@ class TestPackedPlanes:
     def test_packed_gemm_bound(self):
         from repro.runtime.plan import packed_gemm_is_exact
 
+        # Positive and negative totals of +-2047 pack; 2048 on either side
+        # does not.
         column = np.zeros((4, 2))
-        column[:, 0] = [-1000, 1000, 40, 7]
+        column[:, 0] = [1000, 1047, -1000, -1047]
         assert packed_gemm_is_exact(1, column)
-        column[3, 0] = -8
-        assert not packed_gemm_is_exact(1, column)
+        for row in (1, 3):
+            wider = column.copy()
+            wider[row, 0] += np.sign(wider[row, 0])
+            assert not packed_gemm_is_exact(1, wider)
         assert packed_gemm_is_exact(3, np.array([[682.0]]))  # 3 * 682 = 2046
         assert not packed_gemm_is_exact(3, np.array([[-683.0]]))
         assert packed_gemm_is_exact(15, np.ones((1, 1)))
         assert not packed_gemm_is_exact(16, np.ones((1, 1)))  # overflows uint16
+
+    def test_signed_sums_accept_what_absolute_sums_refused(self):
+        from repro.runtime.plan import float32_gemm_is_exact, packed_gemm_is_exact
+
+        # An asymmetric column: sum(|w|) = 3547, signed totals 2047 and 1500.
+        column = np.array([[1500.0], [547.0], [-1200.0], [-300.0]])
+        assert np.abs(column).sum() > PACKED_FIELD_MAX
+        assert packed_gemm_is_exact(1, column)
+        assert not packed_gemm_is_exact(1, column * 2)
+        # sum(|w|) = 7000: 4096 * 7000 > 2**24, but 4096 * 4000 < 2**24.
+        column = np.array([[2500.0], [1500.0], [-3000.0]])
+        assert 4096 * np.abs(column).sum() >= 1 << 24
+        assert float32_gemm_is_exact(4096, column)
+        assert not float32_gemm_is_exact(4195, column)  # 4195 * 4000 > 2**24
+
+    def test_layer_only_the_signed_bound_packs_matches_the_reference(self, monkeypatch):
+        """A ``resnet18_like`` layer under the slicing search's bit-serial
+        config that ``sum(|w|)`` refused to pack, run packed: same bytes
+        and counters as the per-phase reference."""
+        from repro.nn.synthetic import synthetic_images
+        from repro.nn.zoo import resnet18_like
+
+        model = resnet18_like(seed=0)
+        layer = model.matmul_layers()[1]
+        inputs = synthetic_images(1, model.input_shape, np.random.default_rng(7))
+        activation = model.capture_layer_inputs(inputs, [layer.name])[layer.name]
+        codes = activation.patch_codes[::8].astype(np.uint8)
+        codes[0] = 255  # every plane at its largest value
+        config = SEARCH_CONFIG.with_changes(weight_slicing=Slicing((4, 4)))
+        shapes = spy_packed_operands(monkeypatch)
+        planned = assert_matches_reference(layer, config, codes)
+        (operands,) = planned.layer_plan.operands
+        assert np.abs(operands.weights).sum(axis=0).max() > PACKED_FIELD_MAX
+        assert operands.packed
+        assert len(shapes) == 1 and codes.shape[0] >= vectorized.PACKED_MIN_ROWS
+
+    @pytest.mark.slow
+    def test_every_search_trial_chunk_packs(self):
+        """Every chunk of every candidate slicing the adaptive-slicing search
+        may try on ``resnet18_like`` packs its bit planes (a property of the
+        weights alone)."""
+        from repro.core.adaptive_slicing import AdaptiveSlicingConfig
+        from repro.nn.zoo import resnet18_like
+
+        candidates = AdaptiveSlicingConfig().candidate_slicings
+        for layer in resnet18_like(seed=0).matmul_layers():
+            for slicing in candidates:
+                config = SEARCH_CONFIG.with_changes(weight_slicing=slicing)
+                executor = VectorizedLayerExecutor(layer, config, weight_cache=None)
+                unpacked = [
+                    index
+                    for index, operands in enumerate(executor.layer_plan.operands)
+                    if not operands.packed
+                ]
+                assert not unpacked, (layer.name, str(slicing), unpacked)
 
     def test_noisy_and_float64_chunks_never_pack(self, tiny_linear_layer):
         noisy = VectorizedLayerExecutor(
@@ -581,6 +649,75 @@ class TestPackedPlanes:
             planned = assert_matches_reference(layer, PimLayerConfig(), codes)
             assert all(op.packed for op in planned.layer_plan.operands)
         assert len(shapes) >= len(model.matmul_layers()) - 2
+
+
+def near_bound_weights(seed: int, rows: int, columns: int, limit: float):
+    """Integer weights, skewed to one sign or the other, whose largest
+    signed column total is at most ``limit`` and close to it."""
+    from repro.runtime.plan import _column_sum_bound
+
+    rng = np.random.default_rng(seed)
+    low, high = rng.integers(1, 1000, size=2)
+    weights = rng.integers(-low, high + 1, size=(rows, columns)).astype(np.float64)
+    bound = _column_sum_bound(weights)
+    return np.trunc(weights * (limit / bound)) if bound else weights
+
+
+def extreme_inputs(seed: int, m: int, max_value: int, weights: np.ndarray):
+    """Random inputs in ``[0, max_value]`` plus, per column, the two rows
+    that reach its positive and its negative total."""
+    rng = np.random.default_rng(seed)
+    inputs = rng.integers(0, max_value + 1, size=(m, weights.shape[0]))
+    extremes = np.concatenate([weights.T > 0, weights.T < 0]) * max_value
+    return np.concatenate([inputs, extremes]).astype(np.float64)
+
+
+class TestExactnessProofs:
+    """Whenever a proof holds, the float32 GEMM it licenses is exact."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        max_plane=st.sampled_from([1, 3, 7, 15]),
+        rows=st.integers(1, 96),
+        columns=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.5, 2.0),
+    )
+    def test_packed_gemm_decodes_to_the_plane_sums(
+        self, max_plane, rows, columns, seed, scale
+    ):
+        from repro.runtime.plan import packed_gemm_is_exact
+
+        limit = scale * PACKED_FIELD_MAX / max_plane
+        weights = near_bound_weights(seed, rows, columns, limit)
+        assume(packed_gemm_is_exact(max_plane, weights))
+        lo = extreme_inputs(seed + 1, 5, max_plane, weights)
+        hi = extreme_inputs(seed + 2, 5, max_plane, weights)[::-1]
+        packed = (lo + 4096 * hi).astype(np.float32)
+        sums = np.empty((2, lo.shape[0] * columns), dtype=np.float32)
+        np.matmul(packed, weights.astype(np.float32), out=sums[:1].reshape(-1, columns))
+        vectorized._unpack_rows(sums, 1)
+        assert np.array_equal(sums[0], (lo @ weights).ravel())
+        assert np.array_equal(sums[1], (hi @ weights).ravel())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        max_slice=st.sampled_from([1, 15, 255, 4095]),
+        rows=st.integers(1, 512),
+        columns=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.5, 2.0),
+    )
+    def test_float32_gemm_equals_the_float64_one(
+        self, max_slice, rows, columns, seed, scale
+    ):
+        from repro.runtime import float32_gemm_is_exact
+
+        weights = near_bound_weights(seed, rows, columns, scale * (1 << 24) / max_slice)
+        assume(float32_gemm_is_exact(max_slice, weights))
+        inputs = extreme_inputs(seed + 1, 8, max_slice, weights)
+        product = inputs.astype(np.float32) @ weights.astype(np.float32)
+        assert np.array_equal(product, inputs @ weights)
 
 
 def signed_linear(rng, n_out: int = 5, n_in: int = 16, batch: int = 48):
