@@ -1,30 +1,21 @@
-"""Compiled execution plans vs. the per-phase reference, plus output pooling.
+"""Compiled execution plans vs. the per-phase reference.
 
 Not a paper artifact: this tracks the ROADMAP "hot-path raw speed" follow-up
-that motivated :mod:`repro.runtime.plan`.  Two claims are enforced:
+that motivated :mod:`repro.runtime.plan`.  A small-batch dispatch storm
+(every request M <= 4, the serving layer's worst case: per-batch layout work
+is amortised over almost nothing) through a :class:`NetworkEngine` running a
+precompiled :class:`~repro.runtime.ModelPlan` must sustain at least
+``MIN_PLANNED_SPEEDUP``x the throughput of an engine on the per-phase
+:class:`~repro.core.executor.PimLayerExecutor` oracle (3x by default,
+typically ~5-8x locally) while staying bit-identical, and compiling the plan
+must cost less than ``MAX_PLAN_COMPILE_BATCHES`` (0.43) of one reference
+storm batch.
 
-* **Planned dispatch.**  A small-batch dispatch storm (every request M <= 4,
-  the serving layer's worst case: per-batch layout work is amortised over
-  almost nothing) through a :class:`NetworkEngine` running a precompiled
-  :class:`~repro.runtime.ModelPlan` must sustain at least
-  ``MIN_PLANNED_SPEEDUP``x the throughput of an engine on the per-phase
-  :class:`~repro.core.executor.PimLayerExecutor` oracle (3x by default,
-  typically ~5-8x locally) while staying bit-identical, and compiling the
-  plan must cost less than ``MAX_PLAN_COMPILE_BATCHES`` (0.43) of one
-  reference storm batch.
-
-  Every vectorized executor compiles its plan at construction, so the
-  oracle is the only unplanned engine left to compare against.  The bars
-  were carried over from the earlier comparison against an unplanned
-  vectorized engine, which ran the storm ~2.3x faster than the oracle:
-  1.3x that engine is ~3x the oracle, and one of its batches is ~0.43 of
-  an oracle batch.
-* **Output pooling.**  An engine worker process hands results out as
-  zero-copy views of pooled worker-owned shared-memory slots; the same
-  round trip with ``copy_outputs`` (the old materialise-per-reply
-  behaviour) must not be faster -- the measured per-round-trip delta is the
-  memcpy the pool deletes.  This runs on a bare :class:`EngineWorker`, so it
-  times the transport alone.
+Every vectorized executor compiles its plan at construction, so the oracle is
+the only unplanned engine left to compare against.  The bars were carried
+over from the earlier comparison against an unplanned vectorized engine,
+which ran the storm ~2.3x faster than the oracle: 1.3x that engine is ~3x
+the oracle, and one of its batches is ~0.43 of an oracle batch.
 
 Plans change scheduling and layout only, never arithmetic, so every
 comparison here doubles as a bit-identity regression test across the
@@ -34,7 +25,6 @@ thread and process backends.
 from __future__ import annotations
 
 import os
-import sys
 import time
 
 import numpy as np
@@ -45,8 +35,6 @@ from repro.nn.layers import Linear
 from repro.nn.model import QuantizedModel
 from repro.nn.synthetic import synthetic_linear_weights
 from repro.runtime import (
-    EngineSpec,
-    EngineWorker,
     ExecutorPool,
     NetworkEngine,
     ReplicaPool,
@@ -55,7 +43,6 @@ from repro.runtime import (
 
 N_REQUESTS = 100
 MAX_STORM_SAMPLES = 4  # the storm is all small batches: M in 1..4
-ROUND_TRIP_PAIRS = 16  # ABBA blocks of the pooling test: 32 round trips per mode
 
 
 def build_model(name: str, seed: int) -> QuantizedModel:
@@ -76,18 +63,6 @@ def build_model(name: str, seed: int) -> QuantizedModel:
     ]
     model = QuantizedModel(name, layers, input_shape=(128,))
     model.calibrate(np.abs(rng.normal(0, 1, size=(64, 128))))
-    return model
-
-
-def build_wide_model(seed: int = 5) -> QuantizedModel:
-    """One wide layer: big result arrays make the reply memcpy visible."""
-    rng = np.random.default_rng(seed)
-    model = QuantizedModel(
-        "wide",
-        [Linear("wide_fc", synthetic_linear_weights(512, 32, rng, std=0.15))],
-        input_shape=(32,),
-    )
-    model.calibrate(np.abs(rng.normal(0, 1, size=(64, 32))))
     return model
 
 
@@ -198,56 +173,3 @@ def test_planned_outputs_bit_identical_across_backends(plan_setup):
     expected = reference.run(stacked)
     assert np.array_equal(planned.run(stacked), expected)
     assert np.array_equal(process.run(stacked), expected)
-
-
-def test_output_pooling_roundtrip_delta(benchmark):
-    """Zero-copy pooled replies are never slower than materialised copies.
-
-    ``EngineWorker.copy_outputs`` restores the old copy-per-reply behaviour,
-    so the same worker measures both modes on identical requests; the delta
-    is the reply memcpy the output pool deletes.  Single round trips of
-    the two modes are interleaved (ABBA order) so host drift hits both
-    alike, and each mode is summarised by its lower-quartile round trip,
-    which ignores the scheduler stalls of a shared host.  The bound is
-    directional (``MAX_POOLED_RTT_RATIO``, default 1.05 to absorb timer
-    noise) because the simulated compute dominates the round trip; the
-    absolute delta lands in the timing JSON.
-    """
-    ratio_bar = float(os.environ.get("MAX_POOLED_RTT_RATIO", "1.05"))
-    model = build_wide_model()
-    plan = compile_model_plan(model)
-    worker = EngineWorker(EngineSpec(model, plan=plan, sys_path=tuple(sys.path)))
-    inputs = np.abs(np.random.default_rng(1).normal(0, 1, size=(256, 32)))
-
-    def run() -> np.ndarray:
-        # A plain run request: no return_codes, no micro_batch override,
-        # no trace context.
-        outputs, _meta = worker.request(
-            "run", array=inputs, extra=(False, False, None, None)
-        )
-        return outputs
-
-    try:
-        run()  # warm the worker and both transport directions
-
-        timings = {False: [], True: []}  # copy_outputs -> round-trip times
-        for order in [(False, True), (True, False)] * ROUND_TRIP_PAIRS:
-            for copy_outputs in order:
-                worker.copy_outputs = copy_outputs
-                start = time.perf_counter()
-                run()
-                timings[copy_outputs].append(time.perf_counter() - start)
-        pooled, copied = (np.percentile(timings[mode], 25) for mode in (False, True))
-        worker.copy_outputs = False
-        pooled_view = run()
-        assert not pooled_view.flags.writeable  # zero-copy pool view
-        benchmark.extra_info["pooled_rtt_ms"] = round(pooled * 1e3, 3)
-        benchmark.extra_info["copy_rtt_ms"] = round(copied * 1e3, 3)
-        benchmark.extra_info["delta_us_per_roundtrip"] = round((copied - pooled) * 1e6)
-        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        assert pooled <= copied * ratio_bar, (
-            f"pooled round trip {pooled * 1e3:.3f} ms slower than "
-            f"copying replies ({copied * 1e3:.3f} ms)"
-        )
-    finally:
-        worker.close()

@@ -153,7 +153,7 @@ def main() -> None:
     for line in prometheus[:6]:
         print(f"    {line}")
 
-    print("\n== 5. Process-based engine workers (zero-copy transport) ==")
+    print("\n== 5. Process-based engine workers (shared-memory transport) ==")
     # backend="process" hosts each tenant in its own worker process: the
     # worker rebuilds the engine from a pickled spec and serves run() calls
     # over shared-memory blocks, so two CPU-bound tenants no longer share

@@ -73,7 +73,3 @@ class GaussianColumnNoise:
         activity = np.maximum(positive + negative, 0.0)
         sigma = self.level * np.sqrt(activity)
         return ideal + self._rng.normal(0.0, 1.0, size=ideal.shape) * sigma
-
-    def reseed(self, seed: int | None) -> None:
-        """Reset the internal random generator (useful between experiments)."""
-        self._rng = np.random.default_rng(seed)

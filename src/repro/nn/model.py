@@ -227,13 +227,6 @@ class QuantizedModel:
             codes, quant = layer.forward_quantized(codes, quant)
         return captured
 
-    def get_layer(self, name: str) -> Layer:
-        """Look a layer up by name."""
-        for layer in self.layers:
-            if layer.name == name:
-                return layer
-        raise KeyError(f"no layer named {name!r}")
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"QuantizedModel(name={self.name!r}, layers={len(self.layers)}, "

@@ -11,17 +11,16 @@ module moves each engine into its own *process*:
   (its own executor pool, its own weight cache) and serves requests from a
   pipe until told to close.
 * Input and output arrays never travel through the pipe or the pickler.
-  Arrays move through :class:`multiprocessing.shared_memory` blocks; a
-  small framed header at the start of each block carries the array's
-  shape/dtype and the request sequence number, and the pipe only moves
-  tiny control tuples (block name, flags, timings).  The worker runs the
-  engine directly on a mapped view of the input payload (zero consume
-  copies), and writes each result into a *pooled* output slot -- one
-  worker-owned block per slot -- from which the parent hands callers a
-  read-only zero-copy view; the slot returns to the pool when the view is
-  garbage collected, so no materialisation copy happens anywhere on the
-  round trip.  Blocks grow on demand and the stale block is unlinked once
-  the peer has switched to the new name.
+  Arrays move through :class:`multiprocessing.shared_memory` blocks, one
+  per direction, each owned by its sender (the parent owns the request
+  block, the worker the reply block); a small framed header at the start
+  of each block carries the array's shape/dtype and the request sequence
+  number, and the pipe only moves tiny control tuples (block name, flags,
+  timings).  The worker runs the engine directly on a mapped view of the
+  input payload, and the parent copies each reply out of the reply block
+  before returning it, so every caller owns its result.  Blocks grow on
+  demand and the stale block is unlinked once the peer has switched to
+  the new name.
 * :class:`WorkerHandle` wraps one replica *slot*: the current worker, its
   spec, and restart bookkeeping, so a crashed process can be replaced
   without the surrounding pool losing its place.
@@ -56,7 +55,6 @@ import sys
 import tempfile
 import threading
 import time
-import weakref
 from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, get_context, shared_memory
 from typing import Callable
@@ -222,39 +220,17 @@ class _ArraySender:
             self._shm = None
 
 
-class _DeferredUnmap:
-    """Unmap a shared-memory block once the last outstanding view dies.
-
-    ``numpy`` views built over ``shm.buf`` hold a raw pointer into the
-    mapping without keeping the memoryview's buffer exported, so
-    ``shm.close()`` would unmap the pages under a live view and turn the
-    next read into a segfault.  Instead, closing a receiver with live views
-    hands the block to one of these holders; each view's ``weakref.finalize``
-    decrements the count and the last one out performs the real unmap.
-    """
-
-    def __init__(self, shm: shared_memory.SharedMemory, count: int) -> None:
-        self._shm = shm
-        self._count = count
-        self._lock = threading.Lock()
-
-    def release(self) -> None:
-        with self._lock:
-            self._count -= 1
-            if self._count > 0:
-                return
-        try:
-            self._shm.close()
-        except (BufferError, OSError):  # pragma: no cover - defensive
-            pass
-
-
 class _ArrayReceiver:
-    """The attaching side: map blocks by name; the owner usually unlinks."""
+    """The attaching side: map blocks by name; the owner usually unlinks.
+
+    A view from :meth:`view` points into the mapping without keeping it
+    alive (``numpy`` does not hold ``shm.buf`` exported), so the caller must
+    drop it before the next :meth:`view` -- which unmaps a replaced block --
+    or :meth:`close`; otherwise reading it touches unmapped pages.
+    """
 
     def __init__(self) -> None:
         self._attached: dict[str, shared_memory.SharedMemory] = {}
-        self._views: dict[str, list] = {}
 
     def view(self, name: str, seq: int) -> np.ndarray:
         """A zero-copy view of the named block's framed payload."""
@@ -269,44 +245,24 @@ class _ArrayReceiver:
             self.close()
             shm = shared_memory.SharedMemory(name=name)
             self._attached[name] = shm
-        array = _read_frame(shm, seq)
-        refs = self._views.setdefault(name, [])
-        refs[:] = [ref for ref in refs if ref() is not None]
-        refs.append(weakref.ref(array))
-        return array
+        return _read_frame(shm, seq)
 
     def close(self, unlink: bool = False) -> None:
-        """Unmap every attachment (live result views defer their block).
+        """Unmap every attachment.
 
         ``unlink=True`` reclaims the blocks too: when the owning worker was
         killed mid-flight its teardown never ran, so the attaching parent is
         the last one standing and must unlink, or the segment is stranded
-        until interpreter exit.  Unlinking only removes the *name*; a block
-        with zero-copy result views still alive keeps its mapping until the
-        last view is garbage collected (see :class:`_DeferredUnmap`).
+        until interpreter exit.
         """
-        for name, shm in self._attached.items():
+        for shm in self._attached.values():
             if unlink:
                 try:
                     shm.unlink()
                 except FileNotFoundError:  # owner got there first
                     pass
-            live = [
-                view
-                for ref in self._views.get(name, ())
-                if (view := ref()) is not None
-            ]
-            if live:
-                holder = _DeferredUnmap(shm, len(live))
-                for view in live:
-                    weakref.finalize(view, holder.release)
-                continue
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - defensive
-                pass
+            shm.close()
         self._attached.clear()
-        self._views.clear()
 
 
 @dataclass(frozen=True)
@@ -338,6 +294,47 @@ class EngineSpec:
     def __post_init__(self) -> None:
         if self.blas_threads is not None and self.blas_threads < 1:
             raise ValueError("blas_threads must be >= 1 (or None to leave unpinned)")
+
+
+def _pickle_spec(spec: EngineSpec) -> bytes:
+    """The spec's pickle; :class:`ValueError` when it cannot cross processes."""
+    try:
+        return pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception as error:
+        raise ValueError(
+            "engine spec is not picklable (model, config and noise must "
+            f"survive a process boundary): {error!r}"
+        ) from error
+
+
+def _engine_spec(
+    model: QuantizedModel,
+    config: PimLayerConfig | None,
+    noise: NoiseModel | None,
+    micro_batch: int | None,
+    float32: bool,
+    blas_threads: int | None,
+    plan,
+) -> EngineSpec:
+    """The spec :meth:`ReplicaPool.launch` and ``replace`` boot workers from.
+
+    Raises :class:`ValueError` for an uncalibrated model or a spec that does
+    not pickle, before any worker is started or retired.
+    """
+    if not model.is_calibrated:
+        raise ValueError(f"model {model.name!r} must be calibrated first")
+    spec = EngineSpec(
+        model=model,
+        config=config,
+        noise=noise,
+        micro_batch=micro_batch,
+        float32=float32,
+        sys_path=tuple(sys.path),
+        blas_threads=blas_threads,
+        plan=plan,
+    )
+    _pickle_spec(spec)
+    return spec
 
 
 def _build_engine_from_spec(spec: EngineSpec):
@@ -497,11 +494,9 @@ def _engine_worker_main(
         except OSError:  # pragma: no cover - capture is best effort
             pass
     receiver = _ArrayReceiver()
-    # One output sender (= one shared block) per parent-assigned output slot:
-    # the parent hands results out as zero-copy views and only reuses a slot
-    # once its view has been released, so concurrent in-flight results never
-    # share a block.  Slots are created lazily as the parent's pool grows.
-    senders: dict[int, _ArraySender] = {}
+    # One reply block: the parent copies each reply out before it sends the
+    # next request, so the block is free again whenever a request arrives.
+    sender = _ArraySender()
     try:
         try:
             spec: EngineSpec = pickle.loads(spec_bytes)
@@ -532,7 +527,6 @@ def _engine_worker_main(
                         has_override,
                         micro_batch,
                         trace_ctx,
-                        out_slot,
                     ) = message
                     inputs = receiver.view(block, seq)
                     # ``trace_ctx`` doubles as the span request: ``None``
@@ -540,17 +534,19 @@ def _engine_worker_main(
                     # to stamp (empty when the parent traces no request).
                     spans = None if trace_ctx is None else []
                     overrides = {"micro_batch": micro_batch} if has_override else {}
-                    outputs, elapsed, records = engine.run_timed(
-                        inputs,
-                        return_codes=return_codes,
-                        trace_ctx=trace_ctx,
-                        span_sink=spans,
-                        **overrides,
-                    )
-                    slot_sender = senders.get(out_slot)
-                    if slot_sender is None:
-                        slot_sender = senders[out_slot] = _ArraySender()
-                    out_block = slot_sender.send(seq, outputs)
+                    try:
+                        outputs, elapsed, records = engine.run_timed(
+                            inputs,
+                            return_codes=return_codes,
+                            trace_ctx=trace_ctx,
+                            span_sink=spans,
+                            **overrides,
+                        )
+                    finally:
+                        # The view does not keep its mapping alive: drop it
+                        # before the next ``receiver.view`` can unmap it.
+                        del inputs
+                    out_block = sender.send(seq, outputs)
                     meta = {"engine_time_s": elapsed, "records": records}
                     if spans is not None:
                         meta["spans"] = spans
@@ -573,8 +569,7 @@ def _engine_worker_main(
             except BaseException as error:
                 results.send(_error_message(seq, error))
     finally:
-        for slot_sender in senders.values():
-            slot_sender.close()
+        sender.close()
         receiver.close()
         requests.close()
         results.close()
@@ -597,37 +592,15 @@ def _default_start_method() -> str:
     return "spawn"
 
 
-def _release_output_slot(
-    lock: threading.Lock, free_slots: list[int], slot: int
-) -> None:
-    """Return an output slot to its worker's free pool (finalizer target).
-
-    A module-level function (not a bound method) so the ``weakref.finalize``
-    registered on a handed-out result view holds no reference cycle through
-    the :class:`EngineWorker`.
-    """
-    with lock:
-        free_slots.append(slot)
-
-
 class EngineWorker:
     """Parent-side handle to one engine worker process.
 
-    Owns the request/result pipes and the input shared-memory block (the
-    worker owns the output blocks); serialises callers with an internal lock,
+    Owns the request/result pipes and the request shared-memory block (the
+    worker owns the reply block); serialises callers with an internal lock,
     so one worker serves one request at a time -- exactly the per-model
-    serialisation the server guarantees anyway.
-
-    Run results come back through a pooled set of worker-owned output blocks
-    ("slots"): the parent assigns each run request a free slot, the worker
-    writes the result into that slot's block in place, and the parent hands
-    the caller a read-only zero-copy view of it -- no materialisation copy on
-    the round trip.  The slot returns to the free pool when the view (and
-    every sub-view derived from it, e.g. the server's per-request splits) is
-    garbage collected; the pool grows on demand, so hoarding results costs
-    memory but never deadlocks.  Set :attr:`copy_outputs` to restore the old
-    copy-out-and-release-immediately behaviour (the benchmark suite uses this
-    to measure what pooling saves).
+    serialisation the server guarantees anyway.  :meth:`request` copies each
+    reply out of the reply block under that lock, so callers get owned,
+    writeable arrays and no view into shared memory ever leaves this class.
 
     ``start_timeout_s`` bounds the boot handshake (a miss raises
     :class:`WorkerStartupError` carrying the child's stderr tail);
@@ -644,13 +617,7 @@ class EngineWorker:
     ):
         if start_timeout_s <= 0 or shutdown_timeout_s <= 0:
             raise ValueError("worker timeouts must be positive")
-        try:
-            spec_bytes = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as error:
-            raise ValueError(
-                "engine spec is not picklable (model, config and noise must "
-                f"survive a process boundary): {error!r}"
-            ) from error
+        spec_bytes = _pickle_spec(spec)
         self._start_timeout_s = start_timeout_s
         self._shutdown_timeout_s = shutdown_timeout_s
         # Start the shared-memory resource tracker *before* forking so the
@@ -707,16 +674,7 @@ class EngineWorker:
         self._requests = request_write
         self._results = result_read
         self._sender = _ArraySender()
-        # Output pooling state: one receiver per slot (a slot maps one
-        # worker-owned block at a time), a free list guarded by its own lock
-        # because slots are released from GC finalizers on arbitrary threads.
-        self._slot_receivers: dict[int, _ArrayReceiver] = {}
-        self._slots_free: list[int] = []
-        self._n_slots = 0
-        self._slots_lock = threading.Lock()
-        #: Copy results out of shared memory and release the slot immediately
-        #: instead of handing out zero-copy views (pre-pooling behaviour).
-        self.copy_outputs = False
+        self._receiver = _ArrayReceiver()
         self._seq = itertools.count(1)
         self._lock = threading.Lock()
         self._closed = False
@@ -798,66 +756,31 @@ class EngineWorker:
             )
         return message
 
-    def _acquire_output_slot(self) -> int:
-        """Take a free output slot, growing the pool when none is available."""
-        with self._slots_lock:
-            if self._slots_free:
-                return self._slots_free.pop()
-            slot = self._n_slots
-            self._n_slots += 1
-            return slot
-
     def request(
         self, kind: str, array: np.ndarray | None = None, extra: tuple = ()
     ) -> tuple[np.ndarray | None, dict]:
         """One request/reply round trip -> ``(output array or None, meta)``.
 
-        A ``run`` result is a *read-only zero-copy view* of the pooled
-        worker-owned output slot assigned to the request; the slot (and with
-        it the underlying block) is reused only after the view and all its
-        descendants are garbage collected.  With :attr:`copy_outputs` set the
-        result is materialised and the slot released before returning.
+        A ``run`` result is copied out of the worker's reply block before
+        the lock is released, so it is an owned, writeable array that stays
+        valid after the worker replies again or is closed.
         """
         with self._lock:
             if self._closed:
                 raise WorkerClosedError("engine worker is closed")
             seq = next(self._seq)
-            out_slot = self._acquire_output_slot() if kind == "run" else None
+            block = None if array is None else self._sender.send(seq, array)
             try:
-                block = None if array is None else self._sender.send(seq, array)
-                payload = (kind, seq, block, *extra)
-                if out_slot is not None:
-                    payload = payload + (out_slot,)
-                try:
-                    self._requests.send(payload)
-                except (BrokenPipeError, OSError) as error:
-                    raise WorkerCrashError(
-                        "engine worker died before the request could be sent "
-                        f"(exit code {self._process.exitcode})"
-                    ) from error
-                message = self._wait_reply(seq)
-            except BaseException:
-                if out_slot is not None:
-                    _release_output_slot(self._slots_lock, self._slots_free, out_slot)
-                raise
-            out_block, meta = message[2], message[3]
+                self._requests.send((kind, seq, block, *extra))
+            except (BrokenPipeError, OSError) as error:
+                raise WorkerCrashError(
+                    "engine worker died before the request could be sent "
+                    f"(exit code {self._process.exitcode})"
+                ) from error
+            _ok, _seq, out_block, meta = self._wait_reply(seq)
             if out_block is None:
-                if out_slot is not None:
-                    _release_output_slot(self._slots_lock, self._slots_free, out_slot)
                 return None, meta
-            receiver = self._slot_receivers.get(out_slot)
-            if receiver is None:
-                receiver = self._slot_receivers[out_slot] = _ArrayReceiver()
-            view = receiver.view(out_block, seq)
-            if self.copy_outputs:
-                outputs = np.array(view, copy=True)
-                _release_output_slot(self._slots_lock, self._slots_free, out_slot)
-                return outputs, meta
-            view.setflags(write=False)
-            weakref.finalize(
-                view, _release_output_slot, self._slots_lock, self._slots_free, out_slot
-            )
-            return view, meta
+            return self._receiver.view(out_block, seq).copy(), meta
 
     def ping(self) -> dict:
         """A liveness round trip -> the worker's ``{"pid", "blas_threads",
@@ -869,7 +792,7 @@ class EngineWorker:
     def close(self, join_timeout: float | None = None) -> None:
         """Shut the worker down (idempotent): close request pipe, join, reap.
 
-        A worker that exited cleanly unlinked its own output block on the
+        A worker that exited cleanly unlinked its own reply block on the
         way out; a killed or crashed worker never got there, so the parent
         reclaims any block it is still attached to -- otherwise a close
         racing a dispatch strands the shared-memory segment.
@@ -896,9 +819,7 @@ class EngineWorker:
             if not self._process.is_alive():
                 self._process.close()
             self._sender.close()
-            for receiver in self._slot_receivers.values():
-                receiver.close(unlink=abnormal)
-            self._slot_receivers.clear()
+            self._receiver.close(unlink=abnormal)
             self._remove_stderr_file()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -1071,17 +992,8 @@ class ReplicaPool:
         worker-side build failures in the caller, and tears down every
         already-started replica when a later one fails to boot.
         """
-        if not model.is_calibrated:
-            raise ValueError(f"model {model.name!r} must be calibrated first")
-        spec = EngineSpec(
-            model=model,
-            config=config,
-            noise=noise,
-            micro_batch=micro_batch,
-            float32=float32,
-            sys_path=tuple(sys.path),
-            blas_threads=blas_threads,
-            plan=plan,
+        spec = _engine_spec(
+            model, config, noise, micro_batch, float32, blas_threads, plan
         )
         return cls(
             model,
@@ -1512,25 +1424,9 @@ class ReplicaPool:
         :class:`~repro.runtime.plan.ModelPlan`, so each freshly booted
         replacement boots from pre-encoded chunks instead of re-planning.
         """
-        if not model.is_calibrated:
-            raise ValueError(f"model {model.name!r} must be calibrated first")
-        spec = EngineSpec(
-            model=model,
-            config=config,
-            noise=noise,
-            micro_batch=micro_batch,
-            float32=float32,
-            sys_path=tuple(sys.path),
-            blas_threads=blas_threads,
-            plan=plan,
+        spec = _engine_spec(
+            model, config, noise, micro_batch, float32, blas_threads, plan
         )
-        try:
-            pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as error:
-            raise ValueError(
-                "engine spec is not picklable (model, config and noise must "
-                f"survive a process boundary): {error!r}"
-            ) from error
         with self._replace_lock:
             with self._cond:
                 if self._closed:

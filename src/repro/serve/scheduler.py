@@ -77,11 +77,6 @@ class BatchingPolicy:
     max_delay_s:
         Latency budget: the longest a request may wait for co-batching before
         the scheduler dispatches whatever has accumulated.
-    adaptive_delay:
-        Opt-in batch-size-aware delay: shrink the waiting budget linearly as
-        the queued samples approach ``max_batch_size``, so a nearly full
-        batch dispatches early instead of idling out the full budget waiting
-        for the last few samples (see :meth:`effective_delay_s`).
     starvation_limit_s:
         The aging rule bounding priority starvation: a model whose oldest
         pending request has waited longer than this is promoted into the
@@ -95,7 +90,6 @@ class BatchingPolicy:
 
     max_batch_size: int = 32
     max_delay_s: float = 0.002
-    adaptive_delay: bool = False
     starvation_limit_s: float = 0.25
 
     def __post_init__(self) -> None:
@@ -105,19 +99,6 @@ class BatchingPolicy:
             raise ValueError("max_delay_s must be non-negative")
         if self.starvation_limit_s <= 0:
             raise ValueError("starvation_limit_s must be positive")
-
-    def effective_delay_s(self, queued_samples: int) -> float:
-        """The waiting budget given how full the pending batch already is.
-
-        With ``adaptive_delay`` off this is always ``max_delay_s``.  With it
-        on, the budget scales by the batch's remaining headroom:
-        ``max_delay_s * (1 - queued/max_batch_size)`` -- an empty queue waits
-        the full budget, a nearly full one dispatches almost immediately.
-        """
-        if not self.adaptive_delay:
-            return self.max_delay_s
-        headroom = 1.0 - min(queued_samples / self.max_batch_size, 1.0)
-        return self.max_delay_s * headroom
 
 
 def most_urgent(candidates: list[tuple], now: float, starvation_limit_s: float) -> str:
@@ -478,9 +459,7 @@ class RequestQueue:
             if placement is None:
                 continue
             head = requests[0]
-            slack = budget_left = policy.effective_delay_s(samples) - (
-                now - head.enqueued_at
-            )
+            slack = budget_left = policy.max_delay_s - (now - head.enqueued_at)
             if slo and min_deadline is not None:
                 slack = min_deadline - now - self._predicted_latency(name, samples)
             due_in = min(budget_left, slack)

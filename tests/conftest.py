@@ -25,7 +25,7 @@ from repro.nn.synthetic import synthetic_conv_weights, synthetic_linear_weights
 def _shared_memory_blocks() -> set[str]:
     """Names of live ``multiprocessing.shared_memory`` blocks (``psm_*``).
 
-    The zero-copy transport in :mod:`repro.runtime.procpool` backs every
+    The shared-memory transport in :mod:`repro.runtime.procpool` backs every
     worker request/reply with ``/dev/shm`` blocks; a leak outlives the
     process that mapped it and eats machine memory until reboot.  On
     platforms without a visible ``/dev/shm`` this degrades to an empty set

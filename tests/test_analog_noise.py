@@ -35,13 +35,6 @@ class TestNoiseModels:
         )
         assert np.array_equal(a, b)
 
-    def test_reseed_changes_draws(self):
-        model = GaussianColumnNoise(level=0.1, seed=7)
-        a = model.apply(np.full(10, 100.0), np.zeros(10))
-        model.reseed(8)
-        b = model.apply(np.full(10, 100.0), np.zeros(10))
-        assert not np.array_equal(a, b)
-
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError):
             GaussianColumnNoise(level=-0.1)

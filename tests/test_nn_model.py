@@ -31,11 +31,6 @@ class TestModelStructure:
         assert tiny_mlp_model.total_weights() == 16 * 12 + 12 * 4
         assert tiny_mlp_model.total_macs() == 16 * 12 + 12 * 4
 
-    def test_get_layer(self, tiny_mlp_model):
-        assert tiny_mlp_model.get_layer("fc1").name == "fc1"
-        with pytest.raises(KeyError):
-            tiny_mlp_model.get_layer("missing")
-
     def test_rejects_empty_layer_list(self):
         with pytest.raises(ValueError):
             QuantizedModel("empty", [], input_shape=(4,))

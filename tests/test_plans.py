@@ -1118,6 +1118,6 @@ class TestPlanTransport:
         try:
             outputs = engine.run(inputs)
             assert np.array_equal(outputs, baseline)
-            assert not outputs.flags.writeable  # pooled zero-copy view
+            assert outputs.flags.writeable and outputs.flags.owndata
         finally:
             engine.close()

@@ -177,23 +177,37 @@ class TestSharedMemoryTransport:
     def test_blocks_grow_and_shrink_transparently(
         self, tiny_mlp_model, process_engine, rng
     ):
-        # Alternate small and oversized batches: the oversized one forces
-        # both direction blocks to grow past the minimum size, the next
-        # small one rides the grown block -- parity must hold throughout.
+        # Alternate small and oversized batches: each oversized one forces
+        # both direction blocks (16 input, 4 output float64 features per
+        # row) to grow, so each side remaps twice, and the small ones ride
+        # the grown blocks.  Parity must hold throughout, and every earlier
+        # reply must stay readable after the blocks it came through are
+        # unmapped.
         reference = reference_engine(tiny_mlp_model)
-        oversized = _MIN_BLOCK_BYTES // (16 * 8) + 7
-        for n in (3, oversized, 2):
+        oversized = _MIN_BLOCK_BYTES // (4 * 8) + 7
+        replies = []
+        for n in (3, oversized, 2, 2 * oversized, 1):
             inputs = np.abs(rng.normal(0, 1, size=(n, 16)))
-            assert np.array_equal(reference.run(inputs), process_engine.run(inputs))
+            replies.append((reference.run(inputs), process_engine.run(inputs)))
+        for expected, reply in replies:
+            assert np.array_equal(expected, reply)
 
-    def test_outputs_are_independent_copies(self, process_engine, rng):
-        # Results must be materialised out of the shared block: a later
-        # request reuses the block and must not mutate earlier results.
-        first_inputs = np.abs(rng.normal(0, 1, size=(4, 16)))
-        first = process_engine.run(first_inputs)
-        snapshot = first.copy()
-        process_engine.run(np.abs(rng.normal(0, 1, size=(4, 16))))
+    def test_outputs_are_independent_copies(self, tiny_mlp_model, rng):
+        # Results are copied out of the shared reply block: a later request
+        # reuses the block and must not mutate earlier results, and a result
+        # owns its memory, so it outlives the worker and its blocks.
+        engine = launch_one(tiny_mlp_model)
+        try:
+            first = engine.run(np.abs(rng.normal(0, 1, size=(4, 16))))
+            snapshot = first.copy()
+            engine.run(np.abs(rng.normal(0, 1, size=(4, 16))))
+            assert np.array_equal(first, snapshot)
+            assert first.flags.writeable and first.flags.owndata
+        finally:
+            engine.close()
         assert np.array_equal(first, snapshot)
+        first += 1.0
+        assert np.array_equal(first, snapshot + 1.0)
 
     def test_worker_side_timings_reported(self, process_engine, rng):
         inputs = np.abs(rng.normal(0, 1, size=(5, 16)))

@@ -67,6 +67,16 @@ class ExplodingOnUnpickle:
         os._exit(7)
 
 
+class UnpicklableNoise:
+    """A noise model that cannot cross a process boundary at all."""
+
+    def apply(self, positive_sums, negative_sums):  # pragma: no cover
+        return positive_sums - negative_sums
+
+    def __reduce__(self):
+        raise TypeError("deliberately unpicklable")
+
+
 class HangingOnUnpickle:
     """A noise model whose worker-side rebuild never finishes."""
 
@@ -395,6 +405,18 @@ class TestRegistryReplicas:
             # Without replace the duplicate is still rejected.
             with pytest.raises(ValueError, match="already registered"):
                 registry.register("mlp", tiny_mlp_model, backend="process")
+
+    def test_unpicklable_replace_leaves_the_pool_untouched(self, tiny_mlp_model, rng):
+        # The spec is checked before the roll starts: no worker is booted
+        # or retired, and the old spec keeps serving.
+        inputs = np.abs(rng.normal(0, 1, size=(4, 16)))
+        with ReplicaPool.launch(tiny_mlp_model, replicas=2) as pool:
+            before = pool.run(inputs)
+            pids = pool.replica_pids()
+            with pytest.raises(ValueError, match="not picklable"):
+                pool.replace(tiny_mlp_model, noise=UnpicklableNoise())
+            assert pool.replica_pids() == pids
+            assert np.array_equal(pool.run(inputs), before)
 
     def test_replace_swaps_backend_kinds(self, tiny_mlp_model, rng):
         inputs = np.abs(rng.normal(0, 1, size=(4, 16)))

@@ -2,14 +2,14 @@
 
 Covers the scheduler behaviours the serving tests exercise only implicitly:
 oversized single requests, a zero latency budget (immediate dispatch),
-interleaved multi-model fairness, the opt-in batch-size-aware adaptive
-delay budget, and the capacity-aware pick (busy models skipped, a release
-waking a blocked worker) -- plus property-based randomized streams
-(hypothesis) pinning the dispatch invariants: nothing lost or duplicated,
-per-model FIFO preserved, in-flight batches within capacity,
-priority-then-EDF ordering, and the starvation aging bound.  The ordering
-properties are stated once on :func:`most_urgent`, the urgency order the
-queue ranks with.
+interleaved multi-model fairness, the co-batching delay budget (the full
+``max_delay_s`` at any fill), and the capacity-aware pick (busy models
+skipped, a release waking a blocked worker) -- plus property-based
+randomized streams (hypothesis) pinning the dispatch invariants: nothing
+lost or duplicated, per-model FIFO preserved, in-flight batches within
+capacity, priority-then-EDF ordering, and the starvation aging bound.  The
+ordering properties are stated once on :func:`most_urgent`, the urgency
+order the queue ranks with.
 """
 
 import math
@@ -77,17 +77,14 @@ class TestBatchingPolicyValidation:
             BatchingPolicy(starvation_limit_s=0.0)
 
     def test_effective_delay_constant_without_adaptive(self):
+        # The budget does not shrink as a batch fills: below a full batch,
+        # a fresh head request may wait exactly ``max_delay_s``.
         policy = BatchingPolicy(max_batch_size=8, max_delay_s=0.4)
-        for queued in (0, 4, 8, 100):
-            assert policy.effective_delay_s(queued) == 0.4
-
-    def test_effective_delay_shrinks_with_fill(self):
-        policy = BatchingPolicy(max_batch_size=8, max_delay_s=0.4, adaptive_delay=True)
-        assert policy.effective_delay_s(0) == pytest.approx(0.4)
-        assert policy.effective_delay_s(4) == pytest.approx(0.2)
-        assert policy.effective_delay_s(6) == pytest.approx(0.1)
-        assert policy.effective_delay_s(8) == 0.0
-        assert policy.effective_delay_s(100) == 0.0  # clamped, never negative
+        now = 100.0
+        for queued in (1, 4, 7):
+            queue = RequestQueue()
+            queue.submit(make_request("m", samples=queued, enqueued_at=now))
+            assert queue._pick(policy, anywhere, now) == (None, None, 0.4)
 
 
 class TestRequestQueueEdgeCases:
@@ -523,24 +520,17 @@ class TestDispatchProperties:
 
 
 class TestAdaptiveDelay:
-    def test_near_full_queue_dispatches_early(self):
-        queue = RequestQueue()
-        queue.submit(make_request("m", samples=3))
-        policy = BatchingPolicy(max_batch_size=4, max_delay_s=2.0, adaptive_delay=True)
-        start = time.monotonic()
-        batch = pop(queue, policy)  # 3/4 full: budget shrinks to 0.5s
-        elapsed = time.monotonic() - start
-        assert [r.n_samples for r in batch] == [3]
-        assert elapsed < 1.5  # well under the non-adaptive 2s budget
+    """The delay budget is not adaptive: a nearly full batch waits it out."""
 
     def test_non_adaptive_waits_longer_than_adaptive_budget(self):
         queue = RequestQueue()
         queue.submit(make_request("m", samples=3))
         policy = BatchingPolicy(max_batch_size=4, max_delay_s=0.4)
         start = time.monotonic()
-        pop(queue, policy)
+        batch = pop(queue, policy)  # 3/4 full: still the whole 0.4s budget
         elapsed = time.monotonic() - start
-        assert elapsed >= 0.3  # the full (non-adaptive) budget was honoured
+        assert [r.n_samples for r in batch] == [3]
+        assert elapsed >= 0.3  # the full budget was honoured
 
 
 #: One random urgency candidate: (priority, head age in s, secondary key).
@@ -633,7 +623,7 @@ class TestUrgencyOrder:
                 busy_models.add(name)
                 continue
             slack = (
-                policy.effective_delay_s(1) - (now - request.enqueued_at)
+                policy.max_delay_s - (now - request.enqueued_at)
                 if deadline is None
                 else request.deadline_s - now
             )
