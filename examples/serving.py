@@ -2,7 +2,8 @@
 
 The serving layer turns the vectorized :class:`~repro.runtime.NetworkEngine`
 into an inference server: a :class:`~repro.serve.ModelRegistry` hosts several
-calibrated models behind one shared executor pool, and an
+calibrated models, each engine with its own executors over one shared
+weight cache, and an
 :class:`~repro.serve.InferenceServer` coalesces concurrent requests per model
 into batched engine calls (dynamic micro-batching), splitting the outputs
 back per request.  This example shows:
@@ -60,12 +61,16 @@ def main() -> None:
     rng = np.random.default_rng(0)
 
     print("== 1. Host two tenants in one registry ==")
-    registry = ModelRegistry()  # shared pool + weight cache, float32 fast path
+    registry = ModelRegistry()  # shared weight cache, float32 fast path
     # arch= builds each tenant's CostModel (per-layer energy/latency tables
     # on the paper's RAELLA architecture) for the telemetry in section 4.
     registry.register("tenant_a", make_model("model_a", seed=1), arch=RAELLA_ARCH)
     registry.register("tenant_b", make_model("model_b", seed=2), arch=RAELLA_ARCH)
-    print(f"  models: {registry.names()}, pooled executors: {len(registry.pool)}")
+    cache = registry.weight_cache
+    print(
+        f"  models: {registry.names()}, weight cache: "
+        f"{cache.hits} hits / {cache.misses} misses"
+    )
 
     print("\n== 2. Concurrent clients, dynamic micro-batching ==")
     n_clients, requests_each = 8, 12

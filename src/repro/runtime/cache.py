@@ -13,9 +13,10 @@ compiled at construction.
 
 Both caches are safe to share across threads: the multi-tenant serving layer
 (:mod:`repro.serve`) builds engines for several hosted models concurrently
-against one pool and one weight cache.  A coarse re-entrant lock guards each
-structure; encoding a layer holds the lock, which serialises construction but
-guarantees each entry is built exactly once.  Cached entries are read-only.
+against one weight cache, each engine from its own pool.  A coarse
+re-entrant lock guards each structure; encoding a layer holds the lock, which
+serialises construction but guarantees each entry is built exactly once.
+Cached entries are read-only.
 """
 
 from __future__ import annotations
@@ -121,9 +122,11 @@ class ExecutorPool:
 
     ``get`` is thread-safe; concurrent lookups of the same key build one
     executor and share it.  Note that the pooled *executors* themselves are
-    not thread-safe (statistics accumulate unguarded) -- callers that share a
-    pool across threads must serialise calls into any one executor, as
-    :class:`repro.serve.InferenceServer` does with its per-executor locks.
+    not thread-safe (statistics accumulate unguarded): engines that share a
+    pool share executors, so :class:`repro.serve.ModelRegistry` gives every
+    hosted engine its own pool, and each engine serialises its runs
+    (:meth:`NetworkEngine.run_timed
+    <repro.runtime.engine.NetworkEngine.run_timed>`).
 
     Parameters
     ----------

@@ -58,6 +58,10 @@ class NetworkEngine:
         Default number of input samples pushed through the network at a time;
         ``None`` runs the whole batch in one pass (bit-identical to calling
         the executors directly).
+
+    Executors accumulate statistics (and draw noise) unguarded, so an engine
+    must own its executors: :meth:`run_timed` serialises concurrent callers
+    on the engine's one lock.
     """
 
     def __init__(
@@ -76,6 +80,7 @@ class NetworkEngine:
         self.model = model
         self.executors = dict(executors)
         self.micro_batch = micro_batch
+        self._run_lock = threading.Lock()
         #: The compiled :class:`~repro.runtime.plan.ModelPlan` this engine was
         #: built against (``None`` when built without one).
         self.model_plan = None
@@ -199,8 +204,9 @@ class NetworkEngine:
         The same contract as :meth:`ReplicaPool.run_timed
         <repro.runtime.procpool.ReplicaPool.run_timed>`: records are
         ``(n_samples, elapsed_s, replica)`` with ``replica=None`` for an
-        in-process engine.  Only :meth:`run` is timed, so a caller that
-        takes locks first never charges lock waits to the engine.
+        in-process engine.  Concurrent calls run one at a time on the
+        engine's lock, and only :meth:`run` is timed, after the lock is
+        held, so calibration never sees a lock wait.
 
         When ``span_sink`` (a plain list) is given, one ``engine`` span dict
         is appended to it, stamped with this process's pid/tid on the
@@ -208,10 +214,13 @@ class NetworkEngine:
         tuple of trace ids) names at least one trace.
         """
         n_samples = int(np.shape(inputs)[0])
-        started_at = time.monotonic()
-        start = time.perf_counter()
-        outputs = self.run(inputs, return_codes=return_codes, micro_batch=micro_batch)
-        elapsed = time.perf_counter() - start
+        with self._run_lock:
+            started_at = time.monotonic()
+            start = time.perf_counter()
+            outputs = self.run(
+                inputs, return_codes=return_codes, micro_batch=micro_batch
+            )
+            elapsed = time.perf_counter() - start
         if span_sink is not None:
             span = {
                 "name": "engine",

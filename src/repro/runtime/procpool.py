@@ -8,8 +8,7 @@ module moves each engine into its own *process*:
 
 * :class:`EngineWorker` is the transport: it forks/spawns a child process
   that unpickles a model spec, builds a :class:`~repro.runtime.NetworkEngine`
-  (its own executor pool, its own weight cache) and serves requests from a
-  pipe until told to close.
+  (its own executors) and serves requests from a pipe until told to close.
 * Input and output arrays never travel through the pipe or the pickler.
   Arrays move through :class:`multiprocessing.shared_memory` blocks, one
   per direction, each owned by its sender (the parent owns the request
@@ -269,8 +268,9 @@ class _ArrayReceiver:
 class EngineSpec:
     """Everything a worker needs to rebuild a :class:`NetworkEngine`.
 
-    The spec is pickled once at launch; the worker builds its own executor
-    pool and weight cache from it, so no parent-side state (and none of the
+    The spec is pickled once per launch or ``replace``, and every worker of
+    that spec (restarts included) boots from the same bytes; the worker
+    builds its own engine from it, so no parent-side state (and none of the
     parent's locks) is shared.  ``sys_path`` replays the parent's import
     path so spawned workers resolve ``repro`` exactly like the parent did.
     ``blas_threads`` pins the worker's BLAS/OpenMP pools (``None`` leaves
@@ -315,8 +315,9 @@ def _engine_spec(
     float32: bool,
     blas_threads: int | None,
     plan,
-) -> EngineSpec:
-    """The spec :meth:`ReplicaPool.launch` and ``replace`` boot workers from.
+) -> tuple[EngineSpec, bytes]:
+    """The spec :meth:`ReplicaPool.launch` and ``replace`` boot workers from,
+    with its pickle.
 
     Raises :class:`ValueError` for an uncalibrated model or a spec that does
     not pickle, before any worker is started or retired.
@@ -333,22 +334,18 @@ def _engine_spec(
         blas_threads=blas_threads,
         plan=plan,
     )
-    _pickle_spec(spec)
-    return spec
+    return spec, _pickle_spec(spec)
 
 
 def _build_engine_from_spec(spec: EngineSpec):
     """Worker-side: compile the spec into a private in-process engine."""
-    from repro.runtime.cache import EncodedWeightCache, ExecutorPool
     from repro.runtime.engine import NetworkEngine
 
-    pool = ExecutorPool(weight_cache=EncodedWeightCache(), float32=spec.float32)
     return NetworkEngine.build(
         spec.model,
         spec.config,
         noise=spec.noise,
         micro_batch=spec.micro_batch,
-        pool=pool,
         float32=spec.float32,
         plan=spec.plan,
     )
@@ -578,8 +575,8 @@ def _engine_worker_main(
 def _default_start_method() -> str:
     """``fork`` where available *and* the parent is single-threaded.
 
-    Worker-side state is fork-safe (the worker builds its own pool, cache
-    and locks), but forking a multi-threaded parent can duplicate a lock
+    Worker-side state is fork-safe (the worker builds its own engine and
+    locks), but forking a multi-threaded parent can duplicate a lock
     some other thread held mid-operation -- e.g. registering a process
     backend while an :class:`~repro.serve.InferenceServer` is already
     running its scheduler/worker threads.  In that case fall back to
@@ -605,6 +602,8 @@ class EngineWorker:
     ``start_timeout_s`` bounds the boot handshake (a miss raises
     :class:`WorkerStartupError` carrying the child's stderr tail);
     ``shutdown_timeout_s`` bounds each join attempt in :meth:`close`.
+    ``spec_bytes`` is ``spec``'s pickle when the caller already holds it (a
+    :class:`ReplicaPool` pickles each spec once for all its workers).
     """
 
     def __init__(
@@ -614,10 +613,12 @@ class EngineWorker:
         name: str | None = None,
         start_timeout_s: float = _BOOT_TIMEOUT_S,
         shutdown_timeout_s: float = _SHUTDOWN_TIMEOUT_S,
+        spec_bytes: bytes | None = None,
     ):
         if start_timeout_s <= 0 or shutdown_timeout_s <= 0:
             raise ValueError("worker timeouts must be positive")
-        spec_bytes = _pickle_spec(spec)
+        if spec_bytes is None:
+            spec_bytes = _pickle_spec(spec)
         self._start_timeout_s = start_timeout_s
         self._shutdown_timeout_s = shutdown_timeout_s
         # Start the shared-memory resource tracker *before* forking so the
@@ -841,15 +842,16 @@ def _needs_pinning(noise: NoiseModel | None) -> bool:
 class WorkerHandle:
     """One replica slot of a :class:`ReplicaPool`.
 
-    Couples the slot's current :class:`EngineWorker` with the spec used to
-    (re)build it and the crash/restart bookkeeping.  The handle itself is
-    not thread-safe: ``state``/``inflight``/``worker`` transitions are
-    guarded by the owning pool's condition variable.
+    Couples the slot's current :class:`EngineWorker` with the spec (and its
+    pickle) used to (re)build it and the crash/restart bookkeeping.  The
+    handle itself is not thread-safe: ``state``/``inflight``/``worker``
+    transitions are guarded by the owning pool's condition variable.
     """
 
     def __init__(
         self,
         spec: EngineSpec,
+        spec_bytes: bytes,
         index: int = 0,
         name: str | None = None,
         start_method: str | None = None,
@@ -857,6 +859,7 @@ class WorkerHandle:
         shutdown_timeout_s: float = _SHUTDOWN_TIMEOUT_S,
     ):
         self.spec = spec
+        self.spec_bytes = spec_bytes
         self.index = index
         self.name = f"{name or spec.model.name}:r{index}"
         self.start_method = start_method
@@ -877,6 +880,7 @@ class WorkerHandle:
             name=self.name,
             start_timeout_s=self.start_timeout_s,
             shutdown_timeout_s=self.shutdown_timeout_s,
+            spec_bytes=self.spec_bytes,
         )
 
     def start(self) -> None:
@@ -909,15 +913,11 @@ class ReplicaPool:
     so the seeded RNG draw order is preserved too.
     """
 
-    #: Serving-layer contract: every executor/noise object lives in a worker
-    #: process, so dispatch must not (and cannot) take executor locks --
-    #: per-replica request serialisation happens on each worker's pipe.
-    worker_owns_state = True
-
     def __init__(
         self,
         model: QuantizedModel,
         spec: EngineSpec,
+        spec_bytes: bytes,
         replicas: int = 2,
         start_method: str | None = None,
         probe_interval_s: float = _PROBE_INTERVAL_S,
@@ -931,6 +931,7 @@ class ReplicaPool:
         self.model = model
         self._name = model.name
         self._spec = spec
+        self._spec_bytes = spec_bytes
         self._pinned = _needs_pinning(spec.noise)
         self._start_method = start_method
         self._probe_interval_s = probe_interval_s
@@ -950,7 +951,7 @@ class ReplicaPool:
         self._prober: threading.Thread | None = None
         try:
             for index in range(replicas):
-                handle = self._new_handle(spec, index)
+                handle = self._new_handle(spec, spec_bytes, index)
                 handle.start()
                 self._handles.append(handle)
         except BaseException:
@@ -992,12 +993,13 @@ class ReplicaPool:
         worker-side build failures in the caller, and tears down every
         already-started replica when a later one fails to boot.
         """
-        spec = _engine_spec(
+        spec, spec_bytes = _engine_spec(
             model, config, noise, micro_batch, float32, blas_threads, plan
         )
         return cls(
             model,
             spec,
+            spec_bytes,
             replicas=replicas,
             start_method=start_method,
             probe_interval_s=probe_interval_s,
@@ -1005,9 +1007,12 @@ class ReplicaPool:
             shutdown_timeout_s=shutdown_timeout_s,
         )
 
-    def _new_handle(self, spec: EngineSpec, index: int) -> WorkerHandle:
+    def _new_handle(
+        self, spec: EngineSpec, spec_bytes: bytes, index: int
+    ) -> WorkerHandle:
         return WorkerHandle(
             spec,
+            spec_bytes,
             index=index,
             name=self._name,
             start_method=self._start_method,
@@ -1291,7 +1296,7 @@ class ReplicaPool:
             if self._closed or handle.state != _DEAD:
                 return
             handle.state = _RESTARTING
-            handle.spec = self._spec
+            handle.spec, handle.spec_bytes = self._spec, self._spec_bytes
         old = handle.worker
         if old is not None:
             old.close()  # reap the corpse; reclaims its shared-memory blocks
@@ -1424,7 +1429,7 @@ class ReplicaPool:
         :class:`~repro.runtime.plan.ModelPlan`, so each freshly booted
         replacement boots from pre-encoded chunks instead of re-planning.
         """
-        spec = _engine_spec(
+        spec, spec_bytes = _engine_spec(
             model, config, noise, micro_batch, float32, blas_threads, plan
         )
         with self._replace_lock:
@@ -1434,21 +1439,23 @@ class ReplicaPool:
                 target = len(self._handles) if replicas is None else int(replicas)
                 if target < 1:
                     raise ValueError("replicas must be >= 1")
-                self._spec = spec
+                self._spec, self._spec_bytes = spec, spec_bytes
                 self.model = model
                 self._name = model.name
                 self._pinned = _needs_pinning(spec.noise)
                 current = list(self._handles)
             for handle in current[:target]:
-                self._swap_handle(handle, spec)
-            self._resize_to(target, spec)
+                self._swap_handle(handle, spec, spec_bytes)
+            self._resize_to(target, spec, spec_bytes)
 
-    def _swap_handle(self, handle: WorkerHandle, spec: EngineSpec) -> None:
+    def _swap_handle(
+        self, handle: WorkerHandle, spec: EngineSpec, spec_bytes: bytes
+    ) -> None:
         """Boot a fresh worker for one slot, then retire its old worker."""
         with self._cond:
             if self._closed or handle.state == _CLOSED:
                 return
-            handle.spec = spec
+            handle.spec, handle.spec_bytes = spec, spec_bytes
         worker = handle.spawn()  # slow; the old replica keeps serving meanwhile
         with self._cond:
             deadline = time.monotonic() + self._start_timeout_s
@@ -1471,14 +1478,14 @@ class ReplicaPool:
         elif old is not None:
             old.close()
 
-    def _resize_to(self, target: int, spec: EngineSpec) -> None:
+    def _resize_to(self, target: int, spec: EngineSpec, spec_bytes: bytes) -> None:
         """Grow or shrink the pool to ``target`` slots (replace_lock held)."""
         while True:
             with self._cond:
                 if self._closed or len(self._handles) >= target:
                     break
                 index = len(self._handles)
-            handle = self._new_handle(spec, index)
+            handle = self._new_handle(spec, spec_bytes, index)
             handle.start()
             with self._cond:
                 if self._closed:

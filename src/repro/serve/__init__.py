@@ -5,10 +5,10 @@ this package turns :class:`~repro.runtime.NetworkEngine` into that serving
 layer:
 
 * :mod:`repro.serve.registry` -- :class:`ModelRegistry` hosts several
-  calibrated models side by side behind one shared
-  :class:`~repro.runtime.ExecutorPool` / :class:`~repro.runtime.EncodedWeightCache`
-  (identical weights share encoded crossbars across tenants), with the
-  runtime's float32 GEMM fast path enabled by default.
+  calibrated models side by side, each engine with its own executors over
+  one shared :class:`~repro.runtime.EncodedWeightCache` (identical weights
+  share encoded crossbars across tenants), with the runtime's float32 GEMM
+  fast path enabled by default.
   ``register(..., backend="process", replicas=N)`` hosts a model in a
   self-healing :class:`~repro.runtime.ReplicaPool` of worker processes
   with a zero-copy shared-memory request path, sidestepping the GIL for

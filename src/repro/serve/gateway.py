@@ -262,18 +262,14 @@ class AsyncGateway:
                 engine = registry.engine(name)
             except KeyError:  # unregistered between names() and engine()
                 continue
+            pool_health = getattr(engine, "pool_health", None)
             entry: dict = {
                 "name": name,
                 "tenant": tenants.get(name, name),
-                "backend": (
-                    "process"
-                    if getattr(engine, "worker_owns_state", False)
-                    else "thread"
-                ),
+                "backend": "thread" if pool_health is None else "process",
                 "backlog_samples": backlog.get(name, 0),
                 "dispatch_width": int(getattr(engine, "dispatch_width", 1)),
             }
-            pool_health = getattr(engine, "pool_health", None)
             if pool_health is not None:
                 entry["replicas"] = pool_health()
             models.append(entry)

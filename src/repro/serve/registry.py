@@ -1,14 +1,14 @@
-"""Multi-tenant model hosting behind one shared executor pool.
+"""Multi-tenant model hosting: one engine per name over shared caches.
 
 :class:`ModelRegistry` holds several calibrated models side by side, each
 compiled into its own :class:`~repro.runtime.NetworkEngine` (or, with
 ``backend="process"``, a :class:`~repro.runtime.ReplicaPool` of worker
-processes), while every in-process engine draws its executors from one
-shared :class:`~repro.runtime.ExecutorPool` and one shared
-:class:`~repro.runtime.EncodedWeightCache`.  Tenants with identical layer
-weights (fine-tuned model families, A/B variants) therefore share encoded
-crossbars automatically, and re-registering a model after eviction re-uses its
-pooled executors outright.
+processes).  Every in-process engine owns its executors, so no two hosted
+names share executor state and each engine's statistics count only its own
+batches.  What tenants do share is read-only: one
+:class:`~repro.runtime.EncodedWeightCache`, so tenants with identical layer
+weights (fine-tuned model families, A/B variants) share encoded crossbars
+automatically, and one plan cache.
 
 The registry keeps the runtime's default of float32 GEMMs: they silently
 degrade to float64 per chunk wherever exactness cannot be proven, so they are
@@ -20,9 +20,10 @@ encoded chunks, bit-plane and phase tables, GEMM operand views with proven
 dtypes -- derived once and then *executed* by both backends.  Plans live in
 a :class:`~repro.runtime.ModelPlanCache` keyed by weight fingerprints plus
 the frozen config (the same discipline as the encoded-weight cache), so
-re-registering an unchanged model -- a thread<->process backend swap, a
-rolling ``replace`` -- reuses the exact plan object, while any weight or
-config change compiles a fresh one.
+re-registering an unchanged model -- a second name, a thread<->process
+backend swap, a rolling ``replace`` -- boots fresh executors from the exact
+plan object without re-encoding any weight, while any weight or config
+change compiles a fresh one.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from repro.runtime.cache import EncodedWeightCache, ExecutorPool, ModelPlanCache
 from repro.runtime.engine import NetworkEngine
 from repro.runtime.plan import ModelPlan, compile_model_plan
 from repro.runtime.procpool import ReplicaPool
-from repro.runtime.vectorized import VectorizedLayerExecutor
 from repro.telemetry.cost import CostModel
 
 __all__ = ["ModelRegistry"]
@@ -48,17 +48,13 @@ class ModelRegistry:
 
     Parameters
     ----------
-    pool:
-        Executor pool shared by every hosted engine; built fresh (with its own
-        weight cache) when omitted.
     float32:
         Default for the float32 GEMM fast path of newly registered engines.
     """
 
-    def __init__(self, pool: ExecutorPool | None = None, float32: bool = True):
-        if pool is None:
-            pool = ExecutorPool(weight_cache=EncodedWeightCache(), float32=float32)
-        self.pool = pool
+    def __init__(self, float32: bool = True):
+        #: Encoded crossbar chunks shared by every hosted engine's executors.
+        self.weight_cache = EncodedWeightCache()
         self.float32 = float32
         self._engines: dict[str, NetworkEngine] = {}
         # Compiled execution plans: the LRU cache deduplicates across hosted
@@ -77,11 +73,6 @@ class ModelRegistry:
         # Bumped on every (un)registration; servers use it to invalidate
         # their per-name cost-model wiring caches when tenants change.
         self.generation = 0
-
-    @property
-    def weight_cache(self) -> EncodedWeightCache | None:
-        """The encoded-weight cache behind the shared pool."""
-        return self.pool.weight_cache
 
     def register(
         self,
@@ -105,16 +96,21 @@ class ModelRegistry:
         (default 1): each worker builds a private in-process engine from the
         pickled model spec and serves ``run()`` calls over a shared-memory
         request path, bit-identical to the default in-process (``"thread"``)
-        backend.  Process-backed engines own all their mutable state, so the
-        server dispatches to them without executor locks and replicas of one
-        model (as well as different models) execute truly in parallel; a
-        crashed replica is restarted automatically and its in-flight batch
-        requeued onto a sibling.  ``blas_threads`` pins each worker's
-        BLAS/OpenMP pools (default one thread per worker) so replicas divide
-        the machine instead of oversubscribing it.  The workers are shut
-        down cleanly by :meth:`unregister` (or :meth:`close`).  Process
-        backends build their pool and weight cache worker-side, so they do
-        not share encodings with this registry's pool.
+        backend.  Replicas of one model (as well as different models)
+        execute truly in parallel; a crashed replica is restarted
+        automatically and its in-flight batch requeued onto a sibling.
+        ``blas_threads`` pins each worker's BLAS/OpenMP pools (default one
+        thread per worker) so replicas divide the machine instead of
+        oversubscribing it.  The workers are shut down cleanly by
+        :meth:`unregister` (or :meth:`close`).
+
+        Every registration builds fresh executors: the in-process engine
+        from its own :class:`~repro.runtime.ExecutorPool`, each worker from
+        the pickled plan.  They boot from the model's cached
+        :class:`~repro.runtime.plan.ModelPlan` (compiling it on a miss,
+        through this registry's weight cache), so registering a model again
+        -- under a second name, or after eviction -- re-encodes nothing,
+        while no two hosted names share an executor.
 
         ``replace=True`` re-registers an existing name in place.  When the
         old and new backend are both ``"process"``, the new spec is *rolled*
@@ -147,9 +143,9 @@ class ModelRegistry:
         if replicas is not None and replicas > 1 and backend != "process":
             raise ValueError("replicas > 1 requires backend='process'")
         use_float32 = self.float32 if float32 is None else float32
-        # Reserve the name, then build outside the registry lock so
-        # concurrent tenant registrations overlap their compilation work
-        # (the pool/cache locks already make the shared structures safe).
+        # Reserve the name, then build outside the registry lock so a slow
+        # compile never blocks lookups of the hosted tenants (the caches'
+        # own locks keep the shared structures safe).
         rolling: ReplicaPool | None = None
         with self._lock:
             if name in self._reserved:
@@ -164,7 +160,24 @@ class ModelRegistry:
                 self._reserved.add(name)
         try:
             cost_model = None if arch is None else CostModel.from_model(model, arch)
-            plan = self._compile_plan(model, config, noise, use_float32, micro_batch)
+            pool = ExecutorPool(weight_cache=self.weight_cache, float32=use_float32)
+            resolved_config = config if config is not None else PimLayerConfig()
+            key = ModelPlan.cache_key(
+                model, resolved_config, noise, use_float32, micro_batch
+            )
+            # On a miss the compile builds this engine's executors in
+            # ``pool``; on a hit they boot from the cached plan's chunks.
+            plan = self._plan_cache.get_or_compile(
+                key,
+                lambda: compile_model_plan(
+                    model,
+                    resolved_config,
+                    noise=noise,
+                    float32=use_float32,
+                    micro_batch=micro_batch,
+                    pool=pool,
+                ),
+            )
             if rolling is not None:
                 rolling.replace(
                     model,
@@ -194,7 +207,7 @@ class ModelRegistry:
                     config,
                     noise=noise,
                     micro_batch=micro_batch,
-                    pool=self.pool,
+                    pool=pool,
                     float32=use_float32,
                     plan=plan,
                 )
@@ -206,10 +219,7 @@ class ModelRegistry:
             self._reserved.discard(name)
             old = self._engines.get(name)
             self._engines[name] = engine
-            if plan is not None:
-                self._plans[name] = plan
-            else:
-                self._plans.pop(name, None)
+            self._plans[name] = plan
             # A replace rebinds the name's metadata wholesale: stale cost
             # tables or tenant labels must not outlive the model they
             # described.
@@ -226,51 +236,12 @@ class ModelRegistry:
                 closer()
         return engine
 
-    def _compile_plan(
-        self,
-        model: QuantizedModel,
-        config: PimLayerConfig | None,
-        noise: NoiseModel | None,
-        float32: bool,
-        micro_batch: int | None,
-    ) -> ModelPlan | None:
-        """Compile (or fetch from cache) the model's execution plan.
-
-        Returns ``None`` for pools built around a non-vectorized executor
-        factory: they have nothing to plan.  The cache key is weight fingerprints + frozen
-        config, so a re-registration with unchanged weights and config --
-        backend swap, rolling replace -- returns the *same* plan object,
-        while a changed :class:`PimLayerConfig` or re-quantized weights
-        compile a fresh one; an evicted/changed entry simply falls out of
-        the LRU, no generation-wide invalidation is needed.
-        """
-        if not issubclass(self.pool.executor_factory, VectorizedLayerExecutor):
-            return None
-        resolved_config = config if config is not None else PimLayerConfig()
-        key = ModelPlan.cache_key(model, resolved_config, noise, float32, micro_batch)
-        return self._plan_cache.get_or_compile(
-            key,
-            lambda: compile_model_plan(
-                model,
-                resolved_config,
-                noise=noise,
-                float32=float32,
-                micro_batch=micro_batch,
-                pool=self.pool,
-            ),
-        )
-
-    def plan(self, name: str) -> ModelPlan | None:
-        """The compiled plan the named engine runs (``None`` on a non-vectorized pool)."""
+    def plan(self, name: str) -> ModelPlan:
+        """The compiled plan the named engine runs."""
         with self._lock:
             if name not in self._engines:
                 raise KeyError(f"no model registered under {name!r}")
-            return self._plans.get(name)
-
-    @property
-    def plan_cache(self) -> ModelPlanCache:
-        """The fingerprint-keyed LRU cache behind :meth:`plan`."""
-        return self._plan_cache
+            return self._plans[name]
 
     def register_fleet(
         self,
@@ -383,7 +354,7 @@ class ModelRegistry:
             return {name: self._tenants.get(name, name) for name in names}
 
     def unregister(self, name: str) -> bool:
-        """Drop a hosted model (its pooled executors stay cached for reuse).
+        """Drop a hosted model (its compiled plan stays cached for reuse).
 
         Idempotent: returns ``True`` when the name was dropped, ``False``
         when nothing was registered under it (e.g. a concurrent unregister
@@ -458,4 +429,4 @@ class ModelRegistry:
             return len(self._engines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ModelRegistry(models={self.names()}, pool_executors={len(self.pool)})"
+        return f"ModelRegistry(models={self.names()})"

@@ -24,19 +24,21 @@ Threading model:
   batch and releases its in-flight samples before the futures resolve.
   Batches of different models run concurrently, batches of the same model
   start in formation order;
-* engine access is additionally serialised per *executor* (locks acquired in
-  a global order), because the shared :class:`~repro.runtime.ExecutorPool`
-  can back several hosted names with the same executors (e.g. one model
-  registered twice, or tenants sharing layer objects), and executors
-  accumulate statistics and noise state unguarded;
+* every hosted engine owns its executors (the registry builds them per
+  registration), so the server takes no locks around a run.
+  ``engine.run_timed`` serialises an in-process engine on the engine's own
+  lock, which only a fleet batch rerouted onto a busy variant, or a second
+  server over the same registry, ever waits on.  Two engines sharing one
+  seeded noise model draw through NumPy's ``Generator``, which locks each
+  draw;
 * process-backed engines (:class:`~repro.runtime.ReplicaPool`,
-  ``ModelRegistry.register(..., backend="process", replicas=N)``) take no
-  executor locks at all -- each worker process owns every executor and
-  serialises its own request pipe, so two process-backed models execute
-  truly in parallel while their worker-side engine timings still feed
-  telemetry calibration.  A pool advertising ``dispatch_width > 1`` also
-  runs up to that many *same-model* batches concurrently (one per healthy
-  replica); single-width engines run one batch per model at a time.
+  ``ModelRegistry.register(..., backend="process", replicas=N)``) keep
+  every executor in a worker process that serialises its own request pipe,
+  so two process-backed models execute truly in parallel while their
+  worker-side engine timings still feed telemetry calibration.  A pool
+  advertising ``dispatch_width > 1`` also runs up to that many
+  *same-model* batches concurrently (one per healthy replica);
+  single-width engines run one batch per model at a time.
 
 Results are bit-identical to calling ``engine.run`` directly on each request's
 inputs whenever the engine is deterministic (the default noiseless setup):
@@ -52,7 +54,6 @@ import copy
 import itertools
 import threading
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,21 +139,6 @@ class ServerStatistics:
         if self.requests_completed == 0:
             return 0.0
         return self.queue_wait_s / self.requests_completed
-
-
-@dataclass
-class _EngineLockEntry:
-    """One per-executor/per-noise lock plus its in-flight reference count.
-
-    ``refs`` counts batches the lock has been handed to but that have not
-    finished executing yet; pruning must keep such entries even when their
-    model has been unregistered, because re-registering the same pooled
-    executor must map onto the *same* lock while any batch still holds (or
-    is about to take) it.
-    """
-
-    lock: threading.Lock = field(default_factory=threading.Lock)
-    refs: int = 0
 
 
 class InferenceServer:
@@ -263,16 +249,6 @@ class InferenceServer:
         self._queue = self._make_queue()
         self._stats = ServerStatistics()
         self._stats_lock = threading.Lock()
-        # Per-executor/per-noise lock entries, keyed by object id.  The
-        # table is pruned whenever the registry generation changes (see
-        # _engine_locks), so long-running servers that register/unregister
-        # tenants do not leak lock entries; entries handed to an in-flight
-        # batch (refs > 0) survive pruning so a concurrently re-registered
-        # model reusing the same pooled executor keeps serialising on the
-        # same lock.
-        self._executor_locks: dict[int, _EngineLockEntry] = {}
-        self._locks_generation = -1
-        self._locks_guard = threading.Lock()
         self._workers: list[threading.Thread] = []
 
     # -- lifecycle -------------------------------------------------------------
@@ -703,86 +679,6 @@ class InferenceServer:
 
     # -- workers ---------------------------------------------------------------
 
-    @staticmethod
-    def _engine_lock_ids(engine) -> set[int]:
-        """Ids of the engine's shared mutable objects (executors + noise)."""
-        from repro.analog.noise import NoiselessModel
-
-        lock_ids = {id(executor) for executor in engine.executors.values()}
-        lock_ids.update(
-            id(executor.noise)
-            for executor in engine.executors.values()
-            if not isinstance(executor.noise, NoiselessModel)
-        )
-        return lock_ids
-
-    def _live_lock_ids(self) -> set[int]:
-        """Lock ids backed by an engine currently hosted in the registry."""
-        live: set[int] = set()
-        for name in self.registry.names():
-            try:
-                engine = self.registry.engine(name)
-            except KeyError:  # unregistered between names() and engine()
-                continue
-            if getattr(engine, "worker_owns_state", False):
-                continue  # process-backed: no parent-side executor state
-            live.update(self._engine_lock_ids(engine))
-        return live
-
-    def _engine_locks(self, engine) -> list[_EngineLockEntry]:
-        """Lock entries covering the engine's shared mutable state, id-sorted.
-
-        The shared pool can back different hosted names with the same
-        executor instances, and different engines can share one stateful
-        (seeded) noise model whose RNG is not thread-safe -- so locks are
-        keyed per executor *and* per stateful noise object rather than per
-        model name.  The global id-sorted acquisition order makes taking
-        several locks deadlock-free.
-
-        The table is bounded: whenever the registry generation moves (a
-        model was (un)registered), entries whose id no longer belongs to a
-        hosted engine are dropped -- *except* entries some in-flight batch
-        is still using (``refs > 0``).  Keeping in-use entries is a
-        correctness requirement, not just politeness: unregistering a model
-        mid-batch and re-registering it (its executors stay cached in the
-        shared pool) must map the same executor onto the same lock, or two
-        batches would run one unguarded executor concurrently.  Each
-        returned entry's ``refs`` is incremented here; the caller must pair
-        this with :meth:`_release_engine_locks`.  A recycled id can at
-        worst share a lock until the next pruning pass (harmless extra
-        serialisation), never accumulate forever.
-        """
-        lock_ids = self._engine_lock_ids(engine)
-        # Snapshot the live ids *before* taking the guard: the
-        # O(models x executors) registry scan must not stall every other
-        # worker's lock lookup.  The unguarded generation read can only be
-        # stale, which at worst defers (or redoes) one pruning pass; the
-        # refs > 0 rule keeps any in-flight entry safe regardless.
-        generation = self.registry.generation
-        stale = generation != self._locks_generation
-        live = self._live_lock_ids() if stale else None
-        with self._locks_guard:
-            if live is not None and self._locks_generation < generation:
-                self._executor_locks = {
-                    lock_id: entry
-                    for lock_id, entry in self._executor_locks.items()
-                    if lock_id in live or entry.refs > 0
-                }
-                self._locks_generation = generation
-            entries = [
-                self._executor_locks.setdefault(lock_id, _EngineLockEntry())
-                for lock_id in sorted(lock_ids)
-            ]
-            for entry in entries:
-                entry.refs += 1
-            return entries
-
-    def _release_engine_locks(self, entries: list[_EngineLockEntry]) -> None:
-        """Drop the in-flight references taken by :meth:`_engine_locks`."""
-        with self._locks_guard:
-            for entry in entries:
-                entry.refs -= 1
-
     def _work(self) -> None:
         """One worker: form the most urgent startable batch, run it, repeat."""
         queue = self._queue
@@ -913,8 +809,13 @@ class InferenceServer:
             while True:
                 try:
                     engine = self.registry.engine(engine_name)
-                    outputs, engine_time, engine_records = self._run_engine(
-                        engine, inputs, sink, trace_ctx
+                    # One call for both backends: it times the run (the
+                    # worker does, for a replica pool, so calibration
+                    # never sees IPC), returns its engine-run records and
+                    # appends its ``engine`` span to ``sink``; a pool also
+                    # requeues a crashed replica's batch onto a sibling.
+                    outputs, engine_time, engine_records = engine.run_timed(
+                        inputs, trace_ctx=trace_ctx, span_sink=sink
                     )
                     break
                 except BaseException:
@@ -1015,37 +916,6 @@ class InferenceServer:
         finally:
             for request, result in zip(requests, results):
                 request.future._set_result(result)
-
-    def _run_engine(
-        self,
-        engine,
-        inputs: np.ndarray,
-        sink: list[dict] | None,
-        trace_ctx: tuple | None,
-    ) -> tuple[np.ndarray, float, list[tuple]]:
-        """Run one coalesced batch on ``engine``; returns outputs + timings.
-
-        Both backends take one path: hold the executor locks, then let
-        ``engine.run_timed`` time the run, return its engine-run records and
-        append its ``engine`` span to ``sink``.  Timing starts once the
-        locks are held, so telemetry calibration never sees lock waits.
-        Process-backed engines (``worker_owns_state``) take no locks: all
-        mutable state lives in the worker, which serialises its own requests
-        and times the run itself, so calibration never sees IPC cost.  A
-        replica pool also absorbs worker crashes inside ``run_timed`` by
-        requeueing the batch onto a healthy sibling.
-        """
-        if getattr(engine, "worker_owns_state", False):
-            entries = []
-        else:
-            entries = self._engine_locks(engine)
-        try:
-            with ExitStack() as stack:
-                for entry in entries:
-                    stack.enter_context(entry.lock)
-                return engine.run_timed(inputs, trace_ctx=trace_ctx, span_sink=sink)
-        finally:
-            self._release_engine_locks(entries)
 
     def _finish_traces(
         self,

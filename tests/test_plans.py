@@ -1023,7 +1023,6 @@ class TestRegistryPlanCache:
         registry.register("mlp", tiny_mlp_model)
         plan = registry.plan("mlp")
         assert isinstance(plan, ModelPlan)
-        assert registry.plan_cache.misses == 1
         with pytest.raises(KeyError):
             registry.plan("nope")
         registry.close()
@@ -1038,7 +1037,6 @@ class TestRegistryPlanCache:
         second = registry.plan("mlp")
         assert second is not first
         assert second.config != first.config
-        assert registry.plan_cache.misses == 2
         registry.close()
 
     def test_unchanged_reregistration_reuses_plan_identity(self, tiny_mlp_model):
@@ -1047,7 +1045,6 @@ class TestRegistryPlanCache:
         first = registry.plan("mlp")
         registry.register("mlp", tiny_mlp_model, replace=True)
         assert registry.plan("mlp") is first
-        assert registry.plan_cache.hits >= 1
         registry.close()
 
     def test_backend_swap_reuses_plan_and_stays_bit_identical(
@@ -1086,18 +1083,6 @@ class TestRegistryPlanCache:
             assert np.array_equal(registry.engine("mlp").run(inputs), before)
         finally:
             registry.close()
-
-    def test_non_vectorized_pools_have_no_plan(self, tiny_mlp_model, rng):
-        inputs = np.abs(rng.normal(0, 1, size=(4, 16)))
-        registry = ModelRegistry(
-            pool=ExecutorPool(weight_cache=None, executor_factory=PimLayerExecutor)
-        )
-        engine = registry.register("mlp", tiny_mlp_model)
-        assert registry.plan("mlp") is None
-        assert np.array_equal(
-            engine.run(inputs), NetworkEngine.build(tiny_mlp_model).run(inputs)
-        )
-        registry.close()
 
     def test_unregister_keeps_cache_warm(self, tiny_mlp_model):
         registry = ModelRegistry()

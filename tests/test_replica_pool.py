@@ -222,6 +222,35 @@ class TestSelfHealing:
             assert victim not in pool.replica_pids()
             assert np.array_equal(pool.run(inputs), expected)
 
+    def test_each_spec_is_pickled_once_for_all_its_workers(
+        self, tiny_mlp_model, rng, monkeypatch
+    ):
+        # Launch, crash-restarts and a rolling replace boot every worker of
+        # one spec from the bytes checked when the spec was made.
+        pickles = []
+        original = procpool._pickle_spec
+
+        def counting_pickle(spec):
+            pickles.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(procpool, "_pickle_spec", counting_pickle)
+        inputs = np.abs(rng.normal(0, 1, size=(4, 16)))
+        expected = reference_engine(tiny_mlp_model).run(inputs)
+        with ReplicaPool.launch(
+            tiny_mlp_model, replicas=2, probe_interval_s=0.05
+        ) as pool:
+            assert len(pickles) == 1
+            os.kill(pool.replica_pids()[0], signal.SIGKILL)
+            assert wait_until(
+                lambda: pool.restart_count >= 1 and pool.healthy_replicas == 2
+            )
+            assert len(pickles) == 1
+            pool.replace(tiny_mlp_model, replicas=3)
+            assert len(pickles) == 2
+            assert pool.healthy_replicas == 3
+            assert np.array_equal(pool.run(inputs), expected)
+
     def test_startup_crash_raises_typed_error_with_stderr_tail(self, tiny_mlp_model):
         with pytest.raises(WorkerStartupError, match="failed to start") as info:
             ReplicaPool.launch(tiny_mlp_model, noise=ExplodingOnUnpickle(), replicas=1)

@@ -1,13 +1,15 @@
 """Thread-safety regression tests for the runtime caches under serving load.
 
 The multi-tenant server registers models and serves batches from several
-threads against one :class:`~repro.runtime.ExecutorPool` and one
-:class:`~repro.runtime.EncodedWeightCache`.  These tests hammer both from
-thread barriers and assert the invariants the serving layer relies on: one
-build per key, consistent LRU bookkeeping, and no lost or duplicated entries.
+threads against one :class:`~repro.runtime.EncodedWeightCache`, each engine
+over its own :class:`~repro.runtime.ExecutorPool`.  These tests hammer the
+caches from thread barriers and assert the invariants the serving layer
+relies on: one build per key, consistent LRU bookkeeping, no lost or
+duplicated entries, and one run at a time per engine.
 """
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -138,11 +140,42 @@ class TestRegistryConcurrency:
             model.calibrate(np.abs(rng.normal(0, 1, size=(16, 8))))
             models.append(model)
 
-        run_in_threads(lambda i: registry.register(f"tenant_{i}", models[i]))
+        engines = run_in_threads(lambda i: registry.register(f"tenant_{i}", models[i]))
         assert len(registry) == N_THREADS
-        assert len(registry.pool) == N_THREADS
+        # Each one-layer tenant encoded once and owns its one executor.
+        assert registry.weight_cache.misses == N_THREADS
+        executors = {id(e) for engine in engines for e in engine.executors.values()}
+        assert len(executors) == N_THREADS
         # Every tenant still serves correct results after the stampede.
         inputs = np.abs(rng.normal(0, 1, size=(2, 8)))
         for index in range(N_THREADS):
             outputs = registry.engine(f"tenant_{index}").run(inputs)
             assert outputs.shape == (2, 4)
+
+
+class TestEngineConcurrency:
+    def test_run_timed_runs_one_batch_at_a_time(self, tiny_mlp_model, rng):
+        engine = NetworkEngine.build(tiny_mlp_model)
+        original_run = engine.run
+        active, peak = [0], [0]
+        guard = threading.Lock()
+
+        def counting_run(inputs, **kwargs):
+            with guard:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            time.sleep(0.02)  # long enough for the other threads to pile up
+            try:
+                return original_run(inputs, **kwargs)
+            finally:
+                with guard:
+                    active[0] -= 1
+
+        engine.run = counting_run
+        inputs = np.abs(rng.normal(0, 1, size=(2, 16)))
+        results = run_in_threads(lambda i: engine.run_timed(inputs)[0], n_threads=4)
+        assert peak[0] == 1
+        assert all(np.array_equal(result, results[0]) for result in results)
+        assert engine.network_statistics().n_inputs == 4 * len(inputs) * len(
+            tiny_mlp_model.matmul_layers()
+        )

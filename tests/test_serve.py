@@ -6,6 +6,7 @@ coalescing requests and the float32 GEMM fast path are pure
 scheduling/throughput changes.
 """
 
+import sys
 import threading
 import time
 
@@ -152,7 +153,8 @@ class TestModelRegistry:
 
         registry = ModelRegistry()
         registry.register("a", tiny_mlp_model)
-        assert len(registry.pool) == len(tiny_mlp_model.matmul_layers())
+        # One encoding per layer, through the registry's shared weight cache.
+        assert registry.weight_cache.misses == len(tiny_mlp_model.matmul_layers())
         # A twin tenant with identical weight codes reuses the encodings.
         weights = synthetic_linear_weights(4, 8, rng)
         twins = []
@@ -261,17 +263,55 @@ class TestInferenceServer:
         stacked = np.concatenate([results[i] for i in range(12)], axis=0)
         assert np.array_equal(stacked, direct)
 
-    def test_shared_noise_model_locks_overlap(self, tiny_mlp_model, tiny_conv_model):
-        # Engines with disjoint executors but one shared seeded noise RNG
-        # must serialise through a common lock (Generator is not thread-safe).
-        noise = GaussianColumnNoise(level=0.05, seed=1)
-        registry = ModelRegistry()
-        registry.register("a", tiny_mlp_model, noise=noise)
-        registry.register("b", tiny_conv_model, noise=noise)
-        server = InferenceServer(registry)
-        locks_a = set(map(id, server._engine_locks(registry.engine("a"))))
-        locks_b = set(map(id, server._engine_locks(registry.engine("b"))))
-        assert locks_a & locks_b
+    def test_shared_seeded_noise_draws_match_sequential_runs(
+        self, tiny_mlp_model, tiny_conv_model, rng
+    ):
+        # Two engines sharing one seeded noise model take no common lock:
+        # NumPy's Generator locks each draw, and every phase is drawn
+        # whatever the values, so concurrent runs consume the stream exactly
+        # as far as the same runs one after the other.
+        batches = {
+            "a": [np.abs(rng.normal(0, 1, size=(2, 16))) for _ in range(30)],
+            "b": [np.abs(rng.normal(0, 1, size=(2, 3, 8, 8))) for _ in range(30)],
+        }
+
+        def host():
+            noise = GaussianColumnNoise(level=0.05, seed=7)
+            registry = ModelRegistry()
+            registry.register("a", tiny_mlp_model, noise=noise)
+            registry.register("b", tiny_conv_model, noise=noise)
+            return registry, noise
+
+        def run_all(registry, name):
+            engine = registry.engine(name)
+            for inputs in batches[name]:
+                engine.run_timed(inputs)
+
+        sequential, sequential_noise = host()
+        for name in ("a", "b"):
+            run_all(sequential, name)
+        concurrent, concurrent_noise = host()
+        threads = [
+            threading.Thread(target=run_all, args=(concurrent, name))
+            for name in ("a", "b")
+        ]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two engines' draws often
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert (
+            concurrent_noise._rng.bit_generator.state
+            == sequential_noise._rng.bit_generator.state
+        )
+        assert concurrent_noise._rng.bit_generator.state != (
+            GaussianColumnNoise(level=0.05, seed=7)._rng.bit_generator.state
+        )
 
     def test_unknown_model_rejected_at_submit(self, registry, rng):
         server = InferenceServer(registry)
@@ -406,46 +446,6 @@ class TestInferenceServer:
             server.submit("mlp", np.zeros((1, 16)))
         assert server.admission.counters() == before
 
-    def test_pruning_keeps_in_flight_lock_entries(self, registry, tiny_conv_model):
-        # An unregistered model's lock entries must survive pruning while a
-        # batch still uses them: re-registering the same pooled executors
-        # has to land on the same locks, or two batches could run one
-        # unguarded executor concurrently.
-        server = InferenceServer(registry)
-        in_flight = server._engine_locks(registry.engine("mlp"))
-        mlp_ids = set(server._executor_locks)
-        registry.register("conv", tiny_conv_model)
-        registry.unregister("mlp")  # generation change; mlp no longer live
-        conv_entries = server._engine_locks(registry.engine("conv"))  # prunes
-        assert mlp_ids <= set(server._executor_locks)  # kept: refs > 0
-        server._release_engine_locks(in_flight)
-        server._release_engine_locks(conv_entries)
-        registry.unregister("conv")  # generation change with refs drained
-        registry.register("conv_again", tiny_conv_model)
-        server._engine_locks(registry.engine("conv_again"))
-        assert not mlp_ids & set(server._executor_locks)
-
-    def test_executor_lock_table_stays_bounded(self, rng):
-        # Register/unregister churn must not leak _executor_locks entries:
-        # the table prunes to the live registry on generation change.
-        from repro.nn.layers import Linear
-        from repro.nn.model import QuantizedModel
-        from repro.nn.synthetic import synthetic_linear_weights
-
-        registry = ModelRegistry()
-        inputs = np.abs(rng.normal(0, 1, size=(2, 8)))
-        with InferenceServer(registry) as server:
-            for i in range(8):
-                layer = Linear(f"fc_{i}", synthetic_linear_weights(4, 8, rng))
-                model = QuantizedModel(f"m{i}", [layer], input_shape=(8,))
-                model.calibrate(np.abs(rng.normal(0, 1, size=(16, 8))))
-                registry.register("tenant", model)
-                server.infer("tenant", inputs, timeout=30)
-                registry.unregister("tenant")
-                # One single-noiseless-layer model => at most one live lock
-                # (the churned models' locks are pruned, not accumulated).
-                assert len(server._executor_locks) <= 1
-
     def test_server_restarts_after_stop(self, registry, rng):
         inputs = np.abs(rng.normal(0, 1, size=(2, 16)))
         direct = registry.engine("mlp").run(inputs)
@@ -513,24 +513,43 @@ class TestInferenceServer:
         assert server.statistics().batches_per_model == {"mlp": 2, "conv": 1}
 
     def test_shared_executors_across_names_are_serialised(self, registry, rng):
-        # Registering one model under two names shares its pooled executors;
-        # concurrent batches for both names must not race on executor state
-        # (executors accumulate their ``stats`` in place).
-        registry.register("mlp_twin", registry.model("mlp"))
-        assert (
-            registry.engine("mlp_twin").executors["fc1"]
-            is registry.engine("mlp").executors["fc1"]
-        )
+        # Registering one model under a second name builds a second set of
+        # executors (from the cached plan, so nothing is re-encoded): each
+        # engine's statistics count only the batches it served.
+        model = registry.model("mlp")
+        encodings = registry.weight_cache.misses
+        registry.register("mlp_twin", model)
+        assert registry.weight_cache.misses == encodings
+        engines = {name: registry.engine(name) for name in ("mlp", "mlp_twin")}
+        for layer in model.matmul_layers():
+            assert (
+                engines["mlp"].executors[layer.name]
+                is not engines["mlp_twin"].executors[layer.name]
+            )
+        assert registry.plan("mlp_twin") is registry.plan("mlp")
         inputs = np.abs(rng.normal(0, 1, size=(4, 16)))
-        direct = registry.engine("mlp").run(inputs)
+        reference = NetworkEngine.build(model, pool=private_pool())
+        direct = reference.run(inputs)
+        requests = {"mlp": 6, "mlp_twin": 3}
         with InferenceServer(registry, max_workers=4) as server:
             futures = [
                 server.submit(name, inputs)
-                for _ in range(6)
-                for name in ("mlp", "mlp_twin")
+                for index in range(6)
+                for name, count in requests.items()
+                if index < count
             ]
             for future in futures:
                 assert np.array_equal(future.result(timeout=30), direct)
+        for name, count in requests.items():
+            reference.reset_statistics()
+            reference.run(np.concatenate([inputs] * count))
+            expected = reference.network_statistics()
+            served = engines[name].network_statistics()
+            for counter in ("n_inputs", "macs", "input_pulses"):
+                assert getattr(served, counter) == getattr(expected, counter), (
+                    name,
+                    counter,
+                )
 
     def test_future_timeout(self, registry):
         server = InferenceServer(registry)  # never started
