@@ -13,16 +13,17 @@ compiled at construction.
 
 Both caches are safe to share across threads: the multi-tenant serving layer
 (:mod:`repro.serve`) builds engines for several hosted models concurrently
-against one weight cache, each engine from its own pool.  A coarse
-re-entrant lock guards each structure; encoding a layer holds the lock, which
-serialises construction but guarantees each entry is built exactly once.
-Cached entries are read-only.
+against one weight cache, each engine from its own pool.  A lock guards each
+structure.  The LRU caches build a missing entry outside their lock, once per
+key: lookups of that key wait for the one build, while other keys build side
+by side.  Cached entries are read-only.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from concurrent.futures import Future
 from typing import Callable, Hashable
 
 from repro.analog.noise import NoiseModel
@@ -49,10 +50,13 @@ def _encoding_key(layer: MatmulLayer, config: PimLayerConfig) -> Hashable:
 
 
 class _BuildOnceLru:
-    """LRU map whose missing entries are built once, under a re-entrant lock.
+    """LRU map whose missing entries are built once per key.
 
-    The builder runs with the lock held, so concurrent lookups of one key
-    build it once and share the result.  ``hits``/``misses`` count lookups.
+    The first lookup of a missing key runs the builder outside the lock, so
+    different keys build concurrently; lookups of a key under construction
+    wait for that build and share its result, or its exception.  A build
+    that raises leaves no entry, so the next lookup builds again.
+    ``misses`` counts builds; ``hits`` every other lookup.
     """
 
     def __init__(self, max_entries: int):
@@ -62,7 +66,8 @@ class _BuildOnceLru:
         self.hits = 0
         self.misses = 0
         self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.RLock()
+        self._building: dict[Hashable, Future] = {}
+        self._lock = threading.Lock()
 
     def _get_or_build(self, key: Hashable, builder: Callable[[], object]):
         with self._lock:
@@ -71,12 +76,29 @@ class _BuildOnceLru:
                 self.hits += 1
                 self._entries.move_to_end(key)
                 return cached
-            self.misses += 1
+            build = self._building.get(key)
+            owner = build is None
+            if owner:
+                self.misses += 1
+                build = self._building[key] = Future()
+            else:
+                self.hits += 1
+        if not owner:
+            return build.result()
+        try:
             value = builder()
+        except BaseException as error:
+            with self._lock:
+                del self._building[key]
+            build.set_exception(error)
+            raise
+        with self._lock:
+            del self._building[key]
             self._entries[key] = value
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-            return value
+        build.set_result(value)
+        return value
 
     def clear(self) -> None:
         """Drop all cached entries (counters are kept)."""

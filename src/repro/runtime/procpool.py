@@ -19,16 +19,20 @@ module moves each engine into its own *process*:
   input payload, and the parent copies each reply out of the reply block
   before returning it, so every caller owns its result.  Blocks grow on
   demand and the stale block is unlinked once the peer has switched to
-  the new name.
-* :class:`WorkerHandle` wraps one replica *slot*: the current worker, its
-  spec, and restart bookkeeping, so a crashed process can be replaced
-  without the surrounding pool losing its place.
+  the new name.  A worker names each reply block after its pid and the
+  request that created it, so the parent can reclaim a block the worker
+  created but was killed before naming in a reply.
+* :class:`WorkerHandle` wraps one replica *slot*: the current worker and
+  its restart bookkeeping, so a crashed process can be replaced without
+  the surrounding pool losing its place.
 * :class:`ReplicaPool` is the :class:`~repro.runtime.NetworkEngine`-shaped
   facade the serving layer hosts: N workers behind one engine interface,
-  with least-loaded dispatch, periodic liveness probes, automatic restart
-  of crashed replicas (their in-flight batch is requeued onto a sibling),
-  and rolling replace so a model stays serveable while it is re-registered.
-  One replica (``replicas=1``) is the single-worker process backend.
+  with least-loaded dispatch and one maintenance thread that probes
+  liveness and restarts crashed replicas (their in-flight batch is
+  requeued onto a sibling), and rolling replace so a model stays
+  serveable while it is re-registered.  Every worker of a pool boots
+  through :meth:`ReplicaPool._spawn` from the pool's current spec.  One
+  replica (``replicas=1``) is the single-worker process backend.
 
 Outputs are bit-identical to the in-process engine (same pickled weights,
 same seeded noise state, same micro-batching).  Pools hosting a *stateful*
@@ -128,7 +132,7 @@ class WorkerCrashError(RemoteEngineError):
     """The worker process died (or its pipe broke) mid-conversation.
 
     A :class:`ReplicaPool` treats this as *retryable*: the batch is requeued
-    onto a healthy sibling while the dead replica restarts in the background.
+    onto a healthy sibling while the pool's prober restarts the dead replica.
     """
 
 
@@ -186,11 +190,42 @@ def _read_frame(shm: shared_memory.SharedMemory, seq: int) -> np.ndarray:
     )
 
 
-class _ArraySender:
-    """The owning side of one transport direction: create, grow, unlink."""
+def _reply_block_name(pid: int, seq: int) -> str:
+    """The name worker ``pid`` gives the reply block it creates for ``seq``.
 
-    def __init__(self) -> None:
+    Keeps :mod:`multiprocessing.shared_memory`'s ``psm_`` prefix.
+    """
+    return f"psm_{pid:x}_{seq:x}"
+
+
+def _unlink_block(name: str) -> None:
+    """Unlink the named shared-memory block if it exists."""
+    try:
+        shm = shared_memory.SharedMemory(name=name)
+    except FileNotFoundError:
+        return
+    except ValueError:
+        # Empty: its creator was killed before sizing it, so it cannot be
+        # mapped and was never registered with the resource tracker.
+        import _posixshmem
+
+        _posixshmem.shm_unlink("/" + name)
+        return
+    shm.close()
+    shm.unlink()
+
+
+class _ArraySender:
+    """The owning side of one transport direction: create, grow, unlink.
+
+    With ``owner_pid`` set, each new block is named
+    :func:`_reply_block_name` ``(owner_pid, seq)`` for the request that
+    created it; otherwise the name is random.
+    """
+
+    def __init__(self, owner_pid: int | None = None) -> None:
         self._shm: shared_memory.SharedMemory | None = None
+        self._owner_pid = owner_pid
 
     def send(self, seq: int, array: np.ndarray) -> str:
         """Frame ``array`` into the current block (growing it) -> block name."""
@@ -202,8 +237,11 @@ class _ArraySender:
             # removes the name.  The peer drops its stale attachment when
             # the next control message names the new block.
             self.close()
+            name = None
+            if self._owner_pid is not None:
+                name = _reply_block_name(self._owner_pid, seq)
             self._shm = shared_memory.SharedMemory(
-                create=True, size=max(needed, _MIN_BLOCK_BYTES)
+                name=name, create=True, size=max(needed, _MIN_BLOCK_BYTES)
             )
         _write_frame(self._shm, seq, array)
         return self._shm.name
@@ -493,7 +531,7 @@ def _engine_worker_main(
     receiver = _ArrayReceiver()
     # One reply block: the parent copies each reply out before it sends the
     # next request, so the block is free again whenever a request arrives.
-    sender = _ArraySender()
+    sender = _ArraySender(owner_pid=os.getpid())
     try:
         try:
             spec: EngineSpec = pickle.loads(spec_bytes)
@@ -581,7 +619,7 @@ def _default_start_method() -> str:
     backend while an :class:`~repro.serve.InferenceServer` is already
     running its scheduler/worker threads.  In that case fall back to
     ``spawn``, which starts the worker from a clean interpreter.  Replica
-    restarts happen on pool maintenance threads, so they always resolve to
+    restarts happen on the pool's prober thread, so they always resolve to
     ``spawn``.
     """
     if "fork" in get_all_start_methods() and threading.active_count() == 1:
@@ -677,6 +715,7 @@ class EngineWorker:
         self._sender = _ArraySender()
         self._receiver = _ArrayReceiver()
         self._seq = itertools.count(1)
+        self._last_seq = 0  # the last request sent; names its reply block
         self._lock = threading.Lock()
         self._closed = False
         try:
@@ -769,7 +808,7 @@ class EngineWorker:
         with self._lock:
             if self._closed:
                 raise WorkerClosedError("engine worker is closed")
-            seq = next(self._seq)
+            seq = self._last_seq = next(self._seq)
             block = None if array is None else self._sender.send(seq, array)
             try:
                 self._requests.send((kind, seq, block, *extra))
@@ -795,8 +834,10 @@ class EngineWorker:
 
         A worker that exited cleanly unlinked its own reply block on the
         way out; a killed or crashed worker never got there, so the parent
-        reclaims any block it is still attached to -- otherwise a close
-        racing a dispatch strands the shared-memory segment.
+        reclaims any block it is still attached to, plus the block named
+        for the last request sent, which the worker may have created
+        without living to name it in a reply -- otherwise a close racing a
+        dispatch strands the shared-memory segment.
         """
         timeout = self._shutdown_timeout_s if join_timeout is None else join_timeout
         with self._lock:
@@ -817,10 +858,13 @@ class EngineWorker:
                     self._process.kill()
                     self._process.join(timeout=timeout)
             abnormal = self._process.exitcode != 0
+            pid = self._process.pid
             if not self._process.is_alive():
                 self._process.close()
             self._sender.close()
             self._receiver.close(unlink=abnormal)
+            if abnormal:
+                _unlink_block(_reply_block_name(pid, self._last_seq))
             self._remove_stderr_file()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -842,51 +886,21 @@ def _needs_pinning(noise: NoiseModel | None) -> bool:
 class WorkerHandle:
     """One replica slot of a :class:`ReplicaPool`.
 
-    Couples the slot's current :class:`EngineWorker` with the spec (and its
-    pickle) used to (re)build it and the crash/restart bookkeeping.  The
-    handle itself is not thread-safe: ``state``/``inflight``/``worker``
+    Couples the slot's current :class:`EngineWorker` with its crash/restart
+    bookkeeping; the pool boots every worker (:meth:`ReplicaPool._spawn`).
+    The handle itself is not thread-safe: ``state``/``inflight``/``worker``
     transitions are guarded by the owning pool's condition variable.
     """
 
-    def __init__(
-        self,
-        spec: EngineSpec,
-        spec_bytes: bytes,
-        index: int = 0,
-        name: str | None = None,
-        start_method: str | None = None,
-        start_timeout_s: float = _BOOT_TIMEOUT_S,
-        shutdown_timeout_s: float = _SHUTDOWN_TIMEOUT_S,
-    ):
-        self.spec = spec
-        self.spec_bytes = spec_bytes
+    def __init__(self, index: int, name: str):
         self.index = index
-        self.name = f"{name or spec.model.name}:r{index}"
-        self.start_method = start_method
-        self.start_timeout_s = start_timeout_s
-        self.shutdown_timeout_s = shutdown_timeout_s
+        self.name = f"{name}:r{index}"
         self.worker: EngineWorker | None = None
         self.state = _DEAD
         self.inflight = 0
         self.restarts = 0
         self.restart_backoff_s = 0.0
         self.next_restart_at = 0.0
-
-    def spawn(self) -> EngineWorker:
-        """Start a fresh worker for the current spec (no state transition)."""
-        return EngineWorker(
-            self.spec,
-            start_method=self.start_method,
-            name=self.name,
-            start_timeout_s=self.start_timeout_s,
-            shutdown_timeout_s=self.shutdown_timeout_s,
-            spec_bytes=self.spec_bytes,
-        )
-
-    def start(self) -> None:
-        """Spawn and adopt the slot's initial worker."""
-        self.worker = self.spawn()
-        self.state = _HEALTHY
 
     @property
     def pid(self) -> int | None:
@@ -902,10 +916,10 @@ class ReplicaPool:
 
     Built via :meth:`launch`.  Dispatch picks the least-loaded healthy
     replica; a replica that dies mid-batch has its batch requeued onto a
-    sibling while a maintenance thread restarts the dead slot, and a
-    background prober sweeps for silently-died idle replicas.  Re-registering
-    a model rolls the new spec through the slots one at a time
-    (:meth:`replace`), so the model never becomes unserveable.
+    sibling.  One maintenance thread, the prober, sweeps for silently-died
+    idle replicas and restarts every dead slot.  Re-registering a model
+    rolls the new spec through the slots one at a time (:meth:`replace`),
+    so the model never becomes unserveable.
 
     Bit-identity: every replica hosts the same pickled spec, so outputs
     match the in-process engine exactly.  Pools hosting a *stateful*
@@ -939,8 +953,6 @@ class ReplicaPool:
         self._shutdown_timeout_s = shutdown_timeout_s
         self._cond = threading.Condition()
         self._replace_lock = threading.Lock()
-        self._threads_lock = threading.Lock()
-        self._restart_threads: list[threading.Thread] = []
         self._handles: list[WorkerHandle] = []
         self._restart_total = 0
         self._closed = False
@@ -950,10 +962,7 @@ class ReplicaPool:
         self._lifecycle_observer: Callable[[dict], None] | None = None
         self._prober: threading.Thread | None = None
         try:
-            for index in range(replicas):
-                handle = self._new_handle(spec, spec_bytes, index)
-                handle.start()
-                self._handles.append(handle)
+            self._resize_to(replicas)
         except BaseException:
             for handle in self._handles:
                 handle.state = _CLOSED
@@ -1007,17 +1016,17 @@ class ReplicaPool:
             shutdown_timeout_s=shutdown_timeout_s,
         )
 
-    def _new_handle(
-        self, spec: EngineSpec, spec_bytes: bytes, index: int
-    ) -> WorkerHandle:
-        return WorkerHandle(
+    def _spawn(self, handle: WorkerHandle) -> EngineWorker:
+        """Boot a worker for ``handle``'s slot from the pool's current spec."""
+        with self._cond:
+            spec, spec_bytes = self._spec, self._spec_bytes
+        return EngineWorker(
             spec,
-            spec_bytes,
-            index=index,
-            name=self._name,
             start_method=self._start_method,
+            name=handle.name,
             start_timeout_s=self._start_timeout_s,
             shutdown_timeout_s=self._shutdown_timeout_s,
+            spec_bytes=spec_bytes,
         )
 
     # -- introspection ---------------------------------------------------------
@@ -1126,7 +1135,7 @@ class ReplicaPool:
 
         A replica that dies mid-batch surfaces here as a requeue: the batch
         is retried on a sibling -- or, in a one-replica pool, on the slot's
-        restarted worker -- while the dead slot restarts in the background,
+        restarted worker -- while the prober restarts the dead slot,
         and only fails once every attempt has been rejected.  Records are
         ``(n_samples, elapsed_s, replica)`` so telemetry can attribute
         engine time per replica.
@@ -1236,7 +1245,8 @@ class ReplicaPool:
         The observer receives one dict per event -- ``{"event":
         "replica_crash" | "replica_restart" | "replica_restart_failed",
         "model": name, "replica": slot index, ...}`` -- from whatever thread
-        detected the event (dispatch, restart or prober threads).  Observer
+        detected the event: a crash from the dispatch thread or the prober,
+        restarts and failed restarts from the prober.  Observer
         exceptions are logged and swallowed; assignment is idempotent, so
         the serving layer may re-wire on every registry generation change.
         """
@@ -1252,7 +1262,7 @@ class ReplicaPool:
             logging.getLogger(__name__).exception("pool lifecycle observer raised")
 
     def _on_crash(self, handle: WorkerHandle, worker: EngineWorker | None) -> None:
-        """Mark a replica dead (once) and schedule its background restart."""
+        """Mark a replica dead (once) and wake the prober to restart it."""
         with self._cond:
             if self._closed or handle.state != _HEALTHY:
                 return
@@ -1268,40 +1278,18 @@ class ReplicaPool:
                 "pid": handle.pid,
             }
         )
-        self._spawn_restart(handle)
-
-    def _spawn_restart(self, handle: WorkerHandle) -> None:
-        """Start a restart thread that :meth:`close` will join.
-
-        The thread is registered and started under one lock hold, so every
-        registered thread has started and pruning by ``is_alive`` drops only
-        finished ones; once ``close`` has set ``_closed``, no thread starts.
-        """
-        thread = threading.Thread(
-            target=self._restart,
-            args=(handle,),
-            name=f"replica-restart-{handle.name}",
-            daemon=True,
-        )
-        with self._threads_lock:
-            if self._closed:
-                return
-            self._restart_threads = [t for t in self._restart_threads if t.is_alive()]
-            self._restart_threads.append(thread)
-            thread.start()
 
     def _restart(self, handle: WorkerHandle) -> None:
-        """Replace a dead slot's worker with a fresh one (one claimant wins)."""
+        """Replace a dead slot's worker with a fresh one (on the prober)."""
         with self._cond:
             if self._closed or handle.state != _DEAD:
                 return
             handle.state = _RESTARTING
-            handle.spec, handle.spec_bytes = self._spec, self._spec_bytes
         old = handle.worker
         if old is not None:
             old.close()  # reap the corpse; reclaims its shared-memory blocks
         try:
-            worker = handle.spawn()
+            worker = self._spawn(handle)
         except BaseException:
             with self._cond:
                 if handle.state == _RESTARTING:
@@ -1325,49 +1313,51 @@ class ReplicaPool:
                 }
             )
             return
-        restarted = False
         with self._cond:
-            if self._closed or handle.state != _RESTARTING:
-                discard = worker
-            else:
-                handle.worker = worker
-                handle.state = _HEALTHY
+            restarted = not self._closed and handle.state == _RESTARTING
+            if restarted:
+                handle.worker, handle.state = worker, _HEALTHY
                 handle.restarts += 1
-                handle.restart_backoff_s = 0.0
-                handle.next_restart_at = 0.0
+                handle.restart_backoff_s = handle.next_restart_at = 0.0
                 self._restart_total += 1
-                discard = None
-                restarted = True
                 self._cond.notify_all()
-        if discard is not None:
-            discard.close()
-        if restarted:
-            self._emit_lifecycle(
-                {
-                    "event": "replica_restart",
-                    "model": self._name,
-                    "replica": handle.index,
-                    "pid": handle.pid,
-                    "restarts": handle.restarts,
-                }
-            )
+        if not restarted:
+            worker.close()  # the pool closed while the worker booted
+            return
+        self._emit_lifecycle(
+            {
+                "event": "replica_restart",
+                "model": self._name,
+                "replica": handle.index,
+                "pid": handle.pid,
+                "restarts": handle.restarts,
+            }
+        )
+
+    def _restart_due(self) -> bool:
+        """Whether the pool closed or a dead slot is due (``_cond`` held)."""
+        now = time.monotonic()
+        return self._closed or any(
+            h.state == _DEAD and now >= h.next_restart_at for h in self._handles
+        )
 
     def _probe_loop(self) -> None:
-        """Periodic liveness sweep: restart dead and silently-died replicas."""
+        """The pool's one maintenance thread: restart dead replicas inline.
+
+        Wakes when a restart is due or every ``probe_interval_s`` to mark
+        silently-died replicas dead.
+        """
         while True:
             with self._cond:
-                if self._closed:
-                    return
-                self._cond.wait(timeout=self._probe_interval_s)
+                self._cond.wait_for(self._restart_due, timeout=self._probe_interval_s)
                 if self._closed:
                     return
                 snapshot = [(h, h.worker, h.state) for h in self._handles]
             for handle, worker, state in snapshot:
-                if state == _DEAD:
-                    if time.monotonic() >= handle.next_restart_at:
-                        self._spawn_restart(handle)  # an earlier restart failed
-                elif state == _HEALTHY and (worker is None or not worker.is_alive):
+                if state == _HEALTHY and (worker is None or not worker.is_alive):
                     self._on_crash(handle, worker)
+                if time.monotonic() >= handle.next_restart_at:
+                    self._restart(handle)  # no-op unless the slot is dead
 
     # -- statistics ------------------------------------------------------------
 
@@ -1445,18 +1435,15 @@ class ReplicaPool:
                 self._pinned = _needs_pinning(spec.noise)
                 current = list(self._handles)
             for handle in current[:target]:
-                self._swap_handle(handle, spec, spec_bytes)
-            self._resize_to(target, spec, spec_bytes)
+                self._swap_handle(handle)
+            self._resize_to(target)
 
-    def _swap_handle(
-        self, handle: WorkerHandle, spec: EngineSpec, spec_bytes: bytes
-    ) -> None:
+    def _swap_handle(self, handle: WorkerHandle) -> None:
         """Boot a fresh worker for one slot, then retire its old worker."""
         with self._cond:
             if self._closed or handle.state == _CLOSED:
                 return
-            handle.spec, handle.spec_bytes = spec, spec_bytes
-        worker = handle.spawn()  # slow; the old replica keeps serving meanwhile
+        worker = self._spawn(handle)  # slow; the old replica keeps serving
         with self._cond:
             deadline = time.monotonic() + self._start_timeout_s
             while (
@@ -1478,26 +1465,22 @@ class ReplicaPool:
         elif old is not None:
             old.close()
 
-    def _resize_to(self, target: int, spec: EngineSpec, spec_bytes: bytes) -> None:
+    def _resize_to(self, target: int) -> None:
         """Grow or shrink the pool to ``target`` slots (replace_lock held)."""
         while True:
             with self._cond:
                 if self._closed or len(self._handles) >= target:
                     break
-                index = len(self._handles)
-            handle = self._new_handle(spec, spec_bytes, index)
-            handle.start()
+                handle = WorkerHandle(len(self._handles), self._name)
+            worker = self._spawn(handle)
             with self._cond:
-                if self._closed:
-                    handle.state = _CLOSED
-                    stray = handle.worker
-                else:
+                if not self._closed:
+                    handle.worker, handle.state = worker, _HEALTHY
                     self._handles.append(handle)
                     self._cond.notify_all()
-                    stray = None
-            if stray is not None:
-                stray.close()
-                break
+                    continue
+            worker.close()  # the pool closed while the worker booted
+            break
         victims: list[WorkerHandle] = []
         with self._cond:
             while len(self._handles) > target:
@@ -1521,9 +1504,9 @@ class ReplicaPool:
         """Drain and shut down every replica (idempotent).
 
         In-flight batches are given ``shutdown_timeout_s`` to drain, the
-        prober and any restart threads are joined, then every worker is
-        closed -- so no child process and no shared-memory block outlives
-        the pool.
+        prober is joined (long enough to finish a restart it is booting),
+        then every worker is closed -- so no child process and no
+        shared-memory block outlives the pool.
         """
         with self._cond:
             if self._closed:
@@ -1540,12 +1523,7 @@ class ReplicaPool:
             for handle in handles:
                 handle.state = _CLOSED
         if self._prober is not None:
-            self._prober.join(timeout=self._shutdown_timeout_s)
-        with self._threads_lock:
-            restarts = list(self._restart_threads)
-            self._restart_threads = []
-        for thread in restarts:
-            thread.join(timeout=self._start_timeout_s)
+            self._prober.join(timeout=self._start_timeout_s + self._shutdown_timeout_s)
         for handle in handles:
             if handle.worker is not None:
                 handle.worker.close()

@@ -310,11 +310,6 @@ class TraceHandle:
         self._records: tuple[SpanRecord, ...] | None = None
         self._lock = threading.Lock()
 
-    @property
-    def root_span_id(self) -> str:
-        """Span id of the root ``request`` span (parent of every stage)."""
-        return self._root_id
-
     def add_span(
         self,
         name: str,

@@ -14,6 +14,7 @@ import multiprocessing
 import os
 import signal
 import sys
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -26,8 +27,9 @@ from repro.runtime import (
     NetworkEngine,
     RemoteEngineError,
     ReplicaPool,
+    WorkerCrashError,
 )
-from repro.runtime.procpool import _MIN_BLOCK_BYTES
+from repro.runtime.procpool import _MIN_BLOCK_BYTES, _reply_block_name
 from repro.serve import (
     BatchingPolicy,
     InferenceServer,
@@ -278,6 +280,35 @@ class TestWorkerLifecycle:
                 )
         finally:
             worker.close()
+
+    @pytest.mark.parametrize("size", [_MIN_BLOCK_BYTES, 0])
+    def test_close_reclaims_the_reply_block_of_a_killed_worker(
+        self, tiny_mlp_model, size
+    ):
+        # A worker killed after creating the reply block for a request, but
+        # before naming it in a reply, leaves a block only its name finds --
+        # empty when the kill landed before the block was sized.
+        worker = EngineWorker(EngineSpec(tiny_mlp_model, sys_path=tuple(sys.path)))
+        extra = (False, False, None, None)
+        try:
+            worker.request("run", array=np.ones((1, 16)), extra=extra)
+            pid = worker.pid
+            os.kill(pid, signal.SIGKILL)
+            worker._process.join(timeout=10)
+            name = _reply_block_name(pid, 2)
+            if size:
+                shared_memory.SharedMemory(name=name, create=True, size=size).close()
+            else:
+                import _posixshmem
+
+                flags = os.O_CREAT | os.O_EXCL | os.O_RDWR
+                os.close(_posixshmem.shm_open("/" + name, flags, mode=0o600))
+            with pytest.raises(WorkerCrashError):
+                worker.request("run", array=np.ones((1, 16)), extra=extra)
+        finally:
+            worker.close()
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
 
     def test_sigkill_of_the_only_worker_restarts_it(self, tiny_mlp_model, rng):
         # A one-replica pool has no sibling to requeue onto: the next run

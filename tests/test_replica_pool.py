@@ -276,66 +276,70 @@ class TestSelfHealing:
             ReplicaPool.launch(tiny_mlp_model, blas_threads=0)
 
 
-class _InterleavingLock:
-    """A lock that runs ``on_first_release`` right after its first release."""
+class TestOneMaintenanceThread:
+    """The prober is the pool's only thread, and the only code that restarts."""
 
-    def __init__(self, on_first_release):
-        self._lock = threading.Lock()
-        self._on_first_release = on_first_release
+    def test_close_waits_for_a_restart_in_progress(self, tiny_mlp_model):
+        # The prober starts booting a replacement, and the boot only goes on
+        # once close() has begun: close() must not return before it ends.
+        booting, booted = threading.Event(), threading.Event()
+        with ReplicaPool.launch(
+            tiny_mlp_model, replicas=1, probe_interval_s=0.05
+        ) as pool:
+            spawn = pool._spawn
 
-    def __enter__(self):
-        self._lock.acquire()
-        return self
+            def spawn_during_close(handle):
+                booting.set()
+                assert wait_until(lambda: pool.closed)
+                try:
+                    return spawn(handle)
+                finally:
+                    booted.set()
 
-    def __exit__(self, *exc_info):
-        self._lock.release()
-        callback, self._on_first_release = self._on_first_release, None
-        if callback is not None:
-            callback()
+            pool._spawn = spawn_during_close
+            os.kill(pool.replica_pids()[0], signal.SIGKILL)
+            assert booting.wait(timeout=30)
+        assert booted.is_set()
+        assert not pool._prober.is_alive()
+        assert pool.restart_count == 0  # the late boot was discarded
 
-
-class TestRestartThreadBookkeeping:
-    def test_close_joins_a_restart_spawned_while_another_spawns(self, tiny_mlp_model):
-        # Force the interleaving: a second spawn (the prober retrying a
-        # dead slot) runs in the window right after the first spawn leaves
-        # the threads lock.  The first restart thread must stay registered,
-        # so close() joins it instead of returning while it still runs.
-        registered = threading.Event()
-        first = {}
-
-        def restart(handle):
-            assert registered.wait(timeout=10)
-            if threading.current_thread() is first["thread"]:
-                time.sleep(2.0)  # outlasts close()'s own worker teardown
-
-        with ReplicaPool.launch(tiny_mlp_model, replicas=1) as pool:
-            handle = pool._handles[0]
-
-            def concurrent_spawn():
-                first["thread"] = pool._restart_threads[-1]
-                registered.set()
-                spawner = threading.Thread(target=pool._spawn_restart, args=(handle,))
-                spawner.start()
-                spawner.join(timeout=10)
-                assert not spawner.is_alive()
-
-            pool._restart = restart
-            pool._threads_lock = _InterleavingLock(concurrent_spawn)
-            pool._spawn_restart(handle)
-            assert len(pool._restart_threads) == 2
-        assert not first["thread"].is_alive()
-
-    def test_no_restart_spawns_after_close(self, tiny_mlp_model):
-        calls = []
+    def test_restart_after_close_boots_nothing(self, tiny_mlp_model):
         pool = ReplicaPool.launch(tiny_mlp_model, replicas=1)
         handle = pool._handles[0]
         pool.close()
-        pool._restart = calls.append
-        pool._spawn_restart(handle)
-        assert calls == []
-        assert not [
-            t for t in threading.enumerate() if t.name.startswith("replica-restart")
-        ]
+        spawns = []
+        pool._spawn = spawns.append
+        handle.state = procpool._DEAD  # even a slot marked dead stays empty
+        pool._restart(handle)
+        assert spawns == []
+        assert handle.pid is None
+
+    def test_pool_heals_from_losing_every_replica(self, tiny_mlp_model, rng):
+        inputs = np.abs(rng.normal(0, 1, size=(4, 16)))
+        expected = reference_engine(tiny_mlp_model).run(inputs)
+        peak = 0
+
+        with ReplicaPool.launch(
+            tiny_mlp_model, replicas=2, probe_interval_s=0.05
+        ) as pool:
+
+            def healed():
+                nonlocal peak
+                threads = [
+                    t
+                    for t in threading.enumerate()
+                    if t.name.startswith("replica-") and tiny_mlp_model.name in t.name
+                ]
+                peak = max(peak, len(threads))
+                return pool.restart_count >= 2 and pool.healthy_replicas == 2
+
+            victims = pool.replica_pids()
+            for pid in victims:
+                os.kill(pid, signal.SIGKILL)
+            assert wait_until(healed, interval_s=0.005)
+            assert peak == 1
+            assert not set(victims) & set(pool.replica_pids())
+            assert np.array_equal(pool.run(inputs), expected)
 
 
 class TestBlasPinning:

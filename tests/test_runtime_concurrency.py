@@ -19,7 +19,12 @@ from repro.arithmetic.slicing import Slicing
 from repro.core.executor import PimLayerConfig
 from repro.nn.layers import Linear
 from repro.nn.synthetic import synthetic_linear_weights
-from repro.runtime import EncodedWeightCache, ExecutorPool, NetworkEngine
+from repro.runtime import (
+    EncodedWeightCache,
+    ExecutorPool,
+    ModelPlanCache,
+    NetworkEngine,
+)
 from repro.serve import ModelRegistry
 
 N_THREADS = 8
@@ -92,6 +97,46 @@ class TestEncodedWeightCacheConcurrency:
         run_in_threads(worker)
         assert len(cache) <= 2
         assert cache.hits + cache.misses == N_THREADS * 25
+
+
+class TestBuildOnceOutsideTheLock:
+    """Builds run outside the cache lock, once per key (Event-gated)."""
+
+    def test_second_key_builds_while_the_first_is_blocked(self):
+        cache = ModelPlanCache()
+        started, release = threading.Event(), threading.Event()
+
+        def blocked_builder():
+            started.set()
+            assert release.wait(timeout=30)
+            return "first"
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            first = pool.submit(cache.get_or_compile, "a", blocked_builder)
+            assert started.wait(timeout=30)
+            second = pool.submit(cache.get_or_compile, "b", lambda: "second")
+            try:
+                assert second.result(timeout=30) == "second"
+                assert not first.done()
+            finally:
+                release.set()
+            assert first.result(timeout=30) == "first"
+        assert cache.misses == 2 and len(cache) == 2
+
+    def test_failed_build_leaves_no_entry_and_blocks_nothing(self):
+        cache = ModelPlanCache()
+
+        def failing_builder():
+            raise RuntimeError("compile failed")
+
+        with pytest.raises(RuntimeError, match="compile failed"):
+            cache.get_or_compile("a", failing_builder)
+        assert len(cache) == 0
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            retry = pool.submit(cache.get_or_compile, "a", lambda: "plan")
+            assert retry.result(timeout=30) == "plan"
+        assert cache.get_or_compile("a", failing_builder) == "plan"
+        assert cache.misses == 2 and cache.hits == 1
 
 
 class TestExecutorPoolConcurrency:

@@ -127,10 +127,10 @@ class TestTraceHandle:
         assert handle.finished
         spans = handle.spans()
         assert spans[-1].name == REQUEST_SPAN
-        assert spans[-1].span_id == handle.root_span_id
+        assert spans[-1].parent_id is None
         assert spans[-1].attrs["model"] == "m"
         assert spans[-1].attrs["request_id"] == 3
-        assert spans[0].parent_id == handle.root_span_id
+        assert spans[0].parent_id == spans[-1].span_id
         assert spans[0].attrs == {"status": "accepted"}
         # Every span reached the recorder; finish is idempotent, and the
         # materialised span tuple is cached (repeated reads are identical).
