@@ -82,9 +82,9 @@ def calibrated_telemetry(registry: ModelRegistry, batch_time: float):
     time, exactly what a warmed-up serving process would have learned.
     """
     telemetry = TelemetryCollector()
-    telemetry.attach_cost_model("m", registry.cost_model("m"))
-    for _ in range(5):
-        telemetry.record_engine_run("m", SAMPLES_PER_REQUEST, batch_time)
+    telemetry.record_engine_runs(
+        "m", [(SAMPLES_PER_REQUEST, batch_time, None)] * 5, registry.cost_model("m")
+    )
     return telemetry
 
 

@@ -64,6 +64,10 @@ class NetworkEngine:
     on the engine's one lock.
     """
 
+    #: Batches that may usefully run at once: one, since :meth:`run_timed`
+    #: serialises on the engine's lock (a replica pool reports its width).
+    dispatch_width = 1
+
     def __init__(
         self,
         model: QuantizedModel,

@@ -829,7 +829,7 @@ class EngineWorker:
         _none, meta = self.request("ping")
         return meta
 
-    def close(self, join_timeout: float | None = None) -> None:
+    def close(self) -> None:
         """Shut the worker down (idempotent): close request pipe, join, reap.
 
         A worker that exited cleanly unlinked its own reply block on the
@@ -839,7 +839,7 @@ class EngineWorker:
         without living to name it in a reply -- otherwise a close racing a
         dispatch strands the shared-memory segment.
         """
-        timeout = self._shutdown_timeout_s if join_timeout is None else join_timeout
+        timeout = self._shutdown_timeout_s
         with self._lock:
             if self._closed:
                 return
@@ -1247,8 +1247,10 @@ class ReplicaPool:
         "model": name, "replica": slot index, ...}`` -- from whatever thread
         detected the event: a crash from the dispatch thread or the prober,
         restarts and failed restarts from the prober.  Observer
-        exceptions are logged and swallowed; assignment is idempotent, so
-        the serving layer may re-wire on every registry generation change.
+        exceptions are logged and swallowed.  A
+        :class:`~repro.serve.registry.ModelRegistry` sets it on every pool
+        it hosts (:meth:`ModelRegistry.set_lifecycle_observer
+        <repro.serve.registry.ModelRegistry.set_lifecycle_observer>`).
         """
         self._lifecycle_observer = observer
 

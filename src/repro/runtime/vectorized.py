@@ -257,11 +257,6 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         #: The compiled plan this executor runs.
         self.layer_plan = plan
 
-    @property
-    def gemm_dtypes(self) -> list[type]:
-        """The GEMM dtype chosen for each row chunk, in chunk order."""
-        return [operands.dtype for operands in self.layer_plan.operands]
-
     def _build_encoded_chunks(self) -> list[_EncodedChunk]:
         if self._plan_chunks is not None:
             return list(self._plan_chunks)

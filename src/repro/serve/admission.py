@@ -10,8 +10,9 @@ every utilization level:
 * :class:`AdmissionController` evaluates every :meth:`InferenceServer.submit
   <repro.serve.server.InferenceServer.submit>` against the calibrated latency
   predictions (:meth:`TelemetryCollector.predicted_batch_latency_s
-  <repro.telemetry.collector.TelemetryCollector.predicted_batch_latency_s>`)
-  and the live queue depth, and returns a typed :class:`AdmissionDecision`
+  <repro.telemetry.collector.TelemetryCollector.predicted_batch_latency_s>`
+  over each model's tables, which the registry serves) and the live queue
+  depth, and returns a typed :class:`AdmissionDecision`
   -- ``"accepted"``, ``"shed"`` or ``"downgraded"`` -- carrying the evidence
   (predicted slack, queue depths, overload state) instead of silently
   enqueueing.
@@ -275,9 +276,10 @@ class AdmissionController:
         deadline-only shedding.
     latency_predictor:
         Optional ``(model_name, n_samples) -> seconds | None`` override.
-        When ``None`` the server wires in its telemetry collector's
-        calibrated :meth:`predicted_batch_latency_s
+        When ``None`` the server passes its own predictor: the telemetry
+        collector's calibrated :meth:`predicted_batch_latency_s
         <repro.telemetry.collector.TelemetryCollector.predicted_batch_latency_s>`
+        over the registry's cost tables for the name,
         *with the observed queue-wait EMA folded in*
         (``include_queue_wait=True``), so every rule below prices
         cross-model worker contention -- time this model's batches spend

@@ -14,9 +14,9 @@ per batch from
   (:meth:`CostModel.energy_pj <repro.telemetry.cost.CostModel.energy_pj>`),
 * each variant's *calibrated* wall-latency prediction including its current
   backlog (:meth:`TelemetryCollector.predicted_batch_latency_s
-  <repro.telemetry.collector.TelemetryCollector.predicted_batch_latency_s>`),
-  so a saturated fast variant's prediction rises and work spills to the
-  low-power one,
+  <repro.telemetry.collector.TelemetryCollector.predicted_batch_latency_s>`
+  over the variant's tables, read from the registry), so a saturated fast
+  variant's prediction rises and work spills to the low-power one,
 * the batch's deadline slack.
 
 The decision path touches no engine: it is dictionary lookups and float
@@ -65,7 +65,7 @@ class VariantSnapshot:
 
     ``predicted_latency_s`` is the calibrated wall-clock estimate for this
     batch *behind the variant's current backlog* (``None`` when the variant
-    has no cost tables or no collector is attached);
+    has no cost tables);
     ``idle_latency_s`` is the same estimate at zero backlog;
     ``modeled_latency_s`` is the raw (uncalibrated) cost-table latency -- a
     stable hardware property defining which variant counts as "fastest" for
@@ -258,8 +258,8 @@ class FleetRouter:
     registry:
         Source of truth for fleet membership and per-variant cost tables.
     telemetry:
-        Optional collector providing calibrated wall-latency predictions.
-        Without one, predictions fall back to the raw modeled batch latency
+        Optional collector calibrating the tables' latency to wall time.
+        Without one, predictions are the raw modeled batch latency
         (uncalibrated but still proportional between variants).
     objective:
         The routing policy; :class:`MinimizeEnergy` when omitted.
@@ -282,12 +282,8 @@ class FleetRouter:
 
     def _predicted(self, variant: str, n_samples: int, cost) -> float | None:
         if self.telemetry is not None:
-            predicted = self.telemetry.predicted_batch_latency_s(variant, n_samples)
-            if predicted is not None:
-                return predicted
-        if cost is None:
-            return None
-        return cost.batch_latency_s(n_samples)
+            return self.telemetry.predicted_batch_latency_s(variant, n_samples, cost)
+        return None if cost is None else cost.batch_latency_s(n_samples)
 
     def snapshot(
         self,

@@ -268,7 +268,7 @@ class AsyncGateway:
                 "tenant": tenants.get(name, name),
                 "backend": "thread" if pool_health is None else "process",
                 "backlog_samples": backlog.get(name, 0),
-                "dispatch_width": int(getattr(engine, "dispatch_width", 1)),
+                "dispatch_width": engine.dispatch_width,
             }
             if pool_health is not None:
                 entry["replicas"] = pool_health()

@@ -29,6 +29,7 @@ change compiles a fresh one.
 from __future__ import annotations
 
 import threading
+from typing import Callable
 
 from repro.analog.noise import NoiseModel
 from repro.core.executor import PimLayerConfig
@@ -70,9 +71,8 @@ class ModelRegistry:
         self._fleets: dict[str, tuple[str, ...]] = {}
         self._reserved: set[str] = set()
         self._lock = threading.RLock()
-        # Bumped on every (un)registration; servers use it to invalidate
-        # their per-name cost-model wiring caches when tenants change.
-        self.generation = 0
+        # Applied to every hosted ReplicaPool; see set_lifecycle_observer.
+        self._lifecycle_observer: Callable[[dict], None] | None = None
 
     def register(
         self,
@@ -122,10 +122,10 @@ class ModelRegistry:
 
         ``arch`` opts the tenant into hardware-grounded telemetry: the
         registry precomputes a :class:`~repro.telemetry.CostModel` (per-layer
-        energy/latency tables on that architecture), retrievable via
-        :meth:`cost_model` and attached automatically by an
-        :class:`~repro.serve.server.InferenceServer` running with a
-        telemetry collector.
+        energy/latency tables on that architecture) and serves it via
+        :meth:`cost_model`, the one place an
+        :class:`~repro.serve.server.InferenceServer` reads a model's tables
+        from.
 
         ``tenant`` groups several hosted models under one accounting /
         admission-control label (A/B variants, one customer's model family);
@@ -229,7 +229,8 @@ class ModelRegistry:
                 self._cost_models[name] = cost_model
             if tenant is not None:
                 self._tenants[name] = tenant
-            self.generation += 1
+            if isinstance(engine, ReplicaPool):
+                engine.set_lifecycle_observer(self._lifecycle_observer)
         if old is not None and old is not engine:
             closer = getattr(old, "close", None)
             if closer is not None:
@@ -295,7 +296,6 @@ class ModelRegistry:
             self._fleets[name] = ordered
             if tenant is not None:
                 self._tenants[name] = tenant
-            self.generation += 1
         return ordered
 
     def fleet_variants(self, name: str) -> tuple[str, ...] | None:
@@ -340,6 +340,22 @@ class ModelRegistry:
                 raise KeyError(f"no model registered under {name!r}")
             return self._cost_models.get(name)
 
+    def set_lifecycle_observer(self, observer: Callable[[dict], None] | None) -> None:
+        """Send every hosted replica pool's lifecycle events to ``observer``.
+
+        Applies to the pools hosted now and to every pool a later
+        :meth:`register` launches or rolls (see
+        :meth:`ReplicaPool.set_lifecycle_observer
+        <repro.runtime.procpool.ReplicaPool.set_lifecycle_observer>` for the
+        events); ``None`` clears it.  The registry holds one observer: a
+        second call replaces the first.
+        """
+        with self._lock:
+            self._lifecycle_observer = observer
+            for engine in self._engines.values():
+                if isinstance(engine, ReplicaPool):
+                    engine.set_lifecycle_observer(observer)
+
     def tenant(self, name: str) -> str:
         """The tenant label of a hosted model or fleet (its own name when unset)."""
         with self._lock:
@@ -375,7 +391,6 @@ class ModelRegistry:
                 # variants stay registered and individually serveable.
                 del self._fleets[name]
                 self._tenants.pop(name, None)
-                self.generation += 1
                 return True
             engine = self._engines.pop(name, None)
             if engine is None:
@@ -394,7 +409,6 @@ class ModelRegistry:
                         # A fleet emptied of variants disappears with them.
                         del self._fleets[fleet_name]
                         self._tenants.pop(fleet_name, None)
-            self.generation += 1
         closer = getattr(engine, "close", None)
         if closer is not None:
             closer()

@@ -270,10 +270,10 @@ class RequestQueue:
     ----------
     latency_estimator:
         Optional ``(model_name, queued_samples) -> seconds`` predictor of a
-        batch's execution latency (typically
-        :meth:`TelemetryCollector.predicted_batch_latency_s
-        <repro.telemetry.collector.TelemetryCollector.predicted_batch_latency_s>`),
-        subtracted from deadlines when computing slack.  Without one,
+        batch's execution latency (the server's: :meth:`TelemetryCollector
+        .predicted_batch_latency_s
+        <repro.telemetry.collector.TelemetryCollector.predicted_batch_latency_s>`
+        over the registry's cost tables for the name), subtracted from deadlines when computing slack.  Without one,
         predicted latency is zero and SLO dispatch degenerates to earliest
         deadline first.
     slo_mode:

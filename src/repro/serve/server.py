@@ -74,7 +74,7 @@ from repro.serve.scheduler import (
     InferenceRequest,
     RequestQueue,
 )
-from repro.telemetry import RequestTrace, TelemetryCollector, Tracer
+from repro.telemetry import CostModel, RequestTrace, TelemetryCollector, Tracer
 
 __all__ = ["InferenceServer", "ServerStatistics", "ServerStoppedError"]
 
@@ -163,9 +163,10 @@ class InferenceServer:
         total and per-component -- and latency from the model's cost tables)
         plus one engine-run record per coalesced batch, and the scheduler's
         deadline slack uses the collector's calibrated latency predictions.
-        Cost models registered on the
-        :class:`~repro.serve.registry.ModelRegistry` (via its ``arch``
-        parameter) are attached to the collector automatically.
+        Cost tables come from the
+        :class:`~repro.serve.registry.ModelRegistry` (its ``arch``
+        parameter), read per batch, so a re-registered name is billed
+        against its fresh tables at once.
     slo_scheduling:
         Whether pending priorities/deadlines reorder dispatch (SLO-aware
         scheduling).  Enabled by default -- a no-op while no request carries
@@ -186,8 +187,9 @@ class InferenceServer:
         worker-side engine execution and completion, the request's
         ``trace_id`` rides the returned decision, and finished traces plus
         lifecycle events (replica crashes/restarts, overload transitions,
-        sheds) land in the tracer's flight recorder.  Replica pools hosted
-        in the registry get their lifecycle observer wired automatically.
+        sheds) land in the tracer's flight recorder.  The server sets the
+        registry's lifecycle observer once, so every replica pool the
+        registry hosts, now or later, reports to the tracer.
         Absent (the default), the tracing path costs one ``None`` check.
     routing:
         Optional :class:`~repro.serve.fleet.RoutingObjective` for fleet
@@ -227,25 +229,14 @@ class InferenceServer:
         self.admission = admission
         self.tracer = tracer
         self.router = FleetRouter(registry, telemetry, routing)
-        # Replica pools whose lifecycle observer is already pointed at this
-        # server's tracer; same generation-keyed invalidation as the cost
-        # model cache below.  Setting the observer is assignment-idempotent,
-        # so the cache only saves the per-request getattr, not correctness.
-        self._wired_observers: set[str] = set()
-        self._observer_generation = -1
+        if tracer is not None:
+            registry.set_lifecycle_observer(self._pool_lifecycle_event)
         # Last overload state seen per submit, for edge-triggered
         # overload_transition events in the flight recorder.  Read/written
         # without a lock: a racing pair of submits can at worst emit a
         # duplicate or miss one transition event, never corrupt state.
         self._last_overload_state: str | None = None
         self._request_ids = itertools.count()
-        # Model names whose cost model was already wired into the collector,
-        # so submit() pays the lookup once per model, not per request.  The
-        # cache is tied to the registry's generation counter: any tenant
-        # (un)registration invalidates it, so a name re-registered with new
-        # tables is re-wired instead of billed against stale ones.
-        self._wired_cost_models: set[str] = set()
-        self._wired_generation = -1
         self._queue = self._make_queue()
         self._stats = ServerStatistics()
         self._stats_lock = threading.Lock()
@@ -263,7 +254,8 @@ class InferenceServer:
         """The collector's calibrated latency predictor, made fleet-aware.
 
         Plain model names pass straight through to
-        :meth:`~repro.telemetry.TelemetryCollector.predicted_batch_latency_s`.
+        :meth:`~repro.telemetry.TelemetryCollector.predicted_batch_latency_s`
+        with the registry's tables for the name.
         A fleet name predicts its *best feasible variant*: the minimum over
         variants of the calibrated estimate divided by that variant's
         dispatch width (a replica pool drains its backlog ~width times
@@ -288,7 +280,10 @@ class InferenceServer:
 
         def base(model_name: str, n_samples: int) -> float | None:
             return collector.predicted_batch_latency_s(
-                model_name, n_samples, include_queue_wait=include_queue_wait
+                model_name,
+                n_samples,
+                self._cost_model(model_name),
+                include_queue_wait=include_queue_wait,
             )
 
         def predict(model_name: str, n_samples: int) -> float | None:
@@ -304,7 +299,7 @@ class InferenceServer:
                     engine = self.registry.engine(variant)
                 except KeyError:  # unregistered concurrently
                     continue
-                predicted /= max(1, int(getattr(engine, "dispatch_width", 1)))
+                predicted /= engine.dispatch_width
                 if best is None or predicted < best:
                     best = predicted
             return best
@@ -392,8 +387,6 @@ class InferenceServer:
             )
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive (seconds from now)")
-        self._wire_cost_model(model_name)
-        self._wire_trace_observer(model_name)
         request_id = next(self._request_ids)
         tracer = self.tracer
         handle = None if tracer is None else tracer.begin(model_name, request_id)
@@ -532,7 +525,7 @@ class InferenceServer:
                 engine = self.registry.engine(name)
             except KeyError:  # unregistered between names() and engine()
                 continue
-            width = int(getattr(engine, "dispatch_width", 1))
+            width = engine.dispatch_width
             if width > 1:
                 widths[name] = width
         return widths
@@ -548,89 +541,16 @@ class InferenceServer:
         """
         return self._queue.backlog_by_model()
 
-    def _wire_cost_model(self, model_name: str) -> None:
-        """Attach the registry's cost tables to the collector, once per model.
+    def _cost_model(self, name: str) -> CostModel | None:
+        """The registry's cost tables for ``name`` (``None`` without any).
 
-        A fleet name wires every live variant's tables instead of its own
-        (a fleet holds no engine or tables) -- the router's energy
-        predictions and the per-variant cost attribution both read them
-        from the collector.
+        A name unregistered mid-flight reads as having no tables, so a
+        batch that outlives its tenant completes without modeled figures.
         """
-        if self.telemetry is None:
-            return
-        # Read the generation BEFORE fetching tables: if the registry
-        # changes concurrently (re-registration between fetch and
-        # attach), the stored generation is already behind the live one,
-        # so the next submit invalidates the cache and re-wires -- a
-        # race mis-attributes at most the in-flight request, never
-        # subsequent ones.
-        generation = self.registry.generation
-        if generation != self._wired_generation:
-            self._wired_cost_models.clear()
-            self._wired_generation = generation
-        if model_name in self._wired_cost_models:
-            return
-        variants = self.registry.fleet_variants(model_name)
-        if variants is not None:
-            for variant in variants:
-                self._wire_one_cost_model(variant)
-            # Membership changes bump the generation and clear this cache,
-            # so caching the fleet name itself is safe.
-            self._wired_cost_models.add(model_name)
-            return
-        self._wire_one_cost_model(model_name)
-
-    def _wire_one_cost_model(self, name: str) -> None:
-        if name in self._wired_cost_models:
-            return
         try:
-            cost_model = self.registry.cost_model(name)
-        except KeyError:  # unregistered concurrently; next submit re-tries
-            return
-        if cost_model is not None:
-            # The registry's tables win: after a re-registration the
-            # collector may still hold the previous tenant's.
-            self.telemetry.attach_cost_model(name, cost_model)
-            self._wired_cost_models.add(name)
-        elif self.telemetry.cost_model(name) is not None:
-            # Tables attached to the collector directly (no registry
-            # arch): keep them.
-            self._wired_cost_models.add(name)
-        # Absence is not cached: re-registering the model with an
-        # architecture later must still wire its cost tables.
-
-    def _wire_trace_observer(self, model_name: str) -> None:
-        """Point a hosted replica pool's lifecycle events at the tracer.
-
-        Crash/restart events then show up as instants in the tracer's
-        flight recorder, timestamp-aligned with the request spans they
-        interrupt.  Same generation-keyed cache discipline as
-        :meth:`_wire_cost_model`; the stale-generation race is equally
-        benign because setting the observer is idempotent.
-        """
-        if self.tracer is None:
-            return
-        generation = self.registry.generation
-        if generation != self._observer_generation:
-            self._wired_observers.clear()
-            self._observer_generation = generation
-        if model_name in self._wired_observers:
-            return
-        # A fleet name wires every live variant's pool (the fleet has no
-        # engine of its own); membership changes bump the generation, so
-        # caching the fleet name is safe.
-        for target in self.registry.fleet_variants(model_name) or (model_name,):
-            if target in self._wired_observers:
-                continue
-            try:
-                engine = self.registry.engine(target)
-            except KeyError:  # unregistered concurrently; next submit re-tries
-                continue
-            setter = getattr(engine, "set_lifecycle_observer", None)
-            if setter is not None:
-                setter(self._pool_lifecycle_event)
-            self._wired_observers.add(target)
-        self._wired_observers.add(model_name)
+            return self.registry.cost_model(name)
+        except KeyError:
+            return None
 
     def _pool_lifecycle_event(self, event: dict) -> None:
         """Forward one replica-pool lifecycle event into the flight recorder."""
@@ -671,11 +591,6 @@ class InferenceServer:
             )
             snapshot.batches_per_model = dict(self._stats.batches_per_model)
             return snapshot
-
-    @property
-    def pending_requests(self) -> int:
-        """Requests currently queued (not yet formed into batches)."""
-        return len(self._queue)
 
     # -- workers ---------------------------------------------------------------
 
@@ -781,7 +696,7 @@ class InferenceServer:
             engine = self.registry.engine(name)
         except KeyError:  # unregistered with requests still queued
             return 1
-        return max(1, int(getattr(engine, "dispatch_width", 1)))
+        return engine.dispatch_width
 
     def _execute_batch(self, batch: FormedBatch) -> None:
         requests = batch.requests
@@ -981,10 +896,12 @@ class InferenceServer:
         Routed fleet batches are recorded under the *variant* that executed
         them: calibration must stay per variant (the router's backlog-spill
         behaviour depends on each variant predicting its own speed) and the
-        energy attribution must use the executing architecture's tables.
-        Fleet-level aggregates come from the collector's routing counters.
+        energy attribution must use the executing architecture's tables,
+        which the registry serves.  Fleet-level aggregates come from the
+        collector's routing counters.
         """
-        self.telemetry.record_engine_runs(name, engine_records)
+        cost = self._cost_model(name)
+        self.telemetry.record_engine_runs(name, engine_records, cost)
         pool_health = getattr(engine, "pool_health", None)
         if pool_health is not None:
             health = pool_health()
@@ -994,7 +911,6 @@ class InferenceServer:
                 replicas=health["replicas"],
                 restarts=health["restarts"],
             )
-        cost = self.telemetry.cost_model(name)
         # The pipeline-fill latency is paid once per coalesced batch, so each
         # request is charged its sample-weighted share of the *batch's*
         # modeled latency (mirroring engine_share_s for wall time); summing

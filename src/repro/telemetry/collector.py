@@ -21,7 +21,12 @@ predicts batch latency in simulated-hardware microseconds, while deadlines at
 the serving layer live on the wall clock of this NumPy simulator.  An
 exponential moving average of ``observed engine seconds / modeled batch
 seconds`` per model calibrates :meth:`predicted_batch_latency_s`, which the
-SLO-aware scheduler subtracts from request deadlines to compute slack.
+SLO-aware scheduler subtracts from request deadlines to compute slack.  The
+collector keeps only that calibration state (plus a queue-wait EMA); it holds
+no cost tables.  Callers pass the model's
+:class:`~repro.telemetry.cost.CostModel` -- the one the
+:class:`~repro.serve.registry.ModelRegistry` serves -- to
+:meth:`record_engine_runs` and :meth:`predicted_batch_latency_s`.
 """
 
 from __future__ import annotations
@@ -149,7 +154,7 @@ class RequestTrace:
     request's sample-weighted share of its batch's modeled latency (the
     pipeline fill is paid once per batch, so per-request shares sum to the
     batch total).  Modeled fields are ``None`` when the request's model has
-    no attached cost model.
+    no cost tables.
 
     ``trace_id`` / ``spans`` tie the record to the distributed trace of the
     same request (:mod:`repro.telemetry.tracing`): ``spans`` holds the
@@ -480,9 +485,8 @@ class TelemetryCollector:
         self._fleets: dict[str, FleetAggregate] = {}
         # Per-(model, metric) log-bucketed histograms; metric is one of
         # _HISTOGRAM_KEYS ("latency"/"queue_wait" fed by record(), "engine"
-        # by record_engine_run()).
+        # by record_engine_runs()).
         self._histograms: dict[tuple[str, str], LatencyHistogram] = {}
-        self._cost_models: dict[str, CostModel] = {}
         self._wall_per_modeled: dict[str, float] = {}
         # Per-model queue-wait EMA (seconds), updated from every completed
         # request's trace.  This is the cross-model contention signal:
@@ -495,27 +499,22 @@ class TelemetryCollector:
         self._overload_state: str | None = None
         self._lock = threading.Lock()
 
-    # -- cost-model wiring -----------------------------------------------------
-
-    def attach_cost_model(self, model_name: str, cost_model: CostModel) -> None:
-        """Attach the cost tables used to attribute ``model_name`` requests."""
-        with self._lock:
-            self._cost_models[model_name] = cost_model
-
-    def cost_model(self, model_name: str) -> CostModel | None:
-        """The attached cost model for ``model_name`` (``None`` if absent)."""
-        with self._lock:
-            return self._cost_models.get(model_name)
+    # -- prediction ------------------------------------------------------------
 
     def predicted_batch_latency_s(
-        self, model_name: str, n_samples: int, include_queue_wait: bool = False
+        self,
+        model_name: str,
+        n_samples: int,
+        cost: CostModel | None,
+        include_queue_wait: bool = False,
     ) -> float | None:
         """Predicted wall-clock latency of a batch, for SLO slack computation.
 
-        Starts from the cost model's modeled batch latency and scales it by
-        the observed wall-per-modeled calibration EMA once engine runs have
-        been recorded.  ``None`` when ``model_name`` has no cost model (the
-        scheduler then treats predicted latency as zero).
+        Starts from ``cost``'s modeled batch latency (the model's tables, as
+        the registry serves them) and scales it by the observed
+        wall-per-modeled calibration EMA once engine runs have been recorded.
+        ``None`` when the model has no cost tables (the scheduler then
+        treats predicted latency as zero).
 
         ``include_queue_wait=True`` adds the model's observed queue-wait EMA
         (0.0 before any trace) on top: the admission controller uses
@@ -526,10 +525,9 @@ class TelemetryCollector:
         (a queued request's remaining wait is already measured directly;
         adding the EMA there would double-count it).
         """
+        if cost is None:
+            return None
         with self._lock:
-            cost = self._cost_models.get(model_name)
-            if cost is None:
-                return None
             scale = self._wall_per_modeled.get(model_name, 1.0)
             queue_wait = (
                 self._queue_wait_ema.get(model_name, 0.0)
@@ -608,35 +606,36 @@ class TelemetryCollector:
         with self._lock:
             return self._overload_state
 
-    def record_engine_run(
-        self,
-        model_name: str,
-        n_samples: int,
-        elapsed_s: float,
-        replica: str | None = None,
+    def record_engine_runs(
+        self, model_name: str, records: list[tuple], cost: CostModel | None
     ) -> None:
-        """Record one engine batch execution (also calibrates prediction).
+        """Merge the engine-run records one ``run_timed`` call returned.
 
-        The server records once per coalesced batch, through
-        :meth:`record_engine_runs`.  ``replica`` (a
-        :class:`~repro.runtime.ReplicaPool` slot label) additionally
-        attributes the run to that replica's own totals.
+        Records are ``(n_samples, elapsed_s, replica)`` triples; ``replica``
+        (a :class:`~repro.runtime.ReplicaPool` slot label) additionally
+        attributes the run to that replica's own totals, and is ``None`` for
+        an in-process engine.  With the model's ``cost`` tables, each record
+        also calibrates prediction, whichever backend measured it.
         """
+        if not records:
+            return
         with self._lock:
             aggregate = self._aggregate_locked(model_name)
-            aggregate.engine_runs += 1
-            aggregate.engine_run_samples += n_samples
-            aggregate.engine_run_s += elapsed_s
-            self._histogram_locked(model_name, "engine").observe(elapsed_s)
-            if replica is not None:
-                totals = aggregate.replica_engine_runs.setdefault(
-                    replica, {"runs": 0, "samples": 0, "seconds": 0.0}
-                )
-                totals["runs"] += 1
-                totals["samples"] += n_samples
-                totals["seconds"] += elapsed_s
-            cost = self._cost_models.get(model_name)
-            if cost is not None and n_samples > 0:
+            histogram = self._histogram_locked(model_name, "engine")
+            for n_samples, elapsed_s, replica in records:
+                aggregate.engine_runs += 1
+                aggregate.engine_run_samples += n_samples
+                aggregate.engine_run_s += elapsed_s
+                histogram.observe(elapsed_s)
+                if replica is not None:
+                    totals = aggregate.replica_engine_runs.setdefault(
+                        replica, {"runs": 0, "samples": 0, "seconds": 0.0}
+                    )
+                    totals["runs"] += 1
+                    totals["samples"] += n_samples
+                    totals["seconds"] += elapsed_s
+                if cost is None or n_samples <= 0:
+                    continue
                 modeled = cost.batch_latency_s(n_samples)
                 if modeled > 0.0:
                     ratio = elapsed_s / modeled
@@ -644,19 +643,8 @@ class TelemetryCollector:
                     self._wall_per_modeled[model_name] = (
                         ratio
                         if previous is None
-                        else previous
-                        + _CALIBRATION_ALPHA * (ratio - previous)
+                        else previous + _CALIBRATION_ALPHA * (ratio - previous)
                     )
-
-    def record_engine_runs(self, model_name: str, records: list[tuple]) -> None:
-        """Merge the engine-run records one ``run_timed`` call returned.
-
-        Records are ``(n_samples, elapsed_s, replica)`` triples;
-        ``replica`` is ``None`` for an in-process engine.  Each record
-        calibrates prediction the same way, whichever backend measured it.
-        """
-        for n_samples, elapsed_s, replica in records:
-            self.record_engine_run(model_name, n_samples, elapsed_s, replica=replica)
 
     def record_route(self, decision, *, reroute: bool = False) -> None:
         """Record one fleet routing decision at batch formation.

@@ -12,7 +12,6 @@ import os
 import sys
 import threading
 import time
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ import pytest
 from repro.nn.layers import Conv2d, GlobalAvgPool, Linear
 from repro.nn.model import QuantizedModel
 from repro.nn.synthetic import synthetic_conv_weights, synthetic_linear_weights
+from repro.runtime.procpool import _unlink_block
 
 
 def _shared_memory_blocks() -> set[str]:
@@ -108,11 +108,9 @@ def no_leaked_worker_processes():
     workers = _serve_threads(threads_before)
     for name in leaked_shm:  # reclaim so one failure does not cascade
         try:
-            block = shared_memory.SharedMemory(name=name)
+            _unlink_block(name)  # empty blocks included
         except OSError:
-            continue
-        block.close()
-        block.unlink()
+            pass
     assert not leaked, f"test leaked worker processes: {leaked}"
     assert not leaked_shm, f"test leaked shared-memory blocks: {sorted(leaked_shm)}"
     assert not loops, f"test leaked running event loops on threads: {loops}"

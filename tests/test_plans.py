@@ -117,7 +117,7 @@ class TestCompiledLayerPlan:
     def test_float32_plan_bit_identical(self, tiny_linear_layer, tiny_patches):
         config = PARITY_CONFIGS["raella_multi_chunk"]
         planned, _, _ = planned_pair(tiny_linear_layer, config)
-        assert np.float32 in planned.gemm_dtypes
+        assert np.float32 in [o.dtype for o in planned.layer_plan.operands]
         reference = PimLayerExecutor(tiny_linear_layer, config)
         assert_same_bytes(planned.matmul(tiny_patches), reference.matmul(tiny_patches))
 
@@ -152,7 +152,7 @@ class TestCompiledLayerPlan:
             )
             plan = executor.layer_plan
             assert plan.fast_path_eligible and len(executor._chunks) == 1
-            assert executor.gemm_dtypes == [np.float32]
+            assert [o.dtype for o in executor.layer_plan.operands] == [np.float32]
             chunk = executor._chunks[0]
             executor._planned_chunk_matmul(codes, chunk, 0)  # warm-up
             tracemalloc.start()

@@ -45,13 +45,13 @@ class TestFloat32FastPath:
         executor = VectorizedLayerExecutor(
             tiny_linear_layer, PimLayerConfig(), weight_cache=None, float32=True
         )
-        assert executor.gemm_dtypes == [np.float32]
+        assert [o.dtype for o in executor.layer_plan.operands] == [np.float32]
 
     def test_opt_out_stays_float64(self, tiny_linear_layer):
         executor = VectorizedLayerExecutor(
             tiny_linear_layer, PimLayerConfig(), weight_cache=None, float32=False
         )
-        assert executor.gemm_dtypes == [np.float64]
+        assert [o.dtype for o in executor.layer_plan.operands] == [np.float64]
 
     @pytest.mark.parametrize("rows", [512, 7])  # single and multi chunk
     def test_outputs_and_stats_bit_identical(
@@ -62,7 +62,7 @@ class TestFloat32FastPath:
         fast = VectorizedLayerExecutor(
             tiny_linear_layer, config, weight_cache=None, float32=True
         )
-        assert np.float32 in fast.gemm_dtypes
+        assert np.float32 in [o.dtype for o in fast.layer_plan.operands]
         assert np.array_equal(reference.matmul(tiny_patches), fast.matmul(tiny_patches))
         assert_stats_equal(reference.stats, fast.stats)
 
@@ -506,7 +506,7 @@ class TestInferenceServer:
             second = server.submit("mlp", np.zeros((1, 16)))  # "mlp" is busy
             conv = server.submit("conv", np.abs(rng.normal(0, 1, size=(1, 3, 8, 8))))
             conv.result(timeout=30)  # the idle worker ran it meanwhile
-            assert not first.done() and server.pending_requests == 1
+            assert not first.done() and len(server._queue) == 1
             release.set()
             first.result(timeout=30)
             second.result(timeout=30)

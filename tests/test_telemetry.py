@@ -237,7 +237,7 @@ class TestTelemetryCollector:
         def worker(thread_id: int) -> None:
             for i in range(per_thread):
                 collector.record(make_trace(request_id=thread_id * per_thread + i))
-                collector.record_engine_run("m", 2, 0.001)
+                collector.record_engine_runs("m", [(2, 0.001, None)], None)
 
         threads = [threading.Thread(target=worker, args=(t,)) for t in range(n_threads)]
         for thread in threads:
@@ -264,7 +264,7 @@ class TestTelemetryCollector:
     def test_prometheus_text_format(self):
         collector = TelemetryCollector()
         collector.record(make_trace(model_name="a"))
-        collector.record_engine_run("a", 4, 0.002)
+        collector.record_engine_runs("a", [(4, 0.002, None)], None)
         text = collector.to_prometheus()
         assert "# HELP repro_requests_total" in text
         assert "# TYPE repro_requests_total counter" in text
@@ -287,7 +287,7 @@ class TestTelemetryCollector:
         engine = NetworkEngine.build(tiny_mlp_model)
         inputs = np.abs(rng.normal(0, 1, size=(5, 16)))
         _outputs, elapsed, records = engine.run_timed(inputs)
-        collector.record_engine_runs("tiny", records)
+        collector.record_engine_runs("tiny", records, None)
         aggregate = collector.aggregate("tiny")
         assert aggregate.engine_runs == 1
         assert aggregate.engine_run_samples == 5
@@ -298,17 +298,16 @@ class TestTelemetryCollector:
 
     def test_predicted_latency_calibrates_to_wall_time(self, tiny_mlp_model):
         collector = TelemetryCollector()
-        assert collector.predicted_batch_latency_s("tiny", 4) is None
+        assert collector.predicted_batch_latency_s("tiny", 4, None) is None
         cost = CostModel.from_model(tiny_mlp_model, RAELLA_ARCH)
-        collector.attach_cost_model("tiny", cost)
-        modeled = collector.predicted_batch_latency_s("tiny", 4)
+        modeled = collector.predicted_batch_latency_s("tiny", 4, cost)
         assert modeled == pytest.approx(cost.batch_latency_s(4))
         # Observe a wall time 100x the modeled latency: the prediction must
         # move toward (and with repetition converge on) the observed scale.
         observed = cost.batch_latency_s(4) * 100.0
         for _ in range(50):
-            collector.record_engine_run("tiny", 4, observed)
-        calibrated = collector.predicted_batch_latency_s("tiny", 4)
+            collector.record_engine_runs("tiny", [(4, observed, None)], cost)
+        calibrated = collector.predicted_batch_latency_s("tiny", 4, cost)
         assert calibrated == pytest.approx(observed, rel=0.05)
 
 
@@ -386,9 +385,8 @@ class TestPrometheusConformance:
                 completed_at=10.6,
             )
         )
-        collector.record_engine_run("plain", 4, 0.25, replica="0")
-        collector.record_engine_run("plain", 2, 0.125, replica="1")
-        collector.record_engine_run(NASTY_MODEL, 2, 0.1)
+        collector.record_engine_runs("plain", [(4, 0.25, "0"), (2, 0.125, "1")], None)
+        collector.record_engine_runs(NASTY_MODEL, [(2, 0.1, None)], None)
         collector.record_pool_health("plain", healthy=2, replicas=3, restarts=1)
         collector.record_admission(
             SimpleNamespace(
@@ -641,7 +639,7 @@ class TestLatencyHistogram:
         assert collector.histogram("m", "latency") is None
         assert collector.quantile("m", 0.5) is None
         collector.record(make_trace())  # latency 1.0, queue wait 0.5
-        collector.record_engine_run("m", 4, 0.25)
+        collector.record_engine_runs("m", [(4, 0.25, None)], None)
         latency = collector.histogram("m", "latency")
         assert latency.count == 1 and latency.sum == pytest.approx(1.0)
         assert collector.histogram("m", "queue_wait").sum == pytest.approx(0.5)
@@ -871,6 +869,42 @@ class TestSloServing:
             assert new_energy != pytest.approx(old_energy)
             server.infer("m", np.abs(rng.normal(0, 1, size=(1, 3, 8, 8))), timeout=30)
         assert telemetry.traces("m")[-1].modeled_energy_pj == pytest.approx(new_energy)
+
+    def test_tenant_unregistered_mid_batch_keeps_the_worker(
+        self, tiny_mlp_model, tiny_conv_model, rng
+    ):
+        # A batch that outlives its tenant completes without modeled
+        # figures (the name has no tables any more), and the one worker
+        # lives on to serve the other tenant.
+        registry = ModelRegistry()
+        engine = registry.register("gone", tiny_mlp_model, arch=RAELLA_ARCH)
+        registry.register("kept", tiny_conv_model, arch=RAELLA_ARCH)
+        original_run = engine.run
+        started, release = threading.Event(), threading.Event()
+
+        def held_run(inputs, **kwargs):
+            started.set()
+            assert release.wait(timeout=10.0)
+            return original_run(inputs, **kwargs)
+
+        engine.run = held_run
+        telemetry = TelemetryCollector()
+        inputs = np.abs(rng.normal(0, 1, size=(2, 16)))
+        with InferenceServer(registry, telemetry=telemetry, max_workers=1) as server:
+            decision = server.submit("gone", inputs)
+            assert started.wait(timeout=10.0)
+            assert registry.unregister("gone")
+            release.set()
+            outputs = decision.result(timeout=10.0)
+            server.infer(
+                "kept", np.abs(rng.normal(0, 1, size=(1, 3, 8, 8))), timeout=10.0
+            )
+            assert [worker.is_alive() for worker in server._workers] == [True]
+        np.testing.assert_array_equal(outputs, original_run(inputs))
+        (trace,) = telemetry.traces("gone")
+        assert trace.modeled_energy_pj is None and trace.modeled_latency_us is None
+        assert telemetry.aggregate("gone").engine_runs == 1
+        assert telemetry.traces("kept")[-1].modeled_energy_pj > 0
 
     def test_submit_rejects_nonpositive_deadline(self, tiny_mlp_model):
         registry = ModelRegistry()

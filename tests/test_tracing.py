@@ -490,3 +490,25 @@ class TestCrashedReplicaTraces:
         # Lifecycle instants captured the crash alongside the spans.
         lifecycle = tracer.recorder.events(category="lifecycle")
         assert any(event["name"] == "replica_crash" for event in lifecycle)
+
+    def test_pool_registered_after_the_server_started_reports_crashes(
+        self, tiny_mlp_model
+    ):
+        # The registry hands its lifecycle observer to every pool it hosts,
+        # so a tenant registered later reports a crash without ever having
+        # been submitted to.
+        tracer = Tracer(sample_rate=1.0)
+        with ModelRegistry() as registry:
+            with InferenceServer(registry, POLICY, tracer=tracer):
+                pool = registry.register("late", tiny_mlp_model, backend="process")
+                (pid,) = pool.replica_pids()
+                os.kill(pid, signal.SIGKILL)
+
+                def crash_recorded():
+                    return any(
+                        event["name"] == "replica_crash"
+                        and event["args"]["pid"] == pid
+                        for event in tracer.recorder.events(category="lifecycle")
+                    )
+
+                assert wait_until(crash_recorded)
