@@ -33,13 +33,17 @@ The package is organised as:
 
 Quickstart::
 
+    import numpy as np
+
+    from repro.nn.synthetic import synthetic_images
     from repro.nn.zoo import resnet18_like
     from repro.core.compiler import RaellaCompiler
     from repro.core.accelerator import RaellaAccelerator
 
     model = resnet18_like(seed=0)
     program = RaellaCompiler().compile(model)
-    report = RaellaAccelerator().run(program)
+    images = synthetic_images(2, model.input_shape, np.random.default_rng(0))
+    report = RaellaAccelerator().run(program, images)
     print(report.summary())
 """
 

@@ -20,9 +20,10 @@ batched engine while staying bit-identical to the per-phase reference:
   operand views with proven dtypes and plane-packing proofs -- into
   per-layer plans, compiled when
   each executor is built, and a pickle-able :class:`ModelPlan` per
-  ``(model, config, noise, float32)``: noiseless executors collapse the
-  per-phase ADC/speculation loop into whole-tensor operations, and replica
-  workers boot from the shipped plan without re-encoding weights.
+  ``(model, config, noise, float32, micro_batch)``: noiseless executors
+  collapse the per-phase ADC/speculation loop into whole-tensor operations,
+  and replica workers boot only from the shipped plan, never re-encoding
+  weights.
 * :mod:`repro.runtime.cache` shares encoded weights across executor instances
   and pools executors per layer so repeated experiments do not re-program
   crossbars.

@@ -138,8 +138,7 @@ class ExecutorPool:
     """Reuses one executor per ``(layer, config, noise, float32)`` combination.
 
     A pooled executor keeps its crossbars programmed and its statistics
-    accumulating across uses; call ``get(..., reset_stats=True)`` to start a
-    fresh measurement on reuse.  The pool holds strong references to its
+    accumulating across uses.  The pool holds strong references to its
     executors, which keeps the identity-based keys valid.
 
     ``get`` is thread-safe; concurrent lookups of the same key build one
@@ -184,7 +183,6 @@ class ExecutorPool:
         layer: MatmulLayer,
         config: PimLayerConfig | None = None,
         noise: NoiseModel | None = None,
-        reset_stats: bool = False,
         float32: bool | None = None,
         plan=None,
     ) -> PimLayerExecutor:
@@ -225,8 +223,6 @@ class ExecutorPool:
                     kwargs["plan"] = plan
                 executor = self.executor_factory(layer, config, noise=noise, **kwargs)
                 self._executors[key] = executor
-            elif reset_stats:
-                executor.reset_stats()
             return executor
 
     def clear(self) -> None:

@@ -133,25 +133,32 @@ class NetworkEngine:
         each newly pooled executor with its layer's
         :class:`~repro.runtime.plan.CompiledLayerPlan`: it boots from the
         plan's pre-encoded chunks (no weight encoding at all -- this is how
-        replica workers start from a pickled spec).  When the plan carries a
-        micro-batch policy and no explicit ``micro_batch`` is given, the
-        plan's applies.
+        replica workers start from a pickled spec).  ``config``,
+        ``micro_batch`` and ``float32`` left unset are taken from the plan:
+        its config, its micro-batch size and each layer plan's GEMM dtype
+        flag, so ``build(model, noise=noise, plan=plan)`` rebuilds the
+        engine the plan was compiled for.
         """
         # Not ``pool or ExecutorPool()``: an empty pool is falsy (__len__) and
         # a shared pool passed in before first use must still be used.
         pool = pool if pool is not None else ExecutorPool()
-        executors = {
-            layer.name: pool.get(
+        if plan is not None:
+            config = plan.config if config is None else config
+            micro_batch = plan.micro_batch if micro_batch is None else micro_batch
+        executors = {}
+        for layer in model.matmul_layers():
+            layer_plan = plan.layer_plan(layer.name) if plan is not None else None
+            executors[layer.name] = pool.get(
                 layer,
                 config,
                 noise=noise,
-                float32=float32,
-                plan=plan.layer_plan(layer.name) if plan is not None else None,
+                float32=(
+                    layer_plan.float32
+                    if float32 is None and layer_plan is not None
+                    else float32
+                ),
+                plan=layer_plan,
             )
-            for layer in model.matmul_layers()
-        }
-        if micro_batch is None and plan is not None:
-            micro_batch = plan.micro_batch
         engine = cls(model, executors, micro_batch=micro_batch)
         engine.model_plan = plan
         return engine

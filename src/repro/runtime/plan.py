@@ -360,7 +360,10 @@ class ModelPlan:
     :class:`~repro.runtime.cache.ModelPlanCache`, threaded through
     :meth:`NetworkEngine.build <repro.runtime.engine.NetworkEngine.build>`
     and pickled inside :class:`~repro.runtime.procpool.EngineSpec` so every
-    replica worker boots from the already-encoded artifact.
+    replica worker boots from the already-encoded artifact.  A plan is the
+    whole compiled description of an engine: ``build(model, noise=noise,
+    plan=plan)`` takes the config, the micro-batch size and each layer's
+    GEMM dtype flag from it.
     """
 
     model_name: str
@@ -377,15 +380,16 @@ class ModelPlan:
         model,
         config: PimLayerConfig,
         noise: NoiseModel | None,
-        float32: bool,
         micro_batch: int | None,
     ) -> tuple:
-        """The identity a compiled plan depends on (and nothing else).
+        """The identity a registry-compiled plan depends on (and nothing else).
 
         Mirrors the encoded-weight cache's keying discipline: weight
         *fingerprints* rather than object identity, the full frozen config,
         and the noise-lessness flag (a plan never holds RNG state, so two
-        different seeded noise models share one plan).
+        different seeded noise models share one plan).  The registry
+        compiles every plan with the default float32 GEMMs, so the flag is
+        not part of the key.
         """
         noiseless = noise is None or isinstance(noise, NoiselessModel)
         return (
@@ -396,7 +400,6 @@ class ModelPlan:
             ),
             config,
             noiseless,
-            bool(float32),
             micro_batch,
         )
 

@@ -7,8 +7,11 @@ most of its runtime, so threads only buy concurrency, not parallelism.  This
 module moves each engine into its own *process*:
 
 * :class:`EngineWorker` is the transport: it forks/spawns a child process
-  that unpickles a model spec, builds a :class:`~repro.runtime.NetworkEngine`
-  (its own executors) and serves requests from a pipe until told to close.
+  that unpickles an :class:`EngineSpec` -- a calibrated model, its compiled
+  :class:`~repro.runtime.plan.ModelPlan` and its noise model -- builds a
+  :class:`~repro.runtime.NetworkEngine` whose executors boot from the plan's
+  pre-encoded chunks (a worker never encodes weights), and serves requests
+  from a pipe until told to close.
 * Input and output arrays never travel through the pipe or the pickler.
   Arrays move through :class:`multiprocessing.shared_memory` blocks, one
   per direction, each owned by its sender (the parent owns the request
@@ -65,9 +68,10 @@ from typing import Callable
 import numpy as np
 
 from repro.analog.noise import NoiseModel, NoiselessModel
-from repro.core.executor import LayerStatistics, PimLayerConfig
+from repro.core.executor import LayerStatistics
 from repro.nn.model import QuantizedModel
 from repro.runtime import vectorized
+from repro.runtime.plan import ModelPlan
 
 __all__ = [
     "EngineSpec",
@@ -306,6 +310,14 @@ class _ArrayReceiver:
 class EngineSpec:
     """Everything a worker needs to rebuild a :class:`NetworkEngine`.
 
+    An engine is its plan: ``plan`` is the model's compiled
+    :class:`~repro.runtime.plan.ModelPlan`, shipped by value, and it carries
+    the layer config, the micro-batch size and each layer's GEMM dtypes.  A
+    worker seeds its executors with the plan's pre-encoded chunks and operand
+    tables, so N replicas, crash restarts and rolling ``replace()`` pay the
+    compile exactly once, in the parent.  ``noise`` is the one thing a plan
+    does not hold (a plan never carries RNG state).
+
     The spec is pickled once per launch or ``replace``, and every worker of
     that spec (restarts included) boots from the same bytes; the worker
     builds its own engine from it, so no parent-side state (and none of the
@@ -313,21 +325,14 @@ class EngineSpec:
     path so spawned workers resolve ``repro`` exactly like the parent did.
     ``blas_threads`` pins the worker's BLAS/OpenMP pools (``None`` leaves
     them unpinned); the default of one thread per worker keeps N replicas
-    from oversubscribing the machine.  ``plan`` ships a compiled
-    :class:`~repro.runtime.plan.ModelPlan` by value: a worker booting from a
-    planned spec seeds its executors with the plan's pre-encoded chunks and
-    operand tables instead of re-running weight encoding, so N replicas and
-    rolling ``replace()`` pay the compile exactly once, in the parent.
+    from oversubscribing the machine.
     """
 
     model: QuantizedModel
-    config: PimLayerConfig | None = None
+    plan: ModelPlan
     noise: NoiseModel | None = None
-    micro_batch: int | None = None
-    float32: bool = True
     sys_path: tuple[str, ...] = field(default_factory=tuple)
     blas_threads: int | None = 1
-    plan: object | None = None
 
     def __post_init__(self) -> None:
         if self.blas_threads is not None and self.blas_threads < 1:
@@ -340,53 +345,42 @@ def _pickle_spec(spec: EngineSpec) -> bytes:
         return pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as error:
         raise ValueError(
-            "engine spec is not picklable (model, config and noise must "
+            "engine spec is not picklable (model, plan and noise must "
             f"survive a process boundary): {error!r}"
         ) from error
 
 
 def _engine_spec(
     model: QuantizedModel,
-    config: PimLayerConfig | None,
+    plan: ModelPlan,
     noise: NoiseModel | None,
-    micro_batch: int | None,
-    float32: bool,
     blas_threads: int | None,
-    plan,
 ) -> tuple[EngineSpec, bytes]:
     """The spec :meth:`ReplicaPool.launch` and ``replace`` boot workers from,
     with its pickle.
 
-    Raises :class:`ValueError` for an uncalibrated model or a spec that does
-    not pickle, before any worker is started or retired.
+    Raises :class:`ValueError` for an uncalibrated model, a plan that was not
+    compiled for every matmul layer of ``model`` (a worker would have to
+    encode the missing weights) or a spec that does not pickle, before any
+    worker is started or retired.
     """
     if not model.is_calibrated:
         raise ValueError(f"model {model.name!r} must be calibrated first")
+    for layer in model.matmul_layers():
+        layer_plan = plan.layer_plan(layer.name)
+        if layer_plan is None or not layer_plan.matches(layer, plan.config):
+            raise ValueError(
+                f"plan {plan.model_name!r} was not compiled for layer "
+                f"{layer.name!r} of model {model.name!r}"
+            )
     spec = EngineSpec(
         model=model,
-        config=config,
+        plan=plan,
         noise=noise,
-        micro_batch=micro_batch,
-        float32=float32,
         sys_path=tuple(sys.path),
         blas_threads=blas_threads,
-        plan=plan,
     )
     return spec, _pickle_spec(spec)
-
-
-def _build_engine_from_spec(spec: EngineSpec):
-    """Worker-side: compile the spec into a private in-process engine."""
-    from repro.runtime.engine import NetworkEngine
-
-    return NetworkEngine.build(
-        spec.model,
-        spec.config,
-        noise=spec.noise,
-        micro_batch=spec.micro_batch,
-        float32=spec.float32,
-        plan=spec.plan,
-    )
 
 
 #: ``(prefix, suffix)`` of the OpenBLAS thread-count entry points
@@ -539,7 +533,9 @@ def _engine_worker_main(
                 if path not in sys.path:
                     sys.path.insert(0, path)
             _limit_blas_threads(spec.blas_threads)
-            engine = _build_engine_from_spec(spec)
+            from repro.runtime.engine import NetworkEngine
+
+            engine = NetworkEngine.build(spec.model, noise=spec.noise, plan=spec.plan)
         except BaseException as error:
             results.send(_error_message(0, error))
             return
@@ -980,31 +976,29 @@ class ReplicaPool:
     def launch(
         cls,
         model: QuantizedModel,
-        config: PimLayerConfig | None = None,
+        plan: ModelPlan,
         noise: NoiseModel | None = None,
-        micro_batch: int | None = None,
-        float32: bool = True,
         replicas: int = 2,
         start_method: str | None = None,
         blas_threads: int | None = 1,
         probe_interval_s: float = _PROBE_INTERVAL_S,
         start_timeout_s: float = _BOOT_TIMEOUT_S,
         shutdown_timeout_s: float = _SHUTDOWN_TIMEOUT_S,
-        plan=None,
     ) -> "ReplicaPool":
         """Start ``replicas`` worker processes hosting ``model``.
 
-        ``plan`` ships one compiled :class:`~repro.runtime.plan.ModelPlan`
-        inside the spec every replica (and every crash-restart and rolling
-        ``replace``) boots from, so N workers re-encode weights zero times.
+        ``plan`` is the model's compiled :class:`~repro.runtime.plan.ModelPlan`
+        (:func:`~repro.runtime.plan.compile_model_plan`); it fixes the layer
+        config, micro-batch size and GEMM dtypes, and every replica (and
+        every crash restart) boots from its pre-encoded chunks, so N workers
+        encode weights zero times.  ``noise`` must match the plan's
+        noise-lessness.
 
         Raises :class:`ValueError` when the spec does not pickle, re-raises
         worker-side build failures in the caller, and tears down every
         already-started replica when a later one fails to boot.
         """
-        spec, spec_bytes = _engine_spec(
-            model, config, noise, micro_batch, float32, blas_threads, plan
-        )
+        spec, spec_bytes = _engine_spec(model, plan, noise, blas_threads)
         return cls(
             model,
             spec,
@@ -1403,27 +1397,21 @@ class ReplicaPool:
     def replace(
         self,
         model: QuantizedModel,
-        config: PimLayerConfig | None = None,
+        plan: ModelPlan,
         noise: NoiseModel | None = None,
-        micro_batch: int | None = None,
-        float32: bool = True,
         blas_threads: int | None = 1,
         replicas: int | None = None,
-        plan=None,
     ) -> None:
         """Roll a new spec through the pool, one replica at a time.
 
         Each slot's fresh worker is booted *before* its old one is retired,
         so at every instant at least ``replicas - 1`` slots serve traffic
         and the model never becomes unserveable.  ``replicas`` resizes the
-        pool as part of the roll (``None`` keeps the current width).
-        ``plan`` ships the new spec's compiled
-        :class:`~repro.runtime.plan.ModelPlan`, so each freshly booted
-        replacement boots from pre-encoded chunks instead of re-planning.
+        pool as part of the roll (``None`` keeps the current width).  Every
+        replacement boots from ``plan``'s pre-encoded chunks, as in
+        :meth:`launch`.
         """
-        spec, spec_bytes = _engine_spec(
-            model, config, noise, micro_batch, float32, blas_threads, plan
-        )
+        spec, spec_bytes = _engine_spec(model, plan, noise, blas_threads)
         with self._replace_lock:
             with self._cond:
                 if self._closed:

@@ -127,13 +127,6 @@ class RouteDecision:
         """The variants considered and not chosen, in candidate order."""
         return tuple(c.name for c in self.candidates if c.name != self.variant)
 
-    @property
-    def predicted_saved_pj(self) -> float | None:
-        """Modeled energy saved vs the always-fastest placement (``None`` unknown)."""
-        if self.energy_pj is None or self.baseline_energy_pj is None:
-            return None
-        return self.baseline_energy_pj - self.energy_pj
-
 
 class RoutingObjective:
     """Strategy choosing one variant from the candidate snapshots.

@@ -10,9 +10,9 @@ batches.  What tenants do share is read-only: one
 weights (fine-tuned model families, A/B variants) share encoded crossbars
 automatically, and one plan cache.
 
-The registry keeps the runtime's default of float32 GEMMs: they silently
-degrade to float64 per chunk wherever exactness cannot be proven, so they are
-always safe.
+Engines keep the runtime's default of single-precision GEMMs: they silently
+degrade to double precision per chunk wherever exactness cannot be proven, so
+they are always safe.
 
 Registration also compiles (and owns) each model's
 :class:`~repro.runtime.plan.ModelPlan`: the per-layer execution recipes --
@@ -45,18 +45,11 @@ __all__ = ["ModelRegistry"]
 
 
 class ModelRegistry:
-    """Named, calibrated models compiled into engines over shared caches.
+    """Named, calibrated models compiled into engines over shared caches."""
 
-    Parameters
-    ----------
-    float32:
-        Default for the float32 GEMM fast path of newly registered engines.
-    """
-
-    def __init__(self, float32: bool = True):
+    def __init__(self):
         #: Encoded crossbar chunks shared by every hosted engine's executors.
         self.weight_cache = EncodedWeightCache()
-        self.float32 = float32
         self._engines: dict[str, NetworkEngine] = {}
         # Compiled execution plans: the LRU cache deduplicates across hosted
         # names (fingerprint-keyed), _plans maps each live name to the plan
@@ -81,7 +74,6 @@ class ModelRegistry:
         config: PimLayerConfig | None = None,
         noise: NoiseModel | None = None,
         micro_batch: int | None = None,
-        float32: bool | None = None,
         arch: ArchitectureSpec | None = None,
         tenant: str | None = None,
         backend: str = "thread",
@@ -91,12 +83,16 @@ class ModelRegistry:
     ) -> NetworkEngine:
         """Host a calibrated model under ``name`` and return its engine.
 
+        ``config``, ``noise`` and ``micro_batch`` are compiled into the
+        model's :class:`~repro.runtime.plan.ModelPlan`, and both backends
+        build their engines from that plan and ``noise`` alone.
+
         ``backend="process"`` hosts the model in a self-healing
         :class:`~repro.runtime.ReplicaPool` of ``replicas`` worker processes
         (default 1): each worker builds a private in-process engine from the
-        pickled model spec and serves ``run()`` calls over a shared-memory
-        request path, bit-identical to the default in-process (``"thread"``)
-        backend.  Replicas of one model (as well as different models)
+        pickled model, plan and noise and serves ``run()`` calls over a
+        shared-memory request path, bit-identical to the default in-process
+        (``"thread"``) backend.  Replicas of one model (as well as different models)
         execute truly in parallel; a crashed replica is restarted
         automatically and its in-flight batch requeued onto a sibling.
         ``blas_threads`` pins each worker's BLAS/OpenMP pools (default one
@@ -142,7 +138,6 @@ class ModelRegistry:
             raise ValueError("replicas must be >= 1")
         if replicas is not None and replicas > 1 and backend != "process":
             raise ValueError("replicas > 1 requires backend='process'")
-        use_float32 = self.float32 if float32 is None else float32
         # Reserve the name, then build outside the registry lock so a slow
         # compile never blocks lookups of the hosted tenants (the caches'
         # own locks keep the shared structures safe).
@@ -160,11 +155,9 @@ class ModelRegistry:
                 self._reserved.add(name)
         try:
             cost_model = None if arch is None else CostModel.from_model(model, arch)
-            pool = ExecutorPool(weight_cache=self.weight_cache, float32=use_float32)
+            pool = ExecutorPool(weight_cache=self.weight_cache)
             resolved_config = config if config is not None else PimLayerConfig()
-            key = ModelPlan.cache_key(
-                model, resolved_config, noise, use_float32, micro_batch
-            )
+            key = ModelPlan.cache_key(model, resolved_config, noise, micro_batch)
             # On a miss the compile builds this engine's executors in
             # ``pool``; on a hit they boot from the cached plan's chunks.
             plan = self._plan_cache.get_or_compile(
@@ -173,7 +166,6 @@ class ModelRegistry:
                     model,
                     resolved_config,
                     noise=noise,
-                    float32=use_float32,
                     micro_batch=micro_batch,
                     pool=pool,
                 ),
@@ -181,36 +173,22 @@ class ModelRegistry:
             if rolling is not None:
                 rolling.replace(
                     model,
-                    config,
+                    plan,
                     noise=noise,
-                    micro_batch=micro_batch,
-                    float32=use_float32,
                     blas_threads=blas_threads,
                     replicas=replicas,
-                    plan=plan,
                 )
                 engine: NetworkEngine = rolling
             elif backend == "process":
                 engine = ReplicaPool.launch(
                     model,
-                    config,
+                    plan,
                     noise=noise,
-                    micro_batch=micro_batch,
-                    float32=use_float32,
                     replicas=1 if replicas is None else replicas,
                     blas_threads=blas_threads,
-                    plan=plan,
                 )
             else:
-                engine = NetworkEngine.build(
-                    model,
-                    config,
-                    noise=noise,
-                    micro_batch=micro_batch,
-                    pool=pool,
-                    float32=use_float32,
-                    plan=plan,
-                )
+                engine = NetworkEngine.build(model, noise=noise, pool=pool, plan=plan)
         except BaseException:
             with self._lock:
                 self._reserved.discard(name)

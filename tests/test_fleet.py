@@ -183,7 +183,7 @@ class TestFleetRouter:
         assert decision.variant == CHEAP  # cheapest, no deadline
         assert decision.baseline_variant == FAST  # lowest idle latency
         assert decision.rejected == (FAST,)
-        assert decision.predicted_saved_pj > 0
+        assert decision.baseline_energy_pj - decision.energy_pj > 0
         assert {c.name for c in decision.candidates} == {FAST, CHEAP}
         assert decision.objective == "min_energy"
 

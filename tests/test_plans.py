@@ -988,22 +988,17 @@ class TestModelPlan:
         assert plan.layer_plan("no_such_layer") is None
 
     def test_cache_key_sensitivity(self, tiny_mlp_model):
-        base = ModelPlan.cache_key(tiny_mlp_model, PimLayerConfig(), None, True, None)
+        base = ModelPlan.cache_key(tiny_mlp_model, PimLayerConfig(), None, None)
         assert base == ModelPlan.cache_key(
-            tiny_mlp_model, PimLayerConfig(), NoiselessModel(), True, None
+            tiny_mlp_model, PimLayerConfig(), NoiselessModel(), None
         )
         assert base != ModelPlan.cache_key(
-            tiny_mlp_model, PimLayerConfig(adc_bits=8), None, True, None
+            tiny_mlp_model, PimLayerConfig(adc_bits=8), None, None
         )
-        assert base != ModelPlan.cache_key(
-            tiny_mlp_model, PimLayerConfig(), None, False, None
-        )
-        assert base != ModelPlan.cache_key(
-            tiny_mlp_model, PimLayerConfig(), None, True, 8
-        )
+        assert base != ModelPlan.cache_key(tiny_mlp_model, PimLayerConfig(), None, 8)
         noisy = GaussianColumnNoise(level=0.05)
         assert base != ModelPlan.cache_key(
-            tiny_mlp_model, PimLayerConfig(), noisy, True, None
+            tiny_mlp_model, PimLayerConfig(), noisy, None
         )
 
     def test_engine_build_adopts_plan(self, tiny_mlp_model, rng):
@@ -1015,6 +1010,21 @@ class TestModelPlan:
         baseline = NetworkEngine.build(tiny_mlp_model, micro_batch=8)
         inputs = np.abs(rng.normal(0, 1, size=(13, 16)))
         assert np.array_equal(engine.run(inputs), baseline.run(inputs))
+
+    def test_engine_build_takes_config_and_dtypes_from_plan(self, tiny_mlp_model, rng):
+        config = PimLayerConfig(adc_bits=5)
+        plan = compile_model_plan(tiny_mlp_model, config, float32=False, micro_batch=5)
+        engine = NetworkEngine.build(tiny_mlp_model, plan=plan)
+        assert engine.micro_batch == 5
+        for name, executor in engine.executors.items():
+            assert executor.config == config and not executor.float32
+            assert executor.layer_plan is plan.layer_plan(name)
+        baseline = NetworkEngine.build(
+            tiny_mlp_model, config, micro_batch=5, float32=False
+        )
+        inputs = np.abs(rng.normal(0, 1, size=(13, 16)))
+        assert engine.run(inputs).tobytes() == baseline.run(inputs).tobytes()
+        assert_stats_equal(engine.network_statistics(), baseline.network_statistics())
 
 
 class TestRegistryPlanCache:

@@ -28,6 +28,7 @@ from repro.runtime import (
     RemoteEngineError,
     ReplicaPool,
     WorkerCrashError,
+    compile_model_plan,
 )
 from repro.runtime.procpool import _MIN_BLOCK_BYTES, _reply_block_name
 from repro.serve import (
@@ -45,9 +46,24 @@ def reference_engine(model, **kwargs) -> NetworkEngine:
     return NetworkEngine.build(model, pool=ExecutorPool(weight_cache=None), **kwargs)
 
 
+def launch_pool(
+    model, config=None, noise=None, micro_batch=None, float32=None, **kwargs
+) -> ReplicaPool:
+    """A replica pool booted from a plan compiled here, in the parent."""
+    plan = compile_model_plan(
+        model, config, noise=noise, float32=float32, micro_batch=micro_batch
+    )
+    return ReplicaPool.launch(model, plan, noise=noise, **kwargs)
+
+
 def launch_one(model, **kwargs) -> ReplicaPool:
     """The single-worker process backend: a one-replica pool."""
-    return ReplicaPool.launch(model, replicas=1, **kwargs)
+    return launch_pool(model, replicas=1, **kwargs)
+
+
+def worker_spec(model) -> EngineSpec:
+    """A bare worker's spec: the model and its compiled plan."""
+    return EngineSpec(model, compile_model_plan(model), sys_path=tuple(sys.path))
 
 
 @pytest.fixture
@@ -168,11 +184,16 @@ class TestProcessEngineParity:
             )
 
     def test_float32_fast_path_parity(self, tiny_mlp_model, rng):
+        # The worker takes each layer's GEMM dtype flag from the plan.
         inputs = np.abs(rng.normal(0, 1, size=(6, 16)))
-        with launch_one(tiny_mlp_model, float32=True) as engine:
-            assert np.array_equal(
-                reference_engine(tiny_mlp_model).run(inputs), engine.run(inputs)
-            )
+        for float32 in (True, False):
+            reference = reference_engine(tiny_mlp_model, float32=float32)
+            with launch_one(tiny_mlp_model, float32=float32) as engine:
+                outputs = engine.run(inputs)
+                assert outputs.tobytes() == reference.run(inputs).tobytes()
+                assert_stats_equal(
+                    reference.network_statistics(), engine.network_statistics()
+                )
 
 
 class TestSharedMemoryTransport:
@@ -270,7 +291,7 @@ class TestWorkerLifecycle:
     def test_dead_worker_raises_instead_of_hanging(self, tiny_mlp_model):
         # The transport's contract, below any pool: a request to a worker
         # that died raises a typed error instead of blocking on the pipe.
-        worker = EngineWorker(EngineSpec(tiny_mlp_model, sys_path=tuple(sys.path)))
+        worker = EngineWorker(worker_spec(tiny_mlp_model))
         try:
             worker._process.terminate()
             worker._process.join(timeout=10)
@@ -288,7 +309,7 @@ class TestWorkerLifecycle:
         # A worker killed after creating the reply block for a request, but
         # before naming it in a reply, leaves a block only its name finds --
         # empty when the kill landed before the block was sized.
-        worker = EngineWorker(EngineSpec(tiny_mlp_model, sys_path=tuple(sys.path)))
+        worker = EngineWorker(worker_spec(tiny_mlp_model))
         extra = (False, False, None, None)
         try:
             worker.request("run", array=np.ones((1, 16)), extra=extra)

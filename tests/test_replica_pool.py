@@ -8,6 +8,7 @@ invisible to callers: the in-flight batch is requeued onto a sibling and the
 dead worker restarted in the background.
 """
 
+import multiprocessing
 import os
 import signal
 import sys
@@ -19,10 +20,14 @@ import numpy as np
 import pytest
 
 from repro.analog.noise import GaussianColumnNoise
+from repro.core.center_offset import CenterOffsetEncoder
+from repro.core.executor import PimLayerConfig
 from repro.runtime import (
+    EncodedWeightCache,
     NetworkEngine,
     ReplicaPool,
     WorkerStartupError,
+    compile_model_plan,
     procpool,
     vectorized,
 )
@@ -34,7 +39,7 @@ from repro.serve import (
     ModelRegistry,
 )
 from repro.telemetry import TelemetryCollector
-from tests.test_procpool import reference_engine
+from tests.test_procpool import launch_pool, reference_engine
 from tests.test_runtime_engine import assert_stats_equal
 
 
@@ -94,7 +99,7 @@ class TestReplicaPoolParity:
     def test_noiseless_outputs_bit_identical(self, tiny_mlp_model, rng):
         inputs = np.abs(rng.normal(0, 1, size=(7, 16)))
         reference = reference_engine(tiny_mlp_model)
-        with ReplicaPool.launch(tiny_mlp_model, replicas=2) as pool:
+        with launch_pool(tiny_mlp_model, replicas=2) as pool:
             assert pool.replicas == 2
             assert pool.healthy_replicas == 2
             assert pool.dispatch_width == 2
@@ -112,7 +117,7 @@ class TestReplicaPoolParity:
         reference = reference_engine(
             tiny_mlp_model, noise=GaussianColumnNoise(level=0.08, seed=5)
         )
-        with ReplicaPool.launch(
+        with launch_pool(
             tiny_mlp_model,
             noise=GaussianColumnNoise(level=0.08, seed=5),
             replicas=2,
@@ -123,7 +128,7 @@ class TestReplicaPoolParity:
 
     def test_run_timed_records_carry_replica_index(self, tiny_mlp_model, rng):
         inputs = np.abs(rng.normal(0, 1, size=(5, 16)))
-        with ReplicaPool.launch(tiny_mlp_model, replicas=2) as pool:
+        with launch_pool(tiny_mlp_model, replicas=2) as pool:
             _outputs, elapsed, records = pool.run_timed(inputs)
             assert elapsed > 0
             assert len(records) == 1
@@ -138,7 +143,7 @@ class TestReplicaPoolParity:
         reference = reference_engine(tiny_mlp_model)
         reference.run(first)
         reference.run(second)
-        with ReplicaPool.launch(tiny_mlp_model, replicas=2) as pool:
+        with launch_pool(tiny_mlp_model, replicas=2) as pool:
             h0, _h1 = pool._handles
             pool.run(first)  # idle pool: least-loaded picks replica 0
             h0.inflight += 1  # force the next batch onto replica 1
@@ -156,7 +161,7 @@ class TestReplicaPoolParity:
             assert pool.network_statistics().n_inputs == 0
 
     def test_least_loaded_dispatch(self, tiny_mlp_model):
-        with ReplicaPool.launch(tiny_mlp_model, replicas=2) as pool:
+        with launch_pool(tiny_mlp_model, replicas=2) as pool:
             h0, h1 = pool._handles
             handle, _worker = pool._acquire()
             assert handle is h0  # idle pool: ties break by index
@@ -173,9 +178,7 @@ class TestSelfHealing:
         # must come back healthy with a fresh process.
         inputs = np.abs(rng.normal(0, 1, size=(4096, 16)))
         expected = reference_engine(tiny_mlp_model).run(inputs)
-        with ReplicaPool.launch(
-            tiny_mlp_model, replicas=2, probe_interval_s=0.05
-        ) as pool:
+        with launch_pool(tiny_mlp_model, replicas=2, probe_interval_s=0.05) as pool:
             results = {}
             import threading
 
@@ -207,9 +210,7 @@ class TestSelfHealing:
     def test_idle_crash_detected_by_prober_and_restarted(self, tiny_mlp_model, rng):
         inputs = np.abs(rng.normal(0, 1, size=(4, 16)))
         expected = reference_engine(tiny_mlp_model).run(inputs)
-        with ReplicaPool.launch(
-            tiny_mlp_model, replicas=2, probe_interval_s=0.05
-        ) as pool:
+        with launch_pool(tiny_mlp_model, replicas=2, probe_interval_s=0.05) as pool:
             victim = pool.replica_pids()[0]
             os.kill(victim, signal.SIGKILL)
             assert wait_until(
@@ -237,29 +238,27 @@ class TestSelfHealing:
         monkeypatch.setattr(procpool, "_pickle_spec", counting_pickle)
         inputs = np.abs(rng.normal(0, 1, size=(4, 16)))
         expected = reference_engine(tiny_mlp_model).run(inputs)
-        with ReplicaPool.launch(
-            tiny_mlp_model, replicas=2, probe_interval_s=0.05
-        ) as pool:
+        with launch_pool(tiny_mlp_model, replicas=2, probe_interval_s=0.05) as pool:
             assert len(pickles) == 1
             os.kill(pool.replica_pids()[0], signal.SIGKILL)
             assert wait_until(
                 lambda: pool.restart_count >= 1 and pool.healthy_replicas == 2
             )
             assert len(pickles) == 1
-            pool.replace(tiny_mlp_model, replicas=3)
+            pool.replace(tiny_mlp_model, compile_model_plan(tiny_mlp_model), replicas=3)
             assert len(pickles) == 2
             assert pool.healthy_replicas == 3
             assert np.array_equal(pool.run(inputs), expected)
 
     def test_startup_crash_raises_typed_error_with_stderr_tail(self, tiny_mlp_model):
         with pytest.raises(WorkerStartupError, match="failed to start") as info:
-            ReplicaPool.launch(tiny_mlp_model, noise=ExplodingOnUnpickle(), replicas=1)
+            launch_pool(tiny_mlp_model, noise=ExplodingOnUnpickle(), replicas=1)
         assert "synthetic worker boot failure" in info.value.stderr_tail
         assert "synthetic worker boot failure" in str(info.value)
 
     def test_startup_timeout_raises_typed_error(self, tiny_mlp_model):
         with pytest.raises(WorkerStartupError, match="failed to start"):
-            ReplicaPool.launch(
+            launch_pool(
                 tiny_mlp_model,
                 noise=HangingOnUnpickle(),
                 replicas=1,
@@ -269,11 +268,11 @@ class TestSelfHealing:
 
     def test_timeouts_and_replica_counts_validated(self, tiny_mlp_model):
         with pytest.raises(ValueError, match="timeout"):
-            ReplicaPool.launch(tiny_mlp_model, start_timeout_s=0.0)
+            launch_pool(tiny_mlp_model, start_timeout_s=0.0)
         with pytest.raises(ValueError, match="replicas"):
-            ReplicaPool.launch(tiny_mlp_model, replicas=0)
+            launch_pool(tiny_mlp_model, replicas=0)
         with pytest.raises(ValueError, match="blas_threads"):
-            ReplicaPool.launch(tiny_mlp_model, blas_threads=0)
+            launch_pool(tiny_mlp_model, blas_threads=0)
 
 
 class TestOneMaintenanceThread:
@@ -283,9 +282,7 @@ class TestOneMaintenanceThread:
         # The prober starts booting a replacement, and the boot only goes on
         # once close() has begun: close() must not return before it ends.
         booting, booted = threading.Event(), threading.Event()
-        with ReplicaPool.launch(
-            tiny_mlp_model, replicas=1, probe_interval_s=0.05
-        ) as pool:
+        with launch_pool(tiny_mlp_model, replicas=1, probe_interval_s=0.05) as pool:
             spawn = pool._spawn
 
             def spawn_during_close(handle):
@@ -304,7 +301,7 @@ class TestOneMaintenanceThread:
         assert pool.restart_count == 0  # the late boot was discarded
 
     def test_restart_after_close_boots_nothing(self, tiny_mlp_model):
-        pool = ReplicaPool.launch(tiny_mlp_model, replicas=1)
+        pool = launch_pool(tiny_mlp_model, replicas=1)
         handle = pool._handles[0]
         pool.close()
         spawns = []
@@ -319,9 +316,7 @@ class TestOneMaintenanceThread:
         expected = reference_engine(tiny_mlp_model).run(inputs)
         peak = 0
 
-        with ReplicaPool.launch(
-            tiny_mlp_model, replicas=2, probe_interval_s=0.05
-        ) as pool:
+        with launch_pool(tiny_mlp_model, replicas=2, probe_interval_s=0.05) as pool:
 
             def healed():
                 nonlocal peak
@@ -342,15 +337,89 @@ class TestOneMaintenanceThread:
             assert np.array_equal(pool.run(inputs), expected)
 
 
+class TestEngineIsItsPlan:
+    """A pool is described by its model, its compiled plan and its noise."""
+
+    @pytest.mark.parametrize(
+        "case", ["noiseless", "seeded_noise", "plan_micro_batch", "replace"]
+    )
+    def test_outputs_and_counters_match_the_in_process_engine(
+        self, tiny_mlp_model, case, rng
+    ):
+        def noise():
+            if case == "seeded_noise":
+                return GaussianColumnNoise(level=0.08, seed=5)
+            return None
+
+        micro_batch = 4 if case == "plan_micro_batch" else None
+        config = PimLayerConfig(adc_bits=5) if case == "replace" else None
+        inputs = np.abs(rng.normal(0, 1, size=(9, 16)))
+        reference = reference_engine(
+            tiny_mlp_model, config=config, noise=noise(), micro_batch=micro_batch
+        )
+        with launch_pool(
+            tiny_mlp_model, noise=noise(), micro_batch=micro_batch, replicas=2
+        ) as pool:
+            if case == "replace":
+                plan = compile_model_plan(tiny_mlp_model, config)
+                assert plan.config != PimLayerConfig()
+                pool.replace(tiny_mlp_model, plan)
+            for _ in range(2):
+                assert pool.run(inputs).tobytes() == reference.run(inputs).tobytes()
+            remote = pool.layer_statistics()
+            for name, stats in reference.layer_statistics().items():
+                assert_stats_equal(stats, remote[name])
+
+    def test_workers_never_encode_weights(self, tiny_mlp_model, rng, monkeypatch):
+        # The plan is compiled here; forked workers inherit the patches
+        # below, so a worker (or a crash restart) that encoded weights or
+        # even consulted the encoded-weight cache would fail to boot.
+        if "fork" not in get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+        inputs = np.abs(rng.normal(0, 1, size=(6, 16)))
+        reference = reference_engine(tiny_mlp_model)
+        expected = reference.run(inputs)
+        plan = compile_model_plan(tiny_mlp_model)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker encoded weights")
+
+        monkeypatch.setattr(CenterOffsetEncoder, "encode", refuse)
+        monkeypatch.setattr(EncodedWeightCache, "encoded_chunks", refuse)
+        with ReplicaPool.launch(
+            tiny_mlp_model,
+            plan,
+            replicas=1,
+            start_method="fork",
+            probe_interval_s=0.05,
+        ) as pool:
+            assert pool.run(inputs).tobytes() == expected.tobytes()
+            assert_stats_equal(
+                reference.network_statistics(), pool.network_statistics()
+            )
+            os.kill(pool.replica_pids()[0], signal.SIGKILL)
+            assert wait_until(
+                lambda: pool.restart_count >= 1 and pool.healthy_replicas == 1
+            )
+            assert pool.run(inputs).tobytes() == expected.tobytes()
+
+    def test_a_plan_of_another_model_is_rejected_before_boot(
+        self, tiny_mlp_model, tiny_conv_model
+    ):
+        with pytest.raises(ValueError, match="not compiled for layer"):
+            ReplicaPool.launch(tiny_conv_model, compile_model_plan(tiny_mlp_model))
+        assert not multiprocessing.active_children()
+
+
 class TestBlasPinning:
     def test_workers_report_pinned_thread_counts(self, tiny_mlp_model):
-        with ReplicaPool.launch(tiny_mlp_model, replicas=2, blas_threads=2) as pool:
+        with launch_pool(tiny_mlp_model, replicas=2, blas_threads=2) as pool:
             metas = [handle.worker.ping() for handle in pool._handles]
             assert {meta["blas_threads"] for meta in metas} == {"2"}
             assert len({meta["pid"] for meta in metas}) == 2
 
     def test_default_is_one_thread_per_worker(self, tiny_mlp_model):
-        with ReplicaPool.launch(tiny_mlp_model, replicas=1) as pool:
+        with launch_pool(tiny_mlp_model, replicas=1) as pool:
             meta = pool._handles[0].worker.ping()
             assert meta["blas_threads"] == "1"
 
@@ -367,12 +436,10 @@ class TestBlasPinning:
         set_threads(2)  # an unpinned parent on a two-core host
         try:
             assert procpool._blas_pool_threads() == 2
-            with ReplicaPool.launch(
-                tiny_mlp_model, replicas=2, start_method="fork"
-            ) as pool:
+            with launch_pool(tiny_mlp_model, replicas=2, start_method="fork") as pool:
                 metas = [handle.worker.ping() for handle in pool._handles]
             assert [meta["blas_pool_threads"] for meta in metas] == [1, 1]
-            with ReplicaPool.launch(
+            with launch_pool(
                 tiny_mlp_model, replicas=1, blas_threads=None, start_method="fork"
             ) as pool:  # unpinned workers keep the parent's pool
                 assert pool._handles[0].worker.ping()["blas_pool_threads"] == 2
@@ -443,11 +510,13 @@ class TestRegistryReplicas:
         # The spec is checked before the roll starts: no worker is booted
         # or retired, and the old spec keeps serving.
         inputs = np.abs(rng.normal(0, 1, size=(4, 16)))
-        with ReplicaPool.launch(tiny_mlp_model, replicas=2) as pool:
+        with launch_pool(tiny_mlp_model, replicas=2) as pool:
             before = pool.run(inputs)
             pids = pool.replica_pids()
             with pytest.raises(ValueError, match="not picklable"):
-                pool.replace(tiny_mlp_model, noise=UnpicklableNoise())
+                noise = UnpicklableNoise()
+                plan = compile_model_plan(tiny_mlp_model, noise=noise)
+                pool.replace(tiny_mlp_model, plan, noise=noise)
             assert pool.replica_pids() == pids
             assert np.array_equal(pool.run(inputs), before)
 

@@ -278,13 +278,6 @@ class TestExecutorPool:
         b = pool.get(tiny_linear_layer, PimLayerConfig())
         assert a is b and len(pool) == 1
 
-    def test_reset_stats_on_reuse(self, tiny_linear_layer, tiny_patches):
-        pool = ExecutorPool(weight_cache=None)
-        executor = pool.get(tiny_linear_layer, PimLayerConfig())
-        executor.matmul(tiny_patches)
-        again = pool.get(tiny_linear_layer, PimLayerConfig(), reset_stats=True)
-        assert again is executor and again.stats.macs == 0
-
     def test_distinct_configs_get_distinct_executors(self, tiny_linear_layer):
         pool = ExecutorPool(weight_cache=None)
         a = pool.get(tiny_linear_layer, PimLayerConfig())
