@@ -149,17 +149,16 @@ def test_plan_compile_amortises_within_one_batch(plan_setup):
 
     The compile runs against a *fresh* pool, so the measured time includes
     building every executor (weight encoding comes from the process-wide
-    cache).  It must cost less than ``MAX_PLAN_COMPILE_BATCHES`` of one
-    per-phase reference batch of the storm it accelerates.
+    cache).  Its best of a few rounds must cost less than
+    ``MAX_PLAN_COMPILE_BATCHES`` of one per-phase reference batch of the
+    storm it accelerates, timed the same way.
     """
     budget = float(os.environ.get("MAX_PLAN_COMPILE_BATCHES", "0.43"))
     model, _plan, reference, _planned, _process, requests = plan_setup
 
     batch_time, _ = best_of(lambda: run_storm(reference, requests))
     per_batch = batch_time / len(requests)
-    start = time.perf_counter()
-    compile_model_plan(model, pool=ExecutorPool())
-    compile_time = time.perf_counter() - start
+    compile_time, _ = best_of(lambda: compile_model_plan(model, pool=ExecutorPool()))
     assert compile_time <= budget * per_batch, (
         f"plan compile took {compile_time * 1e3:.2f} ms, "
         f"budget {budget:.1f} batch(es) = {budget * per_batch * 1e3:.2f} ms"

@@ -1,13 +1,16 @@
 """The RAELLA accelerator model.
 
 Ties the functional simulation (compiled programs and their measured
-statistics) to the hardware cost model.  Two evaluation paths are provided:
+statistics) to the hardware cost model.  Both evaluation paths price a layer
+through the one price list, :meth:`repro.hw.energy.EnergyModel.layer_energy`:
 
 * :meth:`RaellaAccelerator.run` executes a compiled
-  :class:`~repro.core.compiler.RaellaProgram` on real inputs and converts the
-  *measured* event counts (ADC conversions, crossbar activity, DAC pulses,
-  speculation failures) into energy -- this is used by the runnable
-  scaled-down models and the ablation experiments.
+  :class:`~repro.core.compiler.RaellaProgram` on real inputs.  It takes the
+  analytic per-sample action counts that
+  :meth:`repro.telemetry.cost.CostModel.from_model` prices and swaps in what
+  the executors measured: MACs, ADC converts (with the shift-adds and psum
+  bytes they drive), DAC pulses and crossbar activity.  Every other component
+  comes from the layer shape, so it equals the analytic model's.
 * :meth:`RaellaAccelerator.evaluate_shapes` evaluates a *full-scale* DNN shape
   table analytically through :mod:`repro.hw` -- this is what reproduces the
   paper's Fig. 12/13 energy and throughput numbers.
@@ -15,55 +18,40 @@ statistics) to the hardware cost model.  Two evaluation paths are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.core.compiler import RaellaProgram
 from repro.core.executor import LayerStatistics
+from repro.hw.actions import LayerActionCounts, count_model_actions
 from repro.hw.architecture import RAELLA_ARCH, ArchitectureSpec
 from repro.hw.energy import EnergyBreakdown, EnergyModel
 from repro.hw.throughput import ThroughputModel, ThroughputReport
 from repro.nn.zoo import ModelShapes
+from repro.telemetry.cost import shapes_from_model
 
-__all__ = ["AcceleratorReport", "RaellaAccelerator", "statistics_to_energy"]
+__all__ = ["AcceleratorReport", "RaellaAccelerator"]
 
 
-def statistics_to_energy(
-    stats: LayerStatistics, arch: ArchitectureSpec, name: str | None = None
-) -> EnergyBreakdown:
-    """Convert measured layer statistics into an energy breakdown.
+def _measured_actions(
+    analytic: LayerActionCounts, stats: LayerStatistics, device_bits: int, n: int
+) -> LayerActionCounts:
+    """One layer's per-sample action counts, with the measured ones swapped in.
 
-    The conversion uses the same per-action energies as the analytical model
-    but with event counts measured by the functional executor, so it captures
-    data-dependent effects (actual speculation failures, actual crossbar
-    activity) instead of average-case estimates.
+    Crossbar activity sums input pulses times programmed slice values;
+    dividing by the largest value a ``device_bits`` device holds gives device
+    pulse-units (pulses at on-state conductance).
     """
-    lib = arch.components
-    device = 15.0  # max slice value of a 4-bit device: activity is scaled by
-    # conductance fraction = (programmed slice value / 15).
-    adc = stats.total_adc_converts * lib.adc_energy_pj(arch.adc_bits)
-    crossbar = (stats.crossbar_activity / device) * lib.reram_energy_per_device_pulse_pj
-    dac = stats.input_pulses * lib.dac_energy_per_pulse_pj
-    periphery = stats.cycles * stats.n_columns / max(stats.n_crossbars, 1) * 0.0
-    digital = stats.total_adc_converts * lib.shift_add_energy_pj
-    psum_buffer = stats.total_adc_converts * 3.0 * lib.sram_energy_per_byte_pj
-    input_buffer = stats.input_pulses * 0.125 * lib.sram_energy_per_byte_pj
-    quantization = stats.psums_produced * lib.quantize_energy_pj
-    center = stats.psums_produced * lib.center_apply_energy_pj
-    return EnergyBreakdown(
-        name=name or stats.layer_name,
-        components_pj={
-            "adc": adc,
-            "crossbar": crossbar,
-            "dac": dac,
-            "column_periphery": periphery,
-            "digital": digital,
-            "center_processing": center,
-            "input_buffer": input_buffer,
-            "psum_buffer": psum_buffer,
-            "quantization": quantization,
-        },
+    converts = stats.total_adc_converts / n
+    return replace(
+        analytic,
+        macs=stats.macs / n,
+        adc_converts=converts,
+        dac_pulses=stats.input_pulses / n,
+        device_pulse_units=stats.crossbar_activity / (2**device_bits - 1) / n,
+        shift_adds=converts,
+        psum_buffer_bytes=converts * 3.0,
     )
 
 
@@ -113,20 +101,29 @@ class RaellaAccelerator:
     arch: ArchitectureSpec = field(default_factory=lambda: RAELLA_ARCH)
 
     def run(self, program: RaellaProgram, inputs: np.ndarray) -> AcceleratorReport:
-        """Execute a compiled program on inputs and report measured costs."""
+        """Execute a compiled program on inputs and report measured costs.
+
+        Raises ``ValueError`` for a model :func:`shapes_from_model` cannot
+        describe, as :class:`~repro.telemetry.cost.CostModel` does.
+        """
+        analytic = count_model_actions(shapes_from_model(program.model), self.arch)
         program.reset_statistics()
         outputs = program.run(inputs)
         per_layer = program.layer_statistics()
-        total = program.aggregate_statistics()
+        n = len(inputs)
+        energy_model = EnergyModel(self.arch)
         energy = EnergyBreakdown(name=f"{program.model.name}@{self.arch.name}")
-        for name, stats in per_layer.items():
-            energy.add(statistics_to_energy(stats, self.arch, name=name))
+        for actions in analytic:
+            name = actions.layer.name
+            device_bits = program.layers[name].executor.config.device_bits
+            measured = _measured_actions(actions, per_layer[name], device_bits, n)
+            energy.add(energy_model.layer_energy(measured))
         return AcceleratorReport(
             model_name=program.model.name,
             arch=self.arch,
             outputs=outputs,
-            statistics=total,
-            energy=energy,
+            statistics=program.aggregate_statistics(),
+            energy=energy.scaled(n),
             per_layer_statistics=per_layer,
         )
 

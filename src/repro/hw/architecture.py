@@ -10,9 +10,7 @@ speculation), ISAAC, FORMS-8 and TIMELY as evaluated in the paper.
 :class:`OperandStatistics` carries the data-dependent factors (input bit
 density, average programmed conductance, speculation failure rate) that the
 energy model scales data-dependent components with.  Defaults correspond to
-the bell-curve weight / right-skewed activation statistics of Fig. 8; they can
-also be calibrated from a functional run
-(:meth:`OperandStatistics.from_layer_statistics`).
+the bell-curve weight / right-skewed activation statistics of Fig. 8.
 """
 
 from __future__ import annotations
@@ -60,20 +58,6 @@ class OperandStatistics:
             raise ValueError("weight_conductance_fraction must be in [0, 1]")
         if not 0 <= self.speculation_failure_rate <= 1:
             raise ValueError("speculation_failure_rate must be in [0, 1]")
-
-    @classmethod
-    def from_layer_statistics(cls, stats, macs_per_presentation_row: float = 1.0):
-        """Calibrate statistics from functional :class:`LayerStatistics`.
-
-        ``stats`` is a :class:`repro.core.executor.LayerStatistics` aggregate.
-        Only the speculation failure rate and an activity-derived conductance
-        fraction can be inferred; other fields keep their defaults.
-        """
-        failure = stats.speculation_failure_rate
-        kwargs = {
-            "speculation_failure_rate": failure
-        } if stats.speculation_slots else {}
-        return cls(**kwargs)
 
     #: Unsigned ISAAC-style weights have dense high-order bits, so the average
     #: programmed conductance is much higher than with offset encodings.

@@ -160,6 +160,19 @@ def tiny_conv_model(rng) -> QuantizedModel:
 
 
 @pytest.fixture
+def valid_pad_conv_model(rng) -> QuantizedModel:
+    """A calibrated model whose ``padding=0`` conv the cost tables cannot
+    describe: its 6x6 output breaks their same-padding assumption."""
+    conv = Conv2d("valid_conv", synthetic_conv_weights(4, 3, 3, rng), padding=0)
+    head = Linear("fc", synthetic_linear_weights(5, 4, rng))
+    model = QuantizedModel(
+        "valid_pad", [conv, GlobalAvgPool(), head], input_shape=(3, 8, 8)
+    )
+    model.calibrate(np.abs(rng.normal(0, 1, size=(4, 3, 8, 8))))
+    return model
+
+
+@pytest.fixture
 def tiny_mlp_model(rng) -> QuantizedModel:
     """A two-layer calibrated MLP on 16 features."""
     fc1 = Linear("fc1", synthetic_linear_weights(12, 16, rng, std=0.25), fuse_relu=True)

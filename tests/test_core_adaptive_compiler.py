@@ -5,7 +5,7 @@ import pytest
 
 from repro.analog.noise import GaussianColumnNoise
 from repro.arithmetic.slicing import Slicing
-from repro.core.accelerator import RaellaAccelerator, statistics_to_energy
+from repro.core.accelerator import RaellaAccelerator
 from repro.core.adaptive_slicing import (
     AdaptiveSlicingConfig,
     choose_weight_slicing,
@@ -14,7 +14,9 @@ from repro.core.adaptive_slicing import (
 )
 from repro.core.compiler import RaellaCompiler, RaellaCompilerConfig
 from repro.core.executor import PimLayerConfig, PimLayerExecutor
-from repro.hw.architecture import RAELLA_ARCH
+from repro.hw.architecture import ISAAC_ARCH, RAELLA_ARCH
+from repro.hw.energy import COMPONENT_KEYS, EnergyBreakdown, EnergyModel
+from repro.telemetry.cost import CostModel
 
 
 @pytest.fixture
@@ -237,15 +239,86 @@ class TestAccelerator:
         assert "fc1" in report.per_layer_statistics
         assert isinstance(report.summary(), str)
 
-    def test_statistics_to_energy_components(
-        self, tiny_mlp_model, fast_compiler_config, rng
+    @pytest.mark.parametrize("arch", [RAELLA_ARCH, ISAAC_ARCH], ids=lambda a: a.name)
+    @pytest.mark.parametrize("signed", [False, True], ids=["tiny_mlp", "signed_mlp"])
+    def test_run_prices_through_the_one_price_list(
+        self, arch, signed, tiny_mlp_model, fast_compiler_config, rng, monkeypatch
     ):
-        program = RaellaCompiler(fast_compiler_config).compile(tiny_mlp_model)
-        program.run(np.abs(rng.normal(0, 1, size=(2, 16))))
-        stats = program.aggregate_statistics()
-        breakdown = statistics_to_energy(stats, RAELLA_ARCH)
-        assert breakdown.components_pj["adc"] > 0
-        assert breakdown.components_pj["crossbar"] > 0
+        from repro.nn.layers import Linear
+        from repro.nn.model import QuantizedModel
+        from repro.nn.synthetic import synthetic_linear_weights
+
+        if signed:
+            fc1 = Linear(
+                "sfc1", synthetic_linear_weights(12, 16, rng), signed_input=True
+            )
+            fc2 = Linear("sfc2", synthetic_linear_weights(4, 12, rng))
+            model = QuantizedModel(
+                "signed_mlp", [fc1, fc2], input_shape=(16,), signed_input=True
+            )
+            model.calibrate(rng.normal(0, 1, size=(32, 16)))
+            inputs = rng.normal(0, 1, size=(3, 16))
+        else:
+            model = tiny_mlp_model
+            inputs = np.abs(rng.normal(0, 1, size=(3, 16)))
+        n = len(inputs)
+        program = RaellaCompiler(fast_compiler_config).compile(model)
+
+        priced = {}
+        layer_energy = EnergyModel.layer_energy
+
+        def spy(self, actions):
+            priced[actions.layer.name] = layer_energy(self, actions)
+            return priced[actions.layer.name]
+
+        monkeypatch.setattr(EnergyModel, "layer_energy", spy)
+        report = RaellaAccelerator(arch).run(program, inputs)
+        monkeypatch.undo()
+
+        assert set(report.energy.components_pj) == set(COMPONENT_KEYS)
+        assert list(priced) == [layer.name for layer in model.matmul_layers()]
+        cost = CostModel.from_model(model, arch)
+        lib = arch.components
+        total = EnergyBreakdown(name="expected")
+        for name, breakdown in priced.items():
+            got = breakdown.components_pj
+            modeled = cost.layer_cost(name).energy.components_pj
+            for key in (
+                "column_periphery",
+                "center_processing",
+                "input_buffer",
+                "edram",
+                "router",
+                "quantization",
+            ):
+                assert got[key] == modeled[key], (name, key)
+            stats = report.per_layer_statistics[name]
+            device = 2**program.layers[name].executor.config.device_bits - 1
+            converts = stats.total_adc_converts
+            measured = {
+                "adc": converts * lib.adc_energy_pj(arch.adc_bits),
+                "crossbar": stats.crossbar_activity
+                / device
+                * lib.reram_energy_per_device_pulse_pj,
+                "dac": stats.input_pulses * lib.dac_energy_per_pulse_pj,
+                "digital": converts * lib.shift_add_energy_pj,
+                "psum_buffer": converts * 3.0 * lib.sram_energy_per_byte_pj,
+            }
+            assert converts > 0 and stats.crossbar_activity > 0
+            for key, value in measured.items():
+                assert got[key] * n == pytest.approx(value, rel=1e-12), (name, key)
+            total.add(breakdown)
+        for key in COMPONENT_KEYS:
+            assert report.energy.components_pj[key] == pytest.approx(
+                total.components_pj[key] * n, rel=1e-12
+            )
+
+    def test_run_rejects_a_model_the_cost_tables_cannot_describe(
+        self, valid_pad_conv_model, fast_compiler_config, rng
+    ):
+        program = RaellaCompiler(fast_compiler_config).compile(valid_pad_conv_model)
+        with pytest.raises(ValueError, match="same-padding"):
+            RaellaAccelerator().run(program, np.abs(rng.normal(0, 1, (1, 3, 8, 8))))
 
     def test_evaluate_shapes(self):
         from repro.nn.zoo import model_shapes

@@ -67,13 +67,6 @@ class TestOperandStatistics:
         with pytest.raises(ValueError):
             OperandStatistics(weight_conductance_fraction=-0.1)
 
-    def test_calibration_from_layer_statistics(self):
-        from repro.core.executor import LayerStatistics
-
-        stats = LayerStatistics(speculation_slots=100, speculation_failures=5)
-        calibrated = OperandStatistics.from_layer_statistics(stats)
-        assert calibrated.speculation_failure_rate == pytest.approx(0.05)
-
 
 class TestArchitectureSpecs:
     def test_raella_defaults_follow_paper(self):

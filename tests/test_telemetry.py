@@ -128,7 +128,9 @@ class TestCostModel:
         # Same-padding convs: modeled MACs equal the model's exact MACs.
         assert shapes.total_macs == tiny_conv_model.total_macs()
 
-    def test_shapes_from_model_rejects_unmodellable_convs(self, rng):
+    def test_shapes_from_model_rejects_unmodellable_convs(
+        self, rng, valid_pad_conv_model
+    ):
         from repro.nn.layers import Conv2d, GlobalAvgPool, Linear
         from repro.nn.model import QuantizedModel
         from repro.nn.synthetic import synthetic_conv_weights
@@ -137,14 +139,8 @@ class TestCostModel:
         # padding=0 breaks the same-padding assumption the analytical
         # LayerShape encodes: the tables would silently overcount output
         # positions, so conversion must refuse.
-        conv = Conv2d("valid_conv", synthetic_conv_weights(4, 3, 3, rng), padding=0)
-        head = Linear("fc", synthetic_linear_weights(5, 4, rng))
-        model = QuantizedModel(
-            "valid_pad", [conv, GlobalAvgPool(), head], input_shape=(3, 8, 8)
-        )
-        model.calibrate(np.abs(rng.normal(0, 1, size=(4, 3, 8, 8))))
         with pytest.raises(ValueError, match="same-padding"):
-            shapes_from_model(model)
+            shapes_from_model(valid_pad_conv_model)
 
         # Even kernels satisfy padding == kernel // 2 yet still change the
         # output size; the guard compares real output dims, so they fail too.
