@@ -90,8 +90,8 @@ def plan_setup():
     """One model hosted three ways: per-phase reference, planned, in-process."""
     model = build_model("plan_mlp", seed=3)
     requests = make_storm()
-    reference = NetworkEngine.build(
-        model, pool=ExecutorPool(executor_factory=PimLayerExecutor)
+    reference = NetworkEngine(
+        model, {layer.name: PimLayerExecutor(layer) for layer in model.matmul_layers()}
     )
     planned_pool = ExecutorPool()
     plan = compile_model_plan(model, pool=planned_pool)

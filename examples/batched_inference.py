@@ -11,8 +11,10 @@ optimisation.  This example shows the three pieces working together:
 3. rebuild the engine (as a repeated experiment would) and watch the
    encoded-weight cache make construction essentially free,
 
-and verifies the batched results are bit-identical to the per-phase
-reference executor.
+and verifies, on a 2-image subset, that the engine's outputs and every
+statistics counter are bit-identical to per-phase oracle executors
+(:class:`~repro.core.executor.PimLayerExecutor`) built from each compiled
+layer's config.  It exits non-zero on a mismatch.
 
 Run with:  python examples/batched_inference.py
 """
@@ -20,14 +22,22 @@ Run with:  python examples/batched_inference.py
 from __future__ import annotations
 
 import time
+from dataclasses import fields
 
 import numpy as np
 
 from repro.core.adaptive_slicing import AdaptiveSlicingConfig
-from repro.core.compiler import RaellaCompiler, RaellaCompilerConfig
+from repro.core.compiler import RaellaCompilerConfig
+from repro.core.executor import PimLayerExecutor
 from repro.nn.synthetic import synthetic_images
 from repro.nn.zoo import resnet18_like
 from repro.runtime import GLOBAL_WEIGHT_CACHE, NetworkEngine
+
+
+def counters(stats) -> dict:
+    """The scalar statistics counters of one layer, for exact comparison."""
+    skip = ("layer_name", "column_sums")
+    return {f.name: getattr(stats, f.name) for f in fields(stats) if f.name not in skip}
 
 
 def main() -> None:
@@ -63,13 +73,28 @@ def main() -> None:
           f"cache: {GLOBAL_WEIGHT_CACHE.hits} hits / "
           f"{GLOBAL_WEIGHT_CACHE.misses} misses")
 
-    print("\n== 4. Verify against the per-phase reference executor ==")
-    program = RaellaCompiler(config).compile(model, seed=0)
-    reference = program.run(inputs)
-    identical = np.array_equal(outputs, reference)
-    print(f"  batched outputs bit-identical to per-phase path: {identical}")
-    if not identical:
-        raise SystemExit("vectorized engine diverged from the reference")
+    print("\n== 4. Verify against per-phase oracle executors ==")
+    subset = inputs[:2]  # the oracle loops over phases in Python: keep it small
+    oracle = NetworkEngine(
+        model,
+        {
+            name: PimLayerExecutor(executor.layer, executor.config)
+            for name, executor in engine.executors.items()
+        },
+    )
+    engine.reset_statistics()
+    fast = engine.run(subset)
+    identical = np.array_equal(fast, oracle.run(subset))
+    identical = identical and np.array_equal(fast, outputs[: len(subset)])
+    mismatched = [
+        name
+        for name, stats in engine.layer_statistics().items()
+        if counters(stats) != counters(oracle.executors[name].stats)
+    ]
+    print(f"  {len(subset)} images, outputs bit-identical: {identical}")
+    print(f"  layers with differing counters: {mismatched or 'none'}")
+    if not identical or mismatched:
+        raise SystemExit("vectorized engine diverged from the per-phase oracle")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ from repro.core.compiler import RaellaCompiler, RaellaCompilerConfig
 from repro.hw.architecture import ISAAC_ARCH, RAELLA_ARCH
 from repro.nn.synthetic import synthetic_signed_activations
 from repro.nn.zoo import bert_large_ffn_like, model_shapes
-from repro.runtime import VectorizedLayerExecutor
 
 
 def main() -> None:
@@ -28,9 +27,7 @@ def main() -> None:
     config = RaellaCompilerConfig(
         adaptive=AdaptiveSlicingConfig(max_test_patches=128), n_test_inputs=8
     )
-    program = RaellaCompiler(
-        config, executor_factory=VectorizedLayerExecutor
-    ).compile(model, seed=0)
+    program = RaellaCompiler(config).compile(model, seed=0)
 
     rng = np.random.default_rng(1)
     tokens = synthetic_signed_activations((16, *model.input_shape), rng)

@@ -18,7 +18,6 @@ from repro.core.adaptive_slicing import AdaptiveSlicingConfig
 from repro.core.compiler import RaellaCompiler, RaellaCompilerConfig
 from repro.nn.datasets import gaussian_clusters
 from repro.nn.training import evaluate_accuracy, train_mlp
-from repro.runtime import VectorizedLayerExecutor
 
 NOISE_LEVELS = (0.0, 0.04, 0.08, 0.12)
 
@@ -51,9 +50,9 @@ def main() -> None:
         row = []
         for name, config in configs.items():
             noise = GaussianColumnNoise(level=level, seed=0) if level else None
-            program = RaellaCompiler(
-                config, noise=noise, executor_factory=VectorizedLayerExecutor
-            ).compile(training.model, test_inputs=flat.x_train[:4])
+            program = RaellaCompiler(config, noise=noise).compile(
+                training.model, test_inputs=flat.x_train[:4]
+            )
             accuracy = evaluate_accuracy(
                 training.model,
                 flat,

@@ -22,7 +22,6 @@ from repro.core.adaptive_slicing import AdaptiveSlicingConfig
 from repro.core.compiler import RaellaCompiler, RaellaCompilerConfig
 from repro.nn.synthetic import synthetic_images
 from repro.nn.zoo import resnet18_like
-from repro.runtime import VectorizedLayerExecutor
 
 
 def main() -> None:
@@ -38,9 +37,7 @@ def main() -> None:
         adaptive=AdaptiveSlicingConfig(error_budget=0.09, max_test_patches=256),
         n_test_inputs=2,
     )
-    program = RaellaCompiler(
-        config, executor_factory=VectorizedLayerExecutor
-    ).compile(model, seed=0)
+    program = RaellaCompiler(config).compile(model, seed=0)
     for name, widths in program.slicing_summary().items():
         print(f"  {name:28s} -> {'-'.join(str(w) + 'b' for w in widths)}")
 

@@ -82,14 +82,16 @@ class AcceleratorReport:
         return self.statistics.fidelity_loss_rate
 
     def summary(self) -> str:
-        """Human-readable report."""
+        """Human-readable report; energy is for the whole batch and per sample."""
+        n = len(self.outputs)
         lines = [
             f"model: {self.model_name} on {self.arch.name}",
             f"  MACs simulated:        {self.statistics.macs:,}",
             f"  ADC converts/MAC:      {self.converts_per_mac:.4f}",
             f"  speculation failures:  {self.speculation_failure_rate:.2%}",
             f"  fidelity loss rate:    {self.fidelity_loss_rate:.2e}",
-            f"  energy:                {self.energy.total_uj:.3f} uJ",
+            f"  energy:                {self.energy.total_uj:.3f} uJ for {n} "
+            f"samples ({self.energy.total_uj / n:.3f} uJ/sample)",
         ]
         return "\n".join(lines)
 

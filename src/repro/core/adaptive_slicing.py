@@ -22,7 +22,7 @@ import numpy as np
 from repro.analog.noise import NoiseModel
 from repro.arithmetic.slicing import Slicing, enumerate_slicings
 from repro.core.dynamic_input import SpeculationMode
-from repro.core.executor import PimLayerConfig, PimLayerExecutor
+from repro.core.executor import PimLayerConfig
 from repro.nn.layers import MatmulLayer
 
 __all__ = [
@@ -135,20 +135,20 @@ def layer_output_error(
     pim_config: PimLayerConfig,
     noise: NoiseModel | None = None,
     expected: np.ndarray | None = None,
-    executor_factory: type[PimLayerExecutor] | None = None,
 ) -> float:
     """Mean absolute 8-bit output error of a PIM configuration on test inputs.
 
     The error is averaged over outputs whose expected code is non-zero,
-    matching the error-budget definition of Section 4.2.1.
-    ``executor_factory`` swaps in a different executor implementation (the
-    vectorized runtime executor keeps the search bit-identical while caching
-    trial encodings).
+    matching the error-budget definition of Section 4.2.1.  The trial runs
+    on :class:`~repro.runtime.vectorized.VectorizedLayerExecutor`, which is
+    bit-identical to the per-phase executor and caches trial encodings.
     """
+    # Imported here: repro.runtime imports the compiler, which imports this.
+    from repro.runtime.vectorized import VectorizedLayerExecutor
+
     if expected is None:
         expected = quantized_layer_outputs(layer, patch_codes)
-    factory = executor_factory or PimLayerExecutor
-    executor = factory(layer, pim_config, noise=noise)
+    executor = VectorizedLayerExecutor(layer, pim_config, noise=noise)
     actual = quantized_layer_outputs(layer, patch_codes, pim_matmul=executor)
     # Output codes come in the narrow code dtype, where a difference would
     # wrap around: widen before subtracting.
@@ -167,7 +167,6 @@ def choose_weight_slicing(
     pim_config: PimLayerConfig | None = None,
     noise: NoiseModel | None = None,
     is_last_layer: bool = False,
-    executor_factory: type[PimLayerExecutor] | None = None,
 ) -> SlicingChoice:
     """Choose a layer's weight slicing (Algorithm 1, ``FindBestSlicing``).
 
@@ -225,7 +224,6 @@ def choose_weight_slicing(
             search_config.with_changes(weight_slicing=slicing),
             noise=noise,
             expected=expected,
-            executor_factory=executor_factory,
         )
         evaluated.append((slicing, error))
         current_group = slicing.n_slices
@@ -245,7 +243,6 @@ def choose_weight_slicing(
             search_config.with_changes(weight_slicing=fallback),
             noise=noise,
             expected=expected,
-            executor_factory=executor_factory,
         )
         return SlicingChoice(
             layer_name=layer.name,

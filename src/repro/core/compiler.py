@@ -8,7 +8,11 @@ Compilation is the paper's one-time preprocessing (Algorithm 1 +
    (:mod:`repro.core.adaptive_slicing`),
 3. computes per-filter centers and encodes the weights
    (:mod:`repro.core.center_offset`), and
-4. builds the layer's :class:`~repro.core.executor.PimLayerExecutor`.
+4. builds the layer's :class:`~repro.runtime.vectorized.VectorizedLayerExecutor`.
+
+The slicing trials run that executor too.  It is bit-identical to the
+per-phase :class:`~repro.core.executor.PimLayerExecutor` oracle, and it is
+imported where it is built because :mod:`repro.runtime` imports this module.
 
 The resulting :class:`RaellaProgram` plugs straight into
 :meth:`repro.nn.model.QuantizedModel.forward_quantized` as the PIM mat-mul
@@ -135,9 +139,10 @@ class RaellaCompiler:
     noise:
         Optional column-sum noise model shared by all executors.
     executor_factory:
-        Callable building the per-layer executor; defaults to the per-phase
-        :class:`~repro.core.executor.PimLayerExecutor`.  The vectorized
-        runtime (:mod:`repro.runtime`) injects its batched executor here.
+        Executor class for the final per-layer executors; defaults to
+        :class:`~repro.runtime.vectorized.VectorizedLayerExecutor`.  It stays
+        only because ``perfbench/offline.py`` passes it; the slicing search
+        always runs the vectorized executor.
     """
 
     def __init__(
@@ -148,7 +153,11 @@ class RaellaCompiler:
     ):
         self.config = config or RaellaCompilerConfig()
         self.noise = noise
-        self.executor_factory = executor_factory or PimLayerExecutor
+        if executor_factory is None:
+            from repro.runtime.vectorized import VectorizedLayerExecutor
+
+            executor_factory = VectorizedLayerExecutor
+        self.executor_factory = executor_factory
 
     def _default_test_inputs(self, model: QuantizedModel, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -196,7 +205,6 @@ class RaellaCompiler:
                     pim_config=self.config.pim,
                     noise=self.noise,
                     is_last_layer=is_last,
-                    executor_factory=self.executor_factory,
                 )
             else:
                 choice = SlicingChoice(

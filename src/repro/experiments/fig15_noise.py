@@ -29,7 +29,6 @@ from repro.core.executor import PimLayerConfig
 from repro.experiments.runner import ExperimentResult
 from repro.nn.datasets import ClassificationDataset, gaussian_clusters
 from repro.nn.training import evaluate_accuracy, train_mlp
-from repro.runtime import VectorizedLayerExecutor
 
 __all__ = ["NoisePoint", "Fig15Result", "run_fig15", "format_fig15"]
 
@@ -122,9 +121,9 @@ def run_fig15(
     for setup, config in configs.items():
         for level in noise_levels:
             noise = GaussianColumnNoise(level=level, seed=seed) if level else None
-            program = RaellaCompiler(
-                config, noise=noise, executor_factory=VectorizedLayerExecutor
-            ).compile(model, test_inputs=test_inputs, seed=seed)
+            program = RaellaCompiler(config, noise=noise).compile(
+                model, test_inputs=test_inputs, seed=seed
+            )
             accuracy = evaluate_accuracy(
                 model,
                 flat_dataset,

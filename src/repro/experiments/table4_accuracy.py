@@ -116,9 +116,9 @@ def _evaluate_model(
             x_test=dataset.x_test.reshape(len(dataset.x_test), -1),
         )
     test_inputs = dataset.x_train[: compiler_config.n_test_inputs]
-    program = RaellaCompiler(
-        compiler_config, executor_factory=VectorizedLayerExecutor
-    ).compile(model, test_inputs=test_inputs, seed=seed)
+    program = RaellaCompiler(compiler_config).compile(
+        model, test_inputs=test_inputs, seed=seed
+    )
     center_accuracy = evaluate_accuracy(
         model,
         dataset,

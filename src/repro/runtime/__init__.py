@@ -20,7 +20,7 @@ batched engine while staying bit-identical to the per-phase reference:
   operand views with proven dtypes and plane-packing proofs -- into
   per-layer plans, compiled when
   each executor is built, and a pickle-able :class:`ModelPlan` per
-  ``(model, config, noise, float32, micro_batch)``: noiseless executors
+  ``(model, config, noise, micro_batch)``: noiseless executors
   collapse the per-phase ADC/speculation loop into whole-tensor operations,
   and replica workers boot only from the shipped plan, never re-encoding
   weights.
@@ -41,11 +41,15 @@ batched engine while staying bit-identical to the per-phase reference:
 
 Quickstart::
 
+    import numpy as np
+
+    from repro.nn.synthetic import synthetic_images
     from repro.nn.zoo import resnet18_like
     from repro.runtime import NetworkEngine
 
     model = resnet18_like(seed=0)
     engine = NetworkEngine.compile(model)
+    inputs = synthetic_images(4, model.input_shape, np.random.default_rng(0))
     outputs = engine.run(inputs, micro_batch=64)
     print(engine.network_statistics().converts_per_mac)
 """

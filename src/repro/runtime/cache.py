@@ -135,11 +135,14 @@ GLOBAL_WEIGHT_CACHE = EncodedWeightCache()
 
 
 class ExecutorPool:
-    """Reuses one executor per ``(layer, config, noise, float32)`` combination.
+    """Reuses one vectorized executor per ``(layer, config, noise, float32)``.
 
-    A pooled executor keeps its crossbars programmed and its statistics
-    accumulating across uses.  The pool holds strong references to its
-    executors, which keeps the identity-based keys valid.
+    A pooled :class:`~repro.runtime.vectorized.VectorizedLayerExecutor`
+    keeps its crossbars programmed and its statistics accumulating across
+    uses.  The pool holds strong references to its executors, which keeps
+    the identity-based keys valid.  The per-phase
+    :class:`~repro.core.executor.PimLayerExecutor` oracle is never pooled:
+    build it directly.
 
     ``get`` is thread-safe; concurrent lookups of the same key build one
     executor and share it.  Note that the pooled *executors* themselves are
@@ -151,10 +154,8 @@ class ExecutorPool:
 
     Parameters
     ----------
-    executor_factory:
-        Executor class to instantiate (the vectorized one by default).
     weight_cache:
-        Encoded-weight cache handed to vectorized executors.
+        Encoded-weight cache handed to the executors.
     float32:
         Default for ``get``'s ``float32`` flag: float32 GEMMs wherever
         provably exact (the default; see
@@ -164,15 +165,9 @@ class ExecutorPool:
 
     def __init__(
         self,
-        executor_factory: type[PimLayerExecutor] | None = None,
         weight_cache: EncodedWeightCache | None = GLOBAL_WEIGHT_CACHE,
         float32: bool = True,
     ):
-        if executor_factory is None:
-            from repro.runtime.vectorized import VectorizedLayerExecutor
-
-            executor_factory = VectorizedLayerExecutor
-        self.executor_factory = executor_factory
         self.weight_cache = weight_cache
         self.float32 = float32
         self._executors: dict[Hashable, PimLayerExecutor] = {}
@@ -190,38 +185,32 @@ class ExecutorPool:
 
         ``float32`` overrides the pool default for this lookup; it is part of
         the pool key, so float32 and float64 executors for the same layer
-        coexist.  The flag is ignored (normalised to off) for executor
-        factories without a float32 fast path.
+        coexist.
 
         ``plan`` (a :class:`~repro.runtime.plan.CompiledLayerPlan`) seeds a
-        newly built vectorized executor with its precompiled chunks and
-        operand tables -- skipping weight encoding entirely, which is what
-        lets replica workers boot from a pickled
-        :class:`~repro.runtime.plan.ModelPlan`.  An already-pooled executor
-        keeps the plan it compiled itself, which executes bit-identically.
+        newly built executor with its precompiled chunks and operand tables
+        -- skipping weight encoding entirely, which is what lets replica
+        workers boot from a pickled :class:`~repro.runtime.plan.ModelPlan`.
+        An already-pooled executor keeps the plan it compiled itself, which
+        executes bit-identically.
         """
+        # Imported here: the vectorized module imports this one.
         from repro.runtime.vectorized import VectorizedLayerExecutor
 
         config = config or PimLayerConfig()
-        vectorized = issubclass(self.executor_factory, VectorizedLayerExecutor)
-        use_float32 = (self.float32 if float32 is None else float32) and vectorized
-        if not vectorized:
-            plan = None
-        key = (
-            id(layer),
-            config,
-            id(noise) if noise is not None else None,
-            use_float32,
-        )
+        use_float32 = self.float32 if float32 is None else float32
+        key = (id(layer), config, id(noise) if noise is not None else None, use_float32)
         with self._lock:
             executor = self._executors.get(key)
             if executor is None:
-                kwargs = {}
-                if vectorized:
-                    kwargs["weight_cache"] = self.weight_cache
-                    kwargs["float32"] = use_float32
-                    kwargs["plan"] = plan
-                executor = self.executor_factory(layer, config, noise=noise, **kwargs)
+                executor = VectorizedLayerExecutor(
+                    layer,
+                    config,
+                    noise=noise,
+                    weight_cache=self.weight_cache,
+                    float32=use_float32,
+                    plan=plan,
+                )
                 self._executors[key] = executor
             return executor
 

@@ -36,7 +36,6 @@ from repro.core.executor import LayerStatistics, PimLayerConfig, PimLayerExecuto
 from repro.nn.layers import MatmulLayer
 from repro.nn.model import QuantizedModel
 from repro.runtime.cache import ExecutorPool
-from repro.runtime.vectorized import VectorizedLayerExecutor
 
 __all__ = ["NetworkEngine"]
 
@@ -100,15 +99,11 @@ class NetworkEngine:
         micro_batch: int | None = None,
         test_inputs: np.ndarray | None = None,
         seed: int = 0,
-        executor_factory: type[PimLayerExecutor] | None = None,
     ) -> "NetworkEngine":
         """Compile with per-layer adaptive slicing and vectorized executors."""
-        compiler = RaellaCompiler(
-            config,
-            noise=noise,
-            executor_factory=executor_factory or VectorizedLayerExecutor,
+        program = RaellaCompiler(config, noise=noise).compile(
+            model, test_inputs=test_inputs, seed=seed
         )
-        program = compiler.compile(model, test_inputs=test_inputs, seed=seed)
         return cls.from_program(program, micro_batch=micro_batch)
 
     @classmethod

@@ -161,6 +161,49 @@ class TestChooseWeightSlicing:
         )
         assert early.slicing.n_slices == full.slicing.n_slices
 
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "seeded_noise"])
+    def test_every_trial_error_equals_the_per_phase_oracle(self, noisy, rng):
+        """The search's trials run the vectorized executor; each recorded
+        error must be the per-phase executor's error for that candidate."""
+        from repro.core.dynamic_input import SpeculationMode
+        from repro.nn.layers import Linear
+        from repro.nn.synthetic import synthetic_linear_weights
+
+        weights = synthetic_linear_weights(4, 320, rng, std=0.08, mean_spread=0.02)
+        layer = Linear("wide", weights, fuse_relu=True)
+        inputs = np.abs(rng.normal(0, 1.0, size=(24, 320)))
+        layer.calibrate(inputs, layer.forward_float(inputs))
+        patches = layer.input_quant.quantize(inputs)
+        config = AdaptiveSlicingConfig(error_budget=0.02, max_test_patches=24)
+
+        def noise():
+            return GaussianColumnNoise(0.08, seed=3) if noisy else None
+
+        choice = choose_weight_slicing(layer, patches, config, noise=noise())
+        # Replay the trials in search order on oracles sharing one fresh
+        # noise model, so seeded draws line up candidate by candidate.
+        search_config = PimLayerConfig(
+            speculation=SpeculationMode.BIT_SERIAL,
+            serial_input_slicing=None,
+            device_bits=config.device_bits,
+        )
+        expected = quantized_layer_outputs(layer, patches).astype(np.int64)
+        nonzero = expected != 0
+        oracle_noise = noise()
+        oracle_errors = []
+        for slicing, _ in choice.evaluated:
+            oracle = PimLayerExecutor(
+                layer,
+                search_config.with_changes(weight_slicing=slicing),
+                noise=oracle_noise,
+            )
+            actual = quantized_layer_outputs(layer, patches, pim_matmul=oracle)
+            diff = np.abs(expected - actual.astype(np.int64))
+            oracle_errors.append(float(np.mean(diff[nonzero])))
+        assert len(choice.evaluated) > 1
+        assert any(error > 0 for error in oracle_errors)
+        assert [error for _, error in choice.evaluated] == oracle_errors
+
 
 class TestCompiler:
     def test_compile_produces_executor_per_layer(
@@ -238,6 +281,19 @@ class TestAccelerator:
         assert report.converts_per_mac > 0
         assert "fc1" in report.per_layer_statistics
         assert isinstance(report.summary(), str)
+
+    def test_summary_states_samples_and_energy_per_sample(
+        self, tiny_mlp_model, fast_compiler_config, rng
+    ):
+        program = RaellaCompiler(fast_compiler_config).compile(tiny_mlp_model)
+        report = RaellaAccelerator().run(
+            program, np.abs(rng.normal(0, 1, size=(4, 16)))
+        )
+        per_sample = report.energy.total_uj / 4
+        assert (
+            f"{report.energy.total_uj:.3f} uJ for 4 samples "
+            f"({per_sample:.3f} uJ/sample)"
+        ) in report.summary()
 
     @pytest.mark.parametrize("arch", [RAELLA_ARCH, ISAAC_ARCH], ids=lambda a: a.name)
     @pytest.mark.parametrize("signed", [False, True], ids=["tiny_mlp", "signed_mlp"])

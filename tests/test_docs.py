@@ -5,14 +5,18 @@ extracted and executed.  Blocks within one document share a namespace, in
 order, so later snippets may build on earlier ones (the README's serving
 snippet reuses the quickstart's model).  Non-Python fences (``bash``,
 ``text``) are ignored.  Every dotted ``repro.…`` name in those documents
-and in the ``src/`` docstrings must name an importable object.
+and in the ``src/`` docstrings must name an importable object.  The
+``Quickstart::`` blocks of the ``repro`` and ``repro.runtime`` package
+docstrings run as written.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import itertools
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -22,6 +26,12 @@ DOCUMENTS = sorted(
     [REPO_ROOT / "README.md", *(REPO_ROOT / "docs").glob("*.md")],
     key=lambda path: path.name,
 )
+
+#: Package docstrings whose ``Quickstart::`` block is executed.
+QUICKSTARTS = [
+    REPO_ROOT / "src" / "repro" / "__init__.py",
+    REPO_ROOT / "src" / "repro" / "runtime" / "__init__.py",
+]
 
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 
@@ -49,6 +59,25 @@ def test_snippets_execute(document):
             exec(compile(block, f"{document.name}[snippet {index}]", "exec"), namespace)
         except Exception as error:  # pragma: no cover - failure reporting
             pytest.fail(f"{document.name} snippet {index} failed: {error!r}\n{block}")
+
+
+def quickstart_block(path: Path) -> str:
+    """The indented literal block after ``Quickstart::`` in a module docstring."""
+    doc = ast.get_docstring(ast.parse(path.read_text(encoding="utf-8")))
+    _, marker, rest = doc.partition("Quickstart::\n")
+    assert marker, f"{path.name} has no Quickstart:: block"
+    lines = rest.splitlines()
+    block = itertools.takewhile(lambda line: not line or line[0] == " ", lines)
+    return textwrap.dedent("\n".join(block))
+
+
+@pytest.mark.parametrize(
+    "module", QUICKSTARTS, ids=[str(p.relative_to(REPO_ROOT)) for p in QUICKSTARTS]
+)
+def test_package_quickstart_runs(module):
+    source = quickstart_block(module)
+    namespace: dict = {"__name__": "quickstart"}
+    exec(compile(source, f"{module.name} Quickstart", "exec"), namespace)
 
 
 def test_readme_links_resolve():

@@ -17,7 +17,7 @@ from repro.arithmetic.slicing import (
 )
 from repro.core.adaptive_slicing import AdaptiveSlicingConfig
 from repro.core.center_offset import WeightEncoding
-from repro.core.compiler import RaellaCompiler, RaellaCompilerConfig
+from repro.core.compiler import RaellaCompilerConfig
 from repro.core.dynamic_input import (
     InputSlicePlan,
     SpeculationMode,
@@ -284,10 +284,16 @@ class TestExecutorPool:
         b = pool.get(tiny_linear_layer, PimLayerConfig(adc_bits=9))
         assert a is not b and len(pool) == 2
 
-    def test_reference_factory(self, tiny_linear_layer):
-        pool = ExecutorPool(executor_factory=PimLayerExecutor, weight_cache=None)
-        executor = pool.get(tiny_linear_layer, PimLayerConfig())
-        assert type(executor) is PimLayerExecutor
+
+def oracle_engine(model, configs, noise=None) -> NetworkEngine:
+    """An engine on per-phase oracle executors, one per layer config."""
+    return NetworkEngine(
+        model,
+        {
+            layer.name: PimLayerExecutor(layer, configs[layer.name], noise=noise)
+            for layer in model.matmul_layers()
+        },
+    )
 
 
 class TestNetworkEngine:
@@ -300,12 +306,18 @@ class TestNetworkEngine:
     def test_compiled_engine_matches_reference_program(
         self, tiny_mlp_model, fast_config, rng
     ):
+        """Compiled executors equal per-phase oracles built from each
+        compiled layer's config: outputs and every counter."""
         inputs = np.abs(rng.normal(0, 1, size=(6, 16)))
         engine = NetworkEngine.compile(tiny_mlp_model, config=fast_config, seed=0)
-        program = RaellaCompiler(fast_config).compile(tiny_mlp_model, seed=0)
-        assert np.array_equal(engine.run(inputs), program.run(inputs))
+        configs = {name: ex.config for name, ex in engine.executors.items()}
+        oracle = oracle_engine(tiny_mlp_model, configs)
+        assert all(
+            type(ex) is VectorizedLayerExecutor for ex in engine.executors.values()
+        )
+        assert engine.run(inputs).tobytes() == oracle.run(inputs).tobytes()
         for name, stats in engine.layer_statistics().items():
-            assert_stats_equal(stats, program.layers[name].executor.stats)
+            assert_stats_equal(stats, oracle.executors[name].stats)
 
     def test_conv_model_micro_batching_is_exact(self, tiny_conv_model, rng):
         inputs = np.abs(rng.normal(0, 1, size=(5, 3, 8, 8)))
@@ -323,19 +335,16 @@ class TestNetworkEngine:
 
     def test_seeded_noise_parity_with_reference_executors(self, tiny_mlp_model, rng):
         inputs = np.abs(rng.normal(0, 1, size=(4, 16)))
-        vec_pool = ExecutorPool(weight_cache=None)
-        ref_pool = ExecutorPool(executor_factory=PimLayerExecutor, weight_cache=None)
         vectorized = NetworkEngine.build(
             tiny_mlp_model,
             PimLayerConfig(),
             noise=GaussianColumnNoise(level=0.08, seed=5),
-            pool=vec_pool,
+            pool=ExecutorPool(weight_cache=None),
         )
-        reference = NetworkEngine.build(
+        reference = oracle_engine(
             tiny_mlp_model,
-            PimLayerConfig(),
+            dict.fromkeys(vectorized.executors, PimLayerConfig()),
             noise=GaussianColumnNoise(level=0.08, seed=5),
-            pool=ref_pool,
         )
         assert np.array_equal(vectorized.run(inputs), reference.run(inputs))
         assert_stats_equal(

@@ -101,13 +101,6 @@ class TestFloat32FastPath:
         assert plain is not fast and len(pool) == 2
         assert pool.get(tiny_linear_layer, PimLayerConfig(), float32=True) is fast
 
-    def test_reference_factory_ignores_float32(self, tiny_linear_layer):
-        pool = private_pool(executor_factory=PimLayerExecutor, float32=True)
-        executor = pool.get(tiny_linear_layer, PimLayerConfig())
-        assert type(executor) is PimLayerExecutor
-        # Normalised key: explicit float32 lookups reuse the same executor.
-        assert pool.get(tiny_linear_layer, PimLayerConfig(), float32=True) is executor
-
 
 class TestModelRegistry:
     def test_register_and_lookup(self, tiny_mlp_model):
