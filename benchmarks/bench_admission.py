@@ -82,8 +82,10 @@ def calibrated_telemetry(registry: ModelRegistry, batch_time: float):
     time, exactly what a warmed-up serving process would have learned.
     """
     telemetry = TelemetryCollector()
-    telemetry.record_engine_runs(
-        "m", [(SAMPLES_PER_REQUEST, batch_time, None)] * 5, registry.cost_model("m")
+    telemetry.record_batch(
+        "m",
+        engine_records=[(SAMPLES_PER_REQUEST, batch_time, None)] * 5,
+        cost=registry.cost_model("m"),
     )
     return telemetry
 

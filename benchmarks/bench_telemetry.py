@@ -3,10 +3,13 @@
 Two contracts from the telemetry ISSUE, both asserted here and in CI:
 
 1. **Metering is (nearly) free.**  Serving an identical request stream with a
-   :class:`~repro.telemetry.TelemetryCollector` attached (cost attribution,
-   per-request traces, SLO bookkeeping) must keep throughput within
+   :class:`~repro.telemetry.TelemetryCollector` attached (one
+   ``record_batch`` call per completed batch: cost attribution, per-request
+   traces, SLO bookkeeping) must keep throughput within
    ``MAX_TELEMETRY_OVERHEAD`` of the untraced server (1.05 = 5% locally; CI
    relaxes the bar for noisy shared runners) -- and stay bit-identical.
+   The gate compares the best round of each side; every round's paired
+   ratio, with its median and quartiles, is printed beside it.
 
 2. **SLO-aware dispatch beats FIFO where it matters.**  Under a mixed
    priority/deadline load (a backlog of loose-deadline bulk requests ahead of
@@ -52,8 +55,8 @@ def overhead_setup():
     """One registered model (with cost tables) and a request stream.
 
     Requests carry a few samples each so the comparison reflects a realistic
-    engine-time-per-request; the per-request metering cost (a trace record
-    plus an aggregate update) is constant either way.
+    engine-time-per-request; the metering cost (one collector write per
+    batch, one trace record per request) is the same either way.
     """
     rng = np.random.default_rng(11)
     registry = ModelRegistry()
@@ -76,11 +79,14 @@ def drain_server(
     return np.concatenate(results, axis=0)
 
 
-def test_telemetry_overhead_within_bound(overhead_setup):
+def test_telemetry_overhead_within_bound(overhead_setup, capsys):
     """Metered serving must stay within MAX_TELEMETRY_OVERHEAD of untraced.
 
     Rounds interleave the two configurations and both take their best time,
-    so shared-machine noise hits each side equally.
+    so shared-machine noise hits each side equally.  Each round's
+    metered/plain ratio is printed too, past pytest's output capture so CI
+    logs carry it, with the median and quartiles of those paired ratios;
+    the gate stays on min/min.
     """
     maximum = float(os.environ.get("MAX_TELEMETRY_OVERHEAD", "1.05"))
     registry, requests = overhead_setup
@@ -105,6 +111,15 @@ def test_telemetry_overhead_within_bound(overhead_setup):
     assert aggregate.requests == N_REQUESTS
     assert aggregate.modeled_energy_pj > 0
 
+    paired = [traced / plain for plain, traced in zip(plain_times, traced_times)]
+    quartiles = np.percentile(paired, [25, 50, 75])
+    with capsys.disabled():
+        print(
+            "\ntelemetry overhead per round: "
+            + " ".join(f"{ratio:.3f}" for ratio in paired)
+            + f"; paired median {quartiles[1]:.3f}x "
+            f"(quartiles {quartiles[0]:.3f}-{quartiles[2]:.3f})"
+        )
     overhead = min(traced_times) / min(plain_times)
     assert overhead <= maximum, (
         f"telemetry overhead {overhead:.3f}x exceeds {maximum:.2f}x "

@@ -23,8 +23,9 @@ layer:
   requests per model into one engine call and splits the outputs back per
   request; different models execute concurrently, each model serialises.
   Requests may carry a priority and deadline; with a
-  :class:`~repro.telemetry.TelemetryCollector` attached the server records
-  per-request cost traces and schedules SLO-aware (highest priority, least
+  :class:`~repro.telemetry.TelemetryCollector` attached the server meters
+  each completed batch in one ``record_batch`` call (its requests' cost
+  traces, engine runs, pool health and route) and schedules SLO-aware (highest priority, least
   deadline slack first) instead of FIFO-by-age, with an aging rule so
   best-effort work is never starved.  There is one scheduling stage: each
   idle worker asks the queue for the globally most urgent ready model

@@ -74,7 +74,7 @@ from repro.serve.scheduler import (
     InferenceRequest,
     RequestQueue,
 )
-from repro.telemetry import CostModel, RequestTrace, TelemetryCollector, Tracer
+from repro.telemetry import CostModel, TelemetryCollector, Tracer
 
 __all__ = ["InferenceServer", "ServerStatistics", "ServerStoppedError"]
 
@@ -135,7 +135,7 @@ class ServerStatistics:
 
     @property
     def mean_queue_wait_s(self) -> float:
-        """Average time a request waited for co-batching."""
+        """Average time a request waited, enqueue to batch formation."""
         if self.requests_completed == 0:
             return 0.0
         return self.queue_wait_s / self.requests_completed
@@ -158,12 +158,13 @@ class InferenceServer:
         advertises a ``dispatch_width`` above 1.
     telemetry:
         Optional :class:`~repro.telemetry.TelemetryCollector`.  When set, the
-        server records a :class:`~repro.telemetry.RequestTrace` per completed
-        request (queue wait, batch size, engine wall time, modeled energy --
-        total and per-component -- and latency from the model's cost tables)
-        plus one engine-run record per coalesced batch, and the scheduler's
-        deadline slack uses the collector's calibrated latency predictions.
-        Cost tables come from the
+        server makes one :meth:`~repro.telemetry.TelemetryCollector.record_batch`
+        call per completed batch: a :class:`~repro.telemetry.RequestTrace`
+        per request (queue wait -- enqueue to batch formation --, batch size,
+        engine wall time, modeled energy and latency derived from the model's
+        cost tables), the batch's engine-run records, its pool health and its
+        fleet route; the scheduler's deadline slack uses the collector's
+        calibrated latency predictions.  Cost tables come from the
         :class:`~repro.serve.registry.ModelRegistry` (its ``arch``
         parameter), read per batch, so a re-registered name is billed
         against its fresh tables at once.
@@ -796,7 +797,7 @@ class InferenceServer:
                 stats.max_batch_size = max(stats.max_batch_size, batch.samples)
                 stats.engine_time_s += engine_time
                 stats.queue_wait_s += sum(
-                    dispatched - request.enqueued_at for request in requests
+                    batch.formed_s - request.enqueued_at for request in requests
                 )
                 # Routed batches are counted under the variant that actually
                 # executed them (the fleet-level totals live in the telemetry
@@ -816,17 +817,21 @@ class InferenceServer:
                     batch_size=batch.samples,
                 )
             if self.telemetry is not None:
-                if route is not None:
-                    self.telemetry.record_route_outcome(route)
-                self._record_telemetry(
-                    requests,
+                # One collector write per batch.  A routed batch is recorded
+                # under the *variant* that executed it: calibration stays
+                # per variant and energy uses the executing architecture's
+                # tables.  Replica pools also snapshot their health.
+                pool_health = getattr(engine, "pool_health", None)
+                self.telemetry.record_batch(
                     engine_name,
-                    engine,
-                    batch.samples,
-                    dispatched,
-                    completed,
-                    engine_time,
-                    engine_records,
+                    requests,
+                    formed_at=batch.formed_s,
+                    completed_at=completed,
+                    engine_time_s=engine_time,
+                    engine_records=engine_records,
+                    cost=self._cost_model(engine_name),
+                    pool_health=None if pool_health is None else pool_health(),
+                    route=route,
                 )
         finally:
             for request, result in zip(requests, results):
@@ -854,7 +859,8 @@ class InferenceServer:
         the execute window as a cross-platform guard; on Linux worker clocks
         share ``CLOCK_MONOTONIC`` so the clamp is a no-op), and ``complete``
         (output split + future delivery).  Finishing freezes the span list,
-        which is what lets :meth:`_record_telemetry` snapshot it afterwards.
+        which is what lets the collector's ``record_batch`` snapshot it
+        afterwards.
         """
         for request in traced:
             handle = request.trace
@@ -871,85 +877,3 @@ class InferenceServer:
             if status == "ok":
                 handle.add_span("complete", delivered, completed)
             handle.finish(completed, status=status)
-
-    def _record_telemetry(
-        self,
-        requests: list[InferenceRequest],
-        name: str,
-        engine,
-        batch_samples: int,
-        dispatched: float,
-        completed: float,
-        engine_time: float,
-        engine_records: list[tuple],
-    ) -> None:
-        """Feed one completed batch into the telemetry collector.
-
-        ``engine_records`` are the ``(n_samples, elapsed_s, replica)``
-        records ``engine.run_timed`` returned -- measured in this process
-        for thread engines and inside the worker for process-backed ones --
-        so both backends feed the same calibration and predicted latency
-        stays grounded in engine time.  Engines exposing ``pool_health()`` (replica pools) also get
-        their healthy/total replica counts and restart total snapshotted
-        into the collector per batch.
-
-        Routed fleet batches are recorded under the *variant* that executed
-        them: calibration must stay per variant (the router's backlog-spill
-        behaviour depends on each variant predicting its own speed) and the
-        energy attribution must use the executing architecture's tables,
-        which the registry serves.  Fleet-level aggregates come from the
-        collector's routing counters.
-        """
-        cost = self._cost_model(name)
-        self.telemetry.record_engine_runs(name, engine_records, cost)
-        pool_health = getattr(engine, "pool_health", None)
-        if pool_health is not None:
-            health = pool_health()
-            self.telemetry.record_pool_health(
-                name,
-                healthy=health["healthy"],
-                replicas=health["replicas"],
-                restarts=health["restarts"],
-            )
-        # The pipeline-fill latency is paid once per coalesced batch, so each
-        # request is charged its sample-weighted share of the *batch's*
-        # modeled latency (mirroring engine_share_s for wall time); summing
-        # the per-request figures recovers the batch total exactly.
-        batch_modeled_us = (
-            None if cost is None else cost.batch_latency_us(batch_samples)
-        )
-        for request in requests:
-            handle = request.trace
-            self.telemetry.record(
-                RequestTrace(
-                    request_id=request.request_id,
-                    model_name=name,
-                    n_samples=request.n_samples,
-                    priority=request.priority,
-                    deadline_s=request.deadline_s,
-                    enqueued_at=request.enqueued_at,
-                    dispatched_at=dispatched,
-                    completed_at=completed,
-                    batch_size=batch_samples,
-                    engine_time_s=engine_time,
-                    modeled_energy_pj=(
-                        None if cost is None else cost.energy_pj(request.n_samples)
-                    ),
-                    modeled_energy_components_pj=(
-                        None
-                        if cost is None
-                        else cost.energy_split_pj(request.n_samples)
-                    ),
-                    modeled_latency_us=(
-                        None
-                        if batch_modeled_us is None
-                        else batch_modeled_us * request.n_samples / batch_samples
-                    ),
-                    trace_id=None if handle is None else handle.trace_id,
-                    spans=(
-                        ()
-                        if handle is None
-                        else tuple(span.as_dict() for span in handle.spans())
-                    ),
-                )
-            )

@@ -2,16 +2,21 @@
 
 :class:`TelemetryCollector` is the account book of the serving stack.  The
 :class:`~repro.serve.server.InferenceServer` feeds it one
-:class:`RequestTrace` per completed request (queue wait, coalesced batch
-size, engine wall time, modeled energy/latency from the request's
-:class:`~repro.telemetry.cost.CostModel`) plus one engine-run record per
-coalesced batch.  Engine-run records come from ``run_timed``
+:meth:`~TelemetryCollector.record_batch` call per completed coalesced batch:
+the batch's requests (each becomes a :class:`RequestTrace`: queue wait,
+coalesced batch size, engine wall time, modeled energy/latency derived from
+the model's :class:`~repro.telemetry.cost.CostModel`), its engine-run
+records, its replica pool's health and its fleet route, all merged under
+one lock acquisition.  Engine-run records come from ``run_timed``
 (:meth:`NetworkEngine.run_timed <repro.runtime.engine.NetworkEngine.run_timed>`
 or :meth:`ReplicaPool.run_timed <repro.runtime.procpool.ReplicaPool.run_timed>`);
-code that drives an engine outside the server feeds them to
-:meth:`TelemetryCollector.record_engine_runs`.  Everything is exportable
-as JSON (:meth:`export_json`) and Prometheus text format
-(:meth:`to_prometheus`).
+code that drives an engine outside the server feeds them through the same
+call as a batch with no requests.  Everything is exportable as JSON
+(:meth:`export_json`) and Prometheus text format (:meth:`to_prometheus`).
+
+Queue wait has one definition everywhere: enqueue to batch formation (the
+``queue_wait`` span of :mod:`repro.telemetry.tracing`).  Formation to
+dispatch is the ``dispatch_wait`` span only.
 
 Each hosted model name is a tenant, so the per-model aggregates double as the
 per-tenant accounting the multi-tenant registry needs.
@@ -26,7 +31,7 @@ collector keeps only that calibration state (plus a queue-wait EMA); it holds
 no cost tables.  Callers pass the model's
 :class:`~repro.telemetry.cost.CostModel` -- the one the
 :class:`~repro.serve.registry.ModelRegistry` serves -- to
-:meth:`record_engine_runs` and :meth:`predicted_batch_latency_s`.
+:meth:`record_batch` and :meth:`predicted_batch_latency_s`.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import json
 import threading
 from bisect import bisect_left
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.telemetry.cost import CostModel
@@ -139,22 +145,26 @@ class LatencyHistogram:
         return copy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestTrace:
     """The full serving record of one completed request.
 
-    Timestamps are ``time.monotonic()`` values; ``engine_time_s`` is the wall
-    time of the *whole coalesced batch* the request rode in (use
-    :attr:`engine_share_s` for a per-request attribution).
-    ``modeled_energy_pj`` is the accelerator energy of the request's own
-    samples, and ``modeled_energy_components_pj`` its DAC/ADC/crossbar/digital
-    split (:meth:`CostModel.energy_split_pj
-    <repro.telemetry.cost.CostModel.energy_split_pj>`; the buckets sum back
-    to the total to float round-off).  ``modeled_latency_us`` is the
-    request's sample-weighted share of its batch's modeled latency (the
-    pipeline fill is paid once per batch, so per-request shares sum to the
-    batch total).  Modeled fields are ``None`` when the request's model has
-    no cost tables.
+    Timestamps are ``time.monotonic()`` values: ``formed_at`` is the instant
+    a worker formed the request's batch, so :attr:`queue_wait_s` is enqueue
+    to batch formation.  ``engine_time_s`` is the wall time of the *whole
+    coalesced batch* the request rode in (use :attr:`engine_share_s` for a
+    per-request attribution).
+
+    The modeled figures are derived from ``cost`` (the model's
+    :class:`~repro.telemetry.cost.CostModel`, ``None`` when the model has no
+    cost tables) and the sample counts, since modeled energy is linear in
+    the sample count: :attr:`modeled_energy_pj` is the accelerator energy
+    of the request's own samples, :attr:`modeled_energy_components_pj` its
+    DAC/ADC/crossbar/digital split (:meth:`CostModel.energy_split_pj
+    <repro.telemetry.cost.CostModel.energy_split_pj>`), and
+    :attr:`modeled_latency_us` its sample-weighted share of the batch's
+    modeled latency (the pipeline fill is paid once per batch, so
+    per-request shares sum to the batch total).
 
     ``trace_id`` / ``spans`` tie the record to the distributed trace of the
     same request (:mod:`repro.telemetry.tracing`): ``spans`` holds the
@@ -170,20 +180,38 @@ class RequestTrace:
     priority: int
     deadline_s: float | None
     enqueued_at: float
-    dispatched_at: float
+    formed_at: float
     completed_at: float
     batch_size: int
     engine_time_s: float
-    modeled_energy_pj: float | None = None
-    modeled_latency_us: float | None = None
-    modeled_energy_components_pj: dict[str, float] | None = None
+    cost: CostModel | None = field(default=None, repr=False)
     trace_id: str | None = None
     spans: tuple[dict, ...] = ()
 
     @property
     def queue_wait_s(self) -> float:
-        """Time the request waited for co-batching before dispatch."""
-        return self.dispatched_at - self.enqueued_at
+        """Time the request waited before a worker formed its batch."""
+        return self.formed_at - self.enqueued_at
+
+    @property
+    def modeled_energy_pj(self) -> float | None:
+        """Modeled accelerator energy of the request's samples (pJ)."""
+        return None if self.cost is None else self.cost.energy_pj(self.n_samples)
+
+    @property
+    def modeled_energy_components_pj(self) -> dict[str, float] | None:
+        """Per-component split of :attr:`modeled_energy_pj` (pJ)."""
+        if self.cost is None:
+            return None
+        return self.cost.energy_split_pj(self.n_samples)
+
+    @property
+    def modeled_latency_us(self) -> float | None:
+        """The request's sample-weighted share of its batch's modeled latency."""
+        if self.cost is None:
+            return None
+        batch_us = self.cost.batch_latency_us(self.batch_size)
+        return batch_us * self.n_samples / self.batch_size
 
     @property
     def latency_s(self) -> float:
@@ -265,7 +293,7 @@ class ModelAggregate:
 
     @property
     def mean_queue_wait_s(self) -> float:
-        """Average co-batching wait per request."""
+        """Average wait per request, enqueue to batch formation."""
         return self.queue_wait_s / self.requests if self.requests else 0.0
 
     @property
@@ -392,7 +420,7 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 _PROMETHEUS_GAUGES = (
     ("requests_total", "Completed requests per model.", "requests"),
     ("samples_total", "Input samples served per model.", "samples"),
-    ("queue_wait_seconds_total", "Cumulative co-batching wait.", "queue_wait_s"),
+    ("queue_wait_seconds_total", "Cumulative wait for batching.", "queue_wait_s"),
     (
         "engine_seconds_total",
         "Cumulative attributed engine wall time.",
@@ -443,7 +471,7 @@ _PROMETHEUS_HISTOGRAMS = (
     ),
     (
         "request_queue_wait_seconds",
-        "Time requests waited for co-batching before dispatch.",
+        "Time requests waited before a worker formed their batch.",
         "queue_wait",
     ),
     (
@@ -484,12 +512,12 @@ class TelemetryCollector:
         self._aggregates: dict[str, ModelAggregate] = {}
         self._fleets: dict[str, FleetAggregate] = {}
         # Per-(model, metric) log-bucketed histograms; metric is one of
-        # _HISTOGRAM_KEYS ("latency"/"queue_wait" fed by record(), "engine"
-        # by record_engine_runs()).
+        # _HISTOGRAM_KEYS ("latency"/"queue_wait" per request, "engine" per
+        # engine-run record; all fed by record_batch()).
         self._histograms: dict[tuple[str, str], LatencyHistogram] = {}
         self._wall_per_modeled: dict[str, float] = {}
-        # Per-model queue-wait EMA (seconds), updated from every completed
-        # request's trace.  This is the cross-model contention signal:
+        # Per-model queue-wait EMA (seconds, enqueue to batch formation),
+        # updated from every completed request.  This is the cross-model contention signal:
         # co-hosted tenants inflate each other's queue waits even when their
         # own backlog is empty, and admission opts into seeing that via
         # ``predicted_batch_latency_s(..., include_queue_wait=True)``.
@@ -550,37 +578,128 @@ class TelemetryCollector:
             histogram = self._histograms[(model_name, metric)] = LatencyHistogram()
         return histogram
 
-    def record(self, trace: RequestTrace) -> None:
-        """Record one completed request."""
-        with self._lock:
-            self._traces.append(trace)
-            latency = self._histogram_locked(trace.model_name, "latency")
-            latency.observe(trace.latency_s)
-            queue_wait = self._histogram_locked(trace.model_name, "queue_wait")
-            queue_wait.observe(trace.queue_wait_s)
-            previous = self._queue_wait_ema.get(trace.model_name)
-            self._queue_wait_ema[trace.model_name] = (
-                trace.queue_wait_s
-                if previous is None
-                else previous + _CALIBRATION_ALPHA * (trace.queue_wait_s - previous)
+    def record_batch(
+        self,
+        model_name: str,
+        requests: Sequence = (),
+        *,
+        formed_at: float = 0.0,
+        completed_at: float = 0.0,
+        engine_time_s: float = 0.0,
+        engine_records: Sequence[tuple] = (),
+        cost: CostModel | None = None,
+        pool_health: dict | None = None,
+        route=None,
+    ) -> None:
+        """Record one completed batch under a single lock acquisition.
+
+        ``requests`` are duck-typed like
+        :class:`~repro.serve.scheduler.InferenceRequest`; each becomes a
+        :class:`RequestTrace` referencing ``cost``.  ``engine_records`` are
+        the ``(n_samples, elapsed_s, replica)`` records ``run_timed``
+        returned (``replica``, a :class:`~repro.runtime.ReplicaPool` slot
+        label or ``None``, gets its own totals; with ``cost``, each record
+        calibrates prediction).  ``pool_health`` is a
+        :meth:`~repro.runtime.ReplicaPool.pool_health` snapshot and
+        ``route`` the fleet batch's final, duck-typed
+        :class:`~repro.serve.fleet.RouteDecision`.  A batch with no requests
+        only merges its engine records (calibration priming).  Modeled
+        aggregates are added once per batch, since they are linear in its
+        sample count.
+        """
+        batch_size = sum(request.n_samples for request in requests)
+        traces = []
+        for request in requests:
+            handle = request.trace
+            spans = () if handle is None else tuple(s.as_dict() for s in handle.spans())
+            traces.append(
+                RequestTrace(
+                    request_id=request.request_id,
+                    model_name=model_name,
+                    n_samples=request.n_samples,
+                    priority=request.priority,
+                    deadline_s=request.deadline_s,
+                    enqueued_at=request.enqueued_at,
+                    formed_at=formed_at,
+                    completed_at=completed_at,
+                    batch_size=batch_size,
+                    engine_time_s=engine_time_s,
+                    cost=cost,
+                    trace_id=None if handle is None else handle.trace_id,
+                    spans=spans,
+                )
             )
-            aggregate = self._aggregate_locked(trace.model_name)
-            aggregate.requests += 1
-            aggregate.samples += trace.n_samples
-            aggregate.queue_wait_s += trace.queue_wait_s
-            aggregate.engine_share_s += trace.engine_share_s
-            aggregate.max_batch_size = max(aggregate.max_batch_size, trace.batch_size)
-            if trace.modeled_energy_pj is not None:
-                aggregate.modeled_energy_pj += trace.modeled_energy_pj
-            if trace.modeled_energy_components_pj is not None:
+        with self._lock:
+            aggregate = self._aggregate_locked(model_name)
+            if route is not None:
+                fleet = self._fleet_locked(route.fleet)
+                batches = fleet.executed_batches_by_variant
+                batches[route.variant] = batches.get(route.variant, 0) + 1
+                samples = fleet.executed_samples_by_variant
+                samples[route.variant] = samples.get(route.variant, 0) + route.n_samples
+                if route.energy_pj is not None:
+                    fleet.realised_energy_pj += route.energy_pj
+                if route.baseline_energy_pj is not None:
+                    fleet.realised_baseline_pj += route.baseline_energy_pj
+            if engine_records:
+                histogram = self._histogram_locked(model_name, "engine")
+            for n_samples, elapsed_s, replica in engine_records:
+                aggregate.engine_runs += 1
+                aggregate.engine_run_samples += n_samples
+                aggregate.engine_run_s += elapsed_s
+                histogram.observe(elapsed_s)
+                if replica is not None:
+                    totals = aggregate.replica_engine_runs.setdefault(
+                        replica, {"runs": 0, "samples": 0, "seconds": 0.0}
+                    )
+                    totals["runs"] += 1
+                    totals["samples"] += n_samples
+                    totals["seconds"] += elapsed_s
+                if cost is None or n_samples <= 0:
+                    continue
+                modeled = cost.batch_latency_s(n_samples)
+                if modeled > 0.0:
+                    ratio = elapsed_s / modeled
+                    previous = self._wall_per_modeled.get(model_name)
+                    self._wall_per_modeled[model_name] = (
+                        ratio
+                        if previous is None
+                        else previous + _CALIBRATION_ALPHA * (ratio - previous)
+                    )
+            if pool_health is not None:
+                aggregate.replicas_healthy = pool_health["healthy"]
+                aggregate.replicas_total = pool_health["replicas"]
+                # A lifetime total: folded in monotonically, so a stale
+                # snapshot racing a fresh one never rolls it back.
+                aggregate.worker_restarts = max(
+                    aggregate.worker_restarts, pool_health["restarts"]
+                )
+            if not traces:
+                return
+            self._traces.extend(traces)
+            latency = self._histogram_locked(model_name, "latency")
+            queue_wait = self._histogram_locked(model_name, "queue_wait")
+            ema = self._queue_wait_ema.get(model_name)
+            for trace in traces:
+                wait = trace.queue_wait_s
+                latency.observe(trace.latency_s)
+                queue_wait.observe(wait)
+                ema = wait if ema is None else ema + _CALIBRATION_ALPHA * (wait - ema)
+                aggregate.queue_wait_s += wait
+                if trace.deadline_s is not None:
+                    aggregate.deadline_requests += 1
+                    aggregate.deadline_misses += int(trace.deadline_missed)
+            self._queue_wait_ema[model_name] = ema
+            aggregate.requests += len(traces)
+            aggregate.samples += batch_size
+            aggregate.engine_share_s += engine_time_s
+            aggregate.max_batch_size = max(aggregate.max_batch_size, batch_size)
+            if cost is not None:
+                aggregate.modeled_energy_pj += cost.energy_pj(batch_size)
+                aggregate.modeled_latency_us += cost.batch_latency_us(batch_size)
                 components = aggregate.modeled_energy_components_pj
-                for key, value in trace.modeled_energy_components_pj.items():
+                for key, value in cost.energy_split_pj(batch_size).items():
                     components[key] = components.get(key, 0.0) + value
-            if trace.modeled_latency_us is not None:
-                aggregate.modeled_latency_us += trace.modeled_latency_us
-            if trace.deadline_s is not None:
-                aggregate.deadline_requests += 1
-                aggregate.deadline_misses += int(trace.deadline_missed)
 
     def record_admission(self, decision) -> None:
         """Record one admission-control outcome (accepted/downgraded/shed).
@@ -606,46 +725,6 @@ class TelemetryCollector:
         with self._lock:
             return self._overload_state
 
-    def record_engine_runs(
-        self, model_name: str, records: list[tuple], cost: CostModel | None
-    ) -> None:
-        """Merge the engine-run records one ``run_timed`` call returned.
-
-        Records are ``(n_samples, elapsed_s, replica)`` triples; ``replica``
-        (a :class:`~repro.runtime.ReplicaPool` slot label) additionally
-        attributes the run to that replica's own totals, and is ``None`` for
-        an in-process engine.  With the model's ``cost`` tables, each record
-        also calibrates prediction, whichever backend measured it.
-        """
-        if not records:
-            return
-        with self._lock:
-            aggregate = self._aggregate_locked(model_name)
-            histogram = self._histogram_locked(model_name, "engine")
-            for n_samples, elapsed_s, replica in records:
-                aggregate.engine_runs += 1
-                aggregate.engine_run_samples += n_samples
-                aggregate.engine_run_s += elapsed_s
-                histogram.observe(elapsed_s)
-                if replica is not None:
-                    totals = aggregate.replica_engine_runs.setdefault(
-                        replica, {"runs": 0, "samples": 0, "seconds": 0.0}
-                    )
-                    totals["runs"] += 1
-                    totals["samples"] += n_samples
-                    totals["seconds"] += elapsed_s
-                if cost is None or n_samples <= 0:
-                    continue
-                modeled = cost.batch_latency_s(n_samples)
-                if modeled > 0.0:
-                    ratio = elapsed_s / modeled
-                    previous = self._wall_per_modeled.get(model_name)
-                    self._wall_per_modeled[model_name] = (
-                        ratio
-                        if previous is None
-                        else previous + _CALIBRATION_ALPHA * (ratio - previous)
-                    )
-
     def record_route(self, decision, *, reroute: bool = False) -> None:
         """Record one fleet routing decision at batch formation.
 
@@ -659,11 +738,7 @@ class TelemetryCollector:
         counted.
         """
         with self._lock:
-            aggregate = self._fleets.get(decision.fleet)
-            if aggregate is None:
-                aggregate = self._fleets[decision.fleet] = FleetAggregate(
-                    decision.fleet
-                )
+            aggregate = self._fleet_locked(decision.fleet)
             decisions = aggregate.decisions_by_variant
             decisions[decision.variant] = decisions.get(decision.variant, 0) + 1
             if reroute:
@@ -676,45 +751,11 @@ class TelemetryCollector:
             if decision.baseline_energy_pj is not None:
                 aggregate.predicted_baseline_pj += decision.baseline_energy_pj
 
-    def record_route_outcome(self, decision) -> None:
-        """Record where one routed batch actually executed.
-
-        Called once per completed fleet batch with its *final* decision
-        (after any mid-flight re-routes), so the realised energy sums and
-        per-variant execution counters reflect the placements that ran,
-        not the ones first chosen.
-        """
-        with self._lock:
-            aggregate = self._fleets.get(decision.fleet)
-            if aggregate is None:
-                aggregate = self._fleets[decision.fleet] = FleetAggregate(
-                    decision.fleet
-                )
-            batches = aggregate.executed_batches_by_variant
-            batches[decision.variant] = batches.get(decision.variant, 0) + 1
-            samples = aggregate.executed_samples_by_variant
-            samples[decision.variant] = (
-                samples.get(decision.variant, 0) + decision.n_samples
-            )
-            if decision.energy_pj is not None:
-                aggregate.realised_energy_pj += decision.energy_pj
-            if decision.baseline_energy_pj is not None:
-                aggregate.realised_baseline_pj += decision.baseline_energy_pj
-
-    def record_pool_health(
-        self, model_name: str, healthy: int, replicas: int, restarts: int
-    ) -> None:
-        """Record a replica pool's health snapshot for ``model_name``.
-
-        ``healthy``/``replicas`` overwrite the latest snapshot; ``restarts``
-        is the pool's lifetime total, so it is folded in monotonically (a
-        stale snapshot racing a fresh one can never roll the counter back).
-        """
-        with self._lock:
-            aggregate = self._aggregate_locked(model_name)
-            aggregate.replicas_healthy = healthy
-            aggregate.replicas_total = replicas
-            aggregate.worker_restarts = max(aggregate.worker_restarts, restarts)
+    def _fleet_locked(self, fleet: str) -> FleetAggregate:
+        aggregate = self._fleets.get(fleet)
+        if aggregate is None:
+            aggregate = self._fleets[fleet] = FleetAggregate(fleet)
+        return aggregate
 
     # -- snapshots -------------------------------------------------------------
 
@@ -781,13 +822,16 @@ class TelemetryCollector:
                 return FleetAggregate(fleet)
             return self._copy_fleet(aggregate)
 
+    def _copy_fleets_locked(self) -> dict[str, FleetAggregate]:
+        return {
+            name: self._copy_fleet(aggregate)
+            for name, aggregate in self._fleets.items()
+        }
+
     def fleet_aggregates(self) -> dict[str, FleetAggregate]:
         """Snapshots of every fleet's cumulative routing totals."""
         with self._lock:
-            return {
-                name: self._copy_fleet(aggregate)
-                for name, aggregate in self._fleets.items()
-            }
+            return self._copy_fleets_locked()
 
     def aggregate(self, model_name: str) -> ModelAggregate:
         """A snapshot of one model's cumulative aggregate."""
@@ -797,13 +841,16 @@ class TelemetryCollector:
                 return ModelAggregate(model_name)
             return self._copy_aggregate(aggregate)
 
+    def _copy_aggregates_locked(self) -> dict[str, ModelAggregate]:
+        return {
+            name: self._copy_aggregate(aggregate)
+            for name, aggregate in self._aggregates.items()
+        }
+
     def aggregates(self) -> dict[str, ModelAggregate]:
         """Snapshots of every model's cumulative aggregate."""
         with self._lock:
-            return {
-                name: self._copy_aggregate(aggregate)
-                for name, aggregate in self._aggregates.items()
-            }
+            return self._copy_aggregates_locked()
 
     # -- exports ---------------------------------------------------------------
 
@@ -840,23 +887,26 @@ class TelemetryCollector:
         """Escape a label value per the Prometheus exposition format."""
         return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
-    def _histogram_snapshots(self) -> dict[tuple[str, str], LatencyHistogram]:
-        with self._lock:
-            return {
-                key: histogram.snapshot()
-                for key, histogram in self._histograms.items()
-            }
-
     @staticmethod
     def _format_bound(bound: float) -> str:
         """A ``le`` label value that round-trips through ``float()``."""
         return format(bound, ".12g")
 
     def to_prometheus(self, prefix: str = "repro") -> str:
-        """Render the aggregates in the Prometheus text exposition format."""
-        aggregates = self.aggregates()
-        histograms = self._histogram_snapshots()
-        overload_state = self.overload_state
+        """Render the aggregates in the Prometheus text exposition format.
+
+        Every series comes from one snapshot taken under one lock
+        acquisition, so a scrape never mixes two states of the collector
+        (``requests_total`` always equals ``request_latency_seconds_count``).
+        """
+        with self._lock:
+            aggregates = self._copy_aggregates_locked()
+            histograms = {
+                key: histogram.snapshot()
+                for key, histogram in self._histograms.items()
+            }
+            fleets = self._copy_fleets_locked()
+            overload_state = self._overload_state
         lines: list[str] = []
         for suffix, help_text, attribute in _PROMETHEUS_GAUGES:
             metric = f"{prefix}_{suffix}"
@@ -939,7 +989,6 @@ class TelemetryCollector:
                         f'{metric}{{model="{label}",replica="{replica_label}"}} '
                         f"{value}"
                     )
-        fleets = self.fleet_aggregates()
         if fleets:
             for suffix, help_text, attribute in (
                 (

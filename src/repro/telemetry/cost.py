@@ -129,8 +129,9 @@ class CostModel:
 
     Construction runs the analytical cost pipeline once (action counts,
     energy accounting, crossbar mapping with greedy replication, pipeline
-    timing); every accessor afterwards is a dictionary lookup or a float
-    multiply, cheap enough for the serving hot path.
+    timing) and keeps the per-sample scalars it yields; every serving-path
+    accessor afterwards (energy, energy split, batch latency) is a
+    dictionary lookup or a float multiply.
     """
 
     def __init__(
@@ -172,6 +173,8 @@ class CostModel:
             **analog,
             "digital": self._energy_per_sample_pj - sum(analog.values()),
         }
+        self._single_sample_latency_us = self.report.single_sample_latency_us
+        self._steady_state_latency_us = self.report.steady_state_latency_us
 
     # -- construction ---------------------------------------------------------
 
@@ -240,12 +243,12 @@ class CostModel:
     @property
     def single_sample_latency_us(self) -> float:
         """End-to-end modeled latency of one sample through the pipeline."""
-        return self.report.single_sample_latency_us
+        return self._single_sample_latency_us
 
     @property
     def steady_state_latency_us(self) -> float:
         """Pipeline initiation interval: modeled time per sample, steady state."""
-        return self.report.steady_state_latency_us
+        return self._steady_state_latency_us
 
     @property
     def throughput_samples_per_s(self) -> float:
@@ -262,8 +265,8 @@ class CostModel:
         if n_samples < 1:
             return 0.0
         return (
-            self.single_sample_latency_us
-            + (n_samples - 1) * self.steady_state_latency_us
+            self._single_sample_latency_us
+            + (n_samples - 1) * self._steady_state_latency_us
         )
 
     def batch_latency_s(self, n_samples: int) -> float:

@@ -630,9 +630,9 @@ class TestDispatchUrgency:
                 for decision in slow:
                     decision.result(timeout=30)
             fast_trace = telemetry.traces("fast")[0]
-            slow_dispatches = sorted(t.dispatched_at for t in telemetry.traces("slow"))
+            slow_formations = sorted(t.formed_at for t in telemetry.traces("slow"))
             # The high-priority batch must not run last: at least one slow
-            # batch was still waiting when it dispatched.
-            assert fast_trace.dispatched_at < slow_dispatches[-1]
+            # batch was still waiting when it was formed.
+            assert fast_trace.formed_at < slow_formations[-1]
         finally:
             engine.run = original_run

@@ -237,7 +237,9 @@ class TestFleetRouter:
         # its calibrated prediction must reflect that.
         fast_cost = fleet_registry.cost_model(FAST)
         modeled = fast_cost.batch_latency_s(8)
-        telemetry.record_engine_runs(FAST, [(8, modeled * 1000, None)], fast_cost)
+        telemetry.record_batch(
+            FAST, engine_records=[(8, modeled * 1000, None)], cost=fast_cost
+        )
         router = FleetRouter(fleet_registry, telemetry)
         by_name = {c.name: c for c in router.snapshot("mlp", 8)}
         assert by_name[FAST].predicted_latency_s == pytest.approx(modeled * 1000)

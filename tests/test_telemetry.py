@@ -19,11 +19,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.fig12_efficiency import run_fig12
 from repro.hw import RAELLA_ARCH
 from repro.hw.energy import EnergyModel
-from repro.nn.zoo import model_shapes
+from repro.nn.zoo import MODEL_NAMES, model_shapes
 from repro.runtime import NetworkEngine
 from repro.serve import BatchingPolicy, InferenceServer, ModelRegistry, OverloadState
 from repro.serve.scheduler import InferenceFuture, InferenceRequest, RequestQueue
@@ -33,6 +35,7 @@ from repro.telemetry import (
     LatencyHistogram,
     RequestTrace,
     TelemetryCollector,
+    Tracer,
     shapes_from_model,
 )
 
@@ -52,13 +55,11 @@ def make_trace(
     priority=0,
     deadline_s=None,
     enqueued_at=10.0,
-    dispatched_at=10.5,
+    formed_at=10.5,
     completed_at=11.0,
     batch_size=4,
     engine_time_s=0.25,
-    modeled_energy_pj=100.0,
-    modeled_latency_us=3.0,
-    modeled_energy_components_pj=None,
+    cost=None,
 ) -> RequestTrace:
     return RequestTrace(
         request_id=request_id,
@@ -67,13 +68,49 @@ def make_trace(
         priority=priority,
         deadline_s=deadline_s,
         enqueued_at=enqueued_at,
-        dispatched_at=dispatched_at,
+        formed_at=formed_at,
         completed_at=completed_at,
         batch_size=batch_size,
         engine_time_s=engine_time_s,
-        modeled_energy_pj=modeled_energy_pj,
-        modeled_latency_us=modeled_latency_us,
-        modeled_energy_components_pj=modeled_energy_components_pj,
+        cost=cost,
+    )
+
+
+class LinearCost:
+    """Cost tables in round numbers: 50 pJ per sample, 1 us fill + 0.5 us."""
+
+    def energy_pj(self, n_samples=1):
+        return 50.0 * n_samples
+
+    def energy_split_pj(self, n_samples=1):
+        split = {"dac": 20.0, "adc": 17.5, "crossbar": 10.0, "digital": 2.5}
+        return {key: value * n_samples for key, value in split.items()}
+
+    def batch_latency_us(self, n_samples):
+        return 0.0 if n_samples < 1 else 1.0 + 0.5 * (n_samples - 1)
+
+    def batch_latency_s(self, n_samples):
+        return self.batch_latency_us(n_samples) / 1e6
+
+
+def request(request_id=0, n_samples=2, priority=0, deadline_s=None, enqueued_at=10.0):
+    """One completed request, as ``record_batch`` reads it."""
+    return SimpleNamespace(
+        request_id=request_id,
+        n_samples=n_samples,
+        priority=priority,
+        deadline_s=deadline_s,
+        enqueued_at=enqueued_at,
+        trace=None,
+    )
+
+
+def record(collector, model_name="m", requests=None, **batch):
+    """Record one batch (default: one 2-sample request, formed at 10.5,
+    completed at 11.0, 0.25 s of engine time) into ``collector``."""
+    batch = {"formed_at": 10.5, "completed_at": 11.0, "engine_time_s": 0.25} | batch
+    collector.record_batch(
+        model_name, [request()] if requests is None else requests, **batch
     )
 
 
@@ -178,6 +215,19 @@ class TestCostModel:
         assert cost.batch_latency_us(0) == 0.0
         assert cost.batch_latency_s(5) == pytest.approx(cost.batch_latency_us(5) / 1e6)
 
+    @pytest.mark.parametrize("model_name", MODEL_NAMES)
+    def test_latency_scalars_keep_the_report_formula(self, model_name):
+        # Precomputed at construction, read bit for bit as the report's sums.
+        cost = CostModel.from_shapes(model_shapes(model_name), RAELLA_ARCH)
+        report = cost.report
+        for n_samples in (1, 2, 32):
+            expected = (
+                report.single_sample_latency_us
+                + (n_samples - 1) * report.steady_state_latency_us
+            )
+            assert cost.batch_latency_us(n_samples) == expected
+            assert cost.batch_latency_s(n_samples) == expected / 1e6
+
     def test_summary_lists_layers(self, tiny_mlp_model):
         cost = CostModel.from_model(tiny_mlp_model, RAELLA_ARCH)
         summary = cost.summary()
@@ -188,15 +238,11 @@ class TestCostModel:
 class TestTelemetryCollector:
     def test_aggregates_one_model(self):
         collector = TelemetryCollector()
-        collector.record(make_trace(request_id=0, n_samples=2, batch_size=4))
-        collector.record(
-            make_trace(
-                request_id=1,
-                n_samples=2,
-                batch_size=4,
-                deadline_s=10.9,  # completed at 11.0 -> missed
-            )
-        )
+        requests = [
+            request(request_id=0),
+            request(request_id=1, deadline_s=10.9),  # completed at 11.0 -> missed
+        ]
+        record(collector, requests=requests, cost=LinearCost())
         aggregate = collector.aggregate("m")
         assert aggregate.requests == 2
         assert aggregate.samples == 4
@@ -205,6 +251,9 @@ class TestTelemetryCollector:
         # Each request rode a 4-sample batch with 2 samples: half the time.
         assert aggregate.engine_share_s == pytest.approx(0.25)
         assert aggregate.modeled_energy_pj == pytest.approx(200.0)
+        assert aggregate.modeled_latency_us == pytest.approx(2.5)
+        assert [t.engine_share_s for t in collector.traces()] == [0.125, 0.125]
+        assert [t.modeled_latency_us for t in collector.traces()] == [1.25, 1.25]
         assert aggregate.deadline_requests == 1
         assert aggregate.deadline_misses == 1
         assert aggregate.deadline_miss_rate == 1.0
@@ -217,11 +266,20 @@ class TestTelemetryCollector:
         assert trace.engine_share_s == pytest.approx(0.125)
         assert not trace.deadline_missed
         assert make_trace(deadline_s=10.9).deadline_missed
+        assert trace.modeled_energy_pj is None
+        assert trace.modeled_energy_components_pj is None
+        assert trace.modeled_latency_us is None
+        metered = make_trace(cost=LinearCost())
+        assert metered.modeled_energy_pj == 100.0
+        assert sum(metered.modeled_energy_components_pj.values()) == 100.0
+        assert metered.modeled_latency_us == 1.25  # half of a 4-sample batch
+        assert set(metered.as_dict()) == set(trace.as_dict())
+        assert "cost" not in trace.as_dict()
 
     def test_rolling_window_keeps_cumulative_aggregates(self):
         collector = TelemetryCollector(max_traces=4)
         for i in range(10):
-            collector.record(make_trace(request_id=i))
+            record(collector, requests=[request(request_id=i)])
         assert len(collector.traces()) == 4
         assert collector.traces()[0].request_id == 6
         assert collector.aggregate("m").requests == 10
@@ -232,8 +290,11 @@ class TestTelemetryCollector:
 
         def worker(thread_id: int) -> None:
             for i in range(per_thread):
-                collector.record(make_trace(request_id=thread_id * per_thread + i))
-                collector.record_engine_runs("m", [(2, 0.001, None)], None)
+                record(
+                    collector,
+                    requests=[request(request_id=thread_id * per_thread + i)],
+                    engine_records=[(2, 0.001, None)],
+                )
 
         threads = [threading.Thread(target=worker, args=(t,)) for t in range(n_threads)]
         for thread in threads:
@@ -247,8 +308,8 @@ class TestTelemetryCollector:
 
     def test_export_json_roundtrip(self):
         collector = TelemetryCollector()
-        collector.record(make_trace(model_name="a"))
-        collector.record(make_trace(model_name="b", deadline_s=10.9))
+        record(collector, "a")
+        record(collector, "b", requests=[request(deadline_s=10.9)])
         payload = json.loads(collector.export_json())
         assert set(payload["models"]) == {"a", "b"}
         assert payload["models"]["a"]["requests"] == 1
@@ -259,8 +320,7 @@ class TestTelemetryCollector:
 
     def test_prometheus_text_format(self):
         collector = TelemetryCollector()
-        collector.record(make_trace(model_name="a"))
-        collector.record_engine_runs("a", [(4, 0.002, None)], None)
+        record(collector, "a", engine_records=[(4, 0.002, None)])
         text = collector.to_prometheus()
         assert "# HELP repro_requests_total" in text
         assert "# TYPE repro_requests_total counter" in text
@@ -271,7 +331,7 @@ class TestTelemetryCollector:
 
     def test_prometheus_escapes_label_values(self):
         collector = TelemetryCollector()
-        collector.record(make_trace(model_name='weird"name\\with\nstuff'))
+        record(collector, 'weird"name\\with\nstuff')
         text = collector.to_prometheus()
         assert 'model="weird\\"name\\\\with\\nstuff"' in text
         assert "\n{" not in text  # no raw newline leaked into a label
@@ -283,7 +343,7 @@ class TestTelemetryCollector:
         engine = NetworkEngine.build(tiny_mlp_model)
         inputs = np.abs(rng.normal(0, 1, size=(5, 16)))
         _outputs, elapsed, records = engine.run_timed(inputs)
-        collector.record_engine_runs("tiny", records, None)
+        collector.record_batch("tiny", engine_records=records)
         aggregate = collector.aggregate("tiny")
         assert aggregate.engine_runs == 1
         assert aggregate.engine_run_samples == 5
@@ -302,9 +362,222 @@ class TestTelemetryCollector:
         # move toward (and with repetition converge on) the observed scale.
         observed = cost.batch_latency_s(4) * 100.0
         for _ in range(50):
-            collector.record_engine_runs("tiny", [(4, observed, None)], cost)
+            collector.record_batch(
+                "tiny", engine_records=[(4, observed, None)], cost=cost
+            )
         calibrated = collector.predicted_batch_latency_s("tiny", 4, cost)
         assert calibrated == pytest.approx(observed, rel=0.05)
+
+
+class CountingLock:
+    """A collector lock that counts acquisitions and can act on release."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.acquisitions = 0
+        self.after_release = None
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.acquisitions += 1
+        return self
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+        if self.after_release is not None:
+            self.after_release()
+
+
+def prometheus_samples(text: str) -> dict[str, float]:
+    """``{'name{labels}': value}`` for every sample line of an export."""
+    return {
+        line.rsplit(" ", 1)[0]: float(line.rsplit(" ", 1)[1])
+        for line in text.splitlines()
+        if not line.startswith("#")
+    }
+
+
+@pytest.fixture(scope="module")
+def zoo_costs():
+    """Two real cost tables, for properties that need the real arithmetic."""
+    return tuple(
+        CostModel.from_shapes(model_shapes(name), RAELLA_ARCH)
+        for name in ("resnet18", "bert_large_ffn")
+    )
+
+
+batch_specs = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b"]),
+        # per request: samples, deadline (None, or offset from formation;
+        # negative offsets are missed), enqueue lead before formation
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=6),
+                st.one_of(st.none(), st.floats(min_value=-1.0, max_value=1.0)),
+                st.floats(min_value=0.0, max_value=0.5),
+            ),
+            max_size=4,
+        ),
+        st.floats(min_value=0.0, max_value=0.5),  # engine time
+        st.sampled_from([None, 0, 1]),  # cost table index
+        st.lists(st.sampled_from([None, "0", "1"]), max_size=2),  # replicas
+        st.booleans(),  # routed through fleet "f"
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestBatchMetering:
+    """``record_batch`` is the collector's one write path for serving."""
+
+    def test_scrape_is_one_snapshot(self):
+        # A batch recorded while the scrape is under way must land wholly
+        # before or wholly after it: the lock hook records one the moment
+        # the scrape first releases the lock.
+        collector = TelemetryCollector()
+        record(collector)
+        lock = collector._lock = CountingLock()
+
+        def record_during_scrape():
+            lock.after_release = None
+            record(collector)
+
+        lock.after_release = record_during_scrape
+        samples = prometheus_samples(collector.to_prometheus())
+        assert collector.aggregate("m").requests == 2  # the batch landed
+        assert samples['repro_requests_total{model="m"}'] == 1
+        assert samples['repro_request_latency_seconds_count{model="m"}'] == 1
+        assert samples['repro_request_queue_wait_seconds_count{model="m"}'] == 1
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_one_collector_write_per_batch(self, tiny_mlp_model, rng, backend):
+        registry = ModelRegistry()
+        hosting = {"backend": "process", "replicas": 1} if backend == "process" else {}
+        registry.register("mlp", tiny_mlp_model, arch=RAELLA_ARCH, **hosting)
+        try:
+            telemetry = TelemetryCollector()
+            lock = telemetry._lock = CountingLock()
+            calls = []
+            record_batch = telemetry.record_batch
+
+            def counted(*args, **kwargs):
+                calls.append(args[0])
+                return record_batch(*args, **kwargs)
+
+            telemetry.record_batch = counted
+            server = InferenceServer(
+                registry,
+                BatchingPolicy(max_batch_size=4, max_delay_s=0.001),
+                telemetry=telemetry,
+            )
+            sizes = [1, 2, 1, 1, 2, 2, 1, 1, 2, 1]
+            futures = [
+                server.submit("mlp", np.abs(rng.normal(0, 1, size=(n, 16))))
+                for n in sizes
+            ]
+            with server:
+                for future in futures:
+                    future.result(timeout=30)
+            batches = server.statistics().batches_executed
+            assert batches > 1
+            assert calls == ["mlp"] * batches
+            assert lock.acquisitions == batches
+            aggregate = telemetry.aggregate("mlp")
+            assert aggregate.requests == len(sizes)
+            assert aggregate.samples == sum(sizes)
+            assert aggregate.engine_runs == batches
+            assert aggregate.replicas_total == (1 if backend == "process" else 0)
+        finally:
+            registry.close()
+
+    def test_queue_wait_is_enqueue_to_formation(self, tiny_mlp_model, rng):
+        # The trace, the histogram, the aggregate, the server statistics and
+        # the queue_wait span all read one interval.
+        registry = ModelRegistry()
+        registry.register("mlp", tiny_mlp_model, arch=RAELLA_ARCH)
+        telemetry = TelemetryCollector()
+        server = InferenceServer(
+            registry,
+            BatchingPolicy(max_batch_size=4, max_delay_s=0.001),
+            telemetry=telemetry,
+            tracer=Tracer(),
+        )
+        futures = [
+            server.submit("mlp", np.abs(rng.normal(0, 1, size=(2, 16))))
+            for _ in range(6)
+        ]
+        with server:
+            for future in futures:
+                future.result(timeout=30)
+        traces = telemetry.traces("mlp")
+        waits = [trace.queue_wait_s for trace in traces]
+        for trace in traces:
+            (span,) = [s for s in trace.spans if s["name"] == "queue_wait"]
+            assert trace.enqueued_at == span["start_s"]
+            assert trace.formed_at == span["end_s"]
+        assert telemetry.aggregate("mlp").queue_wait_s == pytest.approx(sum(waits))
+        histogram = telemetry.histogram("mlp", "queue_wait")
+        assert histogram.sum == pytest.approx(sum(waits))
+        assert server.statistics().queue_wait_s == pytest.approx(sum(waits))
+
+    @given(specs=batch_specs)
+    @settings(max_examples=60, deadline=None)
+    def test_conservation(self, zoo_costs, specs):
+        collector = TelemetryCollector()
+        samples = {"a": 0, "b": 0}
+        engine_time = {"a": 0.0, "b": 0.0}
+        routed = 0
+        for step, (name, spec, engine_s, cost_index, replicas, routed_here) in (
+            enumerate(specs)
+        ):
+            formed = 100.0 + step
+            requests = [
+                request(
+                    request_id=index,
+                    n_samples=n,
+                    deadline_s=None if offset is None else formed + offset,
+                    enqueued_at=formed - lead,
+                )
+                for index, (n, offset, lead) in enumerate(spec)
+            ]
+            batch_size = sum(n for n, _offset, _lead in spec)
+            route = None
+            if routed_here and requests:
+                route = SimpleNamespace(
+                    fleet="f",
+                    variant=name,
+                    n_samples=batch_size,
+                    energy_pj=1.0 * batch_size,
+                    baseline_energy_pj=2.0 * batch_size,
+                )
+                routed += 1
+            collector.record_batch(
+                name,
+                requests,
+                formed_at=formed,
+                completed_at=formed + engine_s + 0.01,
+                engine_time_s=engine_s,
+                engine_records=[(batch_size, engine_s, r) for r in replicas],
+                cost=None if cost_index is None else zoo_costs[cost_index],
+                route=route,
+            )
+            samples[name] += batch_size
+            if requests:
+                engine_time[name] += engine_s
+            for model in ("a", "b"):
+                aggregate = collector.aggregate(model)
+                latency = collector.histogram(model, "latency")
+                assert aggregate.requests == (0 if latency is None else latency.count)
+                assert aggregate.samples == samples[model]
+                assert aggregate.engine_share_s == pytest.approx(engine_time[model])
+                assert sum(
+                    aggregate.modeled_energy_components_pj.values()
+                ) == pytest.approx(aggregate.modeled_energy_pj, rel=1e-9)
+                assert aggregate.deadline_misses <= aggregate.deadline_requests
+            fleet = collector.fleet_aggregate("f")
+            assert sum(fleet.executed_batches_by_variant.values()) == routed
 
 
 # A metric sample line: name, optional {labels} block, a value.  The labels
@@ -369,21 +642,20 @@ class TestPrometheusConformance:
     @pytest.fixture
     def rich_collector(self) -> TelemetryCollector:
         collector = TelemetryCollector()
-        components = {"dac": 40.0, "adc": 35.0, "crossbar": 20.0, "digital": 5.0}
-        collector.record(
-            make_trace(model_name="plain", modeled_energy_components_pj=components)
+        record(
+            collector,
+            "plain",
+            cost=LinearCost(),
+            engine_records=[(4, 0.25, "0"), (2, 0.125, "1")],
+            pool_health={"healthy": 2, "replicas": 3, "restarts": 1},
         )
-        collector.record(
-            make_trace(
-                request_id=1,
-                model_name=NASTY_MODEL,
-                deadline_s=0.1,
-                completed_at=10.6,
-            )
+        record(
+            collector,
+            NASTY_MODEL,
+            requests=[request(request_id=1, deadline_s=0.1)],
+            completed_at=10.6,
+            engine_records=[(2, 0.1, None)],
         )
-        collector.record_engine_runs("plain", [(4, 0.25, "0"), (2, 0.125, "1")], None)
-        collector.record_engine_runs(NASTY_MODEL, [(2, 0.1, None)], None)
-        collector.record_pool_health("plain", healthy=2, replicas=3, restarts=1)
         collector.record_admission(
             SimpleNamespace(
                 model_name=NASTY_MODEL,
@@ -558,7 +830,7 @@ class TestPrometheusConformance:
         series = self._histogram_series(samples, types)
         # The fixture records: "plain" latency 1.0 / queue wait 0.5 and two
         # engine runs 0.25 + 0.125; NASTY latency 0.6 / queue wait 0.5 and
-        # one 0.1 engine run (see make_trace defaults and rich_collector).
+        # one 0.1 engine run (see record() defaults and rich_collector).
         expect = {
             ("repro_request_latency_seconds", "plain"): (1, 1.0),
             ("repro_request_queue_wait_seconds", "plain"): (1, 0.5),
@@ -634,8 +906,8 @@ class TestLatencyHistogram:
         collector = TelemetryCollector()
         assert collector.histogram("m", "latency") is None
         assert collector.quantile("m", 0.5) is None
-        collector.record(make_trace())  # latency 1.0, queue wait 0.5
-        collector.record_engine_runs("m", [(4, 0.25, None)], None)
+        # latency 1.0, queue wait 0.5
+        record(collector, engine_records=[(4, 0.25, None)])
         latency = collector.histogram("m", "latency")
         assert latency.count == 1 and latency.sum == pytest.approx(1.0)
         assert collector.histogram("m", "queue_wait").sum == pytest.approx(0.5)
@@ -652,7 +924,7 @@ class TestLatencyHistogram:
 
     def test_export_json_carries_histograms(self):
         collector = TelemetryCollector()
-        collector.record(make_trace())
+        record(collector)
         document = json.loads(collector.export_json())
         histograms = document["models"]["m"]["histograms"]
         assert histograms["latency"]["count"] == 1
