@@ -10,6 +10,10 @@ CI relaxes the bar for noisy shared runners).  Results stay bit-identical, so
 the speedup is pure batching: one fused GEMM per coalesced batch instead of
 one tiny GEMM (plus per-call phase extraction and scheduling overhead) per
 request.
+
+A second, non-timing gate pins work-conserving batching: a lone request that
+finds its engine idle dispatches at once instead of waiting out
+``max_delay_s``.
 """
 
 from __future__ import annotations
@@ -105,4 +109,22 @@ def test_server_throughput_speedup(serving_setup):
     assert speedup >= minimum, (
         f"batched serving only {speedup:.2f}x naive throughput "
         f"({N_REQUESTS / server_time:.0f} vs {N_REQUESTS / naive_time:.0f} req/s)"
+    )
+
+
+def test_idle_engine_does_not_wait_the_budget(serving_setup):
+    """Sequential single-sample requests each find the engine idle, so none
+    waits out the 50 ms co-batching budget: the mean queue wait stays
+    below half of it."""
+    registry, requests = serving_setup
+    policy = BatchingPolicy(max_batch_size=32, max_delay_s=0.05)
+    with InferenceServer(registry, policy) as server:
+        for request in requests[:20]:
+            server.infer("mlp", request, timeout=30)
+        stats = server.statistics()
+    assert stats.requests_completed == 20
+    mean_wait = stats.mean_queue_wait_s
+    assert mean_wait < 0.025, (
+        f"mean queue wait {mean_wait * 1e3:.1f} ms on an idle engine "
+        f"(budget {policy.max_delay_s * 1e3:.0f} ms)"
     )

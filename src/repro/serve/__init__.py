@@ -15,7 +15,9 @@ layer:
   the digital stages; crashed replicas restart automatically and
   ``unregister`` drains the pool cleanly.
 * :mod:`repro.serve.scheduler` -- the dynamic micro-batching substrate:
-  :class:`BatchingPolicy` (batch-size target + latency budget),
+  :class:`BatchingPolicy` (batch-size target + a co-batching budget that
+  holds a batch back only while its engine already runs one with spare
+  dispatch width; an idle engine dispatches at once),
   :class:`InferenceFuture` result handles and the per-model
   :class:`RequestQueue`, which forms batches for idle workers and counts
   the backlog (queued plus in-flight samples).

@@ -5,12 +5,17 @@ call.  :class:`BatchingPolicy` sets the two knobs of the classic dynamic
 batcher: a batch-size target and a latency budget.  :class:`RequestQueue`
 holds pending :class:`InferenceRequest` objects per model and hands an idle
 worker the next batch that may start -- by default the model whose oldest
-request has waited longest, as soon as that model has a full batch or its
-oldest request exhausts the latency budget.  The batch is formed at that
-moment, so requests that arrive while every worker is busy still join it.
-Models whose engine is already running as many batches as it can (the
-caller's placement function says so) are skipped, and the queue counts each
-popped batch's samples as in flight until the worker releases it.
+request has waited longest, as soon as that model's engine has no batch in
+flight, its batch is full, or its oldest request exhausts the latency
+budget.  Batching is work-conserving: an idle engine never waits, because
+requests that arrive while its batch runs join the next batch anyway, so the
+latency budget only holds back a batch whose engine already runs one and
+could start another (a replica pool with spare dispatch width).  The batch
+is formed at that moment, so requests that arrive while every worker is busy
+still join it.  Models whose engine is already running as many batches as it
+can (the caller's placement function says so) are skipped, and the queue
+counts each popped batch's samples as in flight until the worker releases
+it.
 
 Requests may optionally carry a *priority* and a *deadline*.  While any such
 request is pending (and the queue's SLO mode is on), model selection switches
@@ -75,8 +80,11 @@ class BatchingPolicy:
         as adding the next whole request would exceed it (a single oversized
         request still runs, alone).
     max_delay_s:
-        Latency budget: the longest a request may wait for co-batching before
-        the scheduler dispatches whatever has accumulated.
+        Co-batching budget: the longest a partial batch may wait for more
+        requests while its engine key already runs a batch and has spare
+        dispatch width (a replica pool with ``dispatch_width > 1``).  A
+        batch whose engine key is idle dispatches at once, whatever this
+        budget; requests arriving while a batch runs join the next one.
     starvation_limit_s:
         The aging rule bounding priority starvation: a model whose oldest
         pending request has waited longer than this is promoted into the
@@ -413,23 +421,30 @@ class RequestQueue:
         """``(model, placement, due_in)``: the batch to pop now, if any.
 
         Only models ``place`` accepts compete; one at capacity is skipped
-        until a release wakes the workers.  A model is *ready* when its next
+        until a release wakes the workers.  A model is *ready* when the
+        engine key ``place`` returns for it has no batch in flight, its next
         batch (:meth:`_batch_preview`) is full, its slack -- tightest
         ``deadline - now - predicted batch latency`` within the batch, or
         the remaining co-batching budget when the batch carries no deadline
-        -- has run out, or the queue is closed.  With nothing to pop,
-        ``due_in`` tells the caller how long it may sleep before the
-        earliest placeable model comes due (``None``: until woken).
+        -- has run out, or the queue is closed.  Idleness is judged on the
+        placed key, not the submitted name: a fleet batch is idle only when
+        its routed variant is.  An idle key dispatches at once, because
+        whatever arrives while its batch runs joins the next batch anyway;
+        the co-batching budget only holds back a batch whose key already
+        runs one and still has spare dispatch width (a replica pool with
+        ``dispatch_width > 1``).  With nothing to pop, ``due_in`` tells the
+        caller how long it may sleep before the earliest placeable model
+        comes due (``None``: until woken).
 
-        FIFO path (no SLO hints pending, or SLO mode off): only the
-        placeable model whose head request has waited longest may go.
-
-        SLO path: once *any* placeable model is ready, a dispatch is going
-        to happen -- so the globally most urgent placeable model wins under
-        :func:`most_urgent` (highest priority class first, then least
-        slack, then oldest head request), even with a partial batch:
-        delaying an urgent request behind a less urgent full batch would
-        invert the SLO ordering, and the engine has work either way.
+        Once *any* placeable model is ready, a dispatch is going to happen
+        -- so the most urgent placeable model wins under
+        :func:`most_urgent`, even with a partial batch: delaying it behind a
+        less urgent full batch would invert the order, and the engine has
+        work either way.  On the FIFO path (no SLO hints pending, or SLO
+        mode off) every model ranks in one priority class on its remaining
+        budget, so the placeable model whose head request has waited longest
+        goes.  On the SLO path the order is highest priority class first,
+        then least slack, then oldest head request.
 
         The one exception is the aging rule
         (:attr:`BatchingPolicy.starvation_limit_s`): a model whose head
@@ -443,15 +458,9 @@ class RequestQueue:
         it eventually undercuts any stream of fresh arrivals.
         """
         slo = self._slo_mode and self._slo_pending > 0
-        names = (
-            list(self._pending)
-            if slo
-            else sorted(self._pending, key=lambda n: self._pending[n][0].enqueued_at)
-        )
         entries, placements = [], {}
         min_due, any_ready = None, False
-        for name in names:
-            requests = self._pending[name]
+        for name, requests in self._pending.items():
             samples, priority, min_deadline, full = self._batch_preview(
                 requests, policy
             )
@@ -460,14 +469,14 @@ class RequestQueue:
                 continue
             head = requests[0]
             slack = budget_left = policy.max_delay_s - (now - head.enqueued_at)
-            if slo and min_deadline is not None:
+            if not slo:
+                priority = 0
+            elif min_deadline is not None:
                 slack = min_deadline - now - self._predicted_latency(name, samples)
             due_in = min(budget_left, slack)
-            ready = full or due_in <= 0 or self._closed
-            if not slo:
-                return (name, placement, None) if ready else (None, None, due_in)
+            idle = placement[0] not in self._in_flight
+            any_ready = any_ready or idle or full or due_in <= 0 or self._closed
             min_due = due_in if min_due is None else min(min_due, due_in)
-            any_ready = any_ready or ready
             placements[name] = placement
             entries.append((name, priority, head.enqueued_at, slack, head.enqueued_at))
         if not any_ready:
@@ -499,12 +508,12 @@ class RequestQueue:
         for each model competing for this pop, with the stats of the batch
         that model would form; it returns ``(engine_key, route)`` or
         ``None`` when that engine key is at capacity (see :data:`Placer`).
-        The winner -- the oldest placeable model once it is ready (FIFO
-        path), or the most urgent placeable model once any is ready (SLO
-        path; see :meth:`_pick`) -- is popped, and its samples count as in flight
-        under its engine key until :meth:`release`.  A closed queue still
-        pending at capacity waits for a release; workers get ``None`` only
-        once it is closed and empty.
+        Once any placeable model is ready -- its key idle, its batch full,
+        or its budget or slack spent -- the most urgent placeable model (the
+        oldest on the FIFO path; see :meth:`_pick`) is popped, and its
+        samples count as in flight under its engine key until
+        :meth:`release`.  A closed queue still pending at capacity waits for
+        a release; workers get ``None`` only once it is closed and empty.
         """
         with self._condition:
             while True:

@@ -19,8 +19,13 @@ Threading model:
   *ready* model below its dispatch capacity (highest priority first, with
   aged-starved heads promoted into the top class, then least deadline
   slack), and the queue forms that model's batch at that moment -- so
-  requests that arrive while every worker is busy still join it.  A batch
-  addressed to a fleet is routed in the same step.  The worker executes the
+  requests that arrive while every worker is busy still join it.  Batching
+  is work-conserving: a model is ready as soon as the engine key it is
+  placed on has no batch in flight, so a lone request on an idle engine
+  never waits out ``BatchingPolicy.max_delay_s``; the budget only holds a
+  partial batch back behind a running one on a replica pool with spare
+  dispatch width.  A batch addressed to a fleet is routed in the same step,
+  and judged idle on its routed variant.  The worker executes the
   batch and releases its in-flight samples before the futures resolve.
   Batches of different models run concurrently, batches of the same model
   start in formation order;

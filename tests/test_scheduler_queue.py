@@ -2,12 +2,14 @@
 
 Covers the scheduler behaviours the serving tests exercise only implicitly:
 oversized single requests, a zero latency budget (immediate dispatch),
-interleaved multi-model fairness, the co-batching delay budget (the full
-``max_delay_s`` at any fill), and the capacity-aware pick (busy models
-skipped, a release waking a blocked worker) -- plus property-based
-randomized streams (hypothesis) pinning the dispatch invariants: nothing
-lost or duplicated, per-model FIFO preserved, in-flight batches within
-capacity, priority-then-EDF ordering, and the starvation aging bound.  The
+interleaved multi-model fairness, work-conserving dispatch (an idle engine
+key never waits; the co-batching budget, the full ``max_delay_s`` at any
+fill, holds only behind a batch in flight on a key with spare width), and
+the capacity-aware pick (busy models skipped, a release waking a blocked
+worker) -- plus property-based randomized streams (hypothesis) pinning the
+dispatch invariants: nothing lost or duplicated, per-model FIFO preserved,
+in-flight batches within capacity, nothing left waiting on an idle key,
+priority-then-EDF ordering, and the starvation aging bound.  The
 ordering properties are stated once on :func:`most_urgent`, the urgency
 order the queue ranks with.
 """
@@ -21,7 +23,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.serve import scheduler
@@ -50,6 +52,27 @@ def except_busy(busy):
     return lambda name, samples, deadline_s: None if name in busy else (name, None)
 
 
+def width(dispatch_width, queue, key_of=lambda name: name):
+    """Placement on ``key_of(name)``, admitting up to ``dispatch_width``
+    batches in flight per key (a replica pool's width)."""
+
+    def place(name, samples, deadline_s):
+        key = key_of(name)
+        if queue.in_flight_batches(key) >= dispatch_width:
+            return None
+        return key, None
+
+    return place
+
+
+def hold_in_flight(queue, policy, place, name):
+    """Pop one single-request batch of ``name`` and leave it in flight."""
+    queue.submit(make_request(name))
+    batch = queue.next_batch(policy, place)
+    assert batch.requests[0].model_name == name
+    return batch
+
+
 def make_request(
     name: str,
     samples: int = 1,
@@ -76,15 +99,18 @@ class TestBatchingPolicyValidation:
         with pytest.raises(ValueError, match="starvation_limit_s"):
             BatchingPolicy(starvation_limit_s=0.0)
 
-    def test_effective_delay_constant_without_adaptive(self):
-        # The budget does not shrink as a batch fills: below a full batch,
-        # a fresh head request may wait exactly ``max_delay_s``.
+    def test_delay_budget_constant_as_batch_fills(self):
+        # The budget does not shrink as a batch fills: below a full batch, a
+        # fresh head request on a width-2 key already running one batch may
+        # wait exactly ``max_delay_s``.
         policy = BatchingPolicy(max_batch_size=8, max_delay_s=0.4)
         now = 100.0
         for queued in (1, 4, 7):
             queue = RequestQueue()
+            place = width(2, queue)
+            hold_in_flight(queue, policy, place, "m")
             queue.submit(make_request("m", samples=queued, enqueued_at=now))
-            assert queue._pick(policy, anywhere, now) == (None, None, 0.4)
+            assert queue._pick(policy, place, now) == (None, None, 0.4)
 
 
 class TestRequestQueueEdgeCases:
@@ -351,6 +377,10 @@ request_specs = st.lists(
 )
 
 
+#: Engine keys a random placer routes models onto ("variant" as a fleet's).
+ENGINE_KEYS = ("a", "b", "c", "variant")
+
+
 class TestDispatchProperties:
     """Property-based invariants of ``RequestQueue`` over random streams.
 
@@ -518,19 +548,126 @@ class TestDispatchProperties:
         batch = pop(queue, policy)
         assert batch[0].model_name == "quiet"
 
+    @given(
+        stream=request_specs,
+        max_batch=st.integers(min_value=1, max_value=12),
+        slo_mode=st.booleans(),
+        keys=st.fixed_dictionaries(
+            {model: st.sampled_from(ENGINE_KEYS) for model in "abc"}
+        ),
+        widths=st.fixed_dictionaries(
+            {key: st.integers(min_value=1, max_value=3) for key in ENGINE_KEYS}
+        ),
+        running=st.fixed_dictionaries(
+            {key: st.integers(min_value=0, max_value=3) for key in ENGINE_KEYS}
+        ),
+    )
+    # FIFO: the oldest model waits on a busy width-2 key, a younger one's
+    # key is idle -- the younger key's idleness must still force a pop.
+    @example(
+        stream=[("a", 1, 0, None), ("b", 1, 0, None)],
+        max_batch=8,
+        slo_mode=False,
+        keys={"a": "a", "b": "b", "c": "c"},
+        widths=dict.fromkeys(ENGINE_KEYS, 2),
+        running={"a": 1, "b": 0, "c": 0, "variant": 0},
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_nothing_to_pop_means_every_placeable_key_is_busy(
+        self, stream, max_batch, slo_mode, keys, widths, running
+    ):
+        """Work conservation: whenever ``_pick`` pops nothing, every pending
+        model the placer accepts has a batch in flight on its placed key.
 
-class TestAdaptiveDelay:
-    """The delay budget is not adaptive: a nearly full batch waits it out."""
+        Models route onto random engine keys (several may share one, as a
+        fleet shares its variant), each key has a random width and a random
+        number of batches already running, and the budget never runs out
+        during the pick."""
+        queue = RequestQueue(slo_mode=slo_mode)
+        one_each = BatchingPolicy(max_batch_size=1, max_delay_s=0.0)
+        for key, count in running.items():
+            for _ in range(count):
+                hold_in_flight(queue, one_each, width(count, queue), key)
 
-    def test_non_adaptive_waits_longer_than_adaptive_budget(self):
+        def place(name, samples, deadline_s):
+            key = keys[name]
+            if queue.in_flight_batches(key) >= widths[key]:
+                return None
+            return key, None
+
+        policy = BatchingPolicy(max_batch_size=max_batch, max_delay_s=10.0)
+        now = time.monotonic()
+        for i, (model, samples, priority, offset) in enumerate(stream):
+            queue.submit(
+                InferenceRequest(
+                    model_name=model,
+                    inputs=np.zeros((samples, 3)),
+                    future=InferenceFuture(),
+                    enqueued_at=now,
+                    priority=priority,
+                    deadline_s=None if offset is None else now + 1.0 + offset,
+                    request_id=i,
+                )
+            )
+        name, _placement, _due_in = queue._pick(policy, place, now)
+        if name is not None:
+            return
+        for model in {model for model, *_spec in stream}:
+            placed = place(model, 0, None)
+            assert placed is None or queue.in_flight_batches(placed[0]) > 0
+
+
+class TestWorkConservingDelay:
+    """An idle engine key dispatches at once; the co-batching budget only
+    holds a partial batch back on a key that already runs one and still has
+    spare dispatch width."""
+
+    @pytest.mark.parametrize("path", ["fifo", "slo"])
+    def test_partial_batch_waits_the_whole_budget(self, path):
+        # 3/4 full behind one in-flight batch on a width-2 key: the whole
+        # 0.4 s budget, on the FIFO path and on the SLO path alike.
         queue = RequestQueue()
-        queue.submit(make_request("m", samples=3))
         policy = BatchingPolicy(max_batch_size=4, max_delay_s=0.4)
+        place = width(2, queue)
+        running = hold_in_flight(queue, policy, place, "m")
+        queue.submit(make_request("m", samples=3, priority=3 if path == "slo" else 0))
         start = time.monotonic()
-        batch = pop(queue, policy)  # 3/4 full: still the whole 0.4s budget
+        batch = queue.next_batch(policy, place)
         elapsed = time.monotonic() - start
-        assert [r.n_samples for r in batch] == [3]
+        assert [r.n_samples for r in batch.requests] == [3]
         assert elapsed >= 0.3  # the full budget was honoured
+        assert queue.in_flight_batches("m") == 2
+        queue.release(running)
+        queue.release(batch)
+
+    @pytest.mark.parametrize("path", ["fifo", "slo"])
+    def test_idle_key_dispatches_a_partial_batch_at_once(self, path):
+        queue = RequestQueue()
+        policy = BatchingPolicy(max_batch_size=8, max_delay_s=10.0)
+        now = 100.0
+        queue.submit(
+            make_request(
+                "m",
+                enqueued_at=now,
+                priority=3 if path == "slo" else 0,
+                deadline_s=now + 60.0 if path == "slo" else None,
+            )
+        )
+        assert queue._pick(policy, width(2, queue), now) == ("m", ("m", None), None)
+
+    def test_idleness_is_judged_on_the_placed_key(self):
+        # ``fleet`` routes onto ``variant``: it waits while ``variant`` runs
+        # a batch, however idle the name ``fleet`` itself is, and dispatches
+        # at once when ``variant`` is idle.
+        queue = RequestQueue()
+        policy = BatchingPolicy(max_batch_size=8, max_delay_s=10.0)
+        now = 100.0
+        place = width(2, queue, key_of=lambda name: "variant")
+        running = hold_in_flight(queue, policy, place, "variant")
+        queue.submit(make_request("fleet", enqueued_at=now))
+        assert queue._pick(policy, place, now) == (None, None, 10.0)
+        queue.release(running)
+        assert queue._pick(policy, place, now) == ("fleet", ("variant", None), None)
 
 
 #: One random urgency candidate: (priority, head age in s, secondary key).

@@ -177,9 +177,9 @@ class TestInferenceServer:
         server = InferenceServer(
             registry, BatchingPolicy(max_batch_size=4, max_delay_s=10.0)
         )
-        # Submitting before start makes batch formation deterministic; waiting
-        # after stop() lets the trailing partial batch dispatch via queue
-        # drain instead of idling out the 10s latency budget.
+        # Submitting before start makes batch formation deterministic: a
+        # running server would dispatch the first request alone at once,
+        # because its engine is idle.
         futures = [server.submit("mlp", inputs[i : i + 1]) for i in range(10)]
         with server:
             pass
@@ -189,6 +189,19 @@ class TestInferenceServer:
         assert stats.batches_executed == 3  # 4 + 4 + 2 samples
         assert stats.max_batch_size == 4
         assert stats.requests_completed == 10 and stats.requests_failed == 0
+
+    def test_lone_request_on_an_idle_engine_does_not_wait_the_budget(
+        self, registry, rng
+    ):
+        # Work-conserving batching: the idle width-1 engine runs a lone
+        # request at once instead of holding it for the 10 s budget.
+        inputs = np.abs(rng.normal(0, 1, size=(1, 16)))
+        direct = registry.engine("mlp").run(inputs)
+        with InferenceServer(
+            registry, BatchingPolicy(max_batch_size=8, max_delay_s=10.0)
+        ) as server:
+            result = server.infer("mlp", inputs, timeout=2)
+        assert np.array_equal(result, direct)
 
     def test_mixed_size_requests_split_correctly(self, registry, rng):
         sizes = [3, 1, 2, 4]
